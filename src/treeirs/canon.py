@@ -236,6 +236,8 @@ def orbit_census(d: int, depth: int, k: int, scheme: ColourScheme | None = None,
                  parent_colour: int | None = None, policy: str = "orbit",
                  budget: int = 2_000_000) -> Census:
     """Canonicalize every k-subset of the cone's leaves and count classes."""
+    if scheme is not None and scheme.d != d:
+        raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {d}")
     n_leaves = d ** depth
     total = comb(n_leaves, k)
     if total > budget:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
 
 from .canon import enumerate_cone_maps
 from .perm import (
@@ -20,7 +19,6 @@ from .perm import (
     contains_alt_on,
     enumerate_subgroups,
     from_cycles,
-    is_even,
     minimal_blocks,
     orbits,
     overgroups_of_cycle,
@@ -127,17 +125,6 @@ def in_Pi(G: GeneratedGroup, labels, delta: int) -> tuple[bool, tuple[XiWitness,
 # Praeger-Saxl audit
 # ---------------------------------------------------------------------------
 
-def contains_full_alt(G: GeneratedGroup) -> bool:
-    """Does G contain Alt on its full domain?  (Vacuous for degree <= 2.)"""
-    m = G.degree
-    if m <= 2:
-        return True
-    target = factorial(m) // 2
-    if G.order < target:
-        return False
-    return sum(1 for p in G.elements if is_even(p)) == target
-
-
 @dataclass(frozen=True)
 class PraegerRow:
     degree: int
@@ -178,7 +165,7 @@ def praeger_saxl_check(max_degree: int) -> PraegerReport:
                 continue
             if minimal_blocks(L) is not None:
                 continue
-            if contains_full_alt(L):
+            if contains_alt_on(L, range(L.degree)):
                 continue
             rows.append(PraegerRow(m, L.order, 4 ** m))
     violations = tuple(r for r in rows if r.order > r.bound)
@@ -328,7 +315,7 @@ def classify_case(G: GeneratedGroup, q: int, delta: int) -> CaseReport:
     proj = G.restricted(prof.giant)
     if minimal_blocks(proj) is not None:
         return CaseReport("III", prof.t_max, None)
-    if contains_full_alt(proj):
+    if contains_alt_on(proj, range(proj.degree)):
         return CaseReport("alt-giant", prof.t_max, None)
     return CaseReport("II", prof.t_max, None)
 

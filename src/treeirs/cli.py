@@ -21,7 +21,7 @@ from math import exp
 
 from . import bounds as bnd
 from . import montecarlo as mc
-from .canon import orbit_census, form_str
+from .canon import ColourSchemeMismatch, orbit_census, form_str
 from .classify import classify_case, in_Pi, in_Xi, profile
 from .irs import (
     transporter,
@@ -192,6 +192,8 @@ def cmd_simulate(args) -> int:
 def cmd_classify(args) -> int:
     G = load_group(args.group_file, cap=args.cap)
     scheme = _load_scheme(args.scheme)
+    if scheme is not None and scheme.d != args.d:
+        raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {args.d}")
     rep = classify_case(G, args.q, args.delta)
     xi_ok, wit = in_Xi(G, args.delta)
     bound_log = None

@@ -17,6 +17,7 @@ from .perm import (
     GeneratedGroup,
     Perm,
     compose,
+    conjugacy_orbit,
     conjugate,
     identity,
     restrict,
@@ -109,16 +110,18 @@ def point_mass(H: GeneratedGroup, ambient: GeneratedGroup) -> ConjInvariantMeasu
 
 def uniform_conjugate_measure(gamma: GeneratedGroup,
                               ambient: GeneratedGroup) -> ConjInvariantMeasure:
-    """Uniform measure over the distinct ambient-conjugates of gamma."""
+    """Uniform measure over the distinct ambient-conjugates of gamma.
+
+    Like ``check_invariance``, this relies on ``ambient.generators``
+    generating the ambient group: the conjugates are found breadth-first by
+    conjugating with the generators alone (``perm.conjugacy_orbit``), at a
+    cost of |generators| |orbit| |gamma| conjugations.  The support is
+    ordered by sorted element list.
+    """
     if not gamma.is_subgroup_of(ambient):
         raise NotASubgroup("gamma is not a subgroup of the ambient group")
-    seen: dict[frozenset, GeneratedGroup] = {}
-    for g in ambient.elements:
-        els = tuple(sorted(conjugate(h, g) for h in gamma.elements))
-        key = frozenset(els)
-        if key not in seen:
-            seen[key] = GeneratedGroup(gamma.degree, els, gamma.cap, _elements=els)
-    conjs = [seen[k] for k in sorted(seen, key=lambda k: tuple(sorted(k)))]
+    conjs = [GeneratedGroup(gamma.degree, els, gamma.cap, _elements=els)
+             for els in sorted(conjugacy_orbit(gamma.elements, ambient.generators))]
     w = Fraction(1, len(conjs))
     return ConjInvariantMeasure(ambient, tuple((H, w) for H in conjs))
 

@@ -18,7 +18,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, sqrt
 
-from .canon import BudgetExceeded, canon_coloured, canon_full, orbit_census
+from .canon import (
+    BudgetExceeded,
+    ColourSchemeMismatch,
+    canon_coloured,
+    canon_full,
+    orbit_census,
+)
 from .tree import ColourScheme, cone_leaf_labels
 
 _MASK64 = (1 << 64) - 1
@@ -143,6 +149,8 @@ def estimate_treematch(d: int, n: int, k: int, trials: int, seed: int,
     Full mode by default; pass a scheme for colour-constrained equivalence
     (both cone roots get the same parent colour, so forms are comparable).
     """
+    if scheme is not None and scheme.d != d:
+        raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {d}")
     leaves = d ** n
     if k > leaves:
         raise KTooLarge(f"k={k} exceeds {leaves} leaves")

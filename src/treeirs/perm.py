@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter, deque
+from collections import deque
 from functools import lru_cache
 from math import factorial
 
@@ -51,7 +51,7 @@ def compose(p: Perm, q: Perm) -> Perm:
     """p then q, so the image of x is q[p[x]]."""
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple(q[x] for x in p)
+    return tuple([q[x] for x in p])
 
 
 def inverse(p: Perm) -> Perm:
@@ -130,7 +130,7 @@ def close(generators, cap: int = DEFAULT_CAP, *, degree: int | None = None) -> t
     while queue:
         x = queue.popleft()
         for g in gens:
-            y = tuple(g[i] for i in x)
+            y = tuple([g[i] for i in x])
             if y not in seen:
                 if len(out) >= cap:
                     raise ClosureExceedsCap(f"closure exceeds cap={cap}")
@@ -351,98 +351,106 @@ def rigid_stabilizer(G: GeneratedGroup, U) -> GeneratedGroup:
 def contains_alt_on(G: GeneratedGroup, U) -> bool:
     """Does the rigid stabilizer of U, restricted to U, contain Alt(U)?
 
-    Vacuously true for |U| <= 2.  Instead of testing membership of every even
-    permutation we count the even elements of the restricted rigid stabilizer:
-    that count equals |U|!/2 exactly when the restriction contains Alt(U).
+    Vacuously true for |U| <= 2; for U the whole domain the rigid stabilizer
+    is G itself.  Instead of testing membership of every even permutation we
+    count the even elements of the rigid stabilizer: its elements fix every
+    point outside U, so restriction to U is injective and keeps parity, and
+    the count equals |U|!/2 exactly when the restriction contains Alt(U).
     """
     U = tuple(sorted(U))
     if len(U) <= 2:
         return True
-    R = rigid_stabilizer(G, U)
+    R = G if len(U) == G.degree else rigid_stabilizer(G, U)
     target = factorial(len(U)) // 2
     if R.order < target:
         return False
-    evens = sum(1 for p in {restrict(h, U) for h in R.elements} if is_even(p))
-    return evens == target
+    return sum(1 for h in R.elements if is_even(h)) == target
 
 
 # ---------------------------------------------------------------------------
 # subgroup enumeration
 # ---------------------------------------------------------------------------
 
-def _subgroup_fingerprint(els) -> tuple:
-    """Conjugation-invariant fingerprint: order plus cycle-type histogram."""
-    hist = Counter(cycle_type(p) for p in els)
-    return (len(els), tuple(sorted(hist.items())))
+def _double_coset_reps(H_gens, ambient_elements):
+    """Representatives of H\\G/H, in ambient element order.
 
-
-def _find_conjugator(gens, k_order, target_set, ambient_elements):
-    """Some s with s^-1 <gens> s == target (as sets), or None."""
-    for s in ambient_elements:
-        if all(conjugate(g, s) in target_set for g in gens):
-            if k_order == len(target_set):
-                return s
-    return None
-
-
-def _double_coset_reps(H_els, ambient_elements):
-    """Representatives of H\\G/H, in ambient element order."""
+    H is given by generators: the double coset H g H is the closure of {g}
+    under left and right multiplication by them, found breadth-first, so the
+    whole sweep costs 2 |H_gens| products per ambient element.
+    """
     visited = set()
     reps = []
     for g in ambient_elements:
         if g in visited:
             continue
         reps.append(g)
-        for a in H_els:
-            ag = compose(a, g)
-            for b in H_els:
-                visited.add(compose(ag, b))
+        visited.add(g)
+        queue = deque([g])
+        while queue:
+            x = queue.popleft()
+            for h in H_gens:
+                for y in (compose(h, x), compose(x, h)):
+                    if y not in visited:
+                        visited.add(y)
+                        queue.append(y)
     return reps
+
+
+def conjugacy_orbit(els, generators) -> set[tuple[Perm, ...]]:
+    """The conjugates of the subgroup ``els`` under the group that
+    ``generators`` generate, each as a sorted element tuple.
+
+    Breadth-first over conjugation by the generators alone, which reaches the
+    whole orbit because the group is finite: |generators| |orbit| |els|
+    conjugations in all.
+    """
+    start = tuple(sorted(els))
+    orbit = {start}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for g in generators:
+            nxt = tuple(sorted(conjugate(h, g) for h in cur))
+            if nxt not in orbit:
+                orbit.add(nxt)
+                queue.append(nxt)
+    return orbit
 
 
 @lru_cache(maxsize=None)
 def _subgroup_classes(degree: int, cap: int):
-    """Conjugacy-class representatives of subgroups of Sym(degree).
+    """Conjugacy classes of subgroups of Sym(degree), in order of discovery,
+    each as the sorted tuple of its members' sorted element tuples.
 
-    Works up the lattice by joining each known class representative with one
+    Works up the lattice by joining each class representative with one
     element per double coset; <H, a g b> == <H, g> for a, b in H, so double
-    coset representatives cover every join.  New groups are identified up to
-    conjugacy by fingerprint plus an explicit conjugator search.
+    coset representatives cover every join.  The double cosets are walked from
+    the representative's generators (``_double_coset_reps``).  Each new
+    class is registered with its whole conjugacy orbit, so a join is new up to
+    conjugacy exactly when its element list is not registered yet.
     """
     ambient = tuple(sorted(itertools.permutations(range(degree))))
-    e = identity(degree)
-    reps: list[dict] = []
-    by_fp: dict[tuple, list[int]] = {}
-    seen_exact: dict[frozenset, int] = {}
+    sym_gens = symmetric_group(degree, cap).generators
+    classes = []
+    known = set()
+    todo = deque()
 
     def register(gens, els):
-        key = frozenset(els)
-        fp = _subgroup_fingerprint(els)
-        for idx in by_fp.get(fp, []):
-            if _find_conjugator(gens, len(els), reps[idx]["eset"], ambient) is not None:
-                seen_exact[key] = idx
-                return None
-        idx = len(reps)
-        reps.append({"gens": tuple(gens), "elements": tuple(sorted(els)), "eset": key})
-        by_fp.setdefault(fp, []).append(idx)
-        seen_exact[key] = idx
-        return idx
+        orbit = conjugacy_orbit(els, sym_gens)
+        classes.append(orbit)
+        known.update(orbit)
+        todo.append((gens, frozenset(els)))
 
-    register((), (e,))
-    todo = deque([0])
+    register((), (identity(degree),))
     while todo:
-        i = todo.popleft()
-        rep = reps[i]
-        for g in _double_coset_reps(rep["elements"], ambient):
-            if g in rep["eset"]:
+        gens, eset = todo.popleft()
+        for g in _double_coset_reps(gens, ambient):
+            if g in eset:
                 continue
-            els = close(rep["gens"] + (g,), cap, degree=degree)
-            if frozenset(els) in seen_exact:
-                continue
-            new_idx = register(rep["gens"] + (g,), els)
-            if new_idx is not None:
-                todo.append(new_idx)
-    return ambient, tuple((r["gens"], r["elements"]) for r in reps)
+            els = tuple(sorted(close(gens + (g,), cap, degree=degree)))
+            if els not in known:
+                register(gens + (g,), els)
+    return tuple(tuple(sorted(orbit)) for orbit in classes)
 
 
 @lru_cache(maxsize=None)
@@ -459,15 +467,7 @@ def enumerate_subgroups(degree: int, cap: int = DEFAULT_CAP):
         raise DegreeTooLarge("exhaustive subgroup enumeration supports degree <= 6")
     if factorial(degree) > cap:
         raise ClosureExceedsCap(f"|Sym({degree})| exceeds cap={cap}")
-    ambient, classes_raw = _subgroup_classes(degree, cap)
-    expanded = []
-    for gens, els in classes_raw:
-        seen = {}
-        for s in ambient:
-            key = tuple(sorted(conjugate(h, s) for h in els))
-            if key not in seen:
-                seen[key] = None
-        expanded.append(sorted(seen))
+    expanded = _subgroup_classes(degree, cap)
     flat = sorted({els for cls in expanded for els in cls}, key=lambda e: (len(e), e))
     index = {els: i for i, els in enumerate(flat)}
     subgroups = tuple(
@@ -525,8 +525,7 @@ def overgroups_of_cycle(degree: int, cap: int = DEFAULT_CAP) -> tuple[GeneratedG
     while todo:
         key = todo.popleft()
         gens = found[key]
-        els = tuple(sorted(key))
-        for g in _double_coset_reps(els, ambient):
+        for g in _double_coset_reps(gens, ambient):
             if g in key:
                 continue
             joined = close(gens + (g,), cap, degree=degree)

@@ -8,6 +8,7 @@ import pytest
 from treeirs.canon import (
     BudgetExceeded,
     Census,
+    ColourSchemeMismatch,
     brute_force_equivalent,
     canon_coloured,
     canon_full,
@@ -241,3 +242,9 @@ def test_interner_concurrent_insert_or_get():
 def test_form_str_stable_and_readable():
     fid = canon_full((0, 1), 2, 2)
     assert form_str(fid) == "((1,1),(0,0))" or form_str(fid).count("1") == 2
+
+
+def test_orbit_census_refuses_scheme_of_other_d():
+    # a d=3 scheme on a binary cone used to be canonicalized as a ternary one
+    with pytest.raises(ColourSchemeMismatch):
+        orbit_census(2, 3, 2, ColourScheme.full(3))

@@ -10,7 +10,6 @@ from treeirs.classify import (
     build_alt_wreath_chain,
     children_heredity_check,
     classify_case,
-    contains_full_alt,
     in_Pi,
     in_Xi,
     praeger_saxl_check,
@@ -20,7 +19,6 @@ from treeirs.classify import (
 )
 from treeirs.perm import (
     GeneratedGroup,
-    alternating_group,
     enumerate_subgroups,
     from_cycles,
     identity,
@@ -106,13 +104,6 @@ def test_in_pi_single_class_is_in_xi():
     for G in subs:
         for delta in (0, 1):
             assert in_Pi(G, labels, delta)[0] == in_Xi(G, delta)[0]
-
-
-def test_contains_full_alt():
-    assert contains_full_alt(symmetric_group(4))
-    assert contains_full_alt(alternating_group(5))
-    assert not contains_full_alt(GeneratedGroup(4, [from_cycles(4, (0, 1, 2, 3))]))
-    assert contains_full_alt(GeneratedGroup(2, []))  # vacuous at degree <= 2
 
 
 def test_praeger_saxl_small_degrees():

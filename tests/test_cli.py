@@ -82,6 +82,15 @@ def test_simulate_colormatch_needs_scheme(tmp_path, capsys):
     assert rc == 2
 
 
+def test_simulate_refuses_scheme_of_other_d(tmp_path):
+    scheme = write_scheme(tmp_path, [[1, 0, 2, 3], [1, 2, 3, 0]], d=3)
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--experiment", "treematch", "--d", "2", "--n", "3",
+               "--k", "2", "--trials", "50", "--scheme", scheme, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_classify_sym6(tmp_path):
     gfile = tmp_path / "s6.json"
     gfile.write_text(json.dumps(group_to_json(symmetric_group(6))))
@@ -115,6 +124,17 @@ def test_classify_with_scheme_reports_pi(tmp_path):
                  "--out", str(out)]) == 0
     row = json.loads((tmp_path / "cls.json").read_text())["rows"][0]
     assert row[4] == "true" and row[5] == "true"  # in_Xi and in_Pi
+
+
+def test_classify_refuses_scheme_of_other_d(tmp_path):
+    gfile = tmp_path / "s4.json"
+    gfile.write_text(json.dumps(group_to_json(symmetric_group(4))))
+    scheme = write_scheme(tmp_path, [[1, 0, 2, 3], [1, 2, 3, 0]], d=3)
+    out = tmp_path / "cls.csv"
+    rc = main(["classify", "--group-file", str(gfile), "--delta", "1",
+               "--q", "2", "--d", "2", "--scheme", scheme, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_classify_trivial_case1(tmp_path):

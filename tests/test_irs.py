@@ -21,9 +21,12 @@ from treeirs.perm import (
     GeneratedGroup,
     alternating_group,
     close,
+    conjugate,
+    enumerate_subgroups,
     from_cycles,
     identity,
     product_of_symmetric,
+    rigid_stabilizer,
     subgroups_of,
     symmetric_group,
 )
@@ -49,6 +52,43 @@ def test_uniform_conjugate_measure_examples():
 def test_uniform_conjugate_measure_not_a_subgroup():
     with pytest.raises(NotASubgroup):
         uniform_conjugate_measure(symmetric_group(3), alternating_group(3))
+
+
+def uniform_conjugate_measure_oracle(gamma, ambient):
+    """Brute force: conjugate gamma by every element of the ambient group."""
+    seen = {}
+    for g in ambient.elements:
+        els = tuple(sorted(conjugate(h, g) for h in gamma.elements))
+        seen.setdefault(els, GeneratedGroup(gamma.degree, els, gamma.cap, _elements=els))
+    conjs = [seen[k] for k in sorted(seen)]
+    return tuple((H, Fraction(1, len(conjs))) for H in conjs)
+
+
+def support_key(support):
+    return [(H.degree, H.generators, H.elements, w) for H, w in support]
+
+
+def assert_measure_matches_oracle(ambient):
+    for gamma in subgroups_of(ambient):
+        mu = uniform_conjugate_measure(gamma, ambient)
+        assert mu.ambient is ambient
+        expect = uniform_conjugate_measure_oracle(gamma, ambient)
+        assert support_key(mu.support) == support_key(expect), gamma.elements
+
+
+def test_uniform_conjugate_measure_vs_bruteforce_product():
+    assert_measure_matches_oracle(product_of_symmetric([2, 3]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: enumerate_subgroups(4)[0][-1],  # Sym(4), listed by its elements
+    lambda: rigid_stabilizer(symmetric_group(5), (0, 1, 2, 3)),
+    lambda: product_of_symmetric([2, 3]).restricted((2, 3, 4)),
+], ids=["enumerate_subgroups", "rigid_stabilizer", "restricted"])
+def test_uniform_conjugate_measure_vs_bruteforce_element_generators(build):
+    ambient = build()
+    assert ambient.generators == ambient.elements
+    assert_measure_matches_oracle(ambient)
 
 
 def test_conjugation_invariance_exhaustive_small():

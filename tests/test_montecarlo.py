@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from treeirs.canon import ColourSchemeMismatch
 from treeirs.montecarlo import (
     ESTIMATORS,
     Estimate,
@@ -176,3 +177,11 @@ def test_paper_range_warning():
 
 def test_estimators_registry():
     assert set(ESTIMATORS) == {"treematch", "cut1", "cut2", "colormatch"}
+
+
+def test_treematch_refuses_scheme_of_other_d():
+    # a d=3 scheme on a binary cone used to give an estimate for a ternary one
+    with pytest.raises(ColourSchemeMismatch):
+        estimate_treematch(2, 3, 2, 50, 1, scheme=ColourScheme.full(3))
+    with pytest.raises(ColourSchemeMismatch):
+        exact_treematch(2, 3, 2, scheme=ColourScheme.full(3))

@@ -13,8 +13,10 @@ from treeirs.perm import (
     GeneratedGroup,
     NotTransitive,
     alternating_group,
+    _double_coset_reps,
     close,
     compose,
+    conjugacy_orbit,
     conjugate,
     contains_alt_on,
     cycle_type,
@@ -210,6 +212,16 @@ def test_contains_alt_on_vs_bruteforce():
                 assert contains_alt_on(G, U) == expect, (G.generators, U)
 
 
+def test_contains_alt_on_full_domain():
+    def full(G):
+        return contains_alt_on(G, range(G.degree))
+
+    assert full(symmetric_group(4))
+    assert full(alternating_group(5))
+    assert not full(GeneratedGroup(4, [from_cycles(4, (0, 1, 2, 3))]))
+    assert full(GeneratedGroup(2, []))  # vacuous at degree <= 2
+
+
 def naive_subgroups(degree):
     """Oracle: grow subgroups by closing every set {H, g}; exponential, tiny degrees only."""
     e = identity(degree)
@@ -277,6 +289,61 @@ def test_overgroups_of_cycle_degree5():
     # C5, D5, F20, A5, S5
     over = overgroups_of_cycle(5)
     assert sorted(g.order for g in over) == [5, 10, 20, 60, 120]
+
+
+def sym_elements(degree):
+    return tuple(sorted(itertools.permutations(range(degree))))
+
+
+def greedy_generators(G):
+    """A short generating set of G: each element not yet generated is added."""
+    gens = []
+    span = {identity(G.degree)}
+    for g in G.elements:
+        if g not in span:
+            gens.append(g)
+            span = set(close(gens, degree=G.degree))
+    return tuple(gens)
+
+
+def double_coset_reps_oracle(H_els, ambient_elements):
+    """Brute force: mark all |H|^2 products a g b for each new representative g."""
+    visited = set()
+    reps = []
+    for g in ambient_elements:
+        if g in visited:
+            continue
+        reps.append(g)
+        for a in H_els:
+            ag = compose(a, g)
+            for b in H_els:
+                visited.add(compose(ag, b))
+    return reps
+
+
+def conjugacy_orbit_oracle(els, ambient_elements):
+    """Brute force: conjugate by every element of the ambient group."""
+    return {tuple(sorted(conjugate(h, s) for h in els)) for s in ambient_elements}
+
+
+@pytest.mark.parametrize("degree", [4, 5])
+def test_double_coset_reps_vs_bruteforce(degree):
+    ambient = sym_elements(degree)
+    subs, _ = enumerate_subgroups(degree)
+    for H in subs:
+        expect = double_coset_reps_oracle(H.elements, ambient)
+        # enumerated subgroups carry their whole element list as generators;
+        # greedy_generators of the trivial group is empty
+        assert _double_coset_reps(H.generators, ambient) == expect
+        assert _double_coset_reps(greedy_generators(H), ambient) == expect
+
+
+def test_conjugacy_orbit_vs_bruteforce():
+    ambient = sym_elements(5)
+    gens = symmetric_group(5).generators
+    subs, _ = enumerate_subgroups(5)
+    for H in subs:
+        assert conjugacy_orbit(H.elements, gens) == conjugacy_orbit_oracle(H.elements, ambient)
 
 
 def test_restrict():
