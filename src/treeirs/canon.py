@@ -19,6 +19,17 @@ Two modes:
   comparable.  Positions in a tuple are aligned by image colour, which keeps
   forms from different colour contexts from ever being conflated.
 
+Match decisions go through ``Matcher``, which compares cheap level profiles
+before it builds any form.  In full mode the profile of a subset E is, at each
+depth 1..n-1, the sorted occupancy counts |E n cone(v)| of the vertices v that
+E meets; in coloured mode it is, at each depth 1..n, the sorted pairs (label of
+v, |E n cone(v)|).  The prefilter is exact: a rooted automorphism maps the
+vertices of each depth bijectively onto themselves and the leaves under v onto
+the leaves under the image of v, so it preserves every occupancy count, and a
+colour-constrained map also preserves labels (its local permutations lie in F,
+which fixes each F-orbit).  Different profiles therefore prove different
+orbits, and the forms decide only the pairs whose profiles tie.
+
 Forms are interned: each distinct canonical string gets a small integer id,
 so equality tests are id comparisons.  The string itself is reconstruction-
 independent (children are ordered by their canonical strings), which makes
@@ -30,12 +41,13 @@ from __future__ import annotations
 import itertools
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 from .perm import ClosureExceedsCap, Perm
-from .tree import ColourScheme, child_colours
+from .tree import ColourScheme, child_colours, cone_level_labels
 
 
 class BudgetExceeded(ValueError):
@@ -105,11 +117,17 @@ def _empty_form(depth: int, d: int) -> int:
     return fid
 
 
-def canon_full(E, depth: int, d: int) -> int:
-    """Canonical form of a leaf subset under all rooted cone automorphisms."""
+def _leaf_tuple(E, depth: int, d: int) -> tuple[int, ...]:
+    """Sorted distinct leaf offsets of E, checked against the cone's range."""
     leaves = tuple(sorted(set(E)))
     if leaves and not (0 <= leaves[0] and leaves[-1] < d ** depth):
         raise ValueError("leaf index out of range")
+    return leaves
+
+
+def canon_full(E, depth: int, d: int) -> int:
+    """Canonical form of a leaf subset under all rooted cone automorphisms."""
+    leaves = _leaf_tuple(E, depth, d)
 
     def go(sub: tuple[int, ...], level: int) -> int:
         if level == 0:
@@ -134,10 +152,8 @@ def canon_coloured(E, depth: int, scheme: ColourScheme, parent_colour: int,
     """
     if not 0 <= parent_colour <= scheme.d:
         raise ColourSchemeMismatch(f"colour {parent_colour} outside 0..{scheme.d}")
-    leaves = tuple(sorted(set(E)))
     d = scheme.d
-    if leaves and not (0 <= leaves[0] and leaves[-1] < d ** depth):
-        raise ValueError("leaf index out of range")
+    leaves = _leaf_tuple(E, depth, d)
     F_els = scheme.F.elements
     all_colours = range(d + 1)
     memo: dict[tuple[int, int], int] = {}
@@ -208,6 +224,68 @@ def equivalent(E, F2, depth: int, d: int, scheme: ColourScheme | None = None,
         return False
     return (canon_coloured(E, depth, scheme, colour_e, policy)
             == canon_coloured(F2, depth, scheme, colour_f, policy))
+
+
+@dataclass(frozen=True)
+class Matcher:
+    """Orbit-equivalence test for leaf subsets of two equal depth-n cones.
+
+    ``same(E, F)`` decides exactly what comparing ``canon_full`` forms (or,
+    given a scheme, ``canon_coloured`` forms at ``parent_colour`` on both
+    cones) decides, but compares level profiles first and builds the forms
+    only when the profiles tie.  It raises the forms' ``ValueError`` on an
+    out-of-range leaf.
+    """
+
+    depth: int
+    d: int
+    scheme: ColourScheme | None = None
+    parent_colour: int | None = None
+    # (leaf block size, vertex labels or None) for each depth in the profile
+    _levels: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        depth, d, scheme = self.depth, self.d, self.scheme
+        if depth < 0:
+            raise DepthMismatch("negative depth")
+        if scheme is None:
+            levels = tuple((d ** (depth - j), None) for j in range(1, depth))
+        else:
+            if scheme.d != d:
+                raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {d}")
+            if self.parent_colour is None:
+                object.__setattr__(self, "parent_colour", scheme.reps[0])
+            if not 0 <= self.parent_colour <= d:
+                raise ColourSchemeMismatch(
+                    f"colour {self.parent_colour} outside 0..{d}")
+            labels = cone_level_labels(scheme, self.parent_colour, depth)
+            levels = tuple((d ** (depth - j), labels[j]) for j in range(1, depth + 1))
+        object.__setattr__(self, "_levels", levels)
+
+    def _profile(self, leaves):
+        """Yield, depth by depth, the sorted occupancy counts of the vertices
+        that ``leaves`` meet (full mode, depths 1..n-1) or their sorted
+        (label, count) pairs (coloured mode, depths 1..n)."""
+        for block, labels in self._levels:
+            occupancy = Counter([x // block for x in leaves])
+            if labels is None:
+                yield sorted(occupancy.values())
+            else:
+                yield sorted([(labels[v], n) for v, n in occupancy.items()])
+
+    def same(self, E, F) -> bool:
+        depth, d = self.depth, self.d
+        a = _leaf_tuple(E, depth, d)
+        b = _leaf_tuple(F, depth, d)
+        if len(a) != len(b):
+            return False
+        for pa, pb in zip(self._profile(a), self._profile(b)):
+            if pa != pb:
+                return False
+        if self.scheme is None:
+            return canon_full(a, depth, d) == canon_full(b, depth, d)
+        return (canon_coloured(a, depth, self.scheme, self.parent_colour)
+                == canon_coloured(b, depth, self.scheme, self.parent_colour))
 
 
 # ---------------------------------------------------------------------------

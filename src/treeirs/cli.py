@@ -152,6 +152,11 @@ def _load_scheme(path: str | None) -> ColourScheme | None:
 
 def cmd_simulate(args) -> int:
     scheme = _load_scheme(args.scheme)
+    if scheme is not None and scheme.d != args.d:
+        raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {args.d}")
+    params = None
+    if args.cc_C is not None and args.cc_c is not None:
+        params = bnd.BoundParams(d=args.d, q=args.q, C=args.cc_C, c=args.cc_c)
     workers = int(os.environ.get("TREEIRS_WORKERS", args.workers))
     name = args.experiment
     if name == "treematch":
@@ -173,10 +178,7 @@ def cmd_simulate(args) -> int:
     else:
         print(f"unknown experiment {name!r}", file=sys.stderr)
         return 2
-    bound = None
-    if args.cc_C is not None and args.cc_c is not None:
-        alpha = (args.d - 1) / (4 * args.d)
-        bound = args.cc_C * exp(-args.cc_c * args.k ** alpha)
+    bound = None if params is None else params.C * exp(-params.c * args.k ** params.alpha)
     scheme_txt = "" if scheme is None else json.dumps(
         {"d": scheme.d, "generators": [list(g) for g in scheme.F.generators]},
         separators=(",", ":"))

@@ -20,9 +20,10 @@ from math import comb, sqrt
 
 from .canon import (
     BudgetExceeded,
-    ColourSchemeMismatch,
+    Matcher,
     canon_coloured,
-    canon_full,
+    # unused here since Matcher decides matches; perfbench's tests still read it
+    canon_full,  # noqa: F401
     orbit_census,
 )
 from .tree import ColourScheme, cone_leaf_labels
@@ -69,14 +70,8 @@ class TrialRng:
                 return r
 
     def sample(self, m: int, k: int) -> tuple[int, ...]:
-        """Sorted uniform k-subset of range(m), by partial Fisher-Yates."""
-        if k > m:
-            raise KTooLarge(f"k={k} exceeds population {m}")
-        arr = list(range(m))
-        for i in range(k):
-            j = i + self.randbelow(m - i)
-            arr[i], arr[j] = arr[j], arr[i]
-        return tuple(sorted(arr[:k]))
+        """Sorted uniform k-subset of range(m): ``sample_seq``'s draws, sorted."""
+        return tuple(sorted(self.sample_seq(m, k)))
 
     def sample_seq(self, m: int, k: int) -> tuple[int, ...]:
         """Uniform ordered sequence of k distinct values from range(m)."""
@@ -149,23 +144,16 @@ def estimate_treematch(d: int, n: int, k: int, trials: int, seed: int,
     Full mode by default; pass a scheme for colour-constrained equivalence
     (both cone roots get the same parent colour, so forms are comparable).
     """
-    if scheme is not None and scheme.d != d:
-        raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {d}")
+    same = Matcher(n, d, scheme, parent_colour).same  # refuses a scheme of another d
     leaves = d ** n
     if k > leaves:
         raise KTooLarge(f"k={k} exceeds {leaves} leaves")
     _warn_if_outside_paper_range(k, leaves / 2)
-    if scheme is not None and parent_colour is None:
-        parent_colour = scheme.reps[0]
 
     def trial(t: int) -> bool:
         rng = TrialRng(seed, t)
         E = rng.sample(leaves, k)
-        F2 = rng.sample(leaves, k)
-        if scheme is None:
-            return canon_full(E, n, d) == canon_full(F2, n, d)
-        return (canon_coloured(E, n, scheme, parent_colour)
-                == canon_coloured(F2, n, scheme, parent_colour))
+        return same(E, rng.sample(leaves, k))
 
     succ = _run_trials(trial, trials, workers)
     mode = "full" if scheme is None else "coloured"
@@ -196,14 +184,11 @@ def estimate_cut1(d: int, q: int, n: int, k: int, trials: int, seed: int,
     if k > m:
         raise KTooLarge(f"k={k} exceeds {m} leaves")
     cone_size = d ** n
+    same = Matcher(n, d).same
 
     def trial(t: int) -> bool:
         rng = TrialRng(seed, t)
-        image = rng.sample(m, k)
-        e1, e2 = _split_two_cones(image, cone_size)
-        if len(e1) != len(e2):
-            return False  # orbits preserve cardinality; never evaluated as a match
-        return canon_full(e1, n, d) == canon_full(e2, n, d)
+        return same(*_split_two_cones(rng.sample(m, k), cone_size))
 
     succ = _run_trials(trial, trials, workers)
     return Estimate("cut1", (("d", d), ("q", q), ("n", n), ("k", k)),
@@ -217,17 +202,13 @@ def estimate_cut2(d: int, q: int, n: int, k: int, trials: int, seed: int,
     if 2 * k > m:
         raise KTooLarge(f"2k={2 * k} exceeds {m} leaves")
     cone_size = d ** n
+    same = Matcher(n, d).same
 
     def trial(t: int) -> bool:
         rng = TrialRng(seed, t)
         seq = rng.sample_seq(m, 2 * k)
-        img1, img2 = seq[:k], seq[k:]
-        e1 = tuple(sorted(x for x in img1 if x < cone_size))
-        e2 = tuple(sorted(x - cone_size for x in img2
-                          if cone_size <= x < 2 * cone_size))
-        if len(e1) != len(e2):
-            return False
-        return canon_full(e1, n, d) == canon_full(e2, n, d)
+        return same(_split_two_cones(seq[:k], cone_size)[0],
+                    _split_two_cones(seq[k:], cone_size)[1])
 
     succ = _run_trials(trial, trials, workers)
     return Estimate("cut2", (("d", d), ("q", q), ("n", n), ("k", k)),
@@ -248,13 +229,13 @@ def estimate_colormatch(scheme: ColourScheme, n: int, k: int, orbit_i: int,
     if k > len(ground):
         raise KTooLarge(f"k={k} exceeds {len(ground)} label-{orbit_i} leaves")
     _warn_if_outside_paper_range(k, len(ground) / 2)
+    same = Matcher(n, scheme.d, scheme, parent_colour).same
 
     def trial(t: int) -> bool:
         rng = TrialRng(seed, t)
         e1 = tuple(ground[i] for i in rng.sample(len(ground), k))
         e2 = tuple(ground[i] for i in rng.sample(len(ground), k))
-        return (canon_coloured(e1, n, scheme, parent_colour)
-                == canon_coloured(e2, n, scheme, parent_colour))
+        return same(e1, e2)
 
     succ = _run_trials(trial, trials, workers)
     return Estimate("colormatch",
@@ -306,11 +287,9 @@ def exact_cut1(d: int, q: int, n: int, k: int, budget: int = 2_000_000) -> Fract
     if total > budget:
         raise BudgetExceeded(f"{total} subsets exceed budget={budget}")
     cone_size = d ** n
-    hits = 0
-    for image in combinations(range(m), k):
-        e1, e2 = _split_two_cones(image, cone_size)
-        if len(e1) == len(e2) and canon_full(e1, n, d) == canon_full(e2, n, d):
-            hits += 1
+    same = Matcher(n, d).same
+    hits = sum(1 for image in combinations(range(m), k)
+               if same(*_split_two_cones(image, cone_size)))
     return Fraction(hits, total)
 
 
@@ -321,15 +300,15 @@ def exact_cut2(d: int, q: int, n: int, k: int, budget: int = 2_000_000) -> Fract
     if total > budget:
         raise BudgetExceeded(f"{total} pairs exceed budget={budget}")
     cone_size = d ** n
+    same = Matcher(n, d).same
     hits = 0
-    universe = range(m)
-    for img1 in combinations(universe, k):
-        rest = [x for x in universe if x not in set(img1)]
-        e1 = tuple(sorted(x for x in img1 if x < cone_size))
-        f1 = canon_full(e1, n, d)
-        for img2 in combinations(rest, k):
-            e2 = tuple(sorted(x - cone_size for x in img2
-                              if cone_size <= x < 2 * cone_size))
-            if len(e1) == len(e2) and f1 == canon_full(e2, n, d):
-                hits += 1
+    for img1 in combinations(range(m), k):
+        e1 = _split_two_cones(img1, cone_size)[0]
+        free = [x - cone_size for x in range(cone_size, min(2 * cone_size, m))
+                if x not in img1]
+        # only |e2| = |e1| can match; each such e2 extends to an img2 in
+        # comb(others, k - |e1|) ways outside the second cone
+        ways = comb(m - k - len(free), k - len(e1))
+        if ways:
+            hits += ways * sum(1 for e2 in combinations(free, len(e1)) if same(e1, e2))
     return Fraction(hits, total)

@@ -175,26 +175,32 @@ def orbit_label(shape: TreeShape, scheme: ColourScheme, v: Address,
     return scheme.orbit_index[edge_colour_walk(shape, scheme, v, policy)[-1]]
 
 
-def cone_leaf_colours(scheme: ColourScheme, parent_colour: int, n: int,
-                      policy: str = "orbit") -> tuple[int, ...]:
-    """Parent-edge colours of the depth-n leaves of a cone, in leaf order.
+def cone_level_labels(scheme: ColourScheme, parent_colour: int, n: int,
+                      policy: str = "orbit") -> tuple[tuple[int, ...], ...]:
+    """Labels of a cone's vertices, one tuple per depth 0..n, in vertex order.
 
     The cone root's parent edge has colour ``parent_colour``; every vertex in
-    the cone has d children.
+    the cone has d children.  Entry j lists the F-orbit indices of the
+    parent-edge colours of the d^j vertices at depth j.
     """
-    level = [parent_colour]
+    kids: dict[int, tuple[int, ...]] = {}  # child colours depend only on the colour
+    colours = [parent_colour]
+    out = [(scheme.orbit_index[parent_colour],)]
     for _ in range(n):
         nxt = []
-        for c in level:
-            nxt.extend(child_colours(scheme, c, scheme.d, policy))
-        level = nxt
-    return tuple(level)
+        for c in colours:
+            if c not in kids:
+                kids[c] = child_colours(scheme, c, scheme.d, policy)
+            nxt.extend(kids[c])
+        colours = nxt
+        out.append(tuple(scheme.orbit_index[c] for c in colours))
+    return tuple(out)
 
 
 def cone_leaf_labels(scheme: ColourScheme, parent_colour: int, n: int,
                      policy: str = "orbit") -> tuple[int, ...]:
-    return tuple(scheme.orbit_index[c]
-                 for c in cone_leaf_colours(scheme, parent_colour, n, policy))
+    """Labels of the depth-n leaves of a cone, in leaf order."""
+    return cone_level_labels(scheme, parent_colour, n, policy)[-1]
 
 
 # ---------------------------------------------------------------------------

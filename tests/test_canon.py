@@ -1,14 +1,18 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeirs.canon import (
     BudgetExceeded,
     Census,
     ColourSchemeMismatch,
+    Matcher,
     brute_force_equivalent,
     canon_coloured,
     canon_full,
@@ -248,3 +252,140 @@ def test_orbit_census_refuses_scheme_of_other_d():
     # a d=3 scheme on a binary cone used to be canonicalized as a ternary one
     with pytest.raises(ColourSchemeMismatch):
         orbit_census(2, 3, 2, ColourScheme.full(3))
+
+
+# ---------------------------------------------------------------------------
+# the level-profile prefilter in front of the canonical forms
+# ---------------------------------------------------------------------------
+
+def _profile(matcher, E):
+    """The level profile ``Matcher.same`` compares, as a tuple of tuples."""
+    return tuple(tuple(level) for level in matcher._profile(sorted(set(E))))
+
+
+def _subsets_up_to(n_leaves, k_max):
+    return [list(itertools.combinations(range(n_leaves), k)) for k in range(k_max + 1)]
+
+
+def _check_prefilter(matcher, form, subsets, all_pairs, rng=None, sampled=0):
+    """Profiles separate no two subsets with equal forms, and ``same`` equals
+    the forms-only decision.  ``same`` is tried on every pair, or (``all_pairs``
+    false) on each subset against one member of every orbit that shares its
+    profile, plus ``sampled`` random pairs."""
+    forms = {E: form(E) for E in subsets}
+    profiles = {E: _profile(matcher, E) for E in subsets}
+    profile_of_form = {}
+    for E in subsets:
+        assert profile_of_form.setdefault(forms[E], profiles[E]) == profiles[E], E
+    if all_pairs:
+        pairs = itertools.product(subsets, repeat=2)
+    else:
+        orbit_reps = {}
+        for E in subsets:
+            orbit_reps.setdefault(profiles[E], {}).setdefault(forms[E], E)
+        pairs = itertools.chain(
+            ((E, F2) for E in subsets for F2 in orbit_reps[profiles[E]].values()),
+            ((rng.choice(subsets), rng.choice(subsets)) for _ in range(sampled)))
+    for E, F2 in pairs:
+        assert matcher.same(E, F2) == (forms[E] == forms[F2]), (E, F2)
+
+
+@pytest.mark.parametrize("d,depth", [(2, 3), (3, 2), (2, 4)])
+def test_matcher_full_mode_agrees_with_forms(d, depth):
+    matcher = Matcher(depth, d)
+    rng = random.Random(d * 10 + depth)
+    for subsets in _subsets_up_to(d ** depth, 4):
+        _check_prefilter(matcher, lambda E: canon_full(E, depth, d), subsets,
+                         all_pairs=depth < 4, rng=rng, sampled=5000)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_matcher_coloured_mode_agrees_with_forms(depth):
+    n = 2 ** depth
+    k_max = n if depth < 3 else 4
+    rng = random.Random(depth)
+    for scheme in all_schemes_d2():
+        for colour in range(3):
+            matcher = Matcher(depth, 2, scheme, colour)
+            for subsets in _subsets_up_to(n, k_max):
+                _check_prefilter(
+                    matcher, lambda E: canon_coloured(E, depth, scheme, colour),
+                    subsets, all_pairs=depth < 3, rng=rng, sampled=500)
+                if depth > 2:
+                    continue
+                for E in subsets:
+                    for F2 in subsets:
+                        assert matcher.same(E, F2) == brute_force_equivalent(
+                            E, F2, depth, 2, scheme, colour, colour), \
+                            (scheme.F.generators, colour, E, F2)
+
+
+def test_matcher_profiles_by_hand():
+    # depth-3 binary cone: {0,1,2} lies under one depth-1 vertex; {0,1,4}
+    # puts two leaves under one depth-1 vertex and one under the other
+    m = Matcher(3, 2)
+    assert _profile(m, (0, 1, 2)) == ((3,), (1, 2))
+    assert _profile(m, (0, 1, 4)) == ((1, 2), (1, 2))
+    assert not m.same((0, 1, 2), (0, 1, 4))
+    assert m.same((0, 1, 2), (7, 6, 5))
+    # coloured, F = <(0 1)>, parent colour 0: the child edges are coloured
+    # 1 (label 0) and 2 (label 1), so a singleton's depth-1 label is its side
+    s = ColourScheme.from_generators(2, [from_cycles(3, (0, 1))])
+    mc = Matcher(1, 2, s, 0)
+    assert _profile(mc, (0,)) == (((0, 1),),)
+    assert _profile(mc, (1,)) == (((1, 1),),)
+    assert not mc.same((0,), (1,))
+    assert Matcher(1, 2).same((0,), (1,))
+
+
+def test_matcher_refuses_bad_input():
+    m = Matcher(2, 2)
+    for bad in ((4,), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            m.same(bad, (0,))
+        with pytest.raises(ValueError, match="out of range"):
+            m.same((0,), bad)
+    with pytest.raises(ColourSchemeMismatch):
+        Matcher(2, 2, ColourScheme.full(3))
+    with pytest.raises(ColourSchemeMismatch):
+        Matcher(2, 2, ColourScheme.full(2), 3)
+    assert Matcher(2, 2, ColourScheme.full(2)).parent_colour == 0
+
+
+def test_matcher_pickles():
+    s = ColourScheme.from_generators(2, [from_cycles(3, (0, 1))])
+    for m in (Matcher(3, 2), Matcher(3, 2, s, 2)):
+        again = pickle.loads(pickle.dumps(m))
+        assert again == m and _profile(again, (0, 5)) == _profile(m, (0, 5))
+        assert again.same((0, 5), (1, 4)) == m.same((0, 5), (1, 4))
+
+
+_SCHEMES_D2 = all_schemes_d2()
+
+
+@st.composite
+def _cone_subsets(draw, d_choices=(2, 3)):
+    d = draw(st.sampled_from(d_choices))
+    depth = draw(st.integers(1, 6 if d == 2 else 4))
+    E = draw(st.lists(st.integers(0, d ** depth - 1), max_size=12, unique=True))
+    return d, depth, tuple(sorted(E))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cone_subsets(), st.integers(0, 2 ** 32))
+def test_profile_invariant_under_random_full_image(case, seed):
+    d, depth, E = case
+    m = Matcher(depth, d)
+    image = random_full_image(random.Random(seed), E, depth, d)
+    assert _profile(m, image) == _profile(m, E)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cone_subsets(d_choices=(2,)), st.integers(0, len(_SCHEMES_D2) - 1),
+       st.integers(0, 2), st.integers(0, 2 ** 32))
+def test_profile_invariant_under_random_coloured_image(case, which, colour, seed):
+    _, depth, E = case
+    scheme = _SCHEMES_D2[which]
+    m = Matcher(depth, 2, scheme, colour)
+    image = random_coloured_image(random.Random(seed), E, depth, scheme, colour)
+    assert _profile(m, image) == _profile(m, E)

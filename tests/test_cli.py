@@ -91,6 +91,44 @@ def test_simulate_refuses_scheme_of_other_d(tmp_path):
     assert not out.exists()
 
 
+def test_simulate_colormatch_refuses_scheme_of_other_d(tmp_path):
+    # without --d the row used to say d=2 while the estimate ran with d=3
+    scheme = write_scheme(tmp_path, [[1, 0, 2, 3]], d=3)
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--experiment", "colormatch", "--n", "2", "--k", "2",
+               "--trials", "50", "--scheme", scheme, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert main(["simulate", "--experiment", "colormatch", "--d", "3", "--n", "2",
+                 "--k", "2", "--trials", "50", "--scheme", scheme,
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].startswith("colormatch,3,")
+
+
+@pytest.mark.parametrize("argv,row", [
+    (["--experiment", "treematch", "--d", "3", "--n", "2", "--k", "3",
+      "--cc-C", "2.0", "--cc-c", "0.5"],
+     "treematch,3,2,2,3,,50,1729,25,0.5,0.07071067811865475,1.0971091807145332"),
+    (["--experiment", "cut2", "--d", "2", "--q", "3", "--n", "2", "--k", "2",
+      "--cc-C", "1.5", "--cc-c", "0.25"],
+     "cut2,2,3,2,2,,50,1729,29,0.58,0.06979971346646059,1.1420651686139358"),
+])
+def test_simulate_bound_value_frozen(tmp_path, argv, row):
+    # bound_value = C exp(-c k^alpha) with alpha = (d-1)/(4d), byte for byte
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--trials", "50", "--out", str(out)] + argv) == 0
+    assert out.read_text().splitlines()[1] == row
+
+
+def test_simulate_refuses_bound_constants_out_of_domain(tmp_path):
+    # the bound's parameters are checked as in `bounds` and `classify`
+    out = tmp_path / "sim.csv"
+    for cc in (["--cc-C", "0", "--cc-c", "0.5"], ["--cc-C", "2.0", "--cc-c", "-1"]):
+        assert main(["simulate", "--experiment", "treematch", "--n", "2", "--k", "2",
+                     "--trials", "10", "--out", str(out)] + cc) == 2
+    assert not out.exists()
+
+
 def test_classify_sym6(tmp_path):
     gfile = tmp_path / "s6.json"
     gfile.write_text(json.dumps(group_to_json(symmetric_group(6))))

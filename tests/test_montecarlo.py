@@ -1,9 +1,11 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from treeirs.canon import ColourSchemeMismatch
+from treeirs.canon import ColourSchemeMismatch, canon_coloured, canon_full
 from treeirs.montecarlo import (
     ESTIMATORS,
     Estimate,
@@ -20,7 +22,7 @@ from treeirs.montecarlo import (
     exact_treematch,
 )
 from treeirs.perm import from_cycles
-from treeirs.tree import ColourScheme
+from treeirs.tree import ColourScheme, cone_leaf_labels
 
 
 def test_trial_rng_deterministic_and_distinct():
@@ -185,3 +187,112 @@ def test_treematch_refuses_scheme_of_other_d():
         estimate_treematch(2, 3, 2, 50, 1, scheme=ColourScheme.full(3))
     with pytest.raises(ColourSchemeMismatch):
         exact_treematch(2, 3, 2, scheme=ColourScheme.full(3))
+
+
+# ---------------------------------------------------------------------------
+# the estimators decide every trial exactly as comparing canonical forms does
+# ---------------------------------------------------------------------------
+
+def _forms_only_successes(experiment, trials, seed, d=2, q=2, n=2, k=2,
+                          scheme=None, parent_colour=None, orbit=0):
+    """Success count of a trial loop that compares canonical forms directly,
+    drawing exactly what the estimators draw."""
+    leaves = d ** n
+
+    def same(a, b):
+        if scheme is None:
+            return canon_full(a, n, d) == canon_full(b, n, d)
+        return (canon_coloured(a, n, scheme, parent_colour)
+                == canon_coloured(b, n, scheme, parent_colour))
+
+    if experiment == "colormatch":
+        labels = cone_leaf_labels(scheme, parent_colour, n)
+        ground = [i for i, lab in enumerate(labels) if lab == orbit]
+    hits = 0
+    for t in range(trials):
+        rng = TrialRng(seed, t)
+        if experiment == "treematch":
+            a, b = rng.sample(leaves, k), rng.sample(leaves, k)
+        elif experiment == "colormatch":
+            a = [ground[i] for i in rng.sample(len(ground), k)]
+            b = [ground[i] for i in rng.sample(len(ground), k)]
+        else:
+            if experiment == "cut1":
+                img1 = img2 = rng.sample(q * leaves, k)
+            else:
+                seq = rng.sample_seq(q * leaves, 2 * k)
+                img1, img2 = seq[:k], seq[k:]
+            a = [x for x in img1 if x < leaves]
+            b = [x - leaves for x in img2 if leaves <= x < 2 * leaves]
+            if len(a) != len(b):
+                continue
+        hits += same(a, b)
+    return hits
+
+
+@pytest.mark.parametrize("seed", [1729, 7, 2024])
+def test_estimators_equal_forms_only_loop(seed):
+    transposition = ColourScheme.from_generators(2, [from_cycles(3, (0, 1))])
+    moved = ColourScheme.from_generators(2, [from_cycles(3, (1, 2))])
+    cases = [
+        (estimate_treematch(2, 8, 4, 400, seed),
+         dict(experiment="treematch", n=8, k=4)),
+        (estimate_treematch(2, 8, 16, 400, seed),
+         dict(experiment="treematch", n=8, k=16)),
+        (estimate_treematch(2, 6, 8, 300, seed, scheme=moved, parent_colour=1),
+         dict(experiment="treematch", n=6, k=8, scheme=moved, parent_colour=1)),
+        (estimate_cut1(2, 2, 6, 8, 400, seed),
+         dict(experiment="cut1", n=6, k=8)),
+        (estimate_cut2(2, 2, 6, 8, 400, seed),
+         dict(experiment="cut2", n=6, k=8)),
+        (estimate_colormatch(transposition, 6, 8, 0, 300, seed),
+         dict(experiment="colormatch", n=6, k=8, scheme=transposition,
+              parent_colour=0)),
+        # shallow coloured configs, where matches are common
+        (estimate_treematch(2, 3, 2, 300, seed, scheme=moved, parent_colour=1),
+         dict(experiment="treematch", n=3, k=2, scheme=moved, parent_colour=1)),
+        (estimate_colormatch(transposition, 3, 2, 0, 300, seed),
+         dict(experiment="colormatch", n=3, k=2, scheme=transposition,
+              parent_colour=0)),
+    ]
+    for est, config in cases:
+        expect = _forms_only_successes(trials=est.trials, seed=seed, **config)
+        assert est == Estimate(est.experiment, est.params, est.trials, expect, seed), config
+    assert all(est.successes for est, _ in cases[-2:])
+
+
+def test_sample_is_sorted_sample_seq():
+    # the Fisher-Yates body ``sample`` had before it delegated to ``sample_seq``
+    def old_sample(rng, m, k):
+        arr = list(range(m))
+        for i in range(k):
+            j = i + rng.randbelow(m - i)
+            arr[i], arr[j] = arr[j], arr[i]
+        return tuple(sorted(arr[:k]))
+
+    gen = random.Random(314)
+    for _ in range(2000):
+        seed, trial = gen.getrandbits(64), gen.randrange(10 ** 6)
+        m = gen.randint(0, 300)
+        k = gen.randint(0, m)
+        assert TrialRng(seed, trial).sample(m, k) == old_sample(TrialRng(seed, trial), m, k)
+
+
+def test_exact_cut2_vs_pair_enumeration():
+    # exact_cut2 counts the img2 outside the second cone instead of listing them
+    def enumerate_pairs(d, q, n, k):
+        m, size = q * d ** n, d ** n
+        hits = total = 0
+        for img1 in itertools.combinations(range(m), k):
+            e1 = [x for x in img1 if x < size]
+            rest = [x for x in range(m) if x not in img1]
+            for img2 in itertools.combinations(rest, k):
+                e2 = [x - size for x in img2 if size <= x < 2 * size]
+                total += 1
+                hits += len(e1) == len(e2) and canon_full(e1, n, d) == canon_full(e2, n, d)
+        return Fraction(hits, total)
+
+    # q = 1 has no second cone: only k = 0 matches
+    for config in ((2, 2, 2, 2), (2, 2, 2, 3), (2, 3, 1, 3), (3, 2, 1, 1), (2, 2, 1, 0),
+                   (2, 1, 2, 0), (2, 1, 2, 1), (2, 1, 2, 2), (3, 1, 1, 1)):
+        assert exact_cut2(*config) == enumerate_pairs(*config), config

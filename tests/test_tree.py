@@ -12,6 +12,7 @@ from treeirs.tree import (
     child_colours,
     cone,
     cone_leaf_labels,
+    cone_level_labels,
     edge_colour_walk,
     format_address,
     level_counts,
@@ -161,6 +162,26 @@ def test_level_counts_asymptotic_share():
     total = sum(counts)
     for c in counts:
         assert abs(Fraction(c, total) - Fraction(1, 3)) < Fraction(1, 100)
+
+
+def test_cone_level_labels_vs_colour_walk():
+    # each vertex's label is the orbit of the colour reached by walking
+    # child_colours down its digits from the cone's parent colour
+    for d in (2, 3):
+        subs, _ = enumerate_subgroups(d + 1)
+        for F in subs:
+            s = ColourScheme(d, F)
+            for colour in range(d + 1):
+                for policy in ("value", "orbit"):
+                    levels = cone_level_labels(s, colour, 3, policy)
+                    assert levels[-1] == cone_leaf_labels(s, colour, 3, policy)
+                    for depth, labels in enumerate(levels):
+                        assert len(labels) == d ** depth
+                        for v, lab in enumerate(labels):
+                            c = colour
+                            for i in reversed(range(depth)):
+                                c = child_colours(s, c, d, policy)[v // d ** i % d]
+                            assert lab == s.orbit_index[c], (F.generators, colour, v)
 
 
 def test_cone_leaf_labels_lengths():
