@@ -201,6 +201,13 @@ def case_bound_log(case: str, params: BoundParams, kn: float,
     raise DomainError(f"unknown case {case!r}")
 
 
+def _log_kn_and_penalty(params: BoundParams, n: int,
+                        q_multiplier: int) -> tuple[float, float]:
+    """(log kn, log of kn^(alpha/(m q))): the k_n term's two exponents."""
+    log_kn = log(params.q) + n * log(params.d)
+    return log_kn, (params.alpha / (q_multiplier * params.q)) * log_kn
+
+
 def aggregate_bound_log(params: BoundParams, n: int, q_multiplier: int = 6) -> float:
     """log of C e^{-c Delta_n^alpha} + C kn e^{-c kn^(alpha/(m q))}.
 
@@ -210,15 +217,44 @@ def aggregate_bound_log(params: BoundParams, n: int, q_multiplier: int = 6) -> f
     both.  Works entirely in log-space: kn = q d^n overflows floats long
     before the series has settled.
     """
+    if n < 1 or q_multiplier < 1:
+        raise DomainError(f"need n >= 1 and q_multiplier >= 1; got n={n}, "
+                          f"q_multiplier={q_multiplier}")
     a = params.alpha
-    log_kn = log(params.q) + n * log(params.d)
+    log_kn, pen_log = _log_kn_and_penalty(params, n, q_multiplier)
     t1 = log(params.C) - params.c * delta_n(params, n) ** a if n > 1 else log(params.C)
-    pen_log = (a / (q_multiplier * params.q)) * log_kn  # log of kn^expo
     if pen_log > 700.0:  # exp() would overflow; the term is effectively -inf
         t2 = -math.inf
     else:
         t2 = log(params.C) + log_kn - params.c * exp(pen_log)
     return logaddexp(t1, t2)
+
+
+# exp() of anything below this is 0.0 (the least subnormal is e^-744.4), so
+# logaddexp(a, b) returns a exactly when b - a lies below it
+_UNDERFLOW_LOG = -1000.0
+
+
+def _kn_term_negligible(params: BoundParams, n: int, q_multiplier: int) -> bool:
+    """True if aggregate_bound_log(params, m) is exactly its Delta-term t1(m)
+    for every m >= n >= 2.
+
+    Either aggregate_bound_log drops the k_n term t2 from n on (its penalty
+    exponent is monotone in m), or t2 - t1 lies below _UNDERFLOW_LOG at n and
+    falls from there: with t1 = log C - 2 log m, the gap
+    g(m) = log kn - c kn^beta + 2 log m has
+    g'(m) = log d (1 - c beta kn^beta) + 2/m <= 0 once
+    c beta kn^beta >= 1 + 2 / (m log d), and the left side only grows with m.
+    Both tests hold with margins (a factor 2, and 255 nats past the underflow)
+    far wider than the rounding of the float terms.
+    """
+    log_kn, pen_log = _log_kn_and_penalty(params, n, q_multiplier)
+    if pen_log > 700.0:
+        return True
+    pen = params.c * exp(pen_log)
+    beta = params.alpha / (q_multiplier * params.q)
+    return (beta * pen >= 2.0 * (1.0 + 2.0 / (n * log(params.d)))
+            and log_kn - pen + 2.0 * log(n) <= _UNDERFLOW_LOG)
 
 
 @dataclass(frozen=True)
@@ -245,19 +281,65 @@ def summability_scan(params: BoundParams, n_max: int, tol: float = 1e-12,
     like C / n^2 by construction, so its tail past n_max is at most C / n_max
     (integral comparison); that analytic bound is included for callers that
     want a certified Cauchy statement rather than a scan horizon.
+
+    The report is bit-identical to adding every term n = 1..n_max in order,
+    but terms that provably cannot change it are skipped.  At each power of
+    two n the scan asks whether, for every m >= n,
+
+    * the term is exactly its Delta-term log C - c Delta_m^alpha, which is
+      log C - 2 log m up to rounding (``_kn_term_negligible``), and
+    * log C - 2 log n + 1, a bound on all those terms, is at most the largest
+      term so far and leaves the log sum unchanged under ``logaddexp``.
+
+    If so, no later term moves the sum or the maximum, and the last term at
+    or above tol is found in closed form: log C - 2 log m crosses log tol at
+    n* = exp((log C - log tol) / 2).  Outside the window of m with
+    |log C - 2 log m - log tol| <= w = 1e-9 (1 + |log C| + |log tol|), the
+    terms lie above or below tol by over 10^4 times their rounding error
+    (a few dozen ulps of log C - 2 log m), so the scan jumps to
+    the window, evaluates it term by term, then jumps to n_max, whose term
+    is always evaluated (so an input whose terms the full loop cannot
+    evaluate still raises).  Where the test fails (a large c keeps the sum
+    small enough that Delta-terms still count) every term is evaluated.  At
+    d=2, q=4, C=c=1, tol=1e-12 and n_max=1.1M that is 4099 evaluations.
     """
-    log_tol = log(tol)
+    if n_max < 1 or not 0.0 < tol < 1.0 or q_multiplier < 1:
+        raise DomainError(f"need n_max >= 1, 0 < tol < 1 and q_multiplier >= 1; "
+                          f"got n_max={n_max}, tol={tol}, q_multiplier={q_multiplier}")
+    log_C, log_tol = log(params.C), log(tol)
+    # the index exp(y), capped past the horizon (where exp() might overflow)
+    w = 1e-9 * (1.0 + abs(log_C) + abs(log_tol))
+    ceiling = log(n_max + 1)
+
+    def index_at(y: float) -> int:
+        return n_max + 1 if y >= ceiling else int(exp(y))
+
     log_sum = -math.inf
     max_term = -math.inf
     argmax = 0
     last_big = 0
-    for n in range(1, n_max + 1):
+    n, check = 1, 2
+    while n <= n_max:
+        if n == check:
+            check = 2 * n
+            bound = log_C - 2.0 * log(n) + 1.0
+            if (_kn_term_negligible(params, n, q_multiplier) and bound <= max_term
+                    and logaddexp(log_sum, bound) == log_sum):
+                lo = index_at((log_C - log_tol - w) / 2)  # terms before lo are >= tol
+                hi = index_at((log_C - log_tol + w) / 2) + 1  # terms past hi are < tol
+                if n < lo:
+                    n = min(lo, n_max)
+                    last_big = n - 1
+                elif n > hi:
+                    n = n_max
+                check = hi + 1
         t = aggregate_bound_log(params, n, q_multiplier)
         log_sum = logaddexp(log_sum, t)
         if t > max_term:
             max_term, argmax = t, n
         if t >= log_tol:
             last_big = n
+        n += 1
     first_small = last_big + 1 if last_big < n_max else None
     return SummabilityReport(n_max, log_sum, max_term, argmax, first_small,
                              tol, params.C / n_max)

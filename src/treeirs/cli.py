@@ -234,6 +234,10 @@ def _int_log(block: int, d: int) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.n_lo < 1 or args.n_hi < args.n_lo:
+        print(f"bounds needs 1 <= --n-lo <= --n-hi; got --n-lo {args.n_lo}, "
+              f"--n-hi {args.n_hi}", file=sys.stderr)
+        return 2
     params = bnd.BoundParams(d=args.d, q=args.q, C=args.cc_C, c=args.cc_c)
     print(f"alpha = {params.alpha}")
     header = ["n", "k_n", "delta_n", "case", "bound_value_log", "partial_sum_log"]
@@ -278,8 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--workers", type=int, default=1,
+                       help="threads for simulate's trials; the other "
+                            "commands accept and ignore it")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="seed for simulate's trials; the other commands "
+                            "accept and ignore it")
 
     p = sub.add_parser("verify-counting", help="exhaustive counting-lemma sweeps")
     p.add_argument("--degree", type=int, required=True)

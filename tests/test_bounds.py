@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from treeirs import bounds
 from treeirs.bounds import (
     BoundParams,
     DomainError,
+    SummabilityReport,
     aggregate_bound_log,
     case_bound_log,
     chernoff_dominates,
@@ -229,3 +231,121 @@ def test_aggregate_and_summability_smoke():
     assert rep.n_max == 5000
     assert rep.max_term_log > 0  # the k_n term grows before it decays
     assert rep.tail_bound_term1 == pytest.approx(1 / 5000)
+
+
+def full_summability_scan(params, n_max, tol=1e-12, q_multiplier=6):
+    """Oracle: the term-by-term loop over every n = 1..n_max."""
+    log_tol = math.log(tol)
+    log_sum = max_term = -math.inf
+    argmax = last_big = 0
+    for n in range(1, n_max + 1):
+        t = aggregate_bound_log(params, n, q_multiplier)
+        log_sum = logaddexp(log_sum, t)
+        if t > max_term:
+            max_term, argmax = t, n
+        if t >= log_tol:
+            last_big = n
+    first_small = last_big + 1 if last_big < n_max else None
+    return SummabilityReport(n_max, log_sum, max_term, argmax, first_small,
+                             tol, params.C / n_max)
+
+
+@pytest.fixture
+def term_count(monkeypatch):
+    """Counts the terms summability_scan evaluates."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return aggregate_bound_log(*args)
+
+    monkeypatch.setattr(bounds, "aggregate_bound_log", counted)
+    return calls
+
+
+def test_summability_scan_equals_full_loop_on_grid(term_count):
+    # n_max = 500 sits before the k_n peak of the C9 parameters (n = 1454);
+    # 1000 and 1001 sit inside the crossing window of tol = 1e-6 at C = 1
+    # (n* = 1000), 3000 past every window of tol = 1e-6.  c = 67 and c = 200
+    # keep the log sum small (about 14 and 0.5), so Delta-terms still move
+    # it and the scan falls back to every term at these horizons.
+    jumped = fell_back = 0
+    for d, q, C, c, tol, qm, n_max in itertools.product(
+            (2, 3), (2, 4), (0.5, 1.0, 3.0), (0.5, 1.0, 67.0, 200.0),
+            (1e-12, 1e-6), (3, 6), (500, 1000, 1001, 3000)):
+        params = BoundParams(d=d, q=q, C=C, c=c)
+        term_count[0] = 0
+        fast = summability_scan(params, n_max, tol, qm)
+        evaluated = term_count[0]
+        slow = full_summability_scan(params, n_max, tol, qm)
+        assert fast == slow and repr(fast) == repr(slow), (d, q, C, c, tol, qm, n_max)
+        jumped += evaluated < n_max
+        fell_back += evaluated == n_max
+    assert jumped >= 100 and fell_back >= 100, (jumped, fell_back)
+
+
+@pytest.mark.parametrize("c, jumps", [
+    (67.0, True),    # Delta-terms move the sum until n = 65536
+    (200.0, False),  # the sum stays near 0.5: every term counts
+])
+def test_summability_scan_equals_full_loop_long_horizon(term_count, c, jumps):
+    params = BoundParams(d=2, q=4, C=1.0, c=c)
+    n_max = 100_000
+    fast = summability_scan(params, n_max)
+    assert (term_count[0] < n_max) == jumps
+    assert fast == full_summability_scan(params, n_max)
+
+
+@pytest.mark.parametrize("n_max", [1024, 1025, 1030, 5000])
+def test_summability_scan_check_inside_crossing_window(term_count, n_max):
+    # the k_n term is first seen dead at the check n = 1024, and tol puts n*
+    # just above 1024, so that check lands inside the window: the scan must
+    # evaluate the window (term 1024 is the last >= tol) before jumping on
+    params = BoundParams(d=2, q=4, C=1.0, c=2.0)
+    tol = 2.0 ** -20 * (1 - 1e-12)
+    fast = summability_scan(params, n_max, tol, q_multiplier=3)
+    assert term_count[0] == min(n_max, 1026)
+    assert fast == full_summability_scan(params, n_max, tol, q_multiplier=3)
+    assert fast.first_n_all_small == (None if n_max == 1024 else 1025)
+
+
+def test_summability_scan_bit_identical_at_c9_horizon(term_count):
+    params = BoundParams(d=2, q=4, C=1.0, c=1.0)
+    fast = summability_scan(params, 1_100_000, tol=1e-12)
+    assert term_count[0] < 5000
+    slow = full_summability_scan(params, 1_100_000, tol=1e-12)
+    assert fast == slow and repr(fast) == repr(slow)
+    assert fast.first_n_all_small == 1_000_001 and fast.argmax_n == 1454
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_max": 0}, {"n_max": -3},
+    {"n_max": 10, "tol": 0.0}, {"n_max": 10, "tol": -1e-12},
+    {"n_max": 10, "tol": 1.0}, {"n_max": 10, "tol": 2.0},
+    {"n_max": 10, "tol": math.nan},
+    {"n_max": 10, "q_multiplier": 0}, {"n_max": 10, "q_multiplier": -6},
+])
+def test_summability_scan_refuses_bad_input(kwargs):
+    with pytest.raises(DomainError):
+        summability_scan(BoundParams(d=2, q=4, C=1.0, c=1.0), **kwargs)
+
+
+@pytest.mark.parametrize("n, q_multiplier", [(0, 6), (-1, 6), (5, 0), (5, -3)])
+def test_aggregate_bound_log_refuses_bad_input(n, q_multiplier):
+    with pytest.raises(DomainError):
+        aggregate_bound_log(BoundParams(d=2, q=4, C=1.0, c=1.0), n, q_multiplier)
+
+
+def test_hypergeom_vs_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for x in range(1, 11):
+        for u in range(0, x + 1):
+            for k in range(0, x + 1):
+                points = list(range(-1, k + 2))
+                law = stats.hypergeom(x, u, k)
+                pmf, sf = law.pmf(points), law.sf([i - 1 for i in points])
+                for i, p, tail in zip(points, pmf, sf):
+                    assert float(hypergeom_pmf(x, u, k, i)) == pytest.approx(
+                        p, rel=1e-9, abs=1e-15), (x, u, k, i)
+                    assert float(hypergeom_tail_ge(x, u, k, i)) == pytest.approx(
+                        tail, rel=1e-9, abs=1e-12), (x, u, k, i)

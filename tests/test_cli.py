@@ -196,6 +196,16 @@ def test_bounds_table(tmp_path, capsys):
     assert deltas == sorted(deltas)
 
 
+@pytest.mark.parametrize("n_lo, n_hi", [(5, 3), (0, 4), (-2, 4)])
+def test_bounds_refuses_bad_range(tmp_path, capsys, n_lo, n_hi):
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--d", "2", "--q", "4", "--n-lo", str(n_lo),
+                 "--n-hi", str(n_hi), "--cc-C", "1.0", "--cc-c", "1.0",
+                 "--out", str(out)]) == 2
+    assert "--n-lo" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_census_cmd(tmp_path, capsys):
     out = tmp_path / "census.csv"
     assert main(["census", "--d", "2", "--depth", "2", "--k", "2",
