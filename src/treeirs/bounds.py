@@ -145,8 +145,8 @@ class BoundParams:
     def __post_init__(self):
         if self.d < 2 or self.q < 2:
             raise DomainError("need d >= 2 and q >= 2")
-        if self.C <= 0 or self.c <= 0:
-            raise DomainError("constants C, c must be positive")
+        if not (0 < self.C < math.inf and 0 < self.c < math.inf):
+            raise DomainError("constants C, c must be positive and finite")
         eps = self.eps if self.eps is not None else 1.0 / (2 * self.d ** 2)
         if not 0 < eps < 1.0 / self.d ** 2:
             raise DomainError("eps must lie in (0, 1/d^2)")
@@ -186,6 +186,8 @@ def case_bound_log(case: str, params: BoundParams, kn: float,
     II  (primitive giant, no Alt): e^{-(kn/2q) log(kn/C)}
     III (imprimitive giant):   C kn e^{-c kn^(alpha/3q)}
     """
+    if not math.isfinite(kn):
+        raise DomainError(f"kn={kn} is not finite")
     a = params.alpha
     lnC = log(params.C)
     if case == "I":

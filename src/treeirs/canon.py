@@ -30,6 +30,16 @@ colour-constrained map also preserves labels (its local permutations lie in F,
 which fixes each F-orbit).  Different profiles therefore prove different
 orbits, and the forms decide only the pairs whose profiles tie.
 
+Censuses (``orbit_census``, and through it ``montecarlo.exact_colormatch``)
+canonicalize no subset on their own.  A vertex's form is a function of its
+children's forms (the Aho-Hopcroft-Ullman tree canonization), so the census is
+a bottom-up recursion over class tables: for each depth and vertex kind (its
+parent-edge colour in coloured mode) a table maps subset size to {class
+signature: count}, and a vertex combines one class from each child's table,
+multiplying the counts.  The cost grows with the number of classes instead of
+with C(d^n, k), and the forms are the same strings the per-subset functions
+build.
+
 Forms are interned: each distinct canonical string gets a small integer id,
 so equality tests are id comparisons.  The string itself is reconstruction-
 independent (children are ordered by their canonical strings), which makes
@@ -47,7 +57,7 @@ from fractions import Fraction
 from math import comb
 
 from .perm import ClosureExceedsCap, Perm
-from .tree import ColourScheme, child_colours, cone_level_labels
+from .tree import ColourScheme, child_colours, cone_leaf_labels, cone_level_labels
 
 
 class BudgetExceeded(ValueError):
@@ -150,8 +160,7 @@ def canon_coloured(E, depth: int, scheme: ColourScheme, parent_colour: int,
     F-orbit of ``parent_colour``, so two cones are comparable exactly when
     their root labels agree.
     """
-    if not 0 <= parent_colour <= scheme.d:
-        raise ColourSchemeMismatch(f"colour {parent_colour} outside 0..{scheme.d}")
+    _check_colour(scheme, parent_colour)
     d = scheme.d
     leaves = _leaf_tuple(E, depth, d)
     F_els = scheme.F.elements
@@ -255,9 +264,7 @@ class Matcher:
                 raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {d}")
             if self.parent_colour is None:
                 object.__setattr__(self, "parent_colour", scheme.reps[0])
-            if not 0 <= self.parent_colour <= d:
-                raise ColourSchemeMismatch(
-                    f"colour {self.parent_colour} outside 0..{d}")
+            _check_colour(scheme, self.parent_colour)
             labels = cone_level_labels(scheme, self.parent_colour, depth)
             levels = tuple((d ** (depth - j), labels[j]) for j in range(1, depth + 1))
         object.__setattr__(self, "_levels", levels)
@@ -312,26 +319,159 @@ class Census:
 
 def orbit_census(d: int, depth: int, k: int, scheme: ColourScheme | None = None,
                  parent_colour: int | None = None, policy: str = "orbit",
-                 budget: int = 2_000_000) -> Census:
-    """Canonicalize every k-subset of the cone's leaves and count classes."""
+                 budget: int = 2_000_000, leaf_label: int | None = None) -> Census:
+    """Count the k-subsets of the cone's leaves by their canonical form.
+
+    The counts are those of canonicalizing every k-subset with ``canon_full``
+    (or ``canon_coloured`` at ``parent_colour``), but they are built bottom-up
+    from class tables, so the work grows with the number of classes rather
+    than with C(d^depth, k); see ``_class_counts``.  With ``leaf_label`` (coloured
+    mode only) just the subsets of the leaves carrying that label are counted.
+    The budget caps the number of subsets counted, as if each were visited.
+    """
     if scheme is not None and scheme.d != d:
         raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {d}")
+    if scheme is not None and parent_colour is None:
+        parent_colour = scheme.reps[0]
     n_leaves = d ** depth
+    if leaf_label is not None:
+        if scheme is None:
+            raise ValueError("leaf_label needs a colour scheme")
+        _check_colour(scheme, parent_colour)
+        n_leaves = cone_leaf_labels(scheme, parent_colour, depth, policy).count(leaf_label)
     total = comb(n_leaves, k)
     if total > budget:
         raise BudgetExceeded(f"{total} subsets exceed budget={budget}")
-    counts: dict[int, int] = {}
-    if scheme is not None and parent_colour is None:
-        parent_colour = scheme.reps[0]
-    for E in itertools.combinations(range(n_leaves), k):
-        if scheme is None:
-            fid = canon_full(E, depth, d)
-        else:
-            fid = canon_coloured(E, depth, scheme, parent_colour, policy)
-        counts[fid] = counts.get(fid, 0) + 1
+    counts = {} if k > n_leaves else _class_counts(d, depth, k, scheme,
+                                                   parent_colour, policy, leaf_label)
     ordered = tuple(sorted(counts.items(), key=lambda kv: _TABLE.text(kv[0])))
     mode = "full" if scheme is None else "coloured"
     return Census(d, depth, k, mode, ordered)
+
+
+def _check_colour(scheme: ColourScheme, colour: int) -> None:
+    if not 0 <= colour <= scheme.d:
+        raise ColourSchemeMismatch(f"colour {colour} outside 0..{scheme.d}")
+
+
+def _combine(child_tables: list[list[dict]], lo: int, hi: int) -> list[tuple]:
+    """Every choice of one class from each child's table with sizes summing to
+    lo..hi, as (size, child signatures in child order, product of counts).  A
+    partial choice is dropped as soon as the children left cannot reach lo."""
+    room = sum(len(table) - 1 for table in child_tables)
+    partial = [(0, (), 1)]
+    for table in child_tables:
+        room -= len(table) - 1
+        partial = [(s + t, sigs + (sig,), n * m)
+                   for s, sigs, n in partial
+                   for t in range(max(0, lo - room - s), min(hi - s, len(table) - 1) + 1)
+                   for sig, m in table[t].items()]
+    return partial
+
+
+def _class_counts(d: int, depth: int, k: int, scheme: ColourScheme | None,
+                  parent_colour: int | None, policy: str,
+                  leaf_label: int | None) -> dict[int, int]:
+    """{root form id: number of k-subsets with that form}, from class tables.
+
+    A vertex's *kind* fixes the classes its subtree can hold: every vertex
+    has the same kind (None) in full mode, and its physical parent-edge colour
+    in coloured mode.  The kind's *images* are the image colours its form is
+    taken at: (None,) in full mode, the F-orbit of the colour in coloured
+    mode.  A class signature is the tuple of form ids at the images, and the
+    table of a kind maps each subset size to {signature: count}.  A leaf has
+    {0: {empty: 1}, 1: {marked: 1}} (no size 1 if its label is not
+    ``leaf_label``).  A vertex combines one class from each child's table,
+    over every split of sizes that can still be completed to a k-subset of
+    the cone; the count of the combination is the product of the children's
+    counts, and the form at each image is built from the child forms exactly
+    as ``canon_full`` / ``canon_coloured`` build it.  Every combination kept at
+    a vertex is the restriction of some k-subset, so the combinations per
+    vertex kind never outnumber the subsets the per-subset loop visits.
+    """
+    text = _TABLE.text
+    if scheme is None:
+        root = root_img = None
+
+        def kids(kind):
+            return (None,) * d
+
+        def images(kind):
+            return (None,)
+
+        def markable(kind):
+            return True
+
+        def form(kind, img, sigs):
+            return _TABLE.get("(" + ",".join(sorted(text(s[0]) for s in sigs)) + ")")
+    else:
+        _check_colour(scheme, parent_colour)
+        root = parent_colour
+        root_img = scheme.reps[scheme.orbit_index[parent_colour]]
+        orbit_of = [tuple(sorted(scheme.orbits[i])) for i in scheme.orbit_index]
+        where = [{c: p for p, c in enumerate(orb)} for orb in orbit_of]
+        child_cols: dict[int, tuple[int, ...]] = {}
+        placements: dict[tuple[int, int], list] = {}
+
+        def kids(c):
+            if c not in child_cols:
+                child_cols[c] = child_colours(scheme, c, d, policy)
+            return child_cols[c]
+
+        def images(c):
+            return orbit_of[c]
+
+        def markable(c):
+            return leaf_label is None or scheme.orbit_index[c] == leaf_label
+
+        def form(c, c_img, sigs):
+            # for each sigma in F with sigma(c) = c_img, the (child, signature
+            # position) read at each image colour other than c_img, ascending
+            pls = placements.get((c, c_img))
+            if pls is None:
+                cs = kids(c)
+                slot = {x: j for j, x in enumerate(cs)}
+                img_cols = [e for e in range(d + 1) if e != c_img]
+                pls = placements[c, c_img] = [
+                    tuple((slot[_inv_at(sigma, e)], where[_inv_at(sigma, e)][e])
+                          for e in img_cols)
+                    for sigma in scheme.F.elements if sigma[c] == c_img]
+            best = min(tuple(text(sigs[j][p]) for j, p in pl) for pl in pls)
+            return _TABLE.get("(" + ",".join(best) + ")")
+
+    kinds = [{root}]  # kinds present at each depth, from the cone root down
+    for _ in range(depth):
+        kinds.append({c for kind in kinds[-1] for c in kids(kind)})
+    # markable leaves under a vertex of each kind; one with m of them holds at
+    # least m - spare marked leaves, or the subset could not reach size k
+    caps = [None] * depth + [{kind: int(markable(kind)) for kind in kinds[depth]}]
+    for level in range(depth - 1, -1, -1):
+        caps[level] = {kind: sum(caps[level + 1][c] for c in kids(kind))
+                       for kind in kinds[level]}
+    spare = caps[0][root] - k
+    tables = {}
+    for kind in kinds[depth]:
+        n_img = len(images(kind))
+        tables[kind] = [{(EMPTY_LEAF,) * n_img: 1}]
+        if caps[depth][kind]:
+            tables[kind].append({(MARKED_LEAF,) * n_img: 1})
+    for level in range(depth - 1, -1, -1):
+        parents = {}
+        for kind in kinds[level]:
+            table: list[dict] = []
+            for size, sigs, n in _combine([tables[c] for c in kids(kind)],
+                                          max(0, caps[level][kind] - spare), k):
+                sig = tuple(form(kind, img, sigs) for img in images(kind))
+                while len(table) <= size:
+                    table.append({})
+                table[size][sig] = table[size].get(sig, 0) + n
+            parents[kind] = table
+        tables = parents
+    at = images(root).index(root_img)
+    counts: dict[int, int] = {}
+    for sig, n in tables[root][k].items():
+        counts[sig[at]] = counts.get(sig[at], 0) + n
+    return counts
 
 
 # ---------------------------------------------------------------------------

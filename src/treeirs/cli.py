@@ -239,6 +239,12 @@ def cmd_bounds(args) -> int:
               f"--n-hi {args.n_hi}", file=sys.stderr)
         return 2
     params = bnd.BoundParams(d=args.d, q=args.q, C=args.cc_C, c=args.cc_c)
+    try:
+        float(bnd.k_n(params, args.n_hi))
+    except OverflowError:
+        print(f"bounds needs k_n = q*d^n to fit a float; --n-hi {args.n_hi} "
+              f"is too large", file=sys.stderr)
+        return 2
     print(f"alpha = {params.alpha}")
     header = ["n", "k_n", "delta_n", "case", "bound_value_log", "partial_sum_log"]
     rows = []

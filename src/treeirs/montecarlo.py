@@ -21,7 +21,6 @@ from math import comb, sqrt
 from .canon import (
     BudgetExceeded,
     Matcher,
-    canon_coloured,
     # unused here since Matcher decides matches; perfbench's tests still read it
     canon_full,  # noqa: F401
     orbit_census,
@@ -266,18 +265,9 @@ def exact_treematch(d: int, n: int, k: int, scheme: ColourScheme | None = None,
 
 def exact_colormatch(scheme: ColourScheme, n: int, k: int, orbit_i: int,
                      root_label: int = 0, budget: int = 2_000_000) -> Fraction:
-    """Exact colormatch probability by canonicalizing all k-subsets of the slots."""
-    parent_colour = scheme.reps[root_label]
-    labels = cone_leaf_labels(scheme, parent_colour, n)
-    ground = [i for i, lab in enumerate(labels) if lab == orbit_i]
-    total = comb(len(ground), k)
-    if total > budget:
-        raise BudgetExceeded(f"{total} subsets exceed budget={budget}")
-    counts: dict[int, int] = {}
-    for sel in combinations(ground, k):
-        fid = canon_coloured(sel, n, scheme, parent_colour)
-        counts[fid] = counts.get(fid, 0) + 1
-    return sum((Fraction(c, total) ** 2 for c in counts.values()), Fraction(0))
+    """Exact colormatch probability from the census of the label-i leaf slots."""
+    return orbit_census(scheme.d, n, k, scheme, scheme.reps[root_label],
+                        budget=budget, leaf_label=orbit_i).match_probability()
 
 
 def exact_cut1(d: int, q: int, n: int, k: int, budget: int = 2_000_000) -> Fraction:

@@ -189,6 +189,22 @@ def test_bound_params_alpha():
         BoundParams(d=2, q=4, C=1.0, c=1.0, eps=0.3)
 
 
+@pytest.mark.parametrize("C, c", [(math.nan, 1.0), (1.0, math.nan),
+                                  (math.inf, 1.0), (1.0, math.inf),
+                                  (-math.inf, 1.0), (1.0, -math.inf)])
+def test_bound_params_refuse_non_finite_constants(C, c):
+    # NaN used to pass `C <= 0` and give a scan report claiming summability
+    with pytest.raises(DomainError):
+        BoundParams(d=2, q=4, C=C, c=c)
+
+
+@pytest.mark.parametrize("case", ["I", "II", "III"])
+@pytest.mark.parametrize("kn", [math.nan, math.inf, -math.inf])
+def test_case_bound_log_refuses_non_finite_kn(case, kn):
+    with pytest.raises(DomainError):
+        case_bound_log(case, BoundParams(d=2, q=4, C=1.0, c=1.0), kn, t_gamma=1.0)
+
+
 def test_delta_n_increasing():
     params = BoundParams(d=2, q=4, C=1.0, c=1.0)
     vals = [delta_n(params, n) for n in range(1, 40)]

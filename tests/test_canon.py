@@ -24,7 +24,7 @@ from treeirs.canon import (
     random_full_image,
 )
 from treeirs.perm import ClosureExceedsCap, enumerate_subgroups, from_cycles
-from treeirs.tree import ColourScheme
+from treeirs.tree import ColourScheme, cone_leaf_labels
 
 
 def all_schemes_d2():
@@ -389,3 +389,111 @@ def test_profile_invariant_under_random_coloured_image(case, which, colour, seed
     m = Matcher(depth, 2, scheme, colour)
     image = random_coloured_image(random.Random(seed), E, depth, scheme, colour)
     assert _profile(m, image) == _profile(m, E)
+
+
+# ---------------------------------------------------------------------------
+# the class-table census against canonicalizing every subset
+# ---------------------------------------------------------------------------
+
+def census_by_subsets(d, depth, k, scheme=None, parent_colour=None,
+                      policy="orbit", ground=None):
+    """Oracle: the census counts by canonicalizing every k-subset of
+    ``ground`` (default: all leaves), sorted by form string."""
+    if scheme is not None and parent_colour is None:
+        parent_colour = scheme.reps[0]
+    counts = {}
+    for E in itertools.combinations(range(d ** depth) if ground is None else ground, k):
+        if scheme is None:
+            fid = canon_full(E, depth, d)
+        else:
+            fid = canon_coloured(E, depth, scheme, parent_colour, policy)
+        counts[fid] = counts.get(fid, 0) + 1
+    return tuple(sorted(counts.items(), key=lambda kv: form_str(kv[0])))
+
+
+# largest C(d^depth, k) the full-mode oracle visits; every k when d = 2
+ORACLE_SUBSETS = 13_000
+
+
+@pytest.mark.parametrize("d,depth", [(d, depth) for d in (2, 3) for depth in range(5)])
+def test_census_equals_subset_loop_full_mode(d, depth):
+    n_leaves = d ** depth
+    ks = [k for k in range(n_leaves + 1) if comb(n_leaves, k) <= ORACLE_SUBSETS]
+    assert ks[:3] == list(range(min(3, n_leaves + 1)))
+    for k in ks:
+        c = orbit_census(d, depth, k)
+        assert (c.d, c.depth, c.k, c.mode) == (d, depth, k, "full")
+        assert c.counts == census_by_subsets(d, depth, k), k
+
+
+@pytest.mark.parametrize("policy", ["orbit", "value"])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_census_equals_subset_loop_coloured_mode(depth, policy):
+    for scheme in all_schemes_d2():
+        for colour in range(3):
+            for k in range(2 ** depth + 1):
+                c = orbit_census(2, depth, k, scheme, colour, policy)
+                assert c.mode == "coloured"
+                assert c.counts == census_by_subsets(2, depth, k, scheme, colour, policy), \
+                    (scheme.F.generators, colour, k)
+
+
+def test_census_equals_subset_loop_coloured_ternary():
+    subs, _ = enumerate_subgroups(4)
+    for G in subs:
+        scheme = ColourScheme(3, G)
+        for k in range(10):
+            assert orbit_census(3, 2, k, scheme).counts == \
+                census_by_subsets(3, 2, k, scheme), (G.generators, k)
+
+
+def test_census_leaf_label_equals_subset_loop():
+    for scheme in all_schemes_d2():
+        for colour in range(3):
+            for depth in range(4):
+                labels = cone_leaf_labels(scheme, colour, depth)
+                for label in range(scheme.n_orbits):
+                    ground = [i for i, lab in enumerate(labels) if lab == label]
+                    for k in range(len(ground) + 2):
+                        c = orbit_census(2, depth, k, scheme, colour, leaf_label=label)
+                        assert c.total == comb(len(ground), k)
+                        assert c.counts == census_by_subsets(
+                            2, depth, k, scheme, colour, ground=ground)
+
+
+def test_census_edge_cases():
+    s = ColourScheme.from_generators(2, [from_cycles(3, (0, 1))])
+    for scheme in (None, s):
+        # depth 0: the cone is one leaf
+        assert [form_str(f) for f, _ in orbit_census(2, 0, 0, scheme).counts] == ["0"]
+        assert [form_str(f) for f, _ in orbit_census(2, 0, 1, scheme).counts] == ["1"]
+        # k = 0: the empty set alone; k > leaves: nothing to count
+        (fid, n), = orbit_census(2, 3, 0, scheme).counts
+        assert (form_str(fid), n) == ("(((0,0),(0,0)),((0,0),(0,0)))", 1)
+        assert orbit_census(2, 3, 9, scheme).counts == ()
+        assert orbit_census(2, 0, 2, scheme).counts == ()
+        assert orbit_census(2, 3, 9, scheme).match_probability() == 0
+    with pytest.raises(ValueError):
+        orbit_census(2, 2, 1, leaf_label=0)  # labels need a scheme
+
+
+def test_census_refusals():
+    # the budget caps C(d^depth, k), inclusive
+    assert orbit_census(2, 3, 4, budget=70).total == 70
+    with pytest.raises(BudgetExceeded):
+        orbit_census(2, 3, 4, budget=69)
+    s = ColourScheme.from_generators(2, [from_cycles(3, (0, 1))])
+    with pytest.raises(BudgetExceeded):
+        orbit_census(2, 3, 4, s, budget=69)
+    # with a leaf label, the budget caps C(label leaves, k): 5 label-0 leaves
+    assert orbit_census(2, 3, 2, s, 0, budget=10, leaf_label=0).total == 10
+    with pytest.raises(BudgetExceeded):
+        orbit_census(2, 3, 2, s, 0, budget=9, leaf_label=0)
+    for colour in (-1, 3):
+        for k in (0, 2):
+            with pytest.raises(ColourSchemeMismatch):
+                orbit_census(2, 3, k, s, colour)
+        with pytest.raises(ColourSchemeMismatch):
+            orbit_census(2, 3, 2, s, colour, leaf_label=0)
+    with pytest.raises(ColourSchemeMismatch):
+        orbit_census(3, 2, 2, s)

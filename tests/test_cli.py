@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -204,6 +205,46 @@ def test_bounds_refuses_bad_range(tmp_path, capsys, n_lo, n_hi):
                  "--out", str(out)]) == 2
     assert "--n-lo" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n_hi, rc", [(1021, 0), (1022, 2), (1100, 2)])
+def test_bounds_refuses_n_hi_past_float_range(tmp_path, capsys, n_hi, rc):
+    # k_n = 4 * 2^n fits a float up to n = 1021; past it the table used to
+    # stop with an OverflowError traceback and the counterexample exit code
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--d", "2", "--q", "4", "--n-lo", "1021",
+                 "--n-hi", str(n_hi), "--cc-C", "1", "--cc-c", "1",
+                 "--out", str(out)]) == rc
+    if rc:
+        assert "--n-hi" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert len(out.read_text().splitlines()) == 6
+
+
+# SHA-256 of `treeirs census --d 2 --depth 4 --k 6` outputs (CSV and its JSON
+# mirror), in full mode and with the <(0 1)> scheme, as the per-subset loop
+# wrote them
+CENSUS_DIGESTS = {
+    "full": ("1a59f145d8e9fc03d669aa4c9b10dfaa4ce92596cc7771cf8f283001a7b9c841",
+             "e38d5ac5733f02cb9ca55d42087dcfaab98ab898b261dcfb08a9c0e17205faa2"),
+    "coloured": ("bf753ea38da759a530da9ba6c7f3e3637911ee3ec52baa5367fac5273b40acde",
+                 "723e42241d257779db026dd5b1a5ba55d91164a1cd30dac03d50841bc843730d"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CENSUS_DIGESTS))
+def test_census_output_golden(tmp_path, mode):
+    argv = ["census", "--d", "2", "--depth", "4", "--k", "6"]
+    if mode == "coloured":
+        argv += ["--scheme", write_scheme(tmp_path, [[1, 0, 2]])]
+    out = tmp_path / "census.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256(read(p)).hexdigest()
+                    for p in (out, tmp_path / "census.json"))
+    assert digests == CENSUS_DIGESTS[mode]
+    assert main(argv + ["--out", str(tmp_path / "only.json"), "--format", "json"]) == 0
+    assert hashlib.sha256(read(tmp_path / "only.json")).hexdigest() == digests[1]
 
 
 def test_census_cmd(tmp_path, capsys):

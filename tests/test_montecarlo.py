@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from treeirs.canon import ColourSchemeMismatch, canon_coloured, canon_full
+from treeirs.canon import BudgetExceeded, ColourSchemeMismatch, canon_coloured, canon_full
 from treeirs.montecarlo import (
     ESTIMATORS,
     Estimate,
@@ -21,7 +21,7 @@ from treeirs.montecarlo import (
     exact_cut2,
     exact_treematch,
 )
-from treeirs.perm import from_cycles
+from treeirs.perm import enumerate_subgroups, from_cycles
 from treeirs.tree import ColourScheme, cone_leaf_labels
 
 
@@ -296,3 +296,46 @@ def test_exact_cut2_vs_pair_enumeration():
     for config in ((2, 2, 2, 2), (2, 2, 2, 3), (2, 3, 1, 3), (3, 2, 1, 1), (2, 2, 1, 0),
                    (2, 1, 2, 0), (2, 1, 2, 1), (2, 1, 2, 2), (3, 1, 1, 1)):
         assert exact_cut2(*config) == enumerate_pairs(*config), config
+
+
+# ---------------------------------------------------------------------------
+# exact_colormatch against canonicalizing every subset of the label slots
+# ---------------------------------------------------------------------------
+
+def colormatch_by_subsets(scheme, n, k, orbit_i, root_label=0):
+    """Oracle: canonicalize every k-subset of the label-``orbit_i`` leaves."""
+    parent_colour = scheme.reps[root_label]
+    labels = cone_leaf_labels(scheme, parent_colour, n)
+    ground = [i for i, lab in enumerate(labels) if lab == orbit_i]
+    total = math.comb(len(ground), k)
+    counts = {}
+    for sel in itertools.combinations(ground, k):
+        fid = canon_coloured(sel, n, scheme, parent_colour)
+        counts[fid] = counts.get(fid, 0) + 1
+    return sum((Fraction(c, total) ** 2 for c in counts.values()), Fraction(0))
+
+
+def test_exact_colormatch_equals_subset_loop():
+    schemes = [ColourScheme(2, G) for G in enumerate_subgroups(3)[0]]
+    schemes += [ColourScheme(3, G) for G in enumerate_subgroups(4)[0][::4]]
+    for scheme in schemes:
+        for n in range(4 if scheme.d == 2 else 3):
+            for root_label in range(scheme.n_orbits):
+                for orbit_i in range(scheme.n_orbits):
+                    for k in range(scheme.d ** n + 2):
+                        if math.comb(scheme.d ** n, k) > 2000:
+                            continue
+                        assert exact_colormatch(scheme, n, k, orbit_i, root_label) == \
+                            colormatch_by_subsets(scheme, n, k, orbit_i, root_label), \
+                            (scheme.F.generators, n, k, orbit_i, root_label)
+
+
+def test_exact_colormatch_pinned_value_and_refusals():
+    s = ColourScheme.from_generators(2, [from_cycles(3, (0, 1))])
+    # the degree-5 value the benchmark pins; 21 label-0 slots, C(21, 4) = 5985
+    assert exact_colormatch(s, 5, 4, 0) == Fraction(136009, 35820225)
+    assert exact_colormatch(s, 5, 4, 0, budget=5985) == Fraction(136009, 35820225)
+    with pytest.raises(BudgetExceeded):
+        exact_colormatch(s, 5, 4, 0, budget=5984)
+    assert exact_colormatch(s, 2, 0, 0) == 1
+    assert exact_colormatch(s, 2, 4, 0) == 0  # only 3 label-0 slots
