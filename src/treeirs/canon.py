@@ -40,16 +40,15 @@ multiplying the counts.  The cost grows with the number of classes instead of
 with C(d^n, k), and the forms are the same strings the per-subset functions
 build.
 
-Forms are interned: each distinct canonical string gets a small integer id,
-so equality tests are id comparisons.  The string itself is reconstruction-
-independent (children are ordered by their canonical strings), which makes
-exported census keys stable across processes and thread counts.
+A form is its own canonical string, built afresh by every call: the module
+keeps no table of forms.  The string is reconstruction-independent (children
+are ordered by their canonical strings), so forms compare equal across calls,
+threads and processes, and census keys are exported as they are.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -72,42 +71,13 @@ class ColourSchemeMismatch(ValueError):
     pass
 
 
-class _Interner:
-    """String -> id table shared by all canonicalizations in the process.
-
-    ``get`` is safe under concurrent use: lookups go through the dict without
-    locking, inserts take a lock and re-check, so ids are stable once issued.
-    """
-
-    def __init__(self):
-        self._ids: dict[str, int] = {}
-        self._strs: list[str] = []
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> int:
-        fid = self._ids.get(key)
-        if fid is not None:
-            return fid
-        with self._lock:
-            fid = self._ids.get(key)
-            if fid is None:
-                fid = len(self._strs)
-                self._strs.append(key)
-                self._ids[key] = fid
-            return fid
-
-    def text(self, fid: int) -> str:
-        return self._strs[fid]
+EMPTY_LEAF = "0"
+MARKED_LEAF = "1"
 
 
-_TABLE = _Interner()
-EMPTY_LEAF = _TABLE.get("0")
-MARKED_LEAF = _TABLE.get("1")
-
-
-def form_str(form_id: int) -> str:
-    """Canonical serialization of an interned form (stable across processes)."""
-    return _TABLE.text(form_id)
+def form_str(form: str) -> str:
+    """The canonical serialization of a form, which is the form itself."""
+    return form
 
 
 def _block_split(leaves: tuple[int, ...], n_blocks: int, block: int):
@@ -120,11 +90,11 @@ def _block_split(leaves: tuple[int, ...], n_blocks: int, block: int):
     return out
 
 
-def _empty_form(depth: int, d: int) -> int:
-    fid = EMPTY_LEAF
+def _empty_form(depth: int, d: int) -> str:
+    form = EMPTY_LEAF
     for _ in range(depth):
-        fid = _TABLE.get("(" + ",".join([_TABLE.text(fid)] * d) + ")")
-    return fid
+        form = "(" + ",".join([form] * d) + ")"
+    return form
 
 
 def _leaf_tuple(E, depth: int, d: int) -> tuple[int, ...]:
@@ -135,25 +105,24 @@ def _leaf_tuple(E, depth: int, d: int) -> tuple[int, ...]:
     return leaves
 
 
-def canon_full(E, depth: int, d: int) -> int:
+def canon_full(E, depth: int, d: int) -> str:
     """Canonical form of a leaf subset under all rooted cone automorphisms."""
     leaves = _leaf_tuple(E, depth, d)
 
-    def go(sub: tuple[int, ...], level: int) -> int:
+    def go(sub: tuple[int, ...], level: int) -> str:
         if level == 0:
             return MARKED_LEAF if sub else EMPTY_LEAF
         if not sub:
             return _empty_form(level, d)
         block = d ** (level - 1)
-        keys = sorted(_TABLE.text(go(part, level - 1))
-                      for part in _block_split(sub, d, block))
-        return _TABLE.get("(" + ",".join(keys) + ")")
+        keys = sorted(go(part, level - 1) for part in _block_split(sub, d, block))
+        return "(" + ",".join(keys) + ")"
 
     return go(leaves, depth)
 
 
 def canon_coloured(E, depth: int, scheme: ColourScheme, parent_colour: int,
-                   policy: str = "orbit") -> int:
+                   policy: str = "orbit") -> str:
     """Canonical form under cone maps with all local colour actions in F.
 
     The cone root's image colour is pinned to the representative of the
@@ -165,10 +134,10 @@ def canon_coloured(E, depth: int, scheme: ColourScheme, parent_colour: int,
     leaves = _leaf_tuple(E, depth, d)
     F_els = scheme.F.elements
     all_colours = range(d + 1)
-    memo: dict[tuple[int, int], int] = {}
+    memo: dict[tuple[int, int, int], str] = {}
 
     def go(sub: tuple[int, ...], level: int, c_phys: int, c_img: int,
-           pos: int) -> int:
+           pos: int) -> str:
         if level == 0:
             return MARKED_LEAF if sub else EMPTY_LEAF
         if not sub:
@@ -189,17 +158,15 @@ def canon_coloured(E, depth: int, scheme: ColourScheme, parent_colour: int,
             entry = []
             for e_img in img_cols:
                 j = slot[_inv_at(sigma, e_img)]
-                fid = go(parts[j], level - 1, cs[j], e_img, pos * d + j)
-                entry.append(_TABLE.text(fid))
+                entry.append(go(parts[j], level - 1, cs[j], e_img, pos * d + j))
             entry = tuple(entry)
             if best is None or entry < best:
                 best = entry
         if best is None:
             raise ColourSchemeMismatch(
                 f"no sigma in F carries colour {c_phys} to {c_img}")
-        fid = _TABLE.get("(" + ",".join(best) + ")")
-        memo[key] = fid
-        return fid
+        form = memo[key] = "(" + ",".join(best) + ")"
+        return form
 
     rep = scheme.reps[scheme.orbit_index[parent_colour]]
     return go(leaves, depth, parent_colour, rep, 0)
@@ -258,6 +225,8 @@ class Matcher:
         if depth < 0:
             raise DepthMismatch("negative depth")
         if scheme is None:
+            if self.parent_colour is not None:
+                raise ValueError("parent_colour needs a colour scheme")
             levels = tuple((d ** (depth - j), None) for j in range(1, depth))
         else:
             if scheme.d != d:
@@ -305,7 +274,7 @@ class Census:
     depth: int
     k: int
     mode: str
-    counts: tuple[tuple[int, int], ...]  # (form id, count), sorted by form string
+    counts: tuple[tuple[str, int], ...]  # (form, count), sorted by form
 
     @property
     def total(self) -> int:
@@ -329,24 +298,26 @@ def orbit_census(d: int, depth: int, k: int, scheme: ColourScheme | None = None,
     mode only) just the subsets of the leaves carrying that label are counted.
     The budget caps the number of subsets counted, as if each were visited.
     """
-    if scheme is not None and scheme.d != d:
-        raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {d}")
-    if scheme is not None and parent_colour is None:
-        parent_colour = scheme.reps[0]
+    if scheme is None:
+        for name, value in (("parent_colour", parent_colour), ("leaf_label", leaf_label)):
+            if value is not None:
+                raise ValueError(f"{name} needs a colour scheme")
+    else:
+        if scheme.d != d:
+            raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {d}")
+        if parent_colour is None:
+            parent_colour = scheme.reps[0]
+        _check_colour(scheme, parent_colour)
     n_leaves = d ** depth
     if leaf_label is not None:
-        if scheme is None:
-            raise ValueError("leaf_label needs a colour scheme")
-        _check_colour(scheme, parent_colour)
         n_leaves = cone_leaf_labels(scheme, parent_colour, depth, policy).count(leaf_label)
     total = comb(n_leaves, k)
     if total > budget:
         raise BudgetExceeded(f"{total} subsets exceed budget={budget}")
     counts = {} if k > n_leaves else _class_counts(d, depth, k, scheme,
                                                    parent_colour, policy, leaf_label)
-    ordered = tuple(sorted(counts.items(), key=lambda kv: _TABLE.text(kv[0])))
     mode = "full" if scheme is None else "coloured"
-    return Census(d, depth, k, mode, ordered)
+    return Census(d, depth, k, mode, tuple(sorted(counts.items())))
 
 
 def _check_colour(scheme: ColourScheme, colour: int) -> None:
@@ -371,14 +342,14 @@ def _combine(child_tables: list[list[dict]], lo: int, hi: int) -> list[tuple]:
 
 def _class_counts(d: int, depth: int, k: int, scheme: ColourScheme | None,
                   parent_colour: int | None, policy: str,
-                  leaf_label: int | None) -> dict[int, int]:
-    """{root form id: number of k-subsets with that form}, from class tables.
+                  leaf_label: int | None) -> dict[str, int]:
+    """{root form: number of k-subsets with that form}, from class tables.
 
     A vertex's *kind* fixes the classes its subtree can hold: every vertex
     has the same kind (None) in full mode, and its physical parent-edge colour
     in coloured mode.  The kind's *images* are the image colours its form is
     taken at: (None,) in full mode, the F-orbit of the colour in coloured
-    mode.  A class signature is the tuple of form ids at the images, and the
+    mode.  A class signature is the tuple of forms at the images, and the
     table of a kind maps each subset size to {signature: count}.  A leaf has
     {0: {empty: 1}, 1: {marked: 1}} (no size 1 if its label is not
     ``leaf_label``).  A vertex combines one class from each child's table,
@@ -389,7 +360,6 @@ def _class_counts(d: int, depth: int, k: int, scheme: ColourScheme | None,
     a vertex is the restriction of some k-subset, so the combinations per
     vertex kind never outnumber the subsets the per-subset loop visits.
     """
-    text = _TABLE.text
     if scheme is None:
         root = root_img = None
 
@@ -403,9 +373,8 @@ def _class_counts(d: int, depth: int, k: int, scheme: ColourScheme | None,
             return True
 
         def form(kind, img, sigs):
-            return _TABLE.get("(" + ",".join(sorted(text(s[0]) for s in sigs)) + ")")
+            return "(" + ",".join(sorted(s[0] for s in sigs)) + ")"
     else:
-        _check_colour(scheme, parent_colour)
         root = parent_colour
         root_img = scheme.reps[scheme.orbit_index[parent_colour]]
         orbit_of = [tuple(sorted(scheme.orbits[i])) for i in scheme.orbit_index]
@@ -436,8 +405,8 @@ def _class_counts(d: int, depth: int, k: int, scheme: ColourScheme | None,
                     tuple((slot[_inv_at(sigma, e)], where[_inv_at(sigma, e)][e])
                           for e in img_cols)
                     for sigma in scheme.F.elements if sigma[c] == c_img]
-            best = min(tuple(text(sigs[j][p]) for j, p in pl) for pl in pls)
-            return _TABLE.get("(" + ",".join(best) + ")")
+            best = min(tuple(sigs[j][p] for j, p in pl) for pl in pls)
+            return "(" + ",".join(best) + ")"
 
     kinds = [{root}]  # kinds present at each depth, from the cone root down
     for _ in range(depth):
@@ -468,7 +437,7 @@ def _class_counts(d: int, depth: int, k: int, scheme: ColourScheme | None,
             parents[kind] = table
         tables = parents
     at = images(root).index(root_img)
-    counts: dict[int, int] = {}
+    counts: dict[str, int] = {}
     for sig, n in tables[root][k].items():
         counts[sig[at]] = counts.get(sig[at], 0) + n
     return counts

@@ -21,7 +21,7 @@ from math import exp
 
 from . import bounds as bnd
 from . import montecarlo as mc
-from .canon import ColourSchemeMismatch, orbit_census, form_str
+from .canon import ColourSchemeMismatch, orbit_census
 from .classify import classify_case, in_Pi, in_Xi, profile
 from .irs import (
     transporter,
@@ -272,8 +272,8 @@ def cmd_census(args) -> int:
     census = orbit_census(args.d, args.depth, args.k, scheme,
                           parent_colour=args.parent_colour, budget=args.budget)
     header = ["d", "depth", "k", "mode", "class_id", "count"]
-    rows = [[args.d, args.depth, args.k, census.mode, form_str(fid), cnt]
-            for fid, cnt in census.counts]
+    rows = [[args.d, args.depth, args.k, census.mode, form, cnt]
+            for form, cnt in census.counts]
     _write_rows(args.out, args.format, header, rows)
     prob = census.match_probability()
     print(f"{len(census.counts)} classes over {census.total} subsets; "

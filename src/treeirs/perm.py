@@ -417,40 +417,56 @@ def conjugacy_orbit(els, generators) -> set[tuple[Perm, ...]]:
     return orbit
 
 
-@lru_cache(maxsize=None)
-def _subgroup_classes(degree: int, cap: int):
-    """Conjugacy classes of subgroups of Sym(degree), in order of discovery,
-    each as the sorted tuple of its members' sorted element tuples.
+def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=()):
+    """Every subgroup of the ambient group that contains <seed_gens>.
 
-    Works up the lattice by joining each class representative with one
-    element per double coset; <H, a g b> == <H, g> for a, b in H, so double
-    coset representatives cover every join.  The double cosets are walked from
-    the representative's generators (``_double_coset_reps``).  Each new
-    class is registered with its whole conjugacy orbit, so a join is new up to
-    conjugacy exactly when its element list is not registered yet.
+    Works up from <seed_gens> by joining each subgroup H found with one
+    element per double coset H g H outside H: <H, a g b> == <H, g> for a, b
+    in H, so the double coset representatives (``_double_coset_reps``, walked
+    from H's generators) cover every join, and each subgroup over the seed is
+    reached through a chain of joins.  Returns (generators, orbit) for each
+    subgroup registered, in order of discovery; the orbit is its conjugacy
+    orbit under <conj_gens> (``conjugacy_orbit``), each member a sorted
+    element tuple.  With no ``conj_gens`` the orbit is the subgroup alone and
+    every subgroup is registered; with them one subgroup per conjugacy class
+    is, because a join is skipped once any conjugate of it is known.
     """
-    ambient = tuple(sorted(itertools.permutations(range(degree))))
-    sym_gens = symmetric_group(degree, cap).generators
-    classes = []
+    found = []
     known = set()
     todo = deque()
 
-    def register(gens, els):
-        orbit = conjugacy_orbit(els, sym_gens)
-        classes.append(orbit)
-        known.update(orbit)
-        todo.append((gens, frozenset(els)))
+    def register(gens, eset):
+        orbit = conjugacy_orbit(eset, conj_gens)
+        known.update(frozenset(els) for els in orbit)
+        found.append((gens, orbit))
+        todo.append((gens, eset))
 
-    register((), (identity(degree),))
+    register(seed_gens, frozenset(close(seed_gens, cap, degree=degree)))
     while todo:
         gens, eset = todo.popleft()
-        for g in _double_coset_reps(gens, ambient):
+        for g in _double_coset_reps(gens, ambient_elements):
             if g in eset:
                 continue
-            els = tuple(sorted(close(gens + (g,), cap, degree=degree)))
-            if els not in known:
-                register(gens + (g,), els)
-    return tuple(tuple(sorted(orbit)) for orbit in classes)
+            joined = frozenset(close(gens + (g,), cap, degree=degree))
+            if joined not in known:
+                register(gens + (g,), joined)
+    return found
+
+
+def _sorted_groups(degree: int, walk, cap: int) -> tuple[GeneratedGroup, ...]:
+    """The subgroups of a walk without conjugacy dedupe, by order, then by
+    sorted element list."""
+    groups = sorted(((gens, els) for gens, (els,) in walk), key=lambda ge: (len(ge[1]), ge[1]))
+    return tuple(GeneratedGroup(degree, gens or els, cap, _elements=els) for gens, els in groups)
+
+
+@lru_cache(maxsize=None)
+def _subgroup_classes(degree: int, cap: int):
+    """Conjugacy classes of subgroups of Sym(degree), in order of discovery,
+    each as the sorted tuple of its members' sorted element tuples."""
+    ambient = tuple(sorted(itertools.permutations(range(degree))))
+    walk = _join_walk((), ambient, degree, cap, symmetric_group(degree, cap).generators)
+    return tuple(tuple(sorted(orbit)) for _, orbit in walk)
 
 
 @lru_cache(maxsize=None)
@@ -479,36 +495,9 @@ def enumerate_subgroups(degree: int, cap: int = DEFAULT_CAP):
 
 
 def subgroups_of(G: GeneratedGroup, cap: int = DEFAULT_CAP) -> tuple[GeneratedGroup, ...]:
-    """All subgroups of an explicitly enumerable ambient group.
-
-    Join closure with cyclic subgroups; fine for ambient orders in the dozens.
-    """
-    els = G.elements
-    e = identity(G.degree)
-    cyclics = {}
-    for g in els:
-        c = close([g], cap, degree=G.degree)
-        cyclics.setdefault(frozenset(c), (g,))
-    found = {frozenset([e]): ()}
-    frontier = list(found)
-    while frontier:
-        fresh = []
-        for key in frontier:
-            gens = found[key]
-            for ckey, cgens in cyclics.items():
-                if ckey <= key:
-                    continue
-                joined = close(gens + cgens, cap, degree=G.degree)
-                jkey = frozenset(joined)
-                if jkey not in found:
-                    found[jkey] = gens + cgens
-                    fresh.append(jkey)
-        frontier = fresh
-    out = []
-    for key in sorted(found, key=lambda k: (len(k), tuple(sorted(k)))):
-        lst = tuple(sorted(key))
-        out.append(GeneratedGroup(G.degree, found[key] or lst, cap, _elements=lst))
-    return tuple(out)
+    """All subgroups of an explicitly enumerable ambient group, by order,
+    then by sorted element list; fine for ambient orders in the hundreds."""
+    return _sorted_groups(G.degree, _join_walk((), G.elements, G.degree, cap), cap)
 
 
 def overgroups_of_cycle(degree: int, cap: int = DEFAULT_CAP) -> tuple[GeneratedGroup, ...]:
@@ -519,25 +508,8 @@ def overgroups_of_cycle(degree: int, cap: int = DEFAULT_CAP) -> tuple[GeneratedG
     a representative of every transitive conjugacy class.
     """
     ambient = tuple(sorted(itertools.permutations(range(degree))))
-    seed = close([from_cycles(degree, tuple(range(degree)))], cap, degree=degree)
-    found = {frozenset(seed): (from_cycles(degree, tuple(range(degree))),)}
-    todo = deque([frozenset(seed)])
-    while todo:
-        key = todo.popleft()
-        gens = found[key]
-        for g in _double_coset_reps(gens, ambient):
-            if g in key:
-                continue
-            joined = close(gens + (g,), cap, degree=degree)
-            jkey = frozenset(joined)
-            if jkey not in found:
-                found[jkey] = gens + (g,)
-                todo.append(jkey)
-    out = []
-    for key in sorted(found, key=lambda k: (len(k), tuple(sorted(k)))):
-        lst = tuple(sorted(key))
-        out.append(GeneratedGroup(degree, found[key], cap, _elements=lst))
-    return tuple(out)
+    cycle = from_cycles(degree, tuple(range(degree)))
+    return _sorted_groups(degree, _join_walk((cycle,), ambient, degree, cap), cap)
 
 
 # ---------------------------------------------------------------------------

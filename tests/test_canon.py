@@ -248,6 +248,67 @@ def test_form_str_stable_and_readable():
     assert form_str(fid) == "((1,1),(0,0))" or form_str(fid).count("1") == 2
 
 
+# (d, depth, subset, canonical string): census exports and cross-process
+# comparisons read these exact bytes
+GOLDEN_FULL_FORMS = [
+    (2, 0, (), "0"),
+    (2, 0, (0,), "1"),
+    (2, 1, (1,), "(0,1)"),
+    (2, 2, (0, 3), "((0,1),(0,1))"),
+    (2, 2, (0, 1), "((0,0),(1,1))"),
+    (2, 3, (0, 1, 6), "(((0,0),(0,1)),((0,0),(1,1)))"),
+    (2, 3, (2, 5), "(((0,0),(0,1)),((0,0),(0,1)))"),
+    (3, 1, (0, 2), "(0,1,1)"),
+    (3, 2, (0, 4, 8), "((0,0,1),(0,0,1),(0,0,1))"),
+    (3, 2, (1, 2, 5), "((0,0,0),(0,0,1),(0,1,1))"),
+    (3, 3, (0, 13, 26),
+     "(((0,0,0),(0,0,0),(0,0,1)),((0,0,0),(0,0,0),(0,0,1)),((0,0,0),(0,0,0),(0,0,1)))"),
+    (3, 3, (3, 4, 5, 9),
+     "(((0,0,0),(0,0,0),(0,0,0)),((0,0,0),(0,0,0),(0,0,1)),((0,0,0),(0,0,0),(1,1,1)))"),
+]
+
+# coloured forms of these (depth, subset) pairs, binary cones ...
+GOLDEN_COLOURED_SUBSETS = [(0, (0,)), (1, (0,)), (2, (0, 3)), (3, (0, 1, 6)), (3, (2, 7))]
+# ... under F = <transposition>, per (transposition, policy, parent colour);
+# the two policies differ under <(0 2)>
+GOLDEN_COLOURED_FORMS = {
+    ((0, 1), "orbit", 0): ("1", "(1,0)", "((1,0),(0,1))", "(((1,1),(0,0)),((0,0),(1,0)))",
+                           "(((0,0),(0,1)),((0,0),(0,1)))"),
+    ((0, 1), "orbit", 1): ("1", "(1,0)", "((1,0),(0,1))", "(((1,1),(0,0)),((0,0),(1,0)))",
+                           "(((0,0),(0,1)),((0,0),(0,1)))"),
+    ((0, 1), "orbit", 2): ("1", "(0,1)", "((0,1),(1,0))", "(((0,0),(0,1)),((1,1),(0,0)))",
+                           "(((0,0),(0,1)),((0,0),(0,1)))"),
+    ((0, 1), "value", 0): ("1", "(1,0)", "((1,0),(0,1))", "(((1,1),(0,0)),((0,0),(1,0)))",
+                           "(((0,0),(0,1)),((0,0),(0,1)))"),
+    ((0, 1), "value", 1): ("1", "(1,0)", "((1,0),(0,1))", "(((1,1),(0,0)),((0,0),(1,0)))",
+                           "(((0,0),(0,1)),((0,0),(0,1)))"),
+    ((0, 1), "value", 2): ("1", "(0,1)", "((0,1),(1,0))", "(((0,0),(0,1)),((1,1),(0,0)))",
+                           "(((0,0),(0,1)),((0,0),(0,1)))"),
+    ((0, 2), "orbit", 0): ("1", "(0,1)", "((0,1),(1,0))", "(((0,0),(1,0)),((1,1),(0,0)))",
+                           "(((0,0),(0,1)),((0,0),(0,1)))"),
+    ((0, 2), "orbit", 1): ("1", "(0,1)", "((0,1),(0,1))", "(((0,0),(1,1)),((0,0),(0,1)))",
+                           "(((0,1),(0,0)),((0,0),(0,1)))"),
+    ((0, 2), "orbit", 2): ("1", "(0,1)", "((0,1),(1,0))", "(((0,0),(1,0)),((1,1),(0,0)))",
+                           "(((0,0),(0,1)),((0,0),(0,1)))"),
+    ((0, 2), "value", 0): ("1", "(1,0)", "((0,1),(0,1))", "(((0,0),(1,1)),((0,0),(0,1)))",
+                           "(((0,0),(1,0)),((0,0),(0,1)))"),
+    ((0, 2), "value", 1): ("1", "(0,1)", "((1,0),(0,1))", "(((0,1),(0,0)),((0,0),(1,1)))",
+                           "(((0,0),(1,0)),((0,0),(0,1)))"),
+    ((0, 2), "value", 2): ("1", "(0,1)", "((0,1),(0,1))", "(((0,0),(1,0)),((0,0),(1,1)))",
+                           "(((0,0),(0,1)),((0,1),(0,0)))"),
+}
+
+
+def test_form_strings_golden():
+    for d, depth, E, text in GOLDEN_FULL_FORMS:
+        assert form_str(canon_full(E, depth, d)) == text, (d, depth, E)
+    for (swap, policy, colour), texts in GOLDEN_COLOURED_FORMS.items():
+        scheme = ColourScheme.from_generators(2, [from_cycles(3, swap)])
+        got = tuple(form_str(canon_coloured(E, depth, scheme, colour, policy))
+                    for depth, E in GOLDEN_COLOURED_SUBSETS)
+        assert got == texts, (swap, policy, colour)
+
+
 def test_orbit_census_refuses_scheme_of_other_d():
     # a d=3 scheme on a binary cone used to be canonicalized as a ternary one
     with pytest.raises(ColourSchemeMismatch):
@@ -349,6 +410,8 @@ def test_matcher_refuses_bad_input():
         Matcher(2, 2, ColourScheme.full(3))
     with pytest.raises(ColourSchemeMismatch):
         Matcher(2, 2, ColourScheme.full(2), 3)
+    with pytest.raises(ValueError, match="needs a colour scheme"):
+        Matcher(2, 2, None, 7)
     assert Matcher(2, 2, ColourScheme.full(2)).parent_colour == 0
 
 
@@ -447,6 +510,39 @@ def test_census_equals_subset_loop_coloured_ternary():
                 census_by_subsets(3, 2, k, scheme), (G.generators, k)
 
 
+def orbit_sizes_by_maps(depth, d, k, scheme=None, colour=None):
+    """Oracle that builds no forms: the sizes of the orbits of the k-subsets
+    under every map ``enumerate_cone_maps`` lists, sorted."""
+    maps = enumerate_cone_maps(depth, d, scheme, colour, colour)
+    seen = set()
+    sizes = []
+    for E in itertools.combinations(range(d ** depth), k):
+        if E in seen:
+            continue
+        orbit = {tuple(sorted(m[x] for x in E)) for m in maps}
+        assert E in orbit
+        seen |= orbit
+        sizes.append(len(orbit))
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("d,depth", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_census_equals_orbits_of_maps_full_mode(d, depth):
+    for k in range(d ** depth + 1):
+        counts = sorted(n for _, n in orbit_census(d, depth, k).counts)
+        assert counts == orbit_sizes_by_maps(depth, d, k), k
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_census_equals_orbits_of_maps_coloured_mode(depth):
+    for scheme in all_schemes_d2():
+        for colour in range(3):
+            for k in range(2 ** depth + 1):
+                counts = sorted(n for _, n in orbit_census(2, depth, k, scheme, colour).counts)
+                assert counts == orbit_sizes_by_maps(depth, 2, k, scheme, colour), \
+                    (scheme.F.generators, colour, k)
+
+
 def test_census_leaf_label_equals_subset_loop():
     for scheme in all_schemes_d2():
         for colour in range(3):
@@ -495,5 +591,12 @@ def test_census_refusals():
                 orbit_census(2, 3, k, s, colour)
         with pytest.raises(ColourSchemeMismatch):
             orbit_census(2, 3, 2, s, colour, leaf_label=0)
+        # checked before the k > leaves shortcut too
+        with pytest.raises(ColourSchemeMismatch):
+            orbit_census(2, 3, 9, s, colour)
     with pytest.raises(ColourSchemeMismatch):
         orbit_census(3, 2, 2, s)
+    # a parent colour means nothing without a scheme
+    for k in (1, 9):
+        with pytest.raises(ValueError, match="needs a colour scheme"):
+            orbit_census(2, 3, k, parent_colour=0)

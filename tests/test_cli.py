@@ -247,6 +247,21 @@ def test_census_output_golden(tmp_path, mode):
     assert hashlib.sha256(read(tmp_path / "only.json")).hexdigest() == digests[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--k", "1", "--parent-colour", "7"],  # no scheme to read a colour in
+    ["--k", "1", "--parent-colour", "0"],
+    ["--k", "9", "--parent-colour", "9", "--scheme"],  # more than 4 leaves
+    ["--k", "1", "--parent-colour", "3", "--scheme"],
+], ids=["no-scheme-7", "no-scheme-0", "k-past-leaves", "out-of-range"])
+def test_census_refuses_unusable_parent_colour(tmp_path, capsys, argv):
+    if argv[-1] == "--scheme":
+        argv = argv + [write_scheme(tmp_path, [[1, 0, 2]])]
+    out = tmp_path / "census.csv"
+    assert main(["census", "--d", "2", "--depth", "2", *argv, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_census_cmd(tmp_path, capsys):
     out = tmp_path / "census.csv"
     assert main(["census", "--d", "2", "--depth", "2", "--k", "2",

@@ -291,6 +291,28 @@ def test_overgroups_of_cycle_degree5():
     assert sorted(g.order for g in over) == [5, 10, 20, 60, 120]
 
 
+@pytest.mark.parametrize("amb", [symmetric_group(4), product_of_symmetric([2, 3]),
+                                 product_of_symmetric([2, 2, 2])],
+                         ids=["S4", "S2xS3", "S2xS2xS2"])
+def test_subgroups_of_equals_closures_of_small_subsets(amb):
+    # every subgroup of these ambients is generated by at most 3 elements
+    closures = {frozenset(close(gens, degree=amb.degree))
+                for r in range(4) for gens in itertools.combinations(amb.elements, r)}
+    subs = subgroups_of(amb)
+    assert len(subs) == len(closures)
+    assert {G.element_set for G in subs} == closures
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 6])
+def test_overgroups_of_cycle_equals_lattice_filter(degree):
+    cycle = from_cycles(degree, tuple(range(degree)))
+    subs, _ = enumerate_subgroups(degree)
+    over = overgroups_of_cycle(degree)
+    assert len(over) == len({G.element_set for G in over})
+    assert ({G.element_set for G in over}
+            == {G.element_set for G in subs if cycle in G.element_set})
+
+
 def sym_elements(degree):
     return tuple(sorted(itertools.permutations(range(degree))))
 
