@@ -189,6 +189,8 @@ def equivalent(E, F2, depth: int, d: int, scheme: ColourScheme | None = None,
     if depth < 0:
         raise DepthMismatch("negative depth")
     if scheme is None:
+        if colour_e is not None or colour_f is not None:
+            raise ValueError("parent_colour needs a colour scheme")
         return canon_full(E, depth, d) == canon_full(F2, depth, d)
     if scheme.d != d:
         raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {d}")

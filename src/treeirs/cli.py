@@ -107,7 +107,7 @@ def counting_rows(degree: int, cap: int) -> list[list]:
                          res.lhs.numerator, res.lhs.denominator,
                          res.rhs.numerator, res.rhs.denominator,
                          f"|A|={len(tv.restrictions)}", res.holds])
-            res = verify_index(gamma, tv.elements, U, V, ambient)
+            res = verify_index(mu, tv.elements, U, V)
             rows.append(["index", degree, gid, _pts(U), _pts(V),
                          res.lhs.numerator, res.lhs.denominator,
                          res.rhs.numerator, res.rhs.denominator,

@@ -9,7 +9,7 @@ failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -22,7 +22,6 @@ from .perm import (
     identity,
     restrict,
     rigid_stabilizer,
-    symmetric_group,
 )
 
 
@@ -78,11 +77,14 @@ class ConjInvariantMeasure:
 
     Subgroups in the support are deduplicated by element set; weights are
     exact and sum to one.  Conjugation invariance is checked on generators of
-    the ambient group (which generate all inner automorphisms).
+    the ambient group (which generate all inner automorphisms).  The measure
+    is immutable, so a check that passes is remembered on it and not run
+    again; one that fails raises on every call.
     """
 
     ambient: GeneratedGroup
     support: tuple[tuple[GeneratedGroup, Fraction], ...]
+    _invariant: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = sum(w for _, w in self.support)
@@ -90,6 +92,8 @@ class ConjInvariantMeasure:
             raise ValueError(f"weights sum to {total}, not 1")
 
     def check_invariance(self) -> None:
+        if self._invariant:
+            return
         weights = {H.element_set: w for H, w in self.support}
         for g in self.ambient.generators:
             for H, w in self.support:
@@ -97,6 +101,7 @@ class ConjInvariantMeasure:
                 if weights.get(key) != w:
                     raise NotConjInvariant(
                         f"support not closed under conjugation by {g}")
+        object.__setattr__(self, "_invariant", True)
 
     def expectation(self, fn) -> Fraction:
         return sum((w * fn(H) for H, w in self.support), Fraction(0))
@@ -154,6 +159,15 @@ def _restricted_perm_set(elements, U) -> frozenset:
     return frozenset(restrict(p, U) for p in elements)
 
 
+def _ambient_E1_data(ambient: GeneratedGroup, U, V) -> tuple[frozenset, frozenset]:
+    """The ambient's U -> V restrictions and its rigid stabilizer R(U) as
+    permutations of U, computed once per ambient and (U, V) and kept on the
+    ambient (at most 3^degree entries)."""
+    return ambient.memo(("irs.E1", U, V), lambda: (
+        frozenset(transporter(ambient, U, V).restrictions),
+        _restricted_perm_set(rigid_stabilizer(ambient, U).elements, U)))
+
+
 def verify_E1(mu: ConjInvariantMeasure, U, V, A) -> VerifyResult:
     """Check the subgroup-index inequality for the event {H|_{U->V} meets A}.
 
@@ -168,11 +182,10 @@ def verify_E1(mu: ConjInvariantMeasure, U, V, A) -> VerifyResult:
         raise ValueError("U, V must be disjoint and non-empty")
     mu.check_invariance()
     A = {tuple(a) for a in A}
-    ambient_T = transporter(mu.ambient, U, V)
-    if not A <= set(ambient_T.restrictions):
+    ambient_restrictions, RU = _ambient_E1_data(mu.ambient, U, V)
+    if not A <= ambient_restrictions:
         raise ValueError("A must consist of restrictions of ambient transporter elements")
 
-    RU = _restricted_perm_set(rigid_stabilizer(mu.ambient, U).elements, U)
     lhs = Fraction(0)
     rhs = Fraction(0)
     for H, w in mu.support:
@@ -188,12 +201,12 @@ def verify_E1(mu: ConjInvariantMeasure, U, V, A) -> VerifyResult:
     return VerifyResult(lhs, rhs, lhs <= rhs)
 
 
-def verify_index(gamma: GeneratedGroup, Q, U, V,
-                 ambient: GeneratedGroup | None = None) -> VerifyResult:
-    """Check P(random Sym(X)-conjugate of gamma meets Q) <= |gamma| |Q_U| / |U|!.
+def verify_index(nu: ConjInvariantMeasure, Q, U, V) -> VerifyResult:
+    """Check P_nu(H meets Q) <= E_nu[|H|] |Q_U| / |U|!.
 
     Q must consist of permutations carrying U onto V; Q_U is the set of their
-    restrictions to U, deduplicated.
+    restrictions to U, deduplicated.  For the uniform measure on the
+    Sym(X)-conjugates of gamma the bound is |gamma| |Q_U| / |U|!.
     """
     U = tuple(sorted(U))
     V = tuple(sorted(V))
@@ -202,13 +215,11 @@ def verify_index(gamma: GeneratedGroup, Q, U, V,
     for q in Q:
         if {q[x] for x in U} != Vset:
             raise BadTransporterSet(f"element does not carry U onto V: {q}")
-    if ambient is None:
-        ambient = symmetric_group(gamma.degree, cap=max(gamma.cap, factorial(gamma.degree)))
-    nu = uniform_conjugate_measure(gamma, ambient)
+    nu.check_invariance()
     Qset = set(Q)
-    lhs = nu.expectation(lambda H: Fraction(1) if Qset & H.element_set else Fraction(0))
+    lhs = sum((w for H, w in nu.support if not Qset.isdisjoint(H.element_set)), Fraction(0))
     QU = {restriction_map(q, U) for q in Q}
-    rhs = Fraction(gamma.order * len(QU), factorial(len(U)))
+    rhs = nu.expectation(lambda H: H.order) * len(QU) / factorial(len(U))
     return VerifyResult(lhs, rhs, lhs <= rhs)
 
 

@@ -148,10 +148,10 @@ class GeneratedGroup:
     """A permutation group held by generators, with a fully cached element list.
 
     Immutable after construction; the element closure is computed lazily and
-    at most once.
+    at most once, and so is anything kept through ``memo``.
     """
 
-    __slots__ = ("degree", "generators", "cap", "_elements", "_eset")
+    __slots__ = ("degree", "generators", "cap", "_elements", "_eset", "_memo")
 
     def __init__(self, degree: int, generators, cap: int = DEFAULT_CAP, _elements=None):
         self.degree = degree
@@ -159,6 +159,7 @@ class GeneratedGroup:
         self.cap = cap
         self._elements = tuple(_elements) if _elements is not None else None
         self._eset = frozenset(self._elements) if self._elements is not None else None
+        self._memo = None
 
     @property
     def elements(self) -> tuple[Perm, ...]:
@@ -175,6 +176,19 @@ class GeneratedGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def memo(self, key, build):
+        """``build()``, computed once per ``key`` and kept on this group.
+
+        For data derived from the group alone, which cannot go stale because
+        the group never changes; it is freed with the group.  Callers keep
+        their keys distinct and bounded.
+        """
+        if self._memo is None:
+            self._memo = {}
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def __contains__(self, p) -> bool:
         return tuple(p) in self.element_set
@@ -444,13 +458,42 @@ def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=())
     register(seed_gens, frozenset(close(seed_gens, cap, degree=degree)))
     while todo:
         gens, eset = todo.popleft()
+        H = tuple(eset)
         for g in _double_coset_reps(gens, ambient_elements):
             if g in eset:
                 continue
-            joined = frozenset(close(gens + (g,), cap, degree=degree))
+            joined = _extend(H, gens + (g,), cap)
             if joined not in known:
                 register(gens + (g,), joined)
     return found
+
+
+def _extend(H, gens, cap: int) -> frozenset:
+    """The element set of <gens>, where ``gens`` extends a generating set of
+    the subgroup whose elements are the tuple ``H``, built coset by coset as
+    in Dimino's algorithm.
+
+    The result is kept as a union of cosets H r = {compose(h, r) : h in H}.
+    Only the representatives r are multiplied by the generators: when
+    compose(r, s) lies outside the union, its whole coset joins with it as
+    representative.  Once every representative has been tried, the union
+    holds H and is closed under multiplication by every generator (if
+    compose(r, s) = compose(h', r'), then compose(compose(h, r), s) lies in
+    H r'), so it is <gens>.  Cosets join whole, so this raises
+    ``ClosureExceedsCap`` exactly when ``close`` would: when the order
+    exceeds ``cap``.
+    """
+    elements = set(H)
+    reps = [H[0]]  # any element of H represents H itself
+    for r in reps:
+        for s in gens:
+            t = tuple([s[x] for x in r])
+            if t not in elements:
+                if len(elements) + len(H) > cap:
+                    raise ClosureExceedsCap(f"closure exceeds cap={cap}")
+                elements.update([tuple([t[x] for x in h]) for h in H])
+                reps.append(t)
+    return frozenset(elements)
 
 
 def _sorted_groups(degree: int, walk, cap: int) -> tuple[GeneratedGroup, ...]:

@@ -80,7 +80,7 @@ def test_c1_counting_lemma_exhaustiveness():
                 if not tv.elements:
                     continue
                 r1 = verify_E1(mu, U, V, tv.restrictions)
-                r2 = verify_index(gamma, tv.elements, U, V, ambient)
+                r2 = verify_index(mu, tv.elements, U, V)
                 assert r1.holds, ("E1", degree, gamma.generators, U, V, r1)
                 assert r2.holds, ("index", degree, gamma.generators, U, V, r2)
                 checked += 2

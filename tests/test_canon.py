@@ -46,6 +46,14 @@ def test_equivalent_basic():
     assert not equivalent((0, 1), (0,), 2, 2)  # cardinality differs
 
 
+@pytest.mark.parametrize("colours", [(7, 9), (7, None), (None, 0)],
+                         ids=["both", "colour_e", "colour_f"])
+def test_equivalent_refuses_colours_without_scheme(colours):
+    # colours 7 and 9 exist on no binary tree; full mode used to ignore them
+    with pytest.raises(ValueError, match="parent_colour needs a colour scheme"):
+        equivalent((0,), (1,), 2, 2, None, *colours)
+
+
 def test_canon_full_invariance_random():
     # 10^4 random (subset, group element) pairs at depth <= 8
     rng = random.Random(20240817)

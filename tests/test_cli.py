@@ -247,6 +247,29 @@ def test_census_output_golden(tmp_path, mode):
     assert hashlib.sha256(read(tmp_path / "only.json")).hexdigest() == digests[1]
 
 
+# SHA-256 of `treeirs verify-counting --degree 4|5` outputs (CSV and its JSON
+# mirror), as the verifiers wrote them when every call rebuilt its measure,
+# re-checked invariance and recomputed the ambient transporter
+VERIFY_COUNTING_DIGESTS = {
+    4: ("1d7a1759fc23303b89522f7788eaddc0b18c5d6de56034771d694568187ea14a",
+        "2b1c9422634390629a3037a4e9ae8822ffc55b1fdffc780c1fb36cccc85847f9"),
+    5: ("49ab47e1a3e49d004987428ee33496a8fb6ad3d3ce38660214bfb3a00215f17a",
+        "9481e34ee31ad93da72d44690f0a1487e11016694a4fc776bc8d062b71e6fc80"),
+}
+
+
+@pytest.mark.parametrize("degree", sorted(VERIFY_COUNTING_DIGESTS))
+def test_verify_counting_output_golden(tmp_path, degree):
+    out = tmp_path / "verify.csv"
+    argv = ["verify-counting", "--degree", str(degree)]
+    assert main(argv + ["--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256(read(p)).hexdigest()
+                    for p in (out, tmp_path / "verify.json"))
+    assert digests == VERIFY_COUNTING_DIGESTS[degree]
+    assert main(argv + ["--out", str(tmp_path / "only.json"), "--format", "json"]) == 0
+    assert hashlib.sha256(read(tmp_path / "only.json")).hexdigest() == digests[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["--k", "1", "--parent-colour", "7"],  # no scheme to read a colour in
     ["--k", "1", "--parent-colour", "0"],

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -8,6 +9,8 @@ from treeirs.irs import (
     BadTransporterSet,
     ConjInvariantMeasure,
     NotASubgroup,
+    NotConjInvariant,
+    VerifyResult,
     point_mass,
     restriction_map,
     stabilizer_measure,
@@ -26,6 +29,7 @@ from treeirs.perm import (
     from_cycles,
     identity,
     product_of_symmetric,
+    restrict,
     rigid_stabilizer,
     subgroups_of,
     symmetric_group,
@@ -183,24 +187,27 @@ def test_verify_e1_rejects_bad_A():
 def test_verify_index_examples():
     s4 = symmetric_group(4)
     gamma = GeneratedGroup(4, [from_cycles(4, (0, 1), (2, 3))])
+    nu = uniform_conjugate_measure(gamma, s4)
 
-    res = verify_index(gamma, [], (0,), (1,))
+    res = verify_index(nu, [], (0,), (1,))
     assert res.lhs == 0 and res.holds
 
-    res = verify_index(gamma, [from_cycles(4, (0, 1), (2, 3))], (0,), (1,))
+    res = verify_index(nu, [from_cycles(4, (0, 1), (2, 3))], (0,), (1,))
     assert res.lhs == Fraction(1, 3)
     assert res.rhs == 2
     assert res.holds
 
-    res = verify_index(s4, [from_cycles(4, (0, 2), (1, 3))], (0, 1), (2, 3))
+    res = verify_index(uniform_conjugate_measure(s4, s4),
+                       [from_cycles(4, (0, 2), (1, 3))], (0, 1), (2, 3))
     assert res.rhs == Fraction(24 * 1, 2)
     assert res.holds
 
 
 def test_verify_index_bad_q():
     gamma = GeneratedGroup(4, [from_cycles(4, (0, 1), (2, 3))])
+    nu = uniform_conjugate_measure(gamma, symmetric_group(4))
     with pytest.raises(BadTransporterSet):
-        verify_index(gamma, [identity(4)], (0,), (1,))
+        verify_index(nu, [identity(4)], (0,), (1,))
 
 
 def _diagonal_group(gens3):
@@ -273,3 +280,112 @@ def test_verify_e2_product_sweep_smoke():
         for b in lam.elements:
             res = verify_E2(mu, (0, 1), (2, 3, 4), [b])
             assert res.holds
+
+
+# Oracles: the verifiers as they were before the ambient data was kept per
+# ambient and invariance per measure.  Every call checks invariance on a
+# fresh copy of the measure, recomputes the ambient transporter and rigid
+# stabilizer, and (for the index bound) rebuilds the conjugate measure.
+
+def verify_E1_oracle(mu, U, V, A):
+    U = tuple(sorted(U))
+    V = tuple(sorted(V))
+    ConjInvariantMeasure(mu.ambient, mu.support).check_invariance()
+    A = {tuple(a) for a in A}
+    ambient_T = transporter(mu.ambient, U, V)
+    if not A <= set(ambient_T.restrictions):
+        raise ValueError("A must consist of restrictions of ambient transporter elements")
+    RU = frozenset(restrict(p, U) for p in rigid_stabilizer(mu.ambient, U).elements)
+    lhs = Fraction(0)
+    rhs = Fraction(0)
+    for H, w in mu.support:
+        tv = transporter(H, U, V)
+        if not tv.elements:
+            continue
+        if A & set(tv.restrictions):
+            lhs += w
+        barHUU = frozenset(restrict(p, U) for p in transporter(H, U, U).elements)
+        index = Fraction(len(RU), len(RU & barHUU))
+        rhs += w * min(Fraction(len(A)) / index, Fraction(1))
+    return VerifyResult(lhs, rhs, lhs <= rhs)
+
+
+def verify_index_oracle(gamma, Q, U, V, ambient):
+    U = tuple(sorted(U))
+    Q = [tuple(q) for q in Q]
+    nu = uniform_conjugate_measure(gamma, ambient)
+    Qset = set(Q)
+    lhs = nu.expectation(lambda H: Fraction(1) if Qset & H.element_set else Fraction(0))
+    QU = {restriction_map(q, U) for q in Q}
+    rhs = Fraction(gamma.order * len(QU), factorial(len(U)))
+    return VerifyResult(lhs, rhs, lhs <= rhs)
+
+
+def disjoint_pairs(degree):
+    pts = range(degree)
+    for ru in range(1, degree):
+        for U in itertools.combinations(pts, ru):
+            rest = [x for x in pts if x not in U]
+            for rv in range(1, len(rest) + 1):
+                yield from ((U, V) for V in itertools.combinations(rest, rv))
+
+
+@pytest.mark.parametrize("ambient", [
+    symmetric_group(4), product_of_symmetric([2, 3]),
+], ids=["S4", "S2xS3"])
+def test_verifiers_equal_recomputing_oracles(ambient):
+    # one ambient object and one measure per subgroup for every (U, V), so
+    # the kept ambient data and the remembered invariance are used warm
+    pairs = list(disjoint_pairs(ambient.degree))
+    checked = 0
+    for gamma in subgroups_of(ambient):
+        mu = uniform_conjugate_measure(gamma, ambient)
+        for U, V in pairs:
+            tv = transporter(gamma, U, V)
+            for A in (tv.restrictions, transporter(ambient, U, V).restrictions[:1]):
+                assert verify_E1(mu, U, V, A) == verify_E1_oracle(mu, U, V, A)
+            assert (verify_index(mu, tv.elements, U, V)
+                    == verify_index_oracle(gamma, tv.elements, U, V, ambient))
+            checked += 1
+    assert checked == len(subgroups_of(ambient)) * len(pairs)
+
+
+def test_not_conj_invariant_raises_on_every_call():
+    s3 = symmetric_group(3)
+    bad = point_mass(GeneratedGroup(3, [from_cycles(3, (0, 1))]), s3)
+    A = [(1,)]
+    for _ in range(2):
+        with pytest.raises(NotConjInvariant):
+            verify_E1(bad, (0,), (1,), A)
+        with pytest.raises(NotConjInvariant):
+            verify_E2(bad, (0, 1, 2), (), [identity(3)])
+    # another measure over the same ambient passes and warms its data
+    good = uniform_conjugate_measure(GeneratedGroup(3, [from_cycles(3, (0, 1))]), s3)
+    assert verify_E1(good, (0,), (1,), A).holds
+    assert verify_E1(good, (0,), (1,), A).holds
+    with pytest.raises(NotConjInvariant):
+        verify_E1(bad, (0,), (1,), A)
+    with pytest.raises(NotConjInvariant):
+        verify_E2(bad, (0, 1, 2), (), [identity(3)])
+    with pytest.raises(NotConjInvariant):
+        verify_index(bad, [], (0,), (1,))
+
+
+def test_not_conj_invariant_e2_over_product():
+    amb = product_of_symmetric([2, 3])
+    bad = point_mass(GeneratedGroup(5, [from_cycles(5, (2, 3))]), amb)
+    for _ in range(2):
+        with pytest.raises(NotConjInvariant):
+            verify_E2(bad, (0, 1), (2, 3, 4), [identity(5)])
+
+
+def test_verify_e1_rejects_bad_A_with_warm_ambient():
+    s4 = symmetric_group(4)
+    mu = uniform_conjugate_measure(GeneratedGroup(4, [from_cycles(4, (0, 1, 2, 3))]), s4)
+    assert verify_E1(mu, (0,), (1,), [(1,)]).holds
+    for _ in range(2):
+        with pytest.raises(ValueError, match="restrictions of ambient"):
+            verify_E1(mu, (0,), (1,), [(2,)])
+        with pytest.raises(ValueError, match="restrictions of ambient"):
+            verify_E1(point_mass(s4, s4), (0,), (1,), [(1,), (3,)])
+    assert verify_E1(mu, (0,), (1,), [(1,)]).holds

@@ -1,9 +1,9 @@
 import itertools
 import random
-from math import factorial
+from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treeirs.perm import (
@@ -14,6 +14,7 @@ from treeirs.perm import (
     NotTransitive,
     alternating_group,
     _double_coset_reps,
+    _extend,
     close,
     compose,
     conjugacy_orbit,
@@ -28,6 +29,7 @@ from treeirs.perm import (
     inverse,
     is_even,
     is_perm,
+    is_primitive,
     minimal_blocks,
     orbits,
     overgroups_of_cycle,
@@ -311,6 +313,98 @@ def test_overgroups_of_cycle_equals_lattice_filter(degree):
     assert len(over) == len({G.element_set for G in over})
     assert ({G.element_set for G in over}
             == {G.element_set for G in subs if cycle in G.element_set})
+
+
+def proper_divisors(n):
+    return [b for b in range(2, n) if n % b == 0]
+
+
+def block_perms(n, b):
+    """Permutations of degree n that permute the blocks {b i, ..., b i + b - 1}."""
+    within = st.lists(st.permutations(range(b)), min_size=n // b, max_size=n // b)
+    return st.tuples(st.permutations(range(n // b)), within).map(
+        lambda sw: tuple(sw[0][x // b] * b + sw[1][x // b][x % b] for x in range(n)))
+
+
+def generator_perms(n):
+    """Permutations of degree n that generate small and large groups alike:
+    ones moving at most 4 points, affine maps x -> a x + b (mod n), whose
+    groups are transitive and often imprimitive, block permutations, and
+    arbitrary ones."""
+    def moving(pts, images):
+        p = list(range(n))
+        for x, y in zip(pts, images):
+            p[x] = y
+        return tuple(p)
+
+    few_points = st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True).flatmap(
+        lambda pts: st.permutations(pts).map(lambda images: moving(pts, images)))
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    affine = st.tuples(st.sampled_from(units), st.integers(0, n - 1)).map(
+        lambda ab: tuple((ab[0] * x + ab[1]) % n for x in range(n)))
+    divisors = proper_divisors(n)
+    blocks = (st.sampled_from(divisors).flatmap(lambda b: block_perms(n, b))
+              if divisors else st.nothing())
+    return st.one_of(few_points, affine, blocks, st.permutations(range(n)).map(tuple))
+
+
+@st.composite
+def subgroup_and_element(draw):
+    n = draw(st.integers(5, 7))
+    gens = tuple(draw(st.lists(generator_perms(n), max_size=2)))
+    return n, gens, draw(generator_perms(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(subgroup_and_element())
+def test_extend_equals_close(case):
+    n, H_gens, g = case
+    gens = H_gens + (g,)
+    H = close(H_gens, cap=factorial(n), degree=n)
+    joined = frozenset(close(gens, cap=factorial(n), degree=n))
+    assert _extend(H, gens, factorial(n)) == joined
+    if g not in H:  # the join walk extends only by elements outside H
+        order = len(joined)
+        assert _extend(H, gens, order) == joined
+        with pytest.raises(ClosureExceedsCap):
+            _extend(H, gens, order - 1)
+        with pytest.raises(ClosureExceedsCap):
+            close(gens, cap=order - 1, degree=n)
+
+
+@st.composite
+def generator_sets(draw):
+    """Generators of degree 7-10; half of the composite-degree draws keep
+    one block system, so transitive imprimitive groups come up often."""
+    n = draw(st.integers(7, 10))
+    family = generator_perms(n)
+    if proper_divisors(n) and draw(st.booleans()):
+        family = block_perms(n, draw(st.sampled_from(proper_divisors(n))))
+    return n, draw(st.lists(family, min_size=1, max_size=3))
+
+
+def test_perm_layer_vs_sympy():
+    pytest.importorskip("sympy")
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    @settings(max_examples=100, deadline=None)
+    @given(generator_sets())
+    def check(case):
+        n, gens = case
+        oracle = PermutationGroup([Permutation(list(g)) for g in gens])
+        order = oracle.order()
+        assume(order <= 20_000)
+        G = GeneratedGroup(n, gens, cap=20_000)
+        assert G.order == order
+        assert orbits(G) == tuple(sorted(tuple(sorted(o)) for o in oracle.orbits()))
+        transitive = len(orbits(G)) == 1
+        assert transitive == oracle.is_transitive()
+        if transitive:
+            assert is_primitive(G) == oracle.is_primitive(randomized=False)
+        # Alt(n) is the only subgroup of Sym(n) of index 2
+        assert contains_alt_on(G, range(n)) == (order in (factorial(n) // 2, factorial(n)))
+
+    check()
 
 
 def sym_elements(degree):
