@@ -3,10 +3,11 @@
 An element is a reduced triple (A, B, sigma): two complete finite subtrees
 with equally many leaves and a leaf bijection.  It acts on addresses by
 replacing the unique A-leaf prefix with its sigma image; below the leaves the
-identification is order preserving by construction.  Composition goes through
-the common refinement of the middle trees; reduction collapses sibling
-families that map order-preservingly onto sibling families, and the reduced
-representative is the canonical form used for equality.
+identification is order preserving by construction.  Composition is one
+pass over the common refinement of the middle trees, with no intermediate
+pair; reduction is a single bottom-up sweep that collapses sibling families
+mapping order-preservingly onto sibling families.  The reduced representative
+is unique, so it is the canonical form used for equality.
 
 Subtrees are stored as their leaf sets: sorted tuples of digit-tuple
 addresses (the root-only tree is ``((),)``).
@@ -112,18 +113,6 @@ class TreePair:
         return reduce_pair(self)
 
 
-def _expand_once(pair: TreePair, domain_leaf: Address) -> TreePair:
-    """Expand one domain leaf and its image into their children, in order."""
-    a = tuple(domain_leaf)
-    b = pair.image_of_leaf(a)
-    arity = _arity(a, pair.d, pair.q)  # a == () iff b == (), so arities agree
-    m = pair.mapping()
-    del m[a]
-    for j in range(arity):
-        m[a + (j,)] = b + (j,)
-    return TreePair.from_mapping(pair.d, pair.q, m)
-
-
 def _internal_vertices(leaves) -> set[Address]:
     out = set()
     for a in leaves:
@@ -148,61 +137,77 @@ def join_frontiers(l1, l2, d: int, q: int) -> tuple[Address, ...]:
     return tuple(sorted(out))
 
 
-def _expand_side_to(pair: TreePair, side: str, target) -> TreePair:
-    """Expand the pair until the chosen side's frontier equals ``target``."""
-    target_internal = _internal_vertices(target)
-    while True:
-        leaves = pair.range_leaves if side == "range" else pair.domain_leaves
-        todo = [a for a in leaves if a in target_internal]
-        if not todo:
-            return pair
-        a = todo[0]
-        if side == "range":
-            inv = {pair.range_leaves[pair.sigma[i]]: pair.domain_leaves[i]
-                   for i in range(len(pair.sigma))}
-            pair = _expand_once(pair, inv[a])
-        else:
-            pair = _expand_once(pair, a)
+def _collapse(m: dict[Address, Address], d: int, q: int) -> bool:
+    """Collapse the sibling families of ``m`` in place; True if any collapsed.
+
+    ``m`` maps domain leaves to range leaves.  One sweep over the parents of
+    domain leaves, deepest first, reaches the fixed point: a collapse at
+    depth L only makes a new leaf at depth L, which can complete a family only
+    under its own parent, one level up, where the sweep has not been yet.
+    """
+    levels: dict[int, set[Address]] = {}
+    for a in m:
+        if a:
+            levels.setdefault(len(a) - 1, set()).add(a[:-1])
+    collapsed = False
+    for depth in range(max(levels, default=-1), -1, -1):
+        for parent in levels.get(depth, ()):
+            arity = _arity(parent, d, q)
+            first = m.get(parent + (0,))
+            if not first or _arity(first[:-1], d, q) != arity:
+                continue
+            w = first[:-1]
+            kids = [parent + (j,) for j in range(arity)]
+            if any(m.get(k) != w + (j,) for j, k in enumerate(kids)):
+                continue
+            for k in kids:
+                del m[k]
+            m[parent] = w
+            collapsed = True
+            if parent:
+                levels.setdefault(depth - 1, set()).add(parent[:-1])
+    return collapsed
 
 
 def reduce_pair(pair: TreePair) -> TreePair:
-    """Collapse order-preserving sibling-family matches until none remain."""
-    while True:
-        m = pair.mapping()
-        dom = set(m)
-        collapsed = False
-        for parent in sorted(_internal_vertices(pair.domain_leaves)):
-            arity = _arity(parent, pair.d, pair.q)
-            kids = [parent + (j,) for j in range(arity)]
-            if not all(k in dom for k in kids):
-                continue
-            images = [m[k] for k in kids]
-            w = images[0][:-1] if images[0] else None
-            if w is None:
-                continue
-            if _arity(w, pair.d, pair.q) != arity:
-                continue
-            if all(img == w + (j,) for j, img in enumerate(images)):
-                for k in kids:
-                    del m[k]
-                m[parent] = w
-                pair = TreePair.from_mapping(pair.d, pair.q, m)
-                collapsed = True
-                break
-        if not collapsed:
-            return pair
+    """Collapse order-preserving sibling-family matches until none remain.
+
+    Returns ``pair`` itself when it is already reduced.
+    """
+    m = pair.mapping()
+    if not _collapse(m, pair.d, pair.q):
+        return pair
+    return TreePair.from_mapping(pair.d, pair.q, m)
 
 
 def compose(p1: TreePair, p2: TreePair) -> TreePair:
-    """p1 then p2, returned in reduced form."""
+    """p1 then p2, returned in reduced form.
+
+    Every leaf ``w`` of the common refinement of p1's range and p2's domain
+    has a unique prefix ``r`` among p1's range leaves and ``s`` among p2's
+    domain leaves, and the composite maps ``pre[r] + w[len(r):]`` to
+    ``post[s] + w[len(s):]``.  The refinement is walked from the root, so
+    each prefix is found on the way down.
+    """
     if (p1.d, p1.q) != (p2.d, p2.q):
         raise MalformedPair("tree parameters differ")
-    middle = join_frontiers(p1.range_leaves, p2.domain_leaves, p1.d, p1.q)
-    a = _expand_side_to(p1, "range", middle)
-    b = _expand_side_to(p2, "domain", middle)
-    # a.range_leaves == b.domain_leaves == middle (both sorted)
-    sigma = tuple(b.sigma[a.sigma[i]] for i in range(len(a.sigma)))
-    return reduce_pair(TreePair(p1.d, p1.q, a.domain_leaves, b.range_leaves, sigma))
+    d, q = p1.d, p1.q
+    pre = {p1.range_leaves[j]: a for a, j in zip(p1.domain_leaves, p1.sigma)}
+    post = {a: p2.range_leaves[j] for a, j in zip(p2.domain_leaves, p2.sigma)}
+    m = {}
+    stack = [((), None, None)]
+    while stack:
+        w, r, s = stack.pop()
+        if r is None and w in pre:
+            r = w
+        if s is None and w in post:
+            s = w
+        if r is None or s is None:
+            stack.extend((w + (j,), r, s) for j in range(_arity(w, d, q)))
+        else:
+            m[pre[r] + w[len(r):]] = post[s] + w[len(s):]
+    _collapse(m, d, q)
+    return TreePair.from_mapping(d, q, m)
 
 
 def inverse(pair: TreePair) -> TreePair:
@@ -224,14 +229,14 @@ def act_on_address(pair: TreePair, w, deepen: bool = False):
     for i, a in enumerate(pair.domain_leaves):
         if w[:len(a)] == a:
             return pair.range_leaves[pair.sigma[i]] + w[len(a):]
-    below = [a for a in pair.domain_leaves if a[:len(w)] == w]
+    below = [i for i, a in enumerate(pair.domain_leaves) if a[:len(w)] == w]
     if not below:
         raise MalformedPair(f"address {w} is outside the tree")
     if not deepen:
         raise AddressTooShallow(
             f"address {w} is shallower than the domain frontier")
-    return tuple((a, pair.range_leaves[pair.sigma[pair.domain_leaves.index(a)]])
-                 for a in below)
+    return tuple((pair.domain_leaves[i], pair.range_leaves[pair.sigma[i]])
+                 for i in below)
 
 
 def is_label_preserving(pair: TreePair, scheme: ColourScheme,
@@ -256,7 +261,15 @@ def is_label_preserving(pair: TreePair, scheme: ColourScheme,
     return True
 
 
+def _check_json_digits(d: int, q: int) -> None:
+    if max(d, q) > 10:
+        raise MalformedPair(
+            f"JSON writes one character per digit; d={d}, q={q} has digits "
+            "of 10 or more")
+
+
 def pair_to_json(pair: TreePair) -> dict:
+    _check_json_digits(pair.d, pair.q)
     return {
         "d": pair.d,
         "q": pair.q,
@@ -267,8 +280,10 @@ def pair_to_json(pair: TreePair) -> dict:
 
 
 def pair_from_json(data) -> TreePair:
+    d, q = int(data["d"]), int(data["q"])
+    _check_json_digits(d, q)
     return TreePair(
-        int(data["d"]), int(data["q"]),
+        d, q,
         tuple(tuple(int(ch) for ch in s) for s in data["domain_leaves"]),
         tuple(tuple(int(ch) for ch in s) for s in data["range_leaves"]),
         tuple(int(x) for x in data["sigma"]),

@@ -13,15 +13,21 @@ def random_frontier(rng: random.Random, d: int, q: int, n_expansions: int):
     return tuple(sorted(leaves))
 
 
-def random_tree_pair(rng: random.Random, d: int, q: int,
-                     max_expansions: int = 5) -> TreePair:
-    """A random reduced element: random trees of equal leaf count, random sigma."""
+def random_raw_pair(rng: random.Random, d: int, q: int,
+                    max_expansions: int = 5) -> TreePair:
+    """A random unreduced element: random trees of equal leaf count, random sigma."""
     n = rng.randrange(max_expansions + 1)
     dom = random_frontier(rng, d, q, n)
     ran = random_frontier(rng, d, q, n)
     sigma = list(range(len(dom)))
     rng.shuffle(sigma)
-    return reduce_pair(TreePair(d, q, dom, ran, tuple(sigma)))
+    return TreePair(d, q, dom, ran, tuple(sigma))
+
+
+def random_tree_pair(rng: random.Random, d: int, q: int,
+                     max_expansions: int = 5) -> TreePair:
+    """A random reduced element: :func:`random_raw_pair`, reduced."""
+    return reduce_pair(random_raw_pair(rng, d, q, max_expansions))
 
 
 def random_label_preserving_pair(rng: random.Random, scheme: ColourScheme,

@@ -1,8 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_frontier, random_label_preserving_pair, random_tree_pair
+from conftest import (
+    random_frontier,
+    random_label_preserving_pair,
+    random_raw_pair,
+    random_tree_pair,
+)
 from treeirs.perm import enumerate_subgroups, from_cycles
 from treeirs.thompson import (
     AddressTooShallow,
@@ -180,3 +187,193 @@ def test_json_roundtrip():
         for _ in range(20):
             p = random_tree_pair(rng, d, q)
             assert pair_from_json(pair_to_json(p)) == p
+
+
+def test_json_refuses_digits_of_ten_or_more():
+    # q = 11: the root leaf (10,) would be written "10" and read back as (1, 0)
+    sigma = (1, 0) + tuple(range(2, 11))
+    p = TreePair(2, 11, tuple((j,) for j in range(11)),
+                 tuple((j,) for j in range(11)), sigma)
+    with pytest.raises(MalformedPair, match="digit"):
+        pair_to_json(p)
+    data = {"d": 2, "q": 11, "domain_leaves": [str(j) for j in range(11)],
+            "range_leaves": [str(j) for j in range(11)], "sigma": list(sigma)}
+    with pytest.raises(MalformedPair, match="digit"):
+        pair_from_json(data)
+    with pytest.raises(MalformedPair, match="digit"):
+        pair_from_json({**data, "d": 11, "q": 2})
+    # the largest digit that fits one character still round-trips
+    p10 = TreePair(2, 10, tuple((j,) for j in range(10)),
+                   tuple((j,) for j in range(10)), (9,) + tuple(range(9)))
+    assert pair_to_json(p10)["range_leaves"][-1] == "9"
+    assert pair_from_json(pair_to_json(p10)) == p10
+
+
+def test_json_output_unchanged():
+    p = TreePair.from_mapping(2, 3, {(0,): (1, 1), (1,): (0,), (2, 0): (2,),
+                                     (2, 1): (1, 0)})
+    assert pair_to_json(p) == {"d": 2, "q": 3,
+                               "domain_leaves": ["0", "1", "20", "21"],
+                               "range_leaves": ["0", "10", "11", "2"],
+                               "sigma": [2, 0, 3, 1]}
+
+
+# ---------------------------------------------------------------------------
+# differential test against a leaf-by-leaf oracle: compose expands one leaf
+# at a time, building a validated pair per step; reduce collapses one caret
+# and restarts from the root
+# ---------------------------------------------------------------------------
+
+def _oracle_arity(prefix, d, q):
+    return q if prefix == () else d
+
+
+def _oracle_internal(leaves):
+    return {a[:j] for a in leaves for j in range(len(a))}
+
+
+def _oracle_expand_once(pair, domain_leaf):
+    """Expand one domain leaf and its image into their children, in order."""
+    a = tuple(domain_leaf)
+    b = pair.image_of_leaf(a)
+    m = pair.mapping()
+    del m[a]
+    for j in range(_oracle_arity(a, pair.d, pair.q)):
+        m[a + (j,)] = b + (j,)
+    return TreePair.from_mapping(pair.d, pair.q, m)
+
+
+def _oracle_expand_side_to(pair, side, target):
+    target_internal = _oracle_internal(target)
+    while True:
+        leaves = pair.range_leaves if side == "range" else pair.domain_leaves
+        todo = [a for a in leaves if a in target_internal]
+        if not todo:
+            return pair
+        a = todo[0]
+        if side == "range":
+            inv = {pair.range_leaves[pair.sigma[i]]: pair.domain_leaves[i]
+                   for i in range(len(pair.sigma))}
+            pair = _oracle_expand_once(pair, inv[a])
+        else:
+            pair = _oracle_expand_once(pair, a)
+
+
+def _oracle_reduce(pair):
+    """Collapse one caret, rebuild a validated pair, restart from the root."""
+    while True:
+        m = pair.mapping()
+        collapsed = False
+        for parent in sorted(_oracle_internal(pair.domain_leaves)):
+            arity = _oracle_arity(parent, pair.d, pair.q)
+            kids = [parent + (j,) for j in range(arity)]
+            if not all(k in m for k in kids):
+                continue
+            images = [m[k] for k in kids]
+            if not images[0]:
+                continue
+            w = images[0][:-1]
+            if _oracle_arity(w, pair.d, pair.q) != arity:
+                continue
+            if all(img == w + (j,) for j, img in enumerate(images)):
+                for k in kids:
+                    del m[k]
+                m[parent] = w
+                pair = TreePair.from_mapping(pair.d, pair.q, m)
+                collapsed = True
+                break
+        if not collapsed:
+            return pair
+
+
+def _oracle_compose(p1, p2):
+    middle = join_frontiers(p1.range_leaves, p2.domain_leaves, p1.d, p1.q)
+    a = _oracle_expand_side_to(p1, "range", middle)
+    b = _oracle_expand_side_to(p2, "domain", middle)
+    sigma = tuple(b.sigma[a.sigma[i]] for i in range(len(a.sigma)))
+    return _oracle_reduce(TreePair(p1.d, p1.q, a.domain_leaves,
+                                   b.range_leaves, sigma))
+
+
+def _full_frontier(d, q, depth):
+    return tuple(sorted((j,) + rest for j in range(q)
+                        for rest in _tuples(d, depth - 1)))
+
+
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+def test_calculus_equals_leaf_by_leaf_oracle(d, q):
+    rng = random.Random(1000 * d + q)
+    raw = [random_raw_pair(rng, d, q) for _ in range(60)]
+    for p in raw:
+        r = reduce_pair(p)
+        assert r == _oracle_reduce(p)
+        assert reduce_pair(r) is r
+    for p1, p2 in zip(raw, raw[1:]):
+        assert compose(p1, p2) == _oracle_compose(p1, p2)
+    full = _full_frontier(d, q, 4)
+    deep_identity = TreePair(d, q, full, full, tuple(range(len(full))))
+    assert reduce_pair(deep_identity) == _oracle_reduce(deep_identity) \
+        == TreePair.identity(d, q)
+    for p in raw[:10]:
+        assert compose(deep_identity, p) == _oracle_compose(deep_identity, p)
+        assert compose(p, deep_identity) == _oracle_compose(p, deep_identity)
+
+
+# ---------------------------------------------------------------------------
+# the group axioms on drawn pairs
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _frontiers(draw, d, q, expansions):
+    leaves = [(j,) for j in range(q)]
+    for _ in range(expansions):
+        a = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+        leaves.extend(a + (j,) for j in range(d))
+    return tuple(sorted(leaves))
+
+
+@st.composite
+def _raw_pairs(draw, d, q):
+    n = draw(st.integers(0, 5))
+    dom = draw(_frontiers(d, q, n))
+    ran = draw(_frontiers(d, q, n))
+    sigma = draw(st.permutations(range(len(dom))))
+    return TreePair(d, q, dom, ran, tuple(sigma))
+
+
+@st.composite
+def _pair_tuples(draw, k):
+    d = draw(st.sampled_from((2, 3)))
+    q = draw(st.sampled_from((2, 3, 4)))
+    return tuple(draw(_raw_pairs(d, q)) for _ in range(k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_tuples(1), st.integers(0, 2 ** 16))
+def test_reduce_idempotent_and_canonical(pairs, pick):
+    (p,) = pairs
+    r = reduce_pair(p)
+    assert reduce_pair(r) is r
+    for x in (p, r):
+        leaf = x.domain_leaves[pick % len(x.domain_leaves)]
+        assert reduce_pair(_oracle_expand_once(x, leaf)) == r
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_tuples(3))
+def test_compose_associative_and_inverse(pairs):
+    p1, p2, p3 = pairs
+    assert compose(compose(p1, p2), p3) == compose(p1, compose(p2, p3))
+    assert compose(p1, inverse(p1)) == TreePair.identity(p1.d, p1.q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_tuples(2), st.lists(st.integers(0, 2 ** 16), min_size=12,
+                                 max_size=12))
+def test_action_of_composite(pairs, digits):
+    p1, p2 = pairs
+    d, q = p1.d, p1.q
+    # frontiers have depth <= 6, so composite domain leaves have depth <= 11
+    w = (digits[0] % q,) + tuple(x % d for x in digits[1:])
+    assert act_on_address(compose(p1, p2), w) == \
+        act_on_address(p2, act_on_address(p1, w))
