@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from . import montecarlo as mc
 from .canon import ColourSchemeMismatch, orbit_census
 from .classify import classify_case, in_Pi, in_Xi, profile
 from .irs import (
-    transporter,
+    transporters,
     uniform_conjugate_measure,
     verify_E1,
     verify_E2,
@@ -77,7 +78,6 @@ def _pts(points) -> str:
 def _disjoint_pairs(degree: int):
     pts = range(degree)
     out = []
-    import itertools
     for ru in range(1, degree):
         for U in itertools.combinations(pts, ru):
             rest = [x for x in pts if x not in set(U)]
@@ -89,29 +89,41 @@ def _disjoint_pairs(degree: int):
 
 def counting_rows(degree: int, cap: int) -> list[list]:
     """E1 and transporter-index rows for all subgroups of Sym(degree), plus
-    conjugacy-class-size rows over the fixed Sym(2) x Sym(3) product."""
+    conjugacy-class-size rows over the fixed Sym(2) x Sym(3) product.
+
+    Conjugate subgroups have the same uniform conjugate measure, so one
+    measure serves a whole conjugacy class and is dropped after its last
+    member's rows."""
     rows = []
     ambient = symmetric_group(degree, cap=max(cap, 720))
-    subs, _ = enumerate_subgroups(degree, cap=max(cap, 720))
-    pairs = _disjoint_pairs(degree)
+    subs, classes = enumerate_subgroups(degree, cap=max(cap, 720))
+    class_of = {gid: cls for cls in classes for gid in cls}
+    measures = {}
+    by_U = [(U, [V for _, V in UV]) for U, UV in
+            itertools.groupby(_disjoint_pairs(degree), key=lambda pair: pair[0])]
     for gid, gamma in enumerate(subs):
-        mu = uniform_conjugate_measure(gamma, ambient)
+        cls = class_of[gid]
+        mu = measures.pop(cls, None) or uniform_conjugate_measure(gamma, ambient)
+        if gid != cls[-1]:
+            measures[cls] = mu
         emitted = False
-        for U, V in pairs:
-            tv = transporter(gamma, U, V)
-            if not tv.elements:
-                continue
-            emitted = True
-            res = verify_E1(mu, U, V, tv.restrictions)
-            rows.append(["E1", degree, gid, _pts(U), _pts(V),
-                         res.lhs.numerator, res.lhs.denominator,
-                         res.rhs.numerator, res.rhs.denominator,
-                         f"|A|={len(tv.restrictions)}", res.holds])
-            res = verify_index(mu, tv.elements, U, V)
-            rows.append(["index", degree, gid, _pts(U), _pts(V),
-                         res.lhs.numerator, res.lhs.denominator,
-                         res.rhs.numerator, res.rhs.denominator,
-                         f"|Q|={len(tv.elements)}", res.holds])
+        for U, Vs in by_U:
+            own = transporters(gamma, U)
+            for V in Vs:
+                tv = own.get(V)
+                if tv is None:
+                    continue
+                emitted = True
+                res = verify_E1(mu, U, V, tv.restrictions)
+                rows.append(["E1", degree, gid, _pts(U), _pts(V),
+                             res.lhs.numerator, res.lhs.denominator,
+                             res.rhs.numerator, res.rhs.denominator,
+                             f"|A|={len(tv.restrictions)}", res.holds])
+                res = verify_index(mu, tv.elements, U, V)
+                rows.append(["index", degree, gid, _pts(U), _pts(V),
+                             res.lhs.numerator, res.lhs.denominator,
+                             res.rhs.numerator, res.rhs.denominator,
+                             f"|Q|={len(tv.elements)}", res.holds])
         if not emitted:
             rows.append(["E1", degree, gid, "", "", 0, 1, 0, 1, "vacuous", True])
     product = product_of_symmetric([2, 3])

@@ -71,6 +71,28 @@ def transporter(H: GeneratedGroup, U, V) -> Transporter:
     return Transporter(H, U, V, els, restrictions)
 
 
+def transporters(H: GeneratedGroup, U) -> dict[tuple[int, ...], Transporter]:
+    """``transporter(H, U, V)`` for every V it is defined on (disjoint from U,
+    or U itself) whose transporter is non-empty, from one pass over H.
+
+    The elements are bucketed by the sorted image of U, in H's element
+    order, so each value equals the one ``transporter`` gives.
+    """
+    U = tuple(sorted(U))
+    buckets: dict[tuple[int, ...], tuple[list, set]] = {}
+    for h in H.elements:
+        r = restriction_map(h, U)
+        V = tuple(sorted(r))
+        if V not in buckets:
+            buckets[V] = ([], set())
+        els, rs = buckets[V]
+        els.append(h)
+        rs.add(r)
+    Uset = set(U)
+    return {V: Transporter(H, U, V, tuple(els), tuple(sorted(rs)))
+            for V, (els, rs) in buckets.items() if V == U or Uset.isdisjoint(V)}
+
+
 @dataclass(frozen=True)
 class ConjInvariantMeasure:
     """A finitely supported measure on subgroups of ``ambient``.
@@ -84,16 +106,26 @@ class ConjInvariantMeasure:
 
     ambient: GeneratedGroup
     support: tuple[tuple[GeneratedGroup, Fraction], ...]
-    _invariant: bool = field(default=False, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = sum(w for _, w in self.support)
         if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
 
+    def memo(self, key, build):
+        """``build()``, computed once per ``key`` and kept on this measure,
+        as ``GeneratedGroup.memo`` keeps data on a group; freed with the
+        measure.  A ``build`` that raises keeps nothing.  Callers keep their
+        keys distinct and bounded."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def check_invariance(self) -> None:
-        if self._invariant:
-            return
+        self.memo("irs.invariant", self._check_invariance)
+
+    def _check_invariance(self) -> bool:
         weights = {H.element_set: w for H, w in self.support}
         for g in self.ambient.generators:
             for H, w in self.support:
@@ -101,7 +133,7 @@ class ConjInvariantMeasure:
                 if weights.get(key) != w:
                     raise NotConjInvariant(
                         f"support not closed under conjugation by {g}")
-        object.__setattr__(self, "_invariant", True)
+        return True
 
     def expectation(self, fn) -> Fraction:
         return sum((w * fn(H) for H, w in self.support), Fraction(0))
@@ -159,13 +191,35 @@ def _restricted_perm_set(elements, U) -> frozenset:
     return frozenset(restrict(p, U) for p in elements)
 
 
-def _ambient_E1_data(ambient: GeneratedGroup, U, V) -> tuple[frozenset, frozenset]:
-    """The ambient's U -> V restrictions and its rigid stabilizer R(U) as
-    permutations of U, computed once per ambient and (U, V) and kept on the
-    ambient (at most 3^degree entries)."""
-    return ambient.memo(("irs.E1", U, V), lambda: (
-        frozenset(transporter(ambient, U, V).restrictions),
+def _ambient_E1_data(ambient: GeneratedGroup, U) -> tuple[dict, frozenset]:
+    """The ambient's U -> V restriction sets, by V, and its rigid stabilizer
+    R(U) as permutations of U, computed once per ambient and U and kept on
+    the ambient (at most 2^degree entries)."""
+    return ambient.memo(("irs.E1", U), lambda: (
+        {V: frozenset(t.restrictions) for V, t in transporters(ambient, U).items()},
         _restricted_perm_set(rigid_stabilizer(ambient, U).elements, U)))
+
+
+def _E1_profile(mu: ConjInvariantMeasure, U) -> dict:
+    """What ``verify_E1`` needs of the support for a fixed U, by V: the pairs
+    (w, restrictions of H carrying U onto V) for every member H with a
+    non-empty U -> V transporter, and those members' weights summed by the
+    meet size |R(U) n H|_{U->U}|.  Computed once per measure and U and kept
+    on the measure (at most 2^degree entries)."""
+    def build():
+        RU = _ambient_E1_data(mu.ambient, U)[1]
+        profile: dict = {}
+        for H, w in mu.support:
+            ts = transporters(H, U)
+            meet = len(RU & _restricted_perm_set(ts[U].elements, U))
+            for V, t in ts.items():
+                if V == U:
+                    continue
+                members, by_meet = profile.setdefault(V, ([], {}))
+                members.append((w, frozenset(t.restrictions)))
+                by_meet[meet] = by_meet.get(meet, 0) + w
+        return profile
+    return mu.memo(("irs.E1", U), build)
 
 
 def verify_E1(mu: ConjInvariantMeasure, U, V, A) -> VerifyResult:
@@ -174,7 +228,9 @@ def verify_E1(mu: ConjInvariantMeasure, U, V, A) -> VerifyResult:
     lhs = P(restrictions of H carrying U to V meet A);
     rhs = E[ min(|A| / [R(U) : H|_{U->U} n R(U)], 1) on the event that H
     carries U onto V ], with both groups in the index viewed as permutation
-    groups of U.  Exact rationals throughout.
+    groups of U.  Exact rationals throughout.  The index is |R(U)| / m for
+    the meet size m, so the rhs is a sum over the meet sizes of the support
+    (``_E1_profile``).
     """
     U = tuple(sorted(U))
     V = tuple(sorted(V))
@@ -182,22 +238,15 @@ def verify_E1(mu: ConjInvariantMeasure, U, V, A) -> VerifyResult:
         raise ValueError("U, V must be disjoint and non-empty")
     mu.check_invariance()
     A = {tuple(a) for a in A}
-    ambient_restrictions, RU = _ambient_E1_data(mu.ambient, U, V)
-    if not A <= ambient_restrictions:
+    ambient_restrictions, RU = _ambient_E1_data(mu.ambient, U)
+    if not A <= ambient_restrictions.get(V, frozenset()):
         raise ValueError("A must consist of restrictions of ambient transporter elements")
 
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for H, w in mu.support:
-        tv = transporter(H, U, V)
-        if not tv.elements:
-            continue  # empty transporter: no lhs mass, indicator kills rhs term
-        if A & set(tv.restrictions):
-            lhs += w
-        barHUU = _restricted_perm_set(transporter(H, U, U).elements, U)
-        meet = RU & barHUU
-        index = Fraction(len(RU), len(meet))
-        rhs += w * min(Fraction(len(A)) / index, Fraction(1))
+    # an empty transporter gives no lhs mass, and its indicator kills the rhs term
+    members, by_meet = _E1_profile(mu, U).get(V, ((), {}))
+    lhs = sum((w for w, rs in members if not A.isdisjoint(rs)), Fraction(0))
+    rhs = sum((W * min(Fraction(len(A) * m, len(RU)), Fraction(1))
+               for m, W in by_meet.items()), Fraction(0))
     return VerifyResult(lhs, rhs, lhs <= rhs)
 
 
@@ -219,7 +268,8 @@ def verify_index(nu: ConjInvariantMeasure, Q, U, V) -> VerifyResult:
     Qset = set(Q)
     lhs = sum((w for H, w in nu.support if not Qset.isdisjoint(H.element_set)), Fraction(0))
     QU = {restriction_map(q, U) for q in Q}
-    rhs = nu.expectation(lambda H: H.order) * len(QU) / factorial(len(U))
+    mean_order = nu.memo("irs.mean_order", lambda: nu.expectation(lambda H: H.order))
+    rhs = mean_order * len(QU) / factorial(len(U))
     return VerifyResult(lhs, rhs, lhs <= rhs)
 
 

@@ -455,6 +455,7 @@ def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=())
         found.append((gens, orbit))
         todo.append((gens, eset))
 
+    ambient = frozenset(ambient_elements)
     register(seed_gens, frozenset(close(seed_gens, cap, degree=degree)))
     while todo:
         gens, eset = todo.popleft()
@@ -462,13 +463,13 @@ def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=())
         for g in _double_coset_reps(gens, ambient_elements):
             if g in eset:
                 continue
-            joined = _extend(H, gens + (g,), cap)
+            joined = _extend(H, gens + (g,), cap, ambient)
             if joined not in known:
                 register(gens + (g,), joined)
     return found
 
 
-def _extend(H, gens, cap: int) -> frozenset:
+def _extend(H, gens, cap: int, ambient: frozenset | None = None) -> frozenset:
     """The element set of <gens>, where ``gens`` extends a generating set of
     the subgroup whose elements are the tuple ``H``, built coset by coset as
     in Dimino's algorithm.
@@ -482,6 +483,11 @@ def _extend(H, gens, cap: int) -> frozenset:
     H r'), so it is <gens>.  Cosets join whole, so this raises
     ``ClosureExceedsCap`` exactly when ``close`` would: when the order
     exceeds ``cap``.
+
+    ``ambient``, if given, is the element set of a group containing ``gens``.
+    Once the union holds more than half of it, <gens> is the whole ambient
+    (its order divides |ambient|, by Lagrange), which is returned at once,
+    after the same cap test.
     """
     elements = set(H)
     reps = [H[0]]  # any element of H represents H itself
@@ -492,6 +498,10 @@ def _extend(H, gens, cap: int) -> frozenset:
                 if len(elements) + len(H) > cap:
                     raise ClosureExceedsCap(f"closure exceeds cap={cap}")
                 elements.update([tuple([t[x] for x in h]) for h in H])
+                if ambient is not None and 2 * len(elements) > len(ambient):
+                    if len(ambient) > cap:
+                        raise ClosureExceedsCap(f"closure exceeds cap={cap}")
+                    return ambient
                 reps.append(t)
     return frozenset(elements)
 

@@ -15,6 +15,7 @@ from treeirs.irs import (
     restriction_map,
     stabilizer_measure,
     transporter,
+    transporters,
     uniform_conjugate_measure,
     verify_E1,
     verify_E2,
@@ -24,6 +25,7 @@ from treeirs.perm import (
     GeneratedGroup,
     alternating_group,
     close,
+    conjugacy_orbit,
     conjugate,
     enumerate_subgroups,
     from_cycles,
@@ -147,6 +149,29 @@ def test_transporter_examples():
 
     triv = GeneratedGroup(3, [])
     assert transporter(triv, (0,), (1,)).elements == ()
+
+
+def nonempty_subsets(points):
+    return [S for r in range(1, len(points) + 1) for S in itertools.combinations(points, r)]
+
+
+@pytest.mark.parametrize("ambient", [
+    symmetric_group(4), product_of_symmetric([2, 3]),
+], ids=["S4", "S2xS3"])
+def test_transporters_equal_transporter(ambient):
+    points = tuple(range(ambient.degree))
+    for H in subgroups_of(ambient):
+        for U in nonempty_subsets(points):
+            # every V that transporter accepts: U itself and the disjoint sets
+            rest = tuple(x for x in points if x not in U)
+            Vs = [U] + nonempty_subsets(rest)
+            # a V missing from transporters must have an empty transporter;
+            # Transporter equality compares the element tuples, so this
+            # checks the element order too
+            expect = {V: t for V in Vs if (t := transporter(H, U, V)).elements}
+            got = transporters(H, U)
+            assert got == expect
+            assert U in got  # the identity carries U onto itself
 
 
 def test_verify_e1_point_mass_full_group():
@@ -330,16 +355,31 @@ def disjoint_pairs(degree):
                 yield from ((U, V) for V in itertools.combinations(rest, rv))
 
 
+def with_class_measures(ambient):
+    """(gamma, mu) for every subgroup gamma of the ambient, where mu is one
+    uniform conjugate measure shared by gamma's whole conjugacy class, as
+    cli.counting_rows shares it; members of a class are not adjacent, so
+    each measure is reused warm between other classes' members."""
+    measures = {}
+    for gamma in subgroups_of(ambient):
+        key = frozenset(conjugacy_orbit(gamma.elements, ambient.generators))
+        if key not in measures:
+            measures[key] = uniform_conjugate_measure(gamma, ambient)
+        assert measures[key] == uniform_conjugate_measure(gamma, ambient)
+        yield gamma, measures[key]
+    assert len(measures) < len(subgroups_of(ambient))  # some measure was shared
+
+
 @pytest.mark.parametrize("ambient", [
     symmetric_group(4), product_of_symmetric([2, 3]),
 ], ids=["S4", "S2xS3"])
 def test_verifiers_equal_recomputing_oracles(ambient):
-    # one ambient object and one measure per subgroup for every (U, V), so
-    # the kept ambient data and the remembered invariance are used warm
+    # one ambient object and one measure per conjugacy class for every
+    # (U, V), so the kept ambient data, the remembered invariance, and the
+    # measure's E1 profiles and mean order are all used warm
     pairs = list(disjoint_pairs(ambient.degree))
     checked = 0
-    for gamma in subgroups_of(ambient):
-        mu = uniform_conjugate_measure(gamma, ambient)
+    for gamma, mu in with_class_measures(ambient):
         for U, V in pairs:
             tv = transporter(gamma, U, V)
             for A in (tv.restrictions, transporter(ambient, U, V).restrictions[:1]):
@@ -348,6 +388,28 @@ def test_verifiers_equal_recomputing_oracles(ambient):
                     == verify_index_oracle(gamma, tv.elements, U, V, ambient))
             checked += 1
     assert checked == len(subgroups_of(ambient)) * len(pairs)
+
+
+def test_verify_e1_meets_inside_rigid_stabilizer():
+    # (C3 x C3) : (C2 x C2) on the blocks {0, 1, 2} and {3, 4, 5}.  For
+    # U = {0, 1, 2}, R(U) = <(0 1 2)>, while some subgroups carry U onto
+    # itself by (1 2): their U -> U restrictions neither contain nor lie in
+    # R(U), so the index must be taken on the meet.  In a product of
+    # symmetric groups those restrictions always lie in R(U).
+    ambient = GeneratedGroup(6, [from_cycles(6, (0, 1, 2)), from_cycles(6, (3, 4, 5)),
+                                 from_cycles(6, (1, 2), (4, 5)),
+                                 from_cycles(6, (0, 3), (1, 4), (2, 5))])
+    assert ambient.order == 36
+    RU = {restrict(p, (0, 1, 2)) for p in rigid_stabilizer(ambient, (0, 1, 2)).elements}
+    straddling = 0
+    for gamma, mu in with_class_measures(ambient):
+        HUU = {restrict(p, (0, 1, 2)) for p in transporter(gamma, (0, 1, 2), (0, 1, 2)).elements}
+        straddling += not (HUU <= RU or RU <= HUU)
+        for U, V in (((0, 1, 2), (3, 4, 5)), ((3, 4, 5), (0, 1, 2))):
+            restrictions = transporter(ambient, U, V).restrictions
+            for A in [restrictions] + [[a] for a in restrictions]:
+                assert verify_E1(mu, U, V, A) == verify_E1_oracle(mu, U, V, A)
+    assert straddling
 
 
 def test_not_conj_invariant_raises_on_every_call():

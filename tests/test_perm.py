@@ -355,21 +355,70 @@ def subgroup_and_element(draw):
     return n, gens, draw(generator_perms(n))
 
 
+def check_extend(H, gens, degree, ambient=None):
+    """``_extend`` against ``close``, with and without an ambient: the same
+    join, and the same cap threshold (order passes, order - 1 raises)."""
+    joined = frozenset(close(gens, cap=factorial(degree), degree=degree))
+    assert _extend(H, gens, factorial(degree), ambient) == joined
+    if gens[-1] not in H:  # the join walk extends only by elements outside H
+        order = len(joined)
+        assert _extend(H, gens, order, ambient) == joined
+        with pytest.raises(ClosureExceedsCap):
+            _extend(H, gens, order - 1, ambient)
+        with pytest.raises(ClosureExceedsCap):
+            close(gens, cap=order - 1, degree=degree)
+    return joined
+
+
+SYM_SETS = {n: frozenset(itertools.permutations(range(n))) for n in (5, 6, 7)}
+ALT_SETS = {n: frozenset(p for p in SYM_SETS[n] if is_even(p)) for n in (5, 6, 7)}
+
+
 @settings(max_examples=80, deadline=None)
-@given(subgroup_and_element())
-def test_extend_equals_close(case):
+@given(subgroup_and_element(), st.data())
+def test_extend_equals_close(case, data):
     n, H_gens, g = case
     gens = H_gens + (g,)
     H = close(H_gens, cap=factorial(n), degree=n)
-    joined = frozenset(close(gens, cap=factorial(n), degree=n))
-    assert _extend(H, gens, factorial(n)) == joined
-    if g not in H:  # the join walk extends only by elements outside H
-        order = len(joined)
-        assert _extend(H, gens, order) == joined
-        with pytest.raises(ClosureExceedsCap):
-            _extend(H, gens, order - 1)
-        with pytest.raises(ClosureExceedsCap):
-            close(gens, cap=order - 1, degree=n)
+    joined = check_extend(H, gens, n)
+    # ambients: Sym(n), Alt(n) when it holds the join, the join itself (the
+    # cut fires at the first coset past half of it) and a drawn overgroup
+    check_extend(H, gens, n, SYM_SETS[n])
+    if joined <= ALT_SETS[n]:
+        check_extend(H, gens, n, ALT_SETS[n])
+    check_extend(H, gens, n, joined)
+    extra = data.draw(generator_perms(n))
+    check_extend(H, gens, n, frozenset(close(gens + (extra,), cap=factorial(n), degree=n)))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_extend_cut_at_index_two(n):
+    # the join Alt(n) has index 2 in Sym(n): built from <(0 1 2)> or from
+    # the point stabilizer Alt(n - 1), the cosets reach exactly half of the
+    # ambient, where the cut must not fire yet; from Alt(n) and (0 1) the
+    # first coset passes half, and the cut returns Sym(n)
+    three_cycle = from_cycles(n, (0, 1, 2))
+    H = close([three_cycle], degree=n)
+    alt = check_extend(H, (three_cycle,) + alternating_group(n).generators, n, SYM_SETS[n])
+    assert alt == ALT_SETS[n]
+    fixing_last = tuple(from_cycles(n, (i, i + 1, i + 2)) for i in range(n - 3))
+    g = from_cycles(n, (n - 3, n - 2, n - 1))
+    assert check_extend(close(fixing_last, degree=n), fixing_last + (g,), n, SYM_SETS[n]) == alt
+    sym = check_extend(tuple(alt), alternating_group(n).generators + (from_cycles(n, (0, 1)),),
+                       n, SYM_SETS[n])
+    assert sym == SYM_SETS[n]
+
+
+@pytest.mark.parametrize("ambient", [
+    alternating_group(5), product_of_symmetric([2, 3]), symmetric_group(4),
+], ids=["A5", "S2xS3", "S4"])
+def test_extend_with_ambient_exhaustive(ambient):
+    # every subgroup H and every element g of small ambients, two of them
+    # not symmetric groups
+    eset = ambient.element_set
+    for H in subgroups_of(ambient):
+        for g in ambient.elements:
+            check_extend(H.elements, H.generators + (g,), ambient.degree, eset)
 
 
 @st.composite
@@ -403,6 +452,41 @@ def test_perm_layer_vs_sympy():
             assert is_primitive(G) == oracle.is_primitive(randomized=False)
         # Alt(n) is the only subgroup of Sym(n) of index 2
         assert contains_alt_on(G, range(n)) == (order in (factorial(n) // 2, factorial(n)))
+
+    check()
+
+
+def test_minimal_blocks_vs_sympy():
+    pytest.importorskip("sympy")
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    def classes(labels):
+        out = {}
+        for x, label in enumerate(labels):
+            out.setdefault(label, []).append(x)
+        return sorted(out.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(generator_sets())
+    def check(case):
+        n, gens = case
+        oracle = PermutationGroup([Permutation(list(g)) for g in gens])
+        assume(oracle.is_transitive())
+        G = GeneratedGroup(n, gens)  # minimal_blocks needs only the generators
+        # sympy's minimal block system with 0 and b in one block, for each b
+        seeded = [classes(oracle.minimal_block([0, b])) for b in range(1, n)]
+        proper = [c for c in seeded if len(c) > 1]
+        bs = minimal_blocks(G)
+        assert (bs is None) == (not proper)
+        if bs is None:
+            return
+        size = min(len(c[0]) for c in proper)
+        assert bs.block_size == size
+        # the first seed b reaching the minimal size gives the same partition
+        assert [list(b) for b in bs.blocks] == next(c for c in proper if len(c[0]) == size)
+        for block in bs.blocks:
+            labels = oracle.minimal_block(list(block))
+            assert {x for x in range(n) if labels[x] == labels[block[0]]} == set(block)
 
     check()
 
