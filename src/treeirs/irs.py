@@ -20,6 +20,7 @@ from .perm import (
     conjugacy_orbit,
     conjugate,
     identity,
+    memoized,
     restrict,
     rigid_stabilizer,
 )
@@ -118,9 +119,7 @@ class ConjInvariantMeasure:
         as ``GeneratedGroup.memo`` keeps data on a group; freed with the
         measure.  A ``build`` that raises keeps nothing.  Callers keep their
         keys distinct and bounded."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+        return memoized(self._memo, key, build)
 
     def check_invariance(self) -> None:
         self.memo("irs.invariant", self._check_invariance)

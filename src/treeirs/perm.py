@@ -144,6 +144,15 @@ def close(generators, cap: int = DEFAULT_CAP, *, degree: int | None = None) -> t
 # generated groups
 # ---------------------------------------------------------------------------
 
+def memoized(table: dict, key, build):
+    """``table[key]``, set to ``build()`` on first use.  A ``build`` that
+    raises stores nothing.  The backing store of the per-object memos
+    (``GeneratedGroup.memo``, ``irs.ConjInvariantMeasure.memo``)."""
+    if key not in table:
+        table[key] = build()
+    return table[key]
+
+
 class GeneratedGroup:
     """A permutation group held by generators, with a fully cached element list.
 
@@ -186,9 +195,7 @@ class GeneratedGroup:
         """
         if self._memo is None:
             self._memo = {}
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+        return memoized(self._memo, key, build)
 
     def __contains__(self, p) -> bool:
         return tuple(p) in self.element_set
@@ -469,7 +476,7 @@ def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=())
     return found
 
 
-def _extend(H, gens, cap: int, ambient: frozenset | None = None) -> frozenset:
+def _extend(H, gens, cap: int, ambient: frozenset) -> frozenset:
     """The element set of <gens>, where ``gens`` extends a generating set of
     the subgroup whose elements are the tuple ``H``, built coset by coset as
     in Dimino's algorithm.
@@ -484,8 +491,8 @@ def _extend(H, gens, cap: int, ambient: frozenset | None = None) -> frozenset:
     ``ClosureExceedsCap`` exactly when ``close`` would: when the order
     exceeds ``cap``.
 
-    ``ambient``, if given, is the element set of a group containing ``gens``.
-    Once the union holds more than half of it, <gens> is the whole ambient
+    ``ambient`` is the element set of a group containing ``gens``.  Once the
+    union holds more than half of it, <gens> is the whole ambient
     (its order divides |ambient|, by Lagrange), which is returned at once,
     after the same cap test.
     """
@@ -498,7 +505,7 @@ def _extend(H, gens, cap: int, ambient: frozenset | None = None) -> frozenset:
                 if len(elements) + len(H) > cap:
                     raise ClosureExceedsCap(f"closure exceeds cap={cap}")
                 elements.update([tuple([t[x] for x in h]) for h in H])
-                if ambient is not None and 2 * len(elements) > len(ambient):
+                if 2 * len(elements) > len(ambient):
                     if len(ambient) > cap:
                         raise ClosureExceedsCap(f"closure exceeds cap={cap}")
                     return ambient

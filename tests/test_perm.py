@@ -355,9 +355,9 @@ def subgroup_and_element(draw):
     return n, gens, draw(generator_perms(n))
 
 
-def check_extend(H, gens, degree, ambient=None):
-    """``_extend`` against ``close``, with and without an ambient: the same
-    join, and the same cap threshold (order passes, order - 1 raises)."""
+def check_extend(H, gens, degree, ambient):
+    """``_extend`` inside ``ambient`` against ``close``: the same join, and
+    the same cap threshold (order passes, order - 1 raises)."""
     joined = frozenset(close(gens, cap=factorial(degree), degree=degree))
     assert _extend(H, gens, factorial(degree), ambient) == joined
     if gens[-1] not in H:  # the join walk extends only by elements outside H
@@ -380,10 +380,10 @@ def test_extend_equals_close(case, data):
     n, H_gens, g = case
     gens = H_gens + (g,)
     H = close(H_gens, cap=factorial(n), degree=n)
-    joined = check_extend(H, gens, n)
-    # ambients: Sym(n), Alt(n) when it holds the join, the join itself (the
-    # cut fires at the first coset past half of it) and a drawn overgroup
-    check_extend(H, gens, n, SYM_SETS[n])
+    # ambients: Sym(n) (small joins never reach the cut, so this is plain
+    # Dimino), Alt(n) when it holds the join, the join itself (the cut fires
+    # at the first coset past half of it) and a drawn overgroup
+    joined = check_extend(H, gens, n, SYM_SETS[n])
     if joined <= ALT_SETS[n]:
         check_extend(H, gens, n, ALT_SETS[n])
     check_extend(H, gens, n, joined)
