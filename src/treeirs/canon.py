@@ -19,16 +19,26 @@ Two modes:
   comparable.  Positions in a tuple are aligned by image colour, which keeps
   forms from different colour contexts from ever being conflated.
 
-Match decisions go through ``Matcher``, which compares cheap level profiles
-before it builds any form.  In full mode the profile of a subset E is, at each
-depth 1..n-1, the sorted occupancy counts |E n cone(v)| of the vertices v that
-E meets; in coloured mode it is, at each depth 1..n, the sorted pairs (label of
-v, |E n cone(v)|).  The prefilter is exact: a rooted automorphism maps the
-vertices of each depth bijectively onto themselves and the leaves under v onto
-the leaves under the image of v, so it preserves every occupancy count, and a
-colour-constrained map also preserves labels (its local permutations lie in F,
-which fixes each F-orbit).  Different profiles therefore prove different
-orbits, and the forms decide only the pairs whose profiles tie.
+Match decisions go through ``Matcher``, which builds no form string.  It first
+compares cheap level profiles, top-down.  In full mode the profile of a subset
+E is, at each depth 1..n-1, the sorted occupancy counts |E n cone(v)| of the
+vertices v that E meets; in coloured mode it is, at each depth 1..n, the
+sorted pairs (label of v, |E n cone(v)|).  The profile is exact: a rooted
+automorphism maps the vertices of each depth bijectively onto themselves and
+the leaves under v onto the leaves under the image of v, so it preserves every
+occupancy count, and a colour-constrained map also preserves labels (its local
+permutations lie in F, which fixes each F-orbit).  Different profiles
+therefore prove different orbits.  On a tie, both subsets climb the tree
+together, one level at a time, and each non-empty vertex gets an integer class
+id in place of its form: in full mode the id of the sorted tuple of its
+children's ids, in coloured mode one id per image colour in the F-orbit of its
+colour, taken from the least tuple of child ids over the same sigmas the
+coloured form minimizes over.  The ids are numbered afresh in each call; two
+vertices of one depth, taken at one image colour, get equal ids exactly when
+their forms are equal, so the least tuple under id order is as canonical as
+the least under string order.  A level at which the two subsets' multisets of
+ids differ proves different orbits, and equal ids at the roots prove one
+orbit.
 
 Censuses (``orbit_census``, and through it ``montecarlo.exact_colormatch``)
 canonicalize no subset on their own.  A vertex's form is a function of its
@@ -41,7 +51,8 @@ with C(d^n, k), and the forms are the same strings the per-subset functions
 build.
 
 A form is its own canonical string, built afresh by every call: the module
-keeps no table of forms.  The string is reconstruction-independent (children
+keeps no table of forms, and ``Matcher``'s class ids live only as long as one
+``same`` call.  The string is reconstruction-independent (children
 are ordered by their canonical strings), so forms compare equal across calls,
 threads and processes, and census keys are exported as they are.
 """
@@ -50,7 +61,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -210,9 +220,11 @@ class Matcher:
 
     ``same(E, F)`` decides exactly what comparing ``canon_full`` forms (or,
     given a scheme, ``canon_coloured`` forms at ``parent_colour`` on both
-    cones) decides, but compares level profiles first and builds the forms
-    only when the profiles tie.  It raises the forms' ``ValueError`` on an
-    out-of-range leaf.
+    cones) decides, in two stages.  It first compares level profiles top-down,
+    then climbs both subsets together from the leaves, giving each non-empty
+    vertex an integer class id in place of its form, and stops at the first
+    level whose multisets of ids differ.  It raises the forms' ``ValueError``
+    on an out-of-range leaf.
     """
 
     depth: int
@@ -221,11 +233,17 @@ class Matcher:
     parent_colour: int | None = None
     # (leaf block size, vertex labels or None) for each depth in the profile
     _levels: tuple = field(init=False, repr=False, compare=False)
+    # coloured mode: the physical parent-edge colour of every vertex, one
+    # tuple per depth 0..n; then, per colour c and position p in c's sorted
+    # F-orbit, the placements of ``_placements(scheme, c, orbit[p])``
+    _colours: tuple | None = field(init=False, repr=False, compare=False)
+    _places: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         depth, d, scheme = self.depth, self.d, self.scheme
         if depth < 0:
             raise DepthMismatch("negative depth")
+        colours = places = None
         if scheme is None:
             if self.parent_colour is not None:
                 raise ValueError("parent_colour needs a colour scheme")
@@ -238,18 +256,34 @@ class Matcher:
             _check_colour(scheme, self.parent_colour)
             labels = cone_level_labels(scheme, self.parent_colour, depth)
             levels = tuple((d ** (depth - j), labels[j]) for j in range(1, depth + 1))
+            colours = [(self.parent_colour,)]
+            for _ in range(depth):
+                colours.append(tuple(x for c in colours[-1]
+                                     for x in child_colours(scheme, c, d)))
+            colours = tuple(colours)
+            places = tuple(tuple(_placements(scheme, c, img) for img in _orbit_of(scheme, c))
+                           for c in range(d + 1))
         object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_colours", colours)
+        object.__setattr__(self, "_places", places)
 
     def _profile(self, leaves):
         """Yield, depth by depth, the sorted occupancy counts of the vertices
-        that ``leaves`` meet (full mode, depths 1..n-1) or their sorted
-        (label, count) pairs (coloured mode, depths 1..n)."""
+        that the sorted ``leaves`` meet (full mode, depths 1..n-1) or their
+        sorted (label, count) pairs (coloured mode, depths 1..n)."""
+        n = len(leaves)
         for block, labels in self._levels:
-            occupancy = Counter([x // block for x in leaves])
+            runs = []  # (vertex, leaves under it), one per run of x // block
+            i = 0
+            while i < n:
+                v = leaves[i] // block
+                j = bisect_left(leaves, (v + 1) * block, i + 1)
+                runs.append((v, j - i))
+                i = j
             if labels is None:
-                yield sorted(occupancy.values())
+                yield sorted([m for _, m in runs])
             else:
-                yield sorted([(labels[v], n) for v, n in occupancy.items()])
+                yield sorted([(labels[v], m) for v, m in runs])
 
     def same(self, E, F) -> bool:
         depth, d = self.depth, self.d
@@ -260,10 +294,83 @@ class Matcher:
         for pa, pb in zip(self._profile(a), self._profile(b)):
             if pa != pb:
                 return False
+        # one bottom-up pass over both subsets: ``ids`` numbers the forms met
+        # in this call, 0 being an empty subtree and 1 a marked leaf, so equal
+        # ids at one level mean equal forms (at one image colour)
+        ids: dict[tuple, int] = {}
         if self.scheme is None:
-            return canon_full(a, depth, d) == canon_full(b, depth, d)
-        return (canon_coloured(a, depth, self.scheme, self.parent_colour)
-                == canon_coloured(b, depth, self.scheme, self.parent_colour))
+            xa = xb = [1] * len(a)
+            for _ in range(depth):
+                a, xa = _climb_full(a, xa, d, ids)
+                b, xb = _climb_full(b, xb, d, ids)
+                if sorted(xa) != sorted(xb):
+                    return False
+            return True
+        colours, places = self._colours, self._places
+        leaf_colours = colours[depth]
+        xa = [(1,) * len(places[leaf_colours[x]]) for x in a]
+        xb = [(1,) * len(places[leaf_colours[x]]) for x in b]
+        for level in range(depth - 1, -1, -1):
+            a, xa = _climb_coloured(a, xa, d, colours[level], places, ids)
+            b, xb = _climb_coloured(b, xb, d, colours[level], places, ids)
+            if sorted(xa) != sorted(xb):
+                return False
+        # canon_coloured compares the roots at the representative image.  The
+        # roots share their colour, so equal ids there come from a map whose
+        # root permutation fixes that colour, and such a map gives equal ids
+        # at every image: comparing the whole root signatures decides the same
+        return True
+
+
+def _climb_full(vs, xs, d, ids):
+    """The non-empty parents of the sorted vertices ``vs`` with class ids
+    ``xs``, and the parents' ids: the id of a parent is that of the sorted
+    tuple of its non-empty children's ids (the multiset of its child forms)."""
+    pv, px = [], []
+    n = len(vs)
+    i = 0
+    while i < n:
+        p = vs[i] // d
+        j = i + 1
+        while j < n and vs[j] // d == p:
+            j += 1
+        key = tuple(sorted(xs[i:j]))
+        x = ids.get(key)
+        if x is None:
+            x = ids[key] = len(ids) + 2
+        pv.append(p)
+        px.append(x)
+        i = j
+    return pv, px
+
+
+def _climb_coloured(vs, sigs, d, parent_colours, places, ids):
+    """As ``_climb_full`` in coloured mode.  A vertex's signature holds its id
+    at each image colour of its F-orbit, in ascending order; the id at image
+    c' is that of the least tuple of child ids at the image colours over the
+    sigma in F that carry the vertex's colour to c', which is how
+    ``canon_coloured`` takes its form at c'."""
+    empty = (0,) * (d + 1)
+    pv, ps = [], []
+    n = len(vs)
+    i = 0
+    while i < n:
+        p = vs[i] // d
+        base = p * d
+        kids = [empty] * d
+        while i < n and vs[i] < base + d:
+            kids[vs[i] - base] = sigs[i]
+            i += 1
+        sig = []
+        for pls in places[parent_colours[p]]:
+            key = min([tuple([kids[j][q] for j, q in pl]) for pl in pls])
+            x = ids.get(key)
+            if x is None:
+                x = ids[key] = len(ids) + 2
+            sig.append(x)
+        pv.append(p)
+        ps.append(tuple(sig))
+    return pv, ps
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +434,25 @@ def _check_colour(scheme: ColourScheme, colour: int) -> None:
         raise ColourSchemeMismatch(f"colour {colour} outside 0..{scheme.d}")
 
 
+def _orbit_of(scheme: ColourScheme, c: int) -> tuple[int, ...]:
+    """The F-orbit of colour c in ascending order: the image colours a form
+    of a vertex with parent-edge colour c is taken at."""
+    return tuple(sorted(scheme.orbits[scheme.orbit_index[c]]))
+
+
+def _placements(scheme: ColourScheme, c: int, c_img: int,
+                policy: str = "orbit") -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each sigma in F with sigma(c) = c_img, the (child slot, position of
+    the image colour in the child's ``_orbit_of``) read at each image colour
+    other than c_img, ascending.  A form at c_img is the least of the tuples
+    of child forms these placements read."""
+    slot = {x: j for j, x in enumerate(child_colours(scheme, c, scheme.d, policy))}
+    img_cols = [e for e in range(scheme.d + 1) if e != c_img]
+    pos = {e: _orbit_of(scheme, e).index(e) for e in img_cols}
+    return tuple(tuple((slot[_inv_at(sigma, e)], pos[e]) for e in img_cols)
+                 for sigma in scheme.F.elements if sigma[c] == c_img)
+
+
 def _combine(child_tables: list[list[dict]], lo: int, hi: int) -> list[tuple]:
     """Every choice of one class from each child's table with sizes summing to
     lo..hi, as (size, child signatures in child order, product of counts).  A
@@ -379,10 +505,9 @@ def _class_counts(d: int, depth: int, k: int, scheme: ColourScheme | None,
     else:
         root = parent_colour
         root_img = scheme.reps[scheme.orbit_index[parent_colour]]
-        orbit_of = [tuple(sorted(scheme.orbits[i])) for i in scheme.orbit_index]
-        where = [{c: p for p, c in enumerate(orb)} for orb in orbit_of]
+        orbit_of = [_orbit_of(scheme, c) for c in range(d + 1)]
         child_cols: dict[int, tuple[int, ...]] = {}
-        placements: dict[tuple[int, int], list] = {}
+        placements: dict[tuple[int, int], tuple] = {}
 
         def kids(c):
             if c not in child_cols:
@@ -396,17 +521,9 @@ def _class_counts(d: int, depth: int, k: int, scheme: ColourScheme | None,
             return leaf_label is None or scheme.orbit_index[c] == leaf_label
 
         def form(c, c_img, sigs):
-            # for each sigma in F with sigma(c) = c_img, the (child, signature
-            # position) read at each image colour other than c_img, ascending
             pls = placements.get((c, c_img))
             if pls is None:
-                cs = kids(c)
-                slot = {x: j for j, x in enumerate(cs)}
-                img_cols = [e for e in range(d + 1) if e != c_img]
-                pls = placements[c, c_img] = [
-                    tuple((slot[_inv_at(sigma, e)], where[_inv_at(sigma, e)][e])
-                          for e in img_cols)
-                    for sigma in scheme.F.elements if sigma[c] == c_img]
+                pls = placements[c, c_img] = _placements(scheme, c, c_img, policy)
             best = min(tuple(sigs[j][p] for j, p in pl) for pl in pls)
             return "(" + ",".join(best) + ")"
 

@@ -281,6 +281,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_census(args) -> int:
     scheme = _load_scheme(args.scheme)
+    leaves = args.d ** args.depth
+    if args.k > leaves:
+        # orbit_census counts no subsets here; a header-only table is no answer
+        raise mc.KTooLarge(f"k={args.k} exceeds {leaves} leaves")
     census = orbit_census(args.d, args.depth, args.k, scheme,
                           parent_colour=args.parent_colour, budget=args.budget)
     header = ["d", "depth", "k", "mode", "class_id", "count"]

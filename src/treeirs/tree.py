@@ -245,10 +245,6 @@ def scheme_from_key(d: int, gen_key: tuple) -> ColourScheme:
     return ColourScheme.from_generators(d, [tuple(g) for g in gen_key])
 
 
-def scheme_to_json(scheme: ColourScheme) -> dict:
-    return {"d": scheme.d, "generators": [list(g) for g in scheme.F.generators]}
-
-
 def scheme_from_json(data) -> ColourScheme:
     return scheme_from_key(int(data["d"]),
                            tuple(tuple(int(x) for x in g) for g in data["generators"]))

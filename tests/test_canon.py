@@ -27,9 +27,10 @@ from treeirs.perm import ClosureExceedsCap, enumerate_subgroups, from_cycles
 from treeirs.tree import ColourScheme, cone_leaf_labels
 
 
-def all_schemes_d2():
-    subs, _ = enumerate_subgroups(3)
-    return [ColourScheme(2, G) for G in subs]
+def all_schemes(d):
+    """A colour scheme for every subgroup F of Sym(d + 1)."""
+    subs, _ = enumerate_subgroups(d + 1)
+    return [ColourScheme(d, G) for G in subs]
 
 
 def test_canon_full_siblings_vs_nonsiblings():
@@ -68,7 +69,7 @@ def test_canon_full_invariance_random():
 
 def test_canon_coloured_invariance_random():
     rng = random.Random(915)
-    schemes = all_schemes_d2()
+    schemes = all_schemes(2)
     for _ in range(5000):
         scheme = rng.choice(schemes)
         depth = rng.randint(1, 8)
@@ -145,7 +146,7 @@ def test_full_mode_agrees_with_brute_force(d, depth):
 
 @pytest.mark.parametrize("depth", [1, 2])
 def test_coloured_mode_agrees_with_brute_force_cross_colours(depth):
-    for scheme in all_schemes_d2():
+    for scheme in all_schemes(2):
         n = 2 ** depth
         subsets = list(itertools.chain.from_iterable(
             itertools.combinations(range(n), k) for k in range(n + 1)))
@@ -220,7 +221,7 @@ def test_coloured_census_hand_example():
 
 def test_brute_force_equivalent_matches_equivalent():
     rng = random.Random(4242)
-    schemes = all_schemes_d2()
+    schemes = all_schemes(2)
     for _ in range(150):
         depth = rng.randint(1, 3)
         n = 2 ** depth
@@ -368,25 +369,54 @@ def test_matcher_full_mode_agrees_with_forms(d, depth):
                          all_pairs=depth < 4, rng=rng, sampled=5000)
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3])
-def test_matcher_coloured_mode_agrees_with_forms(depth):
-    n = 2 ** depth
-    k_max = n if depth < 3 else 4
-    rng = random.Random(depth)
-    for scheme in all_schemes_d2():
-        for colour in range(3):
-            matcher = Matcher(depth, 2, scheme, colour)
+def _orbits_by_maps(maps, subsets):
+    """Oracle that builds no forms: {subset: its orbit} for subsets of one
+    size, the orbits being those of every map ``enumerate_cone_maps`` lists
+    (the maps ``brute_force_equivalent`` tries)."""
+    orbits = {}
+    for E in subsets:
+        if E not in orbits:
+            orbit = frozenset(tuple(sorted(m[x] for x in E)) for m in maps)
+            assert E in orbit
+            orbits.update(dict.fromkeys(orbit, orbit))
+    return orbits
+
+
+@pytest.mark.parametrize("d,depth", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)],
+                         ids=["1", "2", "3", "ternary-1", "ternary-2"])
+def test_matcher_coloured_mode_agrees_with_forms(d, depth):
+    # every F <= Sym(d + 1) and every parent colour; brute force at depth <= 2.
+    # Ternary depth-2 cones are tried up to k = 2: each further size takes
+    # about 5 s; test_same_under_random_coloured_image draws larger subsets
+    n = d ** depth
+    k_max = 2 if n == 9 else n if depth < 3 else 4
+    rng = random.Random(10 * d + depth)
+    for scheme in all_schemes(d):
+        for colour in range(d + 1):
+            matcher = Matcher(depth, d, scheme, colour)
             for subsets in _subsets_up_to(n, k_max):
-                _check_prefilter(
-                    matcher, lambda E: canon_coloured(E, depth, scheme, colour),
-                    subsets, all_pairs=depth < 3, rng=rng, sampled=500)
+                forms = {E: canon_coloured(E, depth, scheme, colour) for E in subsets}
+                _check_prefilter(matcher, forms.get, subsets, all_pairs=n <= 4,
+                                 rng=rng, sampled=500 if d == 2 else 50)
                 if depth > 2:
                     continue
+                if n <= 4:
+                    for E in subsets:
+                        for F2 in subsets:
+                            assert matcher.same(E, F2) == brute_force_equivalent(
+                                E, F2, depth, d, scheme, colour, colour), \
+                                (scheme.F.generators, colour, E, F2)
+                    continue
+                # too many pairs to try each against every map: the forms
+                # (which ``same`` was just checked against) must partition the
+                # subsets exactly as the orbits of the maps do
+                by_form = {}
                 for E in subsets:
-                    for F2 in subsets:
-                        assert matcher.same(E, F2) == brute_force_equivalent(
-                            E, F2, depth, 2, scheme, colour, colour), \
-                            (scheme.F.generators, colour, E, F2)
+                    by_form.setdefault(forms[E], set()).add(E)
+                orbits = _orbits_by_maps(
+                    enumerate_cone_maps(depth, d, scheme, colour, colour), subsets)
+                assert sorted(map(sorted, by_form.values())) == \
+                    sorted(map(sorted, set(orbits.values()))), (scheme.F.generators, colour)
 
 
 def test_matcher_profiles_by_hand():
@@ -431,7 +461,7 @@ def test_matcher_pickles():
         assert again.same((0, 5), (1, 4)) == m.same((0, 5), (1, 4))
 
 
-_SCHEMES_D2 = all_schemes_d2()
+_SCHEMES_D2 = all_schemes(2)
 
 
 @st.composite
@@ -460,6 +490,27 @@ def test_profile_invariant_under_random_coloured_image(case, which, colour, seed
     m = Matcher(depth, 2, scheme, colour)
     image = random_coloured_image(random.Random(seed), E, depth, scheme, colour)
     assert _profile(m, image) == _profile(m, E)
+
+
+_SCHEMES = {2: _SCHEMES_D2, 3: all_schemes(3)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cone_subsets(), st.integers(0, 2 ** 32))
+def test_same_under_random_full_image(case, seed):
+    d, depth, E = case
+    image = random_full_image(random.Random(seed), E, depth, d)
+    assert Matcher(depth, d).same(E, image)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cone_subsets(), st.data(), st.integers(0, 2 ** 32))
+def test_same_under_random_coloured_image(case, data, seed):
+    d, depth, E = case
+    scheme = data.draw(st.sampled_from(_SCHEMES[d]))
+    colour = data.draw(st.integers(0, d))
+    image = random_coloured_image(random.Random(seed), E, depth, scheme, colour)
+    assert Matcher(depth, d, scheme, colour).same(E, image)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +551,7 @@ def test_census_equals_subset_loop_full_mode(d, depth):
 @pytest.mark.parametrize("policy", ["orbit", "value"])
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
 def test_census_equals_subset_loop_coloured_mode(depth, policy):
-    for scheme in all_schemes_d2():
+    for scheme in all_schemes(2):
         for colour in range(3):
             for k in range(2 ** depth + 1):
                 c = orbit_census(2, depth, k, scheme, colour, policy)
@@ -543,7 +594,7 @@ def test_census_equals_orbits_of_maps_full_mode(d, depth):
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_census_equals_orbits_of_maps_coloured_mode(depth):
-    for scheme in all_schemes_d2():
+    for scheme in all_schemes(2):
         for colour in range(3):
             for k in range(2 ** depth + 1):
                 counts = sorted(n for _, n in orbit_census(2, depth, k, scheme, colour).counts)
@@ -552,7 +603,7 @@ def test_census_equals_orbits_of_maps_coloured_mode(depth):
 
 
 def test_census_leaf_label_equals_subset_loop():
-    for scheme in all_schemes_d2():
+    for scheme in all_schemes(2):
         for colour in range(3):
             for depth in range(4):
                 labels = cone_leaf_labels(scheme, colour, depth)

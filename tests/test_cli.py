@@ -285,6 +285,17 @@ def test_census_refuses_unusable_parent_colour(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scheme", [False, True], ids=["full", "coloured"])
+def test_census_refuses_k_past_leaves(tmp_path, capsys, scheme):
+    # simulate refuses k > leaves; census used to write a header-only table
+    argv = ["--scheme", write_scheme(tmp_path, [[1, 0, 2]])] if scheme else []
+    out = tmp_path / "census.csv"
+    assert main(["census", "--d", "2", "--depth", "2", "--k", "9", *argv,
+                 "--out", str(out)]) == 2
+    assert "k=9 exceeds 4 leaves" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "census.json").exists()
+
+
 def test_census_cmd(tmp_path, capsys):
     out = tmp_path / "census.csv"
     assert main(["census", "--d", "2", "--depth", "2", "--k", "2",
