@@ -648,65 +648,3 @@ def brute_force_equivalent(E, F2, depth: int, d: int,
         if {m[x] for x in Eset} == Fset:
             return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# random group elements, for invariance testing and samplers
-# ---------------------------------------------------------------------------
-
-def _randbelow(rng, n: int) -> int:
-    if n <= 1:
-        return 0
-    f = getattr(rng, "randbelow", None)
-    if f is not None:
-        return f(n)
-    return rng.randrange(n)
-
-
-def random_full_image(rng, E, depth: int, d: int) -> tuple[int, ...]:
-    """Image of a leaf set under a uniformly random rooted automorphism."""
-    def go(sub, level):
-        if level == 0 or not sub:
-            return sub
-        block = d ** (level - 1)
-        tau = list(range(d))
-        for i in range(d - 1):  # Fisher-Yates via the supplied rng
-            j = i + _randbelow(rng, d - i)
-            tau[i], tau[j] = tau[j], tau[i]
-        out = []
-        for j, part in enumerate(_block_split(tuple(sub), d, block)):
-            if part:
-                out.extend(x + tau[j] * block for x in go(part, level - 1))
-        return tuple(sorted(out))
-
-    return go(tuple(sorted(set(E))), depth)
-
-
-def random_coloured_image(rng, E, depth: int, scheme: ColourScheme,
-                          parent_colour: int, policy: str = "orbit") -> tuple[int, ...]:
-    """Image under a uniformly random constrained self-map of the cone.
-
-    Local permutations are drawn uniformly from the relevant coset of F at
-    every vertex independently, which is the uniform measure on the
-    constrained map group.
-    """
-    d = scheme.d
-
-    def go(sub, level, c_phys, c_img):
-        if level == 0 or not sub:
-            return sub
-        block = d ** (level - 1)
-        options = [s for s in scheme.F.elements if s[c_phys] == c_img]
-        sigma = options[_randbelow(rng, len(options))]
-        cs = child_colours(scheme, c_phys, d, policy)
-        ct = child_colours(scheme, c_img, d, policy)
-        tslot = {c: j for j, c in enumerate(ct)}
-        out = []
-        for j, part in enumerate(_block_split(tuple(sub), d, block)):
-            if part:
-                dst = tslot[sigma[cs[j]]]
-                out.extend(x + dst * block
-                           for x in go(part, level - 1, cs[j], sigma[cs[j]]))
-        return tuple(sorted(out))
-
-    return go(tuple(sorted(set(E))), depth, parent_colour, parent_colour)

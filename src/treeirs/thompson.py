@@ -10,7 +10,12 @@ mapping order-preservingly onto sibling families.  The reduced representative
 is unique, so it is the canonical form used for equality.
 
 Subtrees are stored as their leaf sets: sorted tuples of digit-tuple
-addresses (the root-only tree is ``((),)``).
+addresses (the root-only tree is ``((),)``).  Every pair is validated when it
+is built, by one forward sweep over its sorted leaves: each leaf must be the
+next uncovered boundary vertex followed only by zeros, and the sweep must
+pass the root at the last leaf.  That one test refuses empty sets, bad
+digits, duplicates, nested leaves and gaps; only a refused set is examined
+again, to name the reason.  Nothing in the calculus recurses per tree level.
 """
 
 from __future__ import annotations
@@ -30,34 +35,45 @@ class AddressTooShallow(ValueError):
     pass
 
 
-def _arity(prefix: Address, d: int, q: int) -> int:
-    return q if prefix == () else d
-
-
 def _check_leafset(leaves, d: int, q: int) -> tuple[Address, ...]:
-    """Validate a complete-subtree leaf set: a prefix-free cover of the boundary."""
-    leaves = tuple(sorted(tuple(a) for a in leaves))
+    """Validate a complete-subtree leaf set: a prefix-free cover of the boundary.
+
+    One sweep over the sorted leaves.  ``e`` is the next boundary vertex not
+    yet covered; each leaf must be ``e`` followed only by zeros, after which
+    ``e`` moves to the next sibling of the leaf's last incomplete ancestor
+    (or past the root, once the root's family is complete).
+    """
+    leaves = tuple(sorted(map(tuple, leaves)))
+    e = ()
+    for a in leaves:
+        if a != e and (e is None or a[:len(e)] != e or any(a[len(e):])):
+            _refuse(leaves, d, q, e)
+        n = len(a)
+        while n > 1 and a[n - 1] == d - 1:
+            n -= 1
+        if n == 0 or (n == 1 and a[0] == q - 1):
+            e = None  # the root's family is complete
+        else:
+            e = a[:n - 1] + (a[n - 1] + 1,)
+    if e is not None:
+        _refuse(leaves, d, q, e)
+    return leaves
+
+
+def _refuse(leaves, d: int, q: int, uncovered) -> None:
+    """Raise the reason a sorted leaf set failed :func:`_check_leafset`."""
     if not leaves:
         raise MalformedPair("empty leaf set")
     if len(set(leaves)) != len(leaves):
         raise MalformedPair("duplicate leaves")
-    max_depth = max(len(a) for a in leaves)
     for a in leaves:
         for j, digit in enumerate(a):
-            if not 0 <= digit < _arity(a[:j], d, q):
+            if not 0 <= digit < (q if j == 0 else d):
                 raise MalformedPair(f"bad digit in address {a}")
-    leafset = set(leaves)
-
-    def cover(prefix: Address) -> int:
-        if prefix in leafset:
-            return 1
-        if len(prefix) >= max_depth:
-            raise MalformedPair(f"boundary not covered below {prefix}")
-        return sum(cover(prefix + (j,)) for j in range(_arity(prefix, d, q)))
-
-    if cover(()) != len(leaves):
-        raise MalformedPair("leaf set is not a complete subtree frontier")
-    return leaves
+    for a, b in zip(leaves, leaves[1:]):
+        if b[:len(a)] == a:
+            raise MalformedPair(f"leaf {a} lies above leaf {b}")
+    raise MalformedPair(f"boundary not covered at {uncovered}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +132,9 @@ class TreePair:
 def _internal_vertices(leaves) -> set[Address]:
     out = set()
     for a in leaves:
-        for j in range(len(a)):
+        for j in range(len(a) - 1, -1, -1):
+            if a[:j] in out:
+                break  # its ancestors are in already
             out.add(a[:j])
     return out
 
@@ -125,36 +143,36 @@ def join_frontiers(l1, l2, d: int, q: int) -> tuple[Address, ...]:
     """Frontier of the smallest complete subtree refining both frontiers."""
     internal = _internal_vertices(l1) | _internal_vertices(l2)
     out = []
-
-    def walk(prefix: Address):
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
         if prefix in internal:
-            for j in range(_arity(prefix, d, q)):
-                walk(prefix + (j,))
+            stack.extend(prefix + (j,)
+                         for j in reversed(range(q if not prefix else d)))
         else:
-            out.append(prefix)
-
-    walk(())
-    return tuple(sorted(out))
+            out.append(prefix)  # depth first, least child first: sorted
+    return tuple(out)
 
 
 def _collapse(m: dict[Address, Address], d: int, q: int) -> bool:
     """Collapse the sibling families of ``m`` in place; True if any collapsed.
 
-    ``m`` maps domain leaves to range leaves.  One sweep over the parents of
-    domain leaves, deepest first, reaches the fixed point: a collapse at
-    depth L only makes a new leaf at depth L, which can complete a family only
-    under its own parent, one level up, where the sweep has not been yet.
+    ``m`` maps domain leaves to range leaves.  One sweep over the parents
+    whose first child is a domain leaf (no other family can collapse),
+    deepest first, reaches the fixed point: a collapse at depth L only makes
+    a new leaf at depth L, which can complete a family only under its own
+    parent, one level up, where the sweep has not been yet.
     """
     levels: dict[int, set[Address]] = {}
     for a in m:
-        if a:
+        if a and a[-1] == 0:
             levels.setdefault(len(a) - 1, set()).add(a[:-1])
     collapsed = False
     for depth in range(max(levels, default=-1), -1, -1):
         for parent in levels.get(depth, ()):
-            arity = _arity(parent, d, q)
-            first = m.get(parent + (0,))
-            if not first or _arity(first[:-1], d, q) != arity:
+            arity = q if not parent else d
+            first = m[parent + (0,)]
+            if not first or (q if len(first) == 1 else d) != arity:
                 continue
             w = first[:-1]
             kids = [parent + (j,) for j in range(arity)]
@@ -164,7 +182,7 @@ def _collapse(m: dict[Address, Address], d: int, q: int) -> bool:
                 del m[k]
             m[parent] = w
             collapsed = True
-            if parent:
+            if parent and parent[-1] == 0:
                 levels.setdefault(depth - 1, set()).add(parent[:-1])
     return collapsed
 
@@ -203,7 +221,7 @@ def compose(p1: TreePair, p2: TreePair) -> TreePair:
         if s is None and w in post:
             s = w
         if r is None or s is None:
-            stack.extend((w + (j,), r, s) for j in range(_arity(w, d, q)))
+            stack.extend((w + (j,), r, s) for j in range(q if not w else d))
         else:
             m[pre[r] + w[len(r):]] = post[s] + w[len(s):]
     _collapse(m, d, q)

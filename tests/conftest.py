@@ -1,7 +1,8 @@
 import random
 
+from treeirs.canon import _block_split
 from treeirs.thompson import TreePair, reduce_pair
-from treeirs.tree import ColourScheme, TreeShape, orbit_label
+from treeirs.tree import ColourScheme, TreeShape, child_colours, orbit_label
 
 
 def random_frontier(rng: random.Random, d: int, q: int, n_expansions: int):
@@ -47,3 +48,60 @@ def random_label_preserving_pair(rng: random.Random, scheme: ColourScheme,
         for src, dst in zip(idxs, shuffled):
             sigma[src] = dst
     return reduce_pair(TreePair(d, q, dom, dom, tuple(sigma)))
+
+
+# ---------------------------------------------------------------------------
+# random cone automorphisms, for the invariance tests of canonical forms
+# ---------------------------------------------------------------------------
+
+def _randbelow(rng: random.Random, n: int) -> int:
+    return rng.randrange(n) if n > 1 else 0  # draws nothing for n <= 1
+
+
+def random_full_image(rng, E, depth: int, d: int) -> tuple[int, ...]:
+    """Image of a leaf set under a uniformly random rooted automorphism."""
+    def go(sub, level):
+        if level == 0 or not sub:
+            return sub
+        block = d ** (level - 1)
+        tau = list(range(d))
+        for i in range(d - 1):  # Fisher-Yates via the supplied rng
+            j = i + _randbelow(rng, d - i)
+            tau[i], tau[j] = tau[j], tau[i]
+        out = []
+        for j, part in enumerate(_block_split(tuple(sub), d, block)):
+            if part:
+                out.extend(x + tau[j] * block for x in go(part, level - 1))
+        return tuple(sorted(out))
+
+    return go(tuple(sorted(set(E))), depth)
+
+
+def random_coloured_image(rng, E, depth: int, scheme: ColourScheme,
+                          parent_colour: int, policy: str = "orbit") -> tuple[int, ...]:
+    """Image under a uniformly random constrained self-map of the cone.
+
+    Local permutations are drawn uniformly from the relevant coset of F at
+    every vertex independently, which is the uniform measure on the
+    constrained map group.
+    """
+    d = scheme.d
+
+    def go(sub, level, c_phys, c_img):
+        if level == 0 or not sub:
+            return sub
+        block = d ** (level - 1)
+        options = [s for s in scheme.F.elements if s[c_phys] == c_img]
+        sigma = options[_randbelow(rng, len(options))]
+        cs = child_colours(scheme, c_phys, d, policy)
+        ct = child_colours(scheme, c_img, d, policy)
+        tslot = {c: j for j, c in enumerate(ct)}
+        out = []
+        for j, part in enumerate(_block_split(tuple(sub), d, block)):
+            if part:
+                dst = tslot[sigma[cs[j]]]
+                out.extend(x + dst * block
+                           for x in go(part, level - 1, cs[j], sigma[cs[j]]))
+        return tuple(sorted(out))
+
+    return go(tuple(sorted(set(E))), depth, parent_colour, parent_colour)

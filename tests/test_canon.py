@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_coloured_image, random_full_image
 from treeirs.canon import (
     BudgetExceeded,
     Census,
@@ -20,8 +21,6 @@ from treeirs.canon import (
     equivalent,
     form_str,
     orbit_census,
-    random_coloured_image,
-    random_full_image,
 )
 from treeirs.perm import ClosureExceedsCap, enumerate_subgroups, from_cycles
 from treeirs.tree import ColourScheme, cone_leaf_labels

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from treeirs.perm import enumerate_subgroups, from_cycles
 from treeirs.thompson import (
     AddressTooShallow,
     MalformedPair,
+    _check_leafset,
     TreePair,
     act_on_address,
     compose,
@@ -181,6 +183,29 @@ def test_join_frontiers():
     assert join_frontiers(l1, l2, 2, 2) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def test_deep_comb_pair():
+    # depth 1500 is past the default recursion limit: validation, the
+    # calculus and the join must not recurse per level
+    comb = [(1,) * i + (0,) for i in range(1500)] + [(1,) * 1500]
+    n = len(comb)
+    p = TreePair(2, 2, comb, comb, tuple((i + 1) % n for i in range(n)))
+    e = TreePair.identity(2, 2)
+    inv = inverse(p)
+    assert inv.sigma == tuple((i - 1) % n for i in range(n))
+    assert inverse(inv) == p
+    assert compose(p, inv) == e
+    assert compose(inv, p) == e
+    assert compose(e, p) == reduce_pair(p)
+    assert reduce_pair(p) is p  # no sibling family maps onto a family
+    assert act_on_address(p, (1,) * 1499 + (0, 1)) == (1,) * 1500 + (1,)
+    assert join_frontiers(comb, comb, 2, 2) == tuple(comb)
+    mirror = [tuple(1 - x for x in a) for a in comb]
+    joined = join_frontiers(comb, mirror, 2, 2)
+    assert joined == tuple(sorted(
+        [(0,) * i + (1,) for i in range(1, 1500)] + [(0,) * 1500]
+        + [(1,) * i + (0,) for i in range(1, 1500)] + [(1,) * 1500]))
+
+
 def test_json_roundtrip():
     rng = random.Random(11)
     for d, q in PARAMS:
@@ -216,6 +241,112 @@ def test_json_output_unchanged():
                                "domain_leaves": ["0", "1", "20", "21"],
                                "range_leaves": ["0", "10", "11", "2"],
                                "sigma": [2, 0, 3, 1]}
+
+
+# ---------------------------------------------------------------------------
+# differential test of the leaf-set check against the recursive cover check
+# it replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_check_leafset(leaves, d, q):
+    """The recursive check: digits in range, then count the covered boundary."""
+    leaves = tuple(sorted(tuple(a) for a in leaves))
+    if not leaves:
+        raise MalformedPair("empty leaf set")
+    if len(set(leaves)) != len(leaves):
+        raise MalformedPair("duplicate leaves")
+    max_depth = max(len(a) for a in leaves)
+    for a in leaves:
+        for j, digit in enumerate(a):
+            if not 0 <= digit < _oracle_arity(a[:j], d, q):
+                raise MalformedPair(f"bad digit in address {a}")
+    leafset = set(leaves)
+
+    def cover(prefix):
+        if prefix in leafset:
+            return 1
+        if len(prefix) >= max_depth:
+            raise MalformedPair(f"boundary not covered below {prefix}")
+        return sum(cover(prefix + (j,))
+                   for j in range(_oracle_arity(prefix, d, q)))
+
+    if cover(()) != len(leaves):
+        raise MalformedPair("leaf set is not a complete subtree frontier")
+    return leaves
+
+
+def _assert_check_agrees(leaves, d, q):
+    """Same verdict as the oracle, the same tuple on acceptance, and a
+    digit refusal worded as one.  Returns whether the set was accepted."""
+    try:
+        want = _oracle_check_leafset(leaves, d, q)
+    except MalformedPair as exc:
+        with pytest.raises(MalformedPair) as got:
+            _check_leafset(leaves, d, q)
+        if "digit" in str(exc):
+            assert "digit" in str(got.value)
+        return False
+    assert _check_leafset(leaves, d, q) == want
+    return True
+
+
+def test_leafset_check_equals_oracle_exhaustive():
+    addrs = [a for n in range(4) for a in itertools.product(range(2), repeat=n)]
+    assert len(addrs) == 15
+    seen = accepted = 0
+    for k in range(7):
+        for subset in itertools.combinations(addrs, k):
+            accepted += _assert_check_agrees(subset, 2, 2)
+            _assert_check_agrees(subset[::-1], 2, 2)
+            seen += 1
+    assert seen == 9949
+    # frontiers of depth <= 3 with 1, 2, ..., 6 leaves
+    assert accepted == 1 + 1 + 2 + 5 + 6 + 6
+
+
+_MUTATIONS = ("duplicate", "drop", "nested child", "bad digit", "truncate")
+
+
+@st.composite
+def _mutated_frontiers(draw):
+    d, q = draw(st.sampled_from(((2, 2), (2, 3), (3, 2), (2, 4), (3, 3))))
+    leaves = list(draw(_frontiers(d, q, draw(st.integers(0, 6)))))
+    kind = draw(st.sampled_from(_MUTATIONS))
+    i = draw(st.integers(0, len(leaves) - 1))
+    a = leaves[i]
+    if kind == "duplicate":
+        leaves.append(a)
+    elif kind == "drop":
+        del leaves[i]
+    elif kind == "nested child":
+        leaves.append(a + (draw(st.integers(0, d - 1)),))
+    elif kind == "bad digit":
+        j = draw(st.integers(0, len(a) - 1))
+        arity = q if j == 0 else d
+        digit = draw(st.one_of(st.integers(-3, -1), st.integers(arity, arity + 3)))
+        leaves[i] = a[:j] + (digit,) + a[j + 1:]
+    else:
+        leaves[i] = a[:-1]
+    order = draw(st.permutations(range(len(leaves))))
+    return d, q, kind, [leaves[j] for j in order]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_frontiers())
+def test_leafset_check_refuses_mutations_as_oracle_does(case):
+    d, q, kind, leaves = case
+    assert not _assert_check_agrees(leaves, d, q)
+    if kind == "bad digit":
+        with pytest.raises(MalformedPair, match="digit"):
+            _check_leafset(leaves, d, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(((2, 2), (2, 3), (3, 2), (2, 4), (3, 3))), st.data())
+def test_leafset_check_accepts_frontiers_as_oracle_does(shape, data):
+    d, q = shape
+    leaves = data.draw(_frontiers(d, q, data.draw(st.integers(0, 8))))
+    assert _assert_check_agrees(data.draw(st.permutations(leaves)), d, q)
 
 
 # ---------------------------------------------------------------------------
