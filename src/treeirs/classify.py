@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 
 from .canon import enumerate_cone_maps
 from .perm import (
@@ -85,9 +86,13 @@ def in_Xi(G: GeneratedGroup, delta: int) -> tuple[bool, XiWitness | None]:
 
     The two-sided condition forces U to be a union of G-orbits (that is the
     setwise-invariance half), so only orbit unions need scanning; the
-    alternating half is exactly the rigid-stabilizer test.
+    alternating half is exactly the rigid-stabilizer test.  When need =
+    degree - delta is at least 3, every candidate U needs |G| >= |U|!/2 >=
+    need!/2, so a smaller group is refused before any orbit is computed.
     """
     need = G.degree - delta
+    if need >= 3 and G.order < factorial(need) // 2:
+        return False, None
     for U in _orbit_union_candidates(orbits(G), max(need, 0)):
         if contains_alt_on(G, U):
             return True, XiWitness(U, delta)

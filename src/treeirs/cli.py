@@ -23,7 +23,7 @@ from math import exp
 from . import bounds as bnd
 from . import montecarlo as mc
 from .canon import ColourSchemeMismatch, orbit_census
-from .classify import classify_case, in_Pi, in_Xi, profile
+from .classify import classify_case, in_Pi, profile
 from .irs import (
     transporters,
     uniform_conjugate_measure,
@@ -209,7 +209,7 @@ def cmd_classify(args) -> int:
     if scheme is not None and scheme.d != args.d:
         raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {args.d}")
     rep = classify_case(G, args.q, args.delta)
-    xi_ok, wit = in_Xi(G, args.delta)
+    xi_ok, wit = rep.case == "Xi", rep.witness
     bound_log = None
     if args.cc_C is not None and args.cc_c is not None and rep.case in ("I", "II", "III"):
         params = bnd.BoundParams(d=args.d, q=args.q, C=args.cc_C, c=args.cc_c)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_left
 from collections import deque
 from functools import lru_cache
 from math import factorial
@@ -220,10 +221,12 @@ class GeneratedGroup:
                               self.cap, _elements=els)
 
     def restricted(self, points) -> "GeneratedGroup":
-        """The action on an invariant point set, on {0..len(points)-1}."""
+        """The action on an invariant point set, on {0..len(points)-1},
+        generated by the restricted generators."""
         pts = tuple(sorted(points))
         els = tuple(sorted({restrict(p, pts) for p in self.elements}))
-        return GeneratedGroup(len(pts), els or [identity(len(pts))], self.cap, _elements=els)
+        return GeneratedGroup(len(pts), [restrict(g, pts) for g in self.generators],
+                              self.cap, _elements=els)
 
 
 def symmetric_group(n: int, cap: int = DEFAULT_CAP) -> GeneratedGroup:
@@ -377,12 +380,16 @@ def contains_alt_on(G: GeneratedGroup, U) -> bool:
     count the even elements of the rigid stabilizer: its elements fix every
     point outside U, so restriction to U is injective and keeps parity, and
     the count equals |U|!/2 exactly when the restriction contains Alt(U).
+    A group of order below |U|!/2 is refused before the rigid stabilizer is
+    built.
     """
     U = tuple(sorted(U))
     if len(U) <= 2:
         return True
-    R = G if len(U) == G.degree else rigid_stabilizer(G, U)
     target = factorial(len(U)) // 2
+    if G.order < target:
+        return False
+    R = G if len(U) == G.degree else rigid_stabilizer(G, U)
     if R.order < target:
         return False
     return sum(1 for h in R.elements if is_even(h)) == target
@@ -417,23 +424,32 @@ def _double_coset_reps(H_gens, ambient_elements):
     return reps
 
 
-def conjugacy_orbit(els, generators) -> set[tuple[Perm, ...]]:
+def conjugacy_orbit(els, generators, carry=()) -> dict[tuple[Perm, ...], tuple[Perm, ...]]:
     """The conjugates of the subgroup ``els`` under the group that
-    ``generators`` generate, each as a sorted element tuple.
+    ``generators`` generate, each as a sorted element tuple, mapped to the
+    tuple ``carry`` conjugated by the same element.
 
     Breadth-first over conjugation by the generators alone, which reaches the
     whole orbit because the group is finite: |generators| |orbit| |els|
-    conjugations in all.
+    conjugations in all.  ``carry`` holds elements of ``els`` (say, its
+    generators, and then each member's value generates that member); each
+    value holds the member's own element objects, so it costs no memory
+    beyond its tuple.
     """
+    def shared(member, perms):
+        return tuple(member[bisect_left(member, p)] for p in perms)
+
     start = tuple(sorted(els))
-    orbit = {start}
+    if not set(carry) <= set(start):
+        raise ValueError("carry must hold elements of els")
+    orbit = {start: shared(start, carry)}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
         for g in generators:
             nxt = tuple(sorted(conjugate(h, g) for h in cur))
             if nxt not in orbit:
-                orbit.add(nxt)
+                orbit[nxt] = shared(nxt, [conjugate(c, g) for c in orbit[cur]])
                 queue.append(nxt)
     return orbit
 
@@ -445,24 +461,30 @@ def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=())
     element per double coset H g H outside H: <H, a g b> == <H, g> for a, b
     in H, so the double coset representatives (``_double_coset_reps``, walked
     from H's generators) cover every join, and each subgroup over the seed is
-    reached through a chain of joins.  Returns (generators, orbit) for each
-    subgroup registered, in order of discovery; the orbit is its conjugacy
-    orbit under <conj_gens> (``conjugacy_orbit``), each member a sorted
-    element tuple.  With no ``conj_gens`` the orbit is the subgroup alone and
-    every subgroup is registered; with them one subgroup per conjugacy class
-    is, because a join is skipped once any conjugate of it is known.
+    reached through a chain of joins.  Each join at least doubles the order,
+    so a subgroup of order m is reached with at most log2(m) generators.
+    Returns (generators, orbit) for each subgroup registered, in order of
+    discovery; the orbit is its conjugacy orbit under <conj_gens>
+    (``conjugacy_orbit``), mapping each member, a sorted element tuple, to
+    the generators conjugated along with it.  With no ``conj_gens`` the orbit
+    is the subgroup alone and every subgroup is registered; with them one
+    subgroup per conjugacy class is, because a join is skipped once any
+    conjugate of it is known.
     """
     found = []
     known = set()
     todo = deque()
 
     def register(gens, eset):
-        orbit = conjugacy_orbit(eset, conj_gens)
+        orbit = conjugacy_orbit(eset, conj_gens, gens)
         known.update(frozenset(els) for els in orbit)
         found.append((gens, orbit))
         todo.append((gens, eset))
 
     ambient = frozenset(ambient_elements)
+    alt = None
+    if degree >= 5 and len(ambient) == factorial(degree):
+        alt = frozenset(p for p in ambient_elements if is_even(p))
     register(seed_gens, frozenset(close(seed_gens, cap, degree=degree)))
     while todo:
         gens, eset = todo.popleft()
@@ -470,13 +492,13 @@ def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=())
         for g in _double_coset_reps(gens, ambient_elements):
             if g in eset:
                 continue
-            joined = _extend(H, gens + (g,), cap, ambient)
+            joined = _extend(H, gens + (g,), cap, ambient, alt)
             if joined not in known:
                 register(gens + (g,), joined)
     return found
 
 
-def _extend(H, gens, cap: int, ambient: frozenset) -> frozenset:
+def _extend(H, gens, cap: int, ambient: frozenset, alt: frozenset | None = None) -> frozenset:
     """The element set of <gens>, where ``gens`` extends a generating set of
     the subgroup whose elements are the tuple ``H``, built coset by coset as
     in Dimino's algorithm.
@@ -495,9 +517,18 @@ def _extend(H, gens, cap: int, ambient: frozenset) -> frozenset:
     union holds more than half of it, <gens> is the whole ambient
     (its order divides |ambient|, by Lagrange), which is returned at once,
     after the same cap test.
+
+    ``alt``, when given, is the element set of Alt(n), and ``ambient`` that
+    of Sym(n), for n >= 5.  Then the cut comes sooner, once the union holds
+    more than (n-1)! elements: <gens> has index below n there, and for
+    n >= 5 the only such subgroups of Sym(n) are Alt(n) and Sym(n) (Dixon &
+    Mortimer, *Permutation Groups*, 1996, ch. 5).  So <gens> is ``alt`` when
+    every generator is even and ``ambient`` otherwise, again after the cap
+    test.
     """
     elements = set(H)
     reps = [H[0]]  # any element of H represents H itself
+    limit = len(ambient) // 2 if alt is None else 2 * len(alt) // len(H[0])
     for r in reps:
         for s in gens:
             t = tuple([s[x] for x in r])
@@ -505,10 +536,11 @@ def _extend(H, gens, cap: int, ambient: frozenset) -> frozenset:
                 if len(elements) + len(H) > cap:
                     raise ClosureExceedsCap(f"closure exceeds cap={cap}")
                 elements.update([tuple([t[x] for x in h]) for h in H])
-                if 2 * len(elements) > len(ambient):
-                    if len(ambient) > cap:
+                if len(elements) > limit:
+                    whole = alt if alt is not None and all(map(is_even, gens)) else ambient
+                    if len(whole) > cap:
                         raise ClosureExceedsCap(f"closure exceeds cap={cap}")
-                    return ambient
+                    return whole
                 reps.append(t)
     return frozenset(elements)
 
@@ -517,16 +549,17 @@ def _sorted_groups(degree: int, walk, cap: int) -> tuple[GeneratedGroup, ...]:
     """The subgroups of a walk without conjugacy dedupe, by order, then by
     sorted element list."""
     groups = sorted(((gens, els) for gens, (els,) in walk), key=lambda ge: (len(ge[1]), ge[1]))
-    return tuple(GeneratedGroup(degree, gens or els, cap, _elements=els) for gens, els in groups)
+    return tuple(GeneratedGroup(degree, gens, cap, _elements=els) for gens, els in groups)
 
 
 @lru_cache(maxsize=None)
 def _subgroup_classes(degree: int, cap: int):
     """Conjugacy classes of subgroups of Sym(degree), in order of discovery,
-    each as the sorted tuple of its members' sorted element tuples."""
+    each as the tuple of its members' (sorted element tuple, generators)
+    pairs, sorted by element tuple."""
     ambient = tuple(sorted(itertools.permutations(range(degree))))
     walk = _join_walk((), ambient, degree, cap, symmetric_group(degree, cap).generators)
-    return tuple(tuple(sorted(orbit)) for _, orbit in walk)
+    return tuple(tuple(sorted(orbit.items())) for _, orbit in walk)
 
 
 @lru_cache(maxsize=None)
@@ -535,7 +568,10 @@ def enumerate_subgroups(degree: int, cap: int = DEFAULT_CAP):
 
     Returns (subgroups, classes): subgroups is a tuple of GeneratedGroup in a
     deterministic order (by order, then by sorted element list); classes is a
-    tuple of tuples of indices into it, one per conjugacy class.
+    tuple of tuples of indices into it, one per conjugacy class.  Each
+    subgroup carries the join walk's short generating set (none for the
+    trivial group, at most log2 of the order), conjugated from its class
+    representative, and its sorted element list.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
@@ -544,12 +580,13 @@ def enumerate_subgroups(degree: int, cap: int = DEFAULT_CAP):
     if factorial(degree) > cap:
         raise ClosureExceedsCap(f"|Sym({degree})| exceeds cap={cap}")
     expanded = _subgroup_classes(degree, cap)
-    flat = sorted({els for cls in expanded for els in cls}, key=lambda e: (len(e), e))
+    gens_of = {els: gens for cls in expanded for els, gens in cls}
+    flat = sorted(gens_of, key=lambda e: (len(e), e))
     index = {els: i for i, els in enumerate(flat)}
     subgroups = tuple(
-        GeneratedGroup(degree, els, cap, _elements=els) for els in flat
+        GeneratedGroup(degree, gens_of[els], cap, _elements=els) for els in flat
     )
-    classes = tuple(tuple(sorted(index[e] for e in cls)) for cls in expanded)
+    classes = tuple(tuple(sorted(index[e] for e, _ in cls)) for cls in expanded)
     classes = tuple(sorted(classes, key=lambda c: c[0]))
     return subgroups, classes
 

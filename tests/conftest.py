@@ -1,6 +1,7 @@
 import random
 
 from treeirs.canon import _block_split
+from treeirs.perm import GeneratedGroup
 from treeirs.thompson import TreePair, reduce_pair
 from treeirs.tree import ColourScheme, TreeShape, child_colours, orbit_label
 
@@ -105,3 +106,8 @@ def random_coloured_image(rng, E, depth: int, scheme: ColourScheme,
         return tuple(sorted(out))
 
     return go(tuple(sorted(set(E))), depth, parent_colour, parent_colour)
+
+
+def listed_by_elements(G):
+    """G again, with its whole element list as its generators."""
+    return GeneratedGroup(G.degree, G.elements, G.cap, _elements=G.elements)

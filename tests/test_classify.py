@@ -1,7 +1,10 @@
 import itertools
+import random
+from math import factorial
 
 import pytest
 
+from conftest import listed_by_elements
 from treeirs.classify import (
     IncompatibleChain,
     LabelMismatch,
@@ -23,6 +26,8 @@ from treeirs.perm import (
     from_cycles,
     identity,
     is_even,
+    minimal_blocks,
+    orbits,
     product_of_symmetric,
     symmetric_group,
 )
@@ -80,6 +85,39 @@ def test_in_xi_agrees_with_unpruned_search(degree):
     for G in subs:
         for delta in (0, 1, 2):
             assert in_Xi(G, delta)[0] == xi_unpruned(G, delta), (G.generators, delta)
+
+
+def test_in_xi_order_exit_agrees_with_unpruned_search_degree6():
+    # a seeded sample of Sym(6)'s subgroups, where the order bound
+    # |G| < (degree - delta)!/2 refuses many before any orbit is scanned
+    subs, _ = enumerate_subgroups(6)
+    refused_by_order = 0
+    for G in random.Random(1729).sample(subs, 200):
+        for delta in (0, 1, 2):
+            refused_by_order += G.order < factorial(6 - delta) // 2
+            assert in_Xi(G, delta)[0] == xi_unpruned(G, delta), (G.generators, delta)
+    assert refused_by_order > 100
+
+
+@pytest.mark.parametrize("degree,sample", [(1, None), (2, None), (3, None), (4, None),
+                                           (5, None), (6, 150)])
+def test_short_generators_agree_with_element_lists(degree, sample):
+    # enumerated subgroups carry short generating sets; every answer must be
+    # the one their element-list twins give
+    subs, _ = enumerate_subgroups(degree)
+    if sample is not None:
+        subs = random.Random(1729).sample(subs, sample)
+    for G in subs:
+        twin = listed_by_elements(G)
+        assert orbits(G) == orbits(twin)
+        for orb in orbits(G):
+            blocks, twin_blocks = minimal_blocks(G, orb), minimal_blocks(twin, orb)
+            assert (blocks is None) == (twin_blocks is None)
+            if blocks is not None:
+                assert blocks.blocks == twin_blocks.blocks
+        for delta in (0, 1, 2):
+            assert in_Xi(G, delta) == in_Xi(twin, delta)
+            assert classify_case(G, 3, delta) == classify_case(twin, 3, delta)
 
 
 def test_in_pi_examples():

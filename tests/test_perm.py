@@ -277,6 +277,26 @@ def test_enumerate_subgroups_degree_too_large():
         enumerate_subgroups(7)
 
 
+def test_enumerated_generators_are_short():
+    # each subgroup carries the join walk's generators, conjugated from its
+    # class representative: they generate it, and each join at least
+    # doubled the order, so there are at most floor(log2 |G|) of them
+    for degree in range(1, 7):
+        for G in enumerate_subgroups(degree)[0]:
+            assert frozenset(close(G.generators, degree=degree)) == G.element_set
+            assert len(G.generators) <= G.order.bit_length() - 1
+
+
+def test_enumerated_generators_vs_sympy():
+    pytest.importorskip("sympy")
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    for degree in range(1, 7):
+        for G in enumerate_subgroups(degree)[0]:
+            gens = G.generators or (identity(degree),)
+            assert PermutationGroup([Permutation(list(g)) for g in gens]).order() == G.order
+
+
 def test_subgroups_of_product():
     amb = product_of_symmetric([2, 3])
     assert amb.order == 12
@@ -355,16 +375,17 @@ def subgroup_and_element(draw):
     return n, gens, draw(generator_perms(n))
 
 
-def check_extend(H, gens, degree, ambient):
-    """``_extend`` inside ``ambient`` against ``close``: the same join, and
-    the same cap threshold (order passes, order - 1 raises)."""
+def check_extend(H, gens, degree, ambient, alt=None):
+    """``_extend`` inside ``ambient`` (and with ``alt``) against ``close``:
+    the same join, and the same cap threshold (order passes, order - 1
+    raises)."""
     joined = frozenset(close(gens, cap=factorial(degree), degree=degree))
-    assert _extend(H, gens, factorial(degree), ambient) == joined
+    assert _extend(H, gens, factorial(degree), ambient, alt) == joined
     if gens[-1] not in H:  # the join walk extends only by elements outside H
         order = len(joined)
-        assert _extend(H, gens, order, ambient) == joined
+        assert _extend(H, gens, order, ambient, alt) == joined
         with pytest.raises(ClosureExceedsCap):
-            _extend(H, gens, order - 1, ambient)
+            _extend(H, gens, order - 1, ambient, alt)
         with pytest.raises(ClosureExceedsCap):
             close(gens, cap=order - 1, degree=degree)
     return joined
@@ -381,9 +402,11 @@ def test_extend_equals_close(case, data):
     gens = H_gens + (g,)
     H = close(H_gens, cap=factorial(n), degree=n)
     # ambients: Sym(n) (small joins never reach the cut, so this is plain
-    # Dimino), Alt(n) when it holds the join, the join itself (the cut fires
-    # at the first coset past half of it) and a drawn overgroup
+    # Dimino), Sym(n) with Alt(n) given (the (n-1)! cut fires on joins Alt(n)
+    # and Sym(n)), Alt(n) when it holds the join, the join itself (the cut
+    # fires at the first coset past half of it) and a drawn overgroup
     joined = check_extend(H, gens, n, SYM_SETS[n])
+    check_extend(H, gens, n, SYM_SETS[n], ALT_SETS[n])
     if joined <= ALT_SETS[n]:
         check_extend(H, gens, n, ALT_SETS[n])
     check_extend(H, gens, n, joined)
@@ -393,10 +416,11 @@ def test_extend_equals_close(case, data):
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_extend_cut_at_index_two(n):
-    # the join Alt(n) has index 2 in Sym(n): built from <(0 1 2)> or from
-    # the point stabilizer Alt(n - 1), the cosets reach exactly half of the
-    # ambient, where the cut must not fire yet; from Alt(n) and (0 1) the
-    # first coset passes half, and the cut returns Sym(n)
+    # with no Alt(n) given, the cut is Lagrange's: the join Alt(n) has index
+    # 2 in Sym(n), so built from <(0 1 2)> or from the point stabilizer
+    # Alt(n - 1) the cosets reach exactly half of the ambient, where that cut
+    # must not fire yet; from Alt(n) and (0 1) the first coset passes half,
+    # and the cut returns Sym(n)
     three_cycle = from_cycles(n, (0, 1, 2))
     H = close([three_cycle], degree=n)
     alt = check_extend(H, (three_cycle,) + alternating_group(n).generators, n, SYM_SETS[n])
@@ -407,6 +431,41 @@ def test_extend_cut_at_index_two(n):
     sym = check_extend(tuple(alt), alternating_group(n).generators + (from_cycles(n, (0, 1)),),
                        n, SYM_SETS[n])
     assert sym == SYM_SETS[n]
+
+
+def even_and_mixed_cases(n):
+    """(H, gens) pairs of degree n whose join is Alt(n) or Sym(n), from a
+    small H, a point stabilizer, and Alt(n) itself; gens all even, then
+    with one odd generator."""
+    three_cycles = tuple(from_cycles(n, (i, i + 1, i + 2)) for i in range(n - 2))
+    transposition = from_cycles(n, (0, 1))
+    n_cycle = from_cycles(n, tuple(range(n)))
+    alt_elements = tuple(ALT_SETS[n])
+    return [
+        (close(three_cycles[:1], degree=n), three_cycles),
+        (close(three_cycles[:-1], degree=n), three_cycles),
+        (close([transposition], degree=n), (transposition, n_cycle)),
+        (close(three_cycles[:-1], degree=n), three_cycles[:-1] + (n_cycle, transposition)),
+        (alt_elements, three_cycles + (transposition,)),
+    ]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_extend_cut_at_index_n(n):
+    # with Alt(n) given, a join past (n-1)! elements is Alt(n) or Sym(n) by
+    # generator parity, returned as the very set passed in; at cap = |join|
+    # it passes and at |join| - 1 it raises, as close does
+    for H, gens in even_and_mixed_cases(n):
+        whole = ALT_SETS[n] if all(map(is_even, gens)) else SYM_SETS[n]
+        assert check_extend(H, gens, n, SYM_SETS[n], ALT_SETS[n]) == whole
+        assert _extend(H, gens, factorial(n), SYM_SETS[n], ALT_SETS[n]) is whole
+    assert any(all(map(is_even, gens)) for _, gens in even_and_mixed_cases(n))
+    assert not all(all(map(is_even, gens)) for _, gens in even_and_mixed_cases(n))
+    # a point stabilizer Sym(n - 1) has exactly (n-1)! elements: no cut
+    transposition = from_cycles(n, (0, 1))
+    gens = (transposition, from_cycles(n, tuple(range(n - 1))))
+    stabilizer = check_extend(close(gens[:1], degree=n), gens, n, SYM_SETS[n], ALT_SETS[n])
+    assert len(stabilizer) == factorial(n - 1)
 
 
 @pytest.mark.parametrize("ambient", [
@@ -532,10 +591,12 @@ def test_double_coset_reps_vs_bruteforce(degree):
     subs, _ = enumerate_subgroups(degree)
     for H in subs:
         expect = double_coset_reps_oracle(H.elements, ambient)
-        # enumerated subgroups carry their whole element list as generators;
-        # greedy_generators of the trivial group is empty
+        # enumerated subgroups carry the join walk's short generating sets,
+        # greedy_generators another one (both empty for the trivial group),
+        # and the whole element list generates too
         assert _double_coset_reps(H.generators, ambient) == expect
         assert _double_coset_reps(greedy_generators(H), ambient) == expect
+        assert _double_coset_reps(H.elements, ambient) == expect
 
 
 def test_conjugacy_orbit_vs_bruteforce():
@@ -543,7 +604,21 @@ def test_conjugacy_orbit_vs_bruteforce():
     gens = symmetric_group(5).generators
     subs, _ = enumerate_subgroups(5)
     for H in subs:
-        assert conjugacy_orbit(H.elements, gens) == conjugacy_orbit_oracle(H.elements, ambient)
+        assert conjugacy_orbit(H.elements, gens).keys() == conjugacy_orbit_oracle(H.elements, ambient)
+
+
+def test_conjugacy_orbit_carries_generators():
+    # the carried generators of each conjugate generate that conjugate
+    gens = symmetric_group(5).generators
+    subs, classes = enumerate_subgroups(5)
+    for cls in classes:
+        H = subs[cls[0]]
+        orbit = conjugacy_orbit(H.elements, gens, H.generators)
+        assert orbit[H.elements] == H.generators
+        assert sorted(orbit) == [subs[i].elements for i in cls]
+        for els, carried in orbit.items():
+            assert len(carried) == len(H.generators)
+            assert frozenset(close(carried, degree=5)) == set(els)
 
 
 def test_restrict():
