@@ -169,24 +169,23 @@ def cmd_simulate(args) -> int:
     params = None
     if args.cc_C is not None and args.cc_c is not None:
         params = bnd.BoundParams(d=args.d, q=args.q, C=args.cc_C, c=args.cc_c)
-    workers = int(os.environ.get("TREEIRS_WORKERS", args.workers))
     name = args.experiment
     if name == "treematch":
         est = mc.estimate_treematch(args.d, args.n, args.k, args.trials,
-                                    args.seed, scheme=scheme, workers=workers)
+                                    args.seed, scheme=scheme)
     elif name == "cut1":
         est = mc.estimate_cut1(args.d, args.q, args.n, args.k, args.trials,
-                               args.seed, workers=workers)
+                               args.seed)
     elif name == "cut2":
         est = mc.estimate_cut2(args.d, args.q, args.n, args.k, args.trials,
-                               args.seed, workers=workers)
+                               args.seed)
     elif name == "colormatch":
         if scheme is None:
             print("colormatch needs --scheme", file=sys.stderr)
             return 2
         est = mc.estimate_colormatch(scheme, args.n, args.k, args.orbit,
                                      args.trials, args.seed,
-                                     root_label=args.root_label, workers=workers)
+                                     root_label=args.root_label)
     else:
         print(f"unknown experiment {name!r}", file=sys.stderr)
         return 2
@@ -305,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--workers", type=int, default=1,
-                       help="threads for simulate's trials; the other "
-                            "commands accept and ignore it")
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for simulate's trials; the other commands "
                             "accept and ignore it")

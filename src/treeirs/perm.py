@@ -620,12 +620,30 @@ def group_to_json(G: GeneratedGroup, include_elements: bool = False) -> dict:
     return data
 
 
-def group_from_json(data, cap: int = DEFAULT_CAP) -> GeneratedGroup:
-    degree = int(data["degree"])
-    gens = [tuple(int(x) for x in g) for g in data["generators"]]
+def perms_from_json(data, size_key: str, offset: int = 0) -> tuple[int, list[Perm]]:
+    """``(size, generators)`` of a JSON object ``{size_key: size, "generators":
+    [...]}`` whose generators are permutations of ``range(size + offset)``.
+
+    Anything else raises ``ValueError``, so a malformed input file is refused
+    as bad input rather than failing partway with a ``KeyError``.
+    """
+    if not isinstance(data, dict) or size_key not in data or "generators" not in data:
+        raise ValueError(f'expected a JSON object with keys "{size_key}" '
+                         f'and "generators"')
+    try:
+        size = int(data[size_key])
+        gens = [tuple(int(x) for x in g) for g in data["generators"]]
+    except TypeError as exc:
+        raise ValueError(f"malformed generators: {exc}") from None
+    degree = size + offset
     for g in gens:
         if len(g) != degree or not is_perm(g):
             raise ValueError(f"bad generator for degree {degree}: {g}")
+    return size, gens
+
+
+def group_from_json(data, cap: int = DEFAULT_CAP) -> GeneratedGroup:
+    degree, gens = perms_from_json(data, "degree")
     return GeneratedGroup(degree, gens, cap)
 
 

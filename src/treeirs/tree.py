@@ -22,9 +22,8 @@ counts per level are order-independent; tests check that explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from .perm import GeneratedGroup, orbits as group_orbits, symmetric_group
+from .perm import GeneratedGroup, orbits as group_orbits, perms_from_json, symmetric_group
 
 Address = tuple[int, ...]
 
@@ -127,9 +126,6 @@ class ColourScheme:
     @classmethod
     def from_generators(cls, d: int, generators) -> "ColourScheme":
         return cls(d, GeneratedGroup(d + 1, generators))
-
-    def label_of_colour(self, c: int) -> int:
-        return self.orbit_index[c]
 
 
 def child_colours(scheme: ColourScheme | None, parent_colour: int | None,
@@ -240,11 +236,8 @@ def level_counts_direct(scheme: ColourScheme, n: int, parent_colour: int,
     return tuple(counts)
 
 
-@lru_cache(maxsize=None)
-def scheme_from_key(d: int, gen_key: tuple) -> ColourScheme:
-    return ColourScheme.from_generators(d, [tuple(g) for g in gen_key])
-
-
 def scheme_from_json(data) -> ColourScheme:
-    return scheme_from_key(int(data["d"]),
-                           tuple(tuple(int(x) for x in g) for g in data["generators"]))
+    """The scheme of a JSON object ``{"d": d, "generators": [...]}``; each
+    generator must permute the d+1 colours, else ``ValueError``."""
+    d, gens = perms_from_json(data, "d", offset=1)
+    return ColourScheme.from_generators(d, gens)

@@ -336,6 +336,64 @@ def test_deterministic_outputs_all_commands(tmp_path):
         assert read(p1) == read(p2), argv
 
 
+# payload and the words its refusal must contain
+MALFORMED_SCHEMES = {
+    "no-d": ({"generators": [[1, 0, 2]]}, '"d" and "generators"'),
+    "no-generators": ({"d": 2}, '"d" and "generators"'),
+    "not-an-object": ([[1, 0, 2]], "JSON object"),
+    "generator-too-short": ({"d": 2, "generators": [[1, 0]]}, "bad generator for degree 3"),
+    "generator-too-long": ({"d": 2, "generators": [[1, 0, 2, 3]]},
+                           "bad generator for degree 3"),
+    "not-a-permutation": ({"d": 2, "generators": [[0, 0, 2]]}, "bad generator for degree 3"),
+    "generator-not-a-list": ({"d": 2, "generators": [1]}, "malformed generators"),
+}
+
+MALFORMED_GROUPS = {
+    "no-degree": ({"generators": [[1, 0, 2, 3]]}, '"degree" and "generators"'),
+    "no-generators": ({"degree": 4}, '"degree" and "generators"'),
+    "not-an-object": ([[1, 0, 2, 3]], "JSON object"),
+    "generator-too-short": ({"degree": 4, "generators": [[1, 0]]},
+                            "bad generator for degree 4"),
+    "not-a-permutation": ({"degree": 4, "generators": [[1, 1, 2, 3]]},
+                          "bad generator for degree 4"),
+}
+
+
+def assert_refused_as_bad_input(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("payload,message", MALFORMED_SCHEMES.values(),
+                         ids=MALFORMED_SCHEMES)
+@pytest.mark.parametrize("command", ["simulate", "census", "classify"])
+def test_malformed_scheme_file_is_bad_input(tmp_path, capsys, command, payload, message):
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps(payload))
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps(group_to_json(symmetric_group(4))))
+    argv = {
+        "simulate": ["simulate", "--experiment", "colormatch", "--d", "2", "--n", "2",
+                     "--k", "1", "--trials", "10"],
+        "census": ["census", "--d", "2", "--depth", "2", "--k", "1"],
+        "classify": ["classify", "--group-file", str(gfile), "--delta", "1",
+                     "--q", "2"],
+    }[command]
+    assert_refused_as_bad_input(tmp_path, capsys, argv + ["--scheme", str(scheme)],
+                                message)
+
+
+@pytest.mark.parametrize("payload,message", MALFORMED_GROUPS.values(),
+                         ids=MALFORMED_GROUPS)
+def test_malformed_group_file_is_bad_input(tmp_path, capsys, payload, message):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps(payload))
+    assert_refused_as_bad_input(tmp_path, capsys, [
+        "classify", "--group-file", str(gfile), "--delta", "1", "--q", "2"], message)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--experiment", "bogus", "--n", "1", "--k", "1",

@@ -9,7 +9,6 @@ from treeirs.canon import BudgetExceeded, ColourSchemeMismatch, canon_coloured, 
 from treeirs.montecarlo import (
     ESTIMATORS,
     Estimate,
-    InvalidExperiment,
     KTooLarge,
     TrialRng,
     estimate_colormatch,
@@ -58,16 +57,11 @@ def test_sample_inclusion_frequency():
     assert abs(hits / n - p) < 4 * sigma
 
 
-def test_estimate_fields_and_merge():
+def test_estimate_fields():
     e = estimate_treematch(2, 2, 2, trials=1000, seed=3)
     assert e.trials == 1000
     assert e.p_hat == e.successes / 1000
     assert e.stderr == pytest.approx(math.sqrt(e.p_hat * (1 - e.p_hat) / 1000))
-    e2 = Estimate(e.experiment, e.params, 500, 100, e.seed)
-    merged = e.merge(e2)
-    assert merged.trials == 1500 and merged.successes == e.successes + 100
-    with pytest.raises(ValueError):
-        e.merge(Estimate("cut1", e.params, 1, 0, e.seed))
 
 
 def test_reproducible_across_worker_counts():
@@ -105,6 +99,19 @@ def test_cut1_distribution_depends_only_on_k():
     a = estimate_cut1(2, 2, 3, 4, trials=40_000, seed=21, K=(0, 1, 2, 3))
     b = estimate_cut1(2, 2, 3, 4, trials=40_000, seed=22, K=(1, 5, 9, 14))
     assert abs(a.p_hat - b.p_hat) <= 4 * (a.stderr + b.stderr)
+
+
+def test_cut1_refuses_k_past_leaves_before_checking_K():
+    # the default K = range(k) would run past the leaf range; the refusal
+    # must still name the real fault, k > q d^n
+    with pytest.raises(KTooLarge, match="k=9 exceeds 8 leaves"):
+        estimate_cut1(2, 2, 2, 9, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("K", [(3, 3), (0, 8), (-1, 0), (0,), (0, 1, 2), (1, 1, 2)])
+def test_cut1_refuses_K_that_is_not_a_k_subset(K):
+    with pytest.raises(ValueError, match="K must be a k-subset"):
+        estimate_cut1(2, 2, 2, 2, trials=1, seed=0, K=K)
 
 
 def test_cut2_exact_point_and_mc():
