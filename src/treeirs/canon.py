@@ -8,12 +8,13 @@ Two modes:
   equivalence.
 
 * coloured mode: the acting maps are cone isomorphisms all of whose induced
-  local colour permutations lie in F, under a fixed legal edge colouring.  A
-  map carrying one cone onto another sends a vertex with parent-edge colour c
-  to one with parent-edge colour sigma(c) for its parent's local permutation
-  sigma in F, so forms are computed relative to an *image* colour: the form
-  of (vertex, image colour c') minimizes, over sigma in F with sigma(c) = c',
-  the tuple of child forms placed at their image colours in ascending order.
+  local colour permutations lie in F, under the one legal edge colouring of
+  ``tree`` (child edges in orbit order).  A map carrying one cone onto
+  another sends a vertex with parent-edge colour c to one with parent-edge
+  colour sigma(c) for its parent's local permutation sigma in F, so forms are
+  computed relative to an *image* colour: the form of (vertex, image colour
+  c') minimizes, over sigma in F with sigma(c) = c', the tuple of child forms
+  placed at their image colours in ascending order.
   Cone roots are always canonicalized at the representative colour of their
   orbit, so forms of cones with label-equivalent parent colours are directly
   comparable.  Positions in a tuple are aligned by image colour, which keeps
@@ -31,14 +32,13 @@ permutations lie in F, which fixes each F-orbit).  Different profiles
 therefore prove different orbits.  On a tie, both subsets climb the tree
 together, one level at a time, and each non-empty vertex gets an integer class
 id in place of its form: in full mode the id of the sorted tuple of its
-children's ids, in coloured mode one id per image colour in the F-orbit of its
-colour, taken from the least tuple of child ids over the same sigmas the
-coloured form minimizes over.  The ids are numbered afresh in each call; two
-vertices of one depth, taken at one image colour, get equal ids exactly when
-their forms are equal, so the least tuple under id order is as canonical as
-the least under string order.  A level at which the two subsets' multisets of
-ids differ proves different orbits, and equal ids at the roots prove one
-orbit.
+children's ids, in coloured mode the id of the least tuple of child ids over
+the sigmas the coloured form at the least colour of the vertex's orbit
+minimizes over.  The ids are numbered afresh in each call; two vertices of one
+depth (and, in coloured mode, one orbit) get equal ids exactly when their
+forms are equal, so the least tuple under id order is as canonical as the
+least under string order.  A level at which the two subsets' multisets of ids
+differ proves different orbits, and equal ids at the roots prove one orbit.
 
 Censuses (``orbit_census``, and through it ``montecarlo.exact_colormatch``)
 canonicalize no subset on their own.  A vertex's form is a function of its
@@ -46,9 +46,11 @@ children's forms (the Aho-Hopcroft-Ullman tree canonization), so the census is
 a bottom-up recursion over class tables: for each depth and vertex kind (its
 parent-edge colour in coloured mode) a table maps subset size to {class
 signature: count}, and a vertex combines one class from each child's table,
-multiplying the counts.  The cost grows with the number of classes instead of
-with C(d^n, k), and the forms are the same strings the per-subset functions
-build.
+multiplying the counts.  A coloured signature keeps the form at every image
+colour of the vertex's orbit: an exported string holds each child's form at
+the image its parent's sigma gives it.  The cost grows with the number of
+classes instead of with C(d^n, k), and the forms are the same strings the
+per-subset functions build.
 
 A form is its own canonical string, built afresh by every call: the module
 keeps no table of forms, and ``Matcher``'s class ids live only as long as one
@@ -66,7 +68,7 @@ from fractions import Fraction
 from math import comb
 
 from .perm import ClosureExceedsCap, Perm
-from .tree import ColourScheme, child_colours, cone_leaf_labels, cone_level_labels
+from .tree import ColourScheme, child_colours, cone_leaf_labels
 
 
 class BudgetExceeded(ValueError):
@@ -131,8 +133,7 @@ def canon_full(E, depth: int, d: int) -> str:
     return go(leaves, depth)
 
 
-def canon_coloured(E, depth: int, scheme: ColourScheme, parent_colour: int,
-                   policy: str = "orbit") -> str:
+def canon_coloured(E, depth: int, scheme: ColourScheme, parent_colour: int) -> str:
     """Canonical form under cone maps with all local colour actions in F.
 
     The cone root's image colour is pinned to the representative of the
@@ -158,7 +159,7 @@ def canon_coloured(E, depth: int, scheme: ColourScheme, parent_colour: int,
             return hit
         block = d ** (level - 1)
         parts = _block_split(sub, d, block)
-        cs = child_colours(scheme, c_phys, d, policy)
+        cs = child_colours(scheme, c_phys, d)
         slot = {c: j for j, c in enumerate(cs)}
         img_cols = [c for c in all_colours if c != c_img]
         best: tuple[str, ...] | None = None
@@ -187,8 +188,7 @@ def _inv_at(sigma: Perm, y: int) -> int:
 
 
 def equivalent(E, F2, depth: int, d: int, scheme: ColourScheme | None = None,
-               colour_e: int | None = None, colour_f: int | None = None,
-               policy: str = "orbit") -> bool:
+               colour_e: int | None = None, colour_f: int | None = None) -> bool:
     """Are two leaf subsets of equal-depth cones in the same orbit?
 
     Full mode when ``scheme`` is None.  In coloured mode ``colour_e`` and
@@ -210,8 +210,8 @@ def equivalent(E, F2, depth: int, d: int, scheme: ColourScheme | None = None,
         colour_f = colour_e
     if scheme.orbit_index[colour_e] != scheme.orbit_index[colour_f]:
         return False
-    return (canon_coloured(E, depth, scheme, colour_e, policy)
-            == canon_coloured(F2, depth, scheme, colour_f, policy))
+    return (canon_coloured(E, depth, scheme, colour_e)
+            == canon_coloured(F2, depth, scheme, colour_f))
 
 
 @dataclass(frozen=True)
@@ -225,6 +225,13 @@ class Matcher:
     vertex an integer class id in place of its form, and stops at the first
     level whose multisets of ids differ.  It raises the forms' ``ValueError``
     on an out-of-range leaf.
+
+    In coloured mode a vertex of colour c gets one id, from the least tuple
+    of child ids over the sigma in F with sigma(c) = r, the least colour of
+    c's orbit.  The key may leave the orbit out: whatever sigma, the child at
+    the position of image colour e has a colour in e's orbit, so equal ids
+    are only ever compared within one orbit, where the class of a vertex does
+    not depend on the image colour its form is taken at.
     """
 
     depth: int
@@ -234,16 +241,16 @@ class Matcher:
     # (leaf block size, vertex labels or None) for each depth in the profile
     _levels: tuple = field(init=False, repr=False, compare=False)
     # coloured mode: the physical parent-edge colour of every vertex, one
-    # tuple per depth 0..n; then, per colour c and position p in c's sorted
-    # F-orbit, the placements of ``_placements(scheme, c, orbit[p])``
+    # tuple per depth 0..n; then, per colour c, the slot orders of the sigma
+    # in F that carry c to the least colour of its orbit
     _colours: tuple | None = field(init=False, repr=False, compare=False)
-    _places: tuple | None = field(init=False, repr=False, compare=False)
+    _orders: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         depth, d, scheme = self.depth, self.d, self.scheme
         if depth < 0:
             raise DepthMismatch("negative depth")
-        colours = places = None
+        colours = orders = None
         if scheme is None:
             if self.parent_colour is not None:
                 raise ValueError("parent_colour needs a colour scheme")
@@ -254,18 +261,21 @@ class Matcher:
             if self.parent_colour is None:
                 object.__setattr__(self, "parent_colour", scheme.reps[0])
             _check_colour(scheme, self.parent_colour)
-            labels = cone_level_labels(scheme, self.parent_colour, depth)
-            levels = tuple((d ** (depth - j), labels[j]) for j in range(1, depth + 1))
+            kids = [child_colours(scheme, c, d) for c in range(d + 1)]
             colours = [(self.parent_colour,)]
             for _ in range(depth):
-                colours.append(tuple(x for c in colours[-1]
-                                     for x in child_colours(scheme, c, d)))
+                colours.append(tuple(x for c in colours[-1] for x in kids[c]))
             colours = tuple(colours)
-            places = tuple(tuple(_placements(scheme, c, img) for img in _orbit_of(scheme, c))
-                           for c in range(d + 1))
+            label = scheme.orbit_index
+            levels = tuple((d ** (depth - j), tuple(label[c] for c in colours[j]))
+                           for j in range(1, depth + 1))
+            orders = tuple(
+                tuple(tuple(j for j, _ in pl)
+                      for pl in _placements(scheme, c, scheme.reps[label[c]]))
+                for c in range(d + 1))
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_colours", colours)
-        object.__setattr__(self, "_places", places)
+        object.__setattr__(self, "_orders", orders)
 
     def _profile(self, leaves):
         """Yield, depth by depth, the sorted occupancy counts of the vertices
@@ -296,29 +306,23 @@ class Matcher:
                 return False
         # one bottom-up pass over both subsets: ``ids`` numbers the forms met
         # in this call, 0 being an empty subtree and 1 a marked leaf, so equal
-        # ids at one level mean equal forms (at one image colour)
+        # ids at one level mean equal forms (within one orbit, coloured)
         ids: dict[tuple, int] = {}
+        xa = [1] * len(a)
+        xb = [1] * len(b)
         if self.scheme is None:
-            xa = xb = [1] * len(a)
             for _ in range(depth):
                 a, xa = _climb_full(a, xa, d, ids)
                 b, xb = _climb_full(b, xb, d, ids)
                 if sorted(xa) != sorted(xb):
                     return False
             return True
-        colours, places = self._colours, self._places
-        leaf_colours = colours[depth]
-        xa = [(1,) * len(places[leaf_colours[x]]) for x in a]
-        xb = [(1,) * len(places[leaf_colours[x]]) for x in b]
+        colours, orders = self._colours, self._orders
         for level in range(depth - 1, -1, -1):
-            a, xa = _climb_coloured(a, xa, d, colours[level], places, ids)
-            b, xb = _climb_coloured(b, xb, d, colours[level], places, ids)
+            a, xa = _climb_coloured(a, xa, d, colours[level], orders, ids)
+            b, xb = _climb_coloured(b, xb, d, colours[level], orders, ids)
             if sorted(xa) != sorted(xb):
                 return False
-        # canon_coloured compares the roots at the representative image.  The
-        # roots share their colour, so equal ids there come from a map whose
-        # root permutation fixes that colour, and such a map gives equal ids
-        # at every image: comparing the whole root signatures decides the same
         return True
 
 
@@ -344,33 +348,28 @@ def _climb_full(vs, xs, d, ids):
     return pv, px
 
 
-def _climb_coloured(vs, sigs, d, parent_colours, places, ids):
-    """As ``_climb_full`` in coloured mode.  A vertex's signature holds its id
-    at each image colour of its F-orbit, in ascending order; the id at image
-    c' is that of the least tuple of child ids at the image colours over the
-    sigma in F that carry the vertex's colour to c', which is how
-    ``canon_coloured`` takes its form at c'."""
-    empty = (0,) * (d + 1)
-    pv, ps = [], []
+def _climb_coloured(vs, xs, d, parent_colours, orders, ids):
+    """As ``_climb_full`` in coloured mode: the id of a parent is that of the
+    least tuple of its children's ids (0 for an empty child) read in the slot
+    orders of its colour, which is how ``canon_coloured`` takes its form at
+    the least colour of the parent's orbit."""
+    pv, px = [], []
     n = len(vs)
     i = 0
     while i < n:
         p = vs[i] // d
         base = p * d
-        kids = [empty] * d
+        kids = [0] * d
         while i < n and vs[i] < base + d:
-            kids[vs[i] - base] = sigs[i]
+            kids[vs[i] - base] = xs[i]
             i += 1
-        sig = []
-        for pls in places[parent_colours[p]]:
-            key = min([tuple([kids[j][q] for j, q in pl]) for pl in pls])
-            x = ids.get(key)
-            if x is None:
-                x = ids[key] = len(ids) + 2
-            sig.append(x)
+        key = min([tuple([kids[j] for j in order]) for order in orders[parent_colours[p]]])
+        x = ids.get(key)
+        if x is None:
+            x = ids[key] = len(ids) + 2
         pv.append(p)
-        ps.append(tuple(sig))
-    return pv, ps
+        px.append(x)
+    return pv, px
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +395,7 @@ class Census:
 
 
 def orbit_census(d: int, depth: int, k: int, scheme: ColourScheme | None = None,
-                 parent_colour: int | None = None, policy: str = "orbit",
+                 parent_colour: int | None = None,
                  budget: int = 2_000_000, leaf_label: int | None = None) -> Census:
     """Count the k-subsets of the cone's leaves by their canonical form.
 
@@ -419,12 +418,12 @@ def orbit_census(d: int, depth: int, k: int, scheme: ColourScheme | None = None,
         _check_colour(scheme, parent_colour)
     n_leaves = d ** depth
     if leaf_label is not None:
-        n_leaves = cone_leaf_labels(scheme, parent_colour, depth, policy).count(leaf_label)
+        n_leaves = cone_leaf_labels(scheme, parent_colour, depth).count(leaf_label)
     total = comb(n_leaves, k)
     if total > budget:
         raise BudgetExceeded(f"{total} subsets exceed budget={budget}")
     counts = {} if k > n_leaves else _class_counts(d, depth, k, scheme,
-                                                   parent_colour, policy, leaf_label)
+                                                   parent_colour, leaf_label)
     mode = "full" if scheme is None else "coloured"
     return Census(d, depth, k, mode, tuple(sorted(counts.items())))
 
@@ -440,13 +439,13 @@ def _orbit_of(scheme: ColourScheme, c: int) -> tuple[int, ...]:
     return tuple(sorted(scheme.orbits[scheme.orbit_index[c]]))
 
 
-def _placements(scheme: ColourScheme, c: int, c_img: int,
-                policy: str = "orbit") -> tuple[tuple[tuple[int, int], ...], ...]:
+def _placements(scheme: ColourScheme, c: int,
+                c_img: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each sigma in F with sigma(c) = c_img, the (child slot, position of
     the image colour in the child's ``_orbit_of``) read at each image colour
     other than c_img, ascending.  A form at c_img is the least of the tuples
     of child forms these placements read."""
-    slot = {x: j for j, x in enumerate(child_colours(scheme, c, scheme.d, policy))}
+    slot = {x: j for j, x in enumerate(child_colours(scheme, c, scheme.d))}
     img_cols = [e for e in range(scheme.d + 1) if e != c_img]
     pos = {e: _orbit_of(scheme, e).index(e) for e in img_cols}
     return tuple(tuple((slot[_inv_at(sigma, e)], pos[e]) for e in img_cols)
@@ -469,8 +468,7 @@ def _combine(child_tables: list[list[dict]], lo: int, hi: int) -> list[tuple]:
 
 
 def _class_counts(d: int, depth: int, k: int, scheme: ColourScheme | None,
-                  parent_colour: int | None, policy: str,
-                  leaf_label: int | None) -> dict[str, int]:
+                  parent_colour: int | None, leaf_label: int | None) -> dict[str, int]:
     """{root form: number of k-subsets with that form}, from class tables.
 
     A vertex's *kind* fixes the classes its subtree can hold: every vertex
@@ -511,7 +509,7 @@ def _class_counts(d: int, depth: int, k: int, scheme: ColourScheme | None,
 
         def kids(c):
             if c not in child_cols:
-                child_cols[c] = child_colours(scheme, c, d, policy)
+                child_cols[c] = child_colours(scheme, c, d)
             return child_cols[c]
 
         def images(c):
@@ -523,7 +521,7 @@ def _class_counts(d: int, depth: int, k: int, scheme: ColourScheme | None,
         def form(c, c_img, sigs):
             pls = placements.get((c, c_img))
             if pls is None:
-                pls = placements[c, c_img] = _placements(scheme, c, c_img, policy)
+                pls = placements[c, c_img] = _placements(scheme, c, c_img)
             best = min(tuple(sigs[j][p] for j, p in pl) for pl in pls)
             return "(" + ",".join(best) + ")"
 
@@ -568,7 +566,7 @@ def _class_counts(d: int, depth: int, k: int, scheme: ColourScheme | None,
 
 def enumerate_cone_maps(depth: int, d: int, scheme: ColourScheme | None = None,
                         colour_from: int | None = None, colour_to: int | None = None,
-                        policy: str = "orbit", cap: int = 500_000) -> tuple[tuple[int, ...], ...]:
+                        cap: int = 500_000) -> tuple[tuple[int, ...], ...]:
     """All leaf bijections of one depth-n cone onto another.
 
     Full mode: every rooted-tree isomorphism (the iterated wreath group).
@@ -608,8 +606,8 @@ def enumerate_cone_maps(depth: int, d: int, scheme: ColourScheme | None = None,
                     if len(out) > cap:
                         raise ClosureExceedsCap(f"more than cap={cap} cone maps")
         else:
-            cs = child_colours(scheme, c_from, d, policy)
-            ct = child_colours(scheme, c_to, d, policy)
+            cs = child_colours(scheme, c_from, d)
+            ct = child_colours(scheme, c_to, d)
             tslot = {c: j for j, c in enumerate(ct)}
             for sigma in scheme.F.elements:
                 if sigma[c_from] != c_to:
@@ -638,13 +636,13 @@ def enumerate_cone_maps(depth: int, d: int, scheme: ColourScheme | None = None,
 def brute_force_equivalent(E, F2, depth: int, d: int,
                            scheme: ColourScheme | None = None,
                            colour_e: int | None = None, colour_f: int | None = None,
-                           policy: str = "orbit", cap: int = 500_000) -> bool:
+                           cap: int = 500_000) -> bool:
     """Oracle: does some enumerated constrained map carry E onto F2?"""
     Eset = tuple(sorted(set(E)))
     Fset = set(F2)
     if len(Eset) != len(Fset):
         return False
-    for m in enumerate_cone_maps(depth, d, scheme, colour_e, colour_f, policy, cap):
+    for m in enumerate_cone_maps(depth, d, scheme, colour_e, colour_f, cap):
         if {m[x] for x in Eset} == Fset:
             return True
     return False

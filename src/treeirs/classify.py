@@ -182,13 +182,13 @@ def praeger_saxl_check(max_degree: int) -> PraegerReport:
 # theta events on boundary levels
 # ---------------------------------------------------------------------------
 
-def root_colours(scheme: ColourScheme, q: int, policy: str = "orbit") -> tuple[int, ...]:
+def root_colours(scheme: ColourScheme, q: int) -> tuple[int, ...]:
     """Parent-edge colours of the q cone roots (needs q <= d+1)."""
-    return child_colours(scheme, None, q, policy)
+    return child_colours(scheme, None, q)
 
 
 def _is_constrained_cone_map(m, level: int, scheme: ColourScheme,
-                             c_from: int, c_to: int, policy: str = "orbit") -> bool:
+                             c_from: int, c_to: int) -> bool:
     """Is the leaf bijection m the depth-`level` truncation of an F-local map?
 
     Checks that m is tree-structured (children blocks map onto children
@@ -199,8 +199,8 @@ def _is_constrained_cone_map(m, level: int, scheme: ColourScheme,
         return True
     d = scheme.d
     block = d ** (level - 1)
-    cs = child_colours(scheme, c_from, d, policy)
-    ct = child_colours(scheme, c_to, d, policy)
+    cs = child_colours(scheme, c_from, d)
+    ct = child_colours(scheme, c_to, d)
     sigma = {c_from: c_to}
     targets = []
     for j in range(d):
@@ -217,13 +217,13 @@ def _is_constrained_cone_map(m, level: int, scheme: ColourScheme,
         return False
     for j, jj in enumerate(targets):
         sub = tuple(m[j * block + i] - jj * block for i in range(block))
-        if not _is_constrained_cone_map(sub, level - 1, scheme, cs[j], ct[jj], policy):
+        if not _is_constrained_cone_map(sub, level - 1, scheme, cs[j], ct[jj]):
             return False
     return True
 
 
 def theta_event(G: GeneratedGroup, u: int, v: int, d: int, q: int, n: int,
-                scheme: ColourScheme, policy: str = "orbit") -> bool:
+                scheme: ColourScheme) -> bool:
     """Does G contain an F-realizable boundary permutation carrying cone u to cone v?
 
     An element of the boundary quotient permutes the q cone leaf-sets along
@@ -236,7 +236,7 @@ def theta_event(G: GeneratedGroup, u: int, v: int, d: int, q: int, n: int,
         raise ValueError("u, v must be distinct cone indices")
     if G.degree != q * d ** n:
         raise ValueError(f"group degree {G.degree} is not q d^n = {q * d ** n}")
-    rc = root_colours(scheme, q, policy)
+    rc = root_colours(scheme, q)
     if scheme.orbit_index[rc[u]] != scheme.orbit_index[rc[v]]:
         raise LabelMismatch("cones u and v carry different root labels")
     block = d ** n
@@ -257,28 +257,27 @@ def theta_event(G: GeneratedGroup, u: int, v: int, d: int, q: int, n: int,
             continue
         if all(_is_constrained_cone_map(
                 tuple(h[x * block + i] - rho[x] * block for i in range(block)),
-                n, scheme, rc[x], rc[rho[x]], policy) for x in range(q)):
+                n, scheme, rc[x], rc[rho[x]]) for x in range(q)):
             return True
     return False
 
 
 def boundary_quotient_elements(d: int, q: int, n: int, scheme: ColourScheme,
-                               policy: str = "orbit",
                                cap: int = 200_000) -> tuple[Perm, ...]:
     """Brute-force enumeration of the whole boundary quotient at small depth.
 
     Every label-preserving cone permutation combined with every per-cone
     F-realizable truncation; the test oracle for ``theta_event``.
     """
-    rc = root_colours(scheme, q, policy)
+    rc = root_colours(scheme, q)
     block = d ** n
     out = []
     for rho in itertools.permutations(range(q)):
         if any(scheme.orbit_index[rc[x]] != scheme.orbit_index[rc[rho[x]]]
                for x in range(q)):
             continue
-        per_cone = [enumerate_cone_maps(n, d, scheme, rc[x], rc[rho[x]],
-                                        policy, cap) for x in range(q)]
+        per_cone = [enumerate_cone_maps(n, d, scheme, rc[x], rc[rho[x]], cap)
+                    for x in range(q)]
         for choice in itertools.product(*per_cone):
             perm = [0] * (q * block)
             for x in range(q):

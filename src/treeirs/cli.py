@@ -23,7 +23,7 @@ from math import exp
 from . import bounds as bnd
 from . import montecarlo as mc
 from .canon import ColourSchemeMismatch, orbit_census
-from .classify import classify_case, in_Pi, profile
+from .classify import classify_case, in_Pi, profile, root_colours
 from .irs import (
     transporters,
     uniform_conjugate_measure,
@@ -38,7 +38,7 @@ from .perm import (
     subgroups_of,
     symmetric_group,
 )
-from .tree import ColourScheme, scheme_from_json
+from .tree import ColourScheme, cone_leaf_labels, scheme_from_json
 
 DEFAULT_SEED = 1729
 
@@ -155,17 +155,20 @@ def cmd_verify_counting(args) -> int:
     return 0
 
 
-def _load_scheme(path: str | None) -> ColourScheme | None:
+def _load_scheme(path: str | None, d: int) -> ColourScheme | None:
+    """The scheme in the JSON file at ``path`` (None without one), refused
+    unless it is for branching ``d``."""
     if path is None:
         return None
     with open(path, "r", encoding="utf-8") as fh:
-        return scheme_from_json(json.load(fh))
+        scheme = scheme_from_json(json.load(fh))
+    if scheme.d != d:
+        raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {d}")
+    return scheme
 
 
 def cmd_simulate(args) -> int:
-    scheme = _load_scheme(args.scheme)
-    if scheme is not None and scheme.d != args.d:
-        raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {args.d}")
+    scheme = _load_scheme(args.scheme, args.d)
     params = None
     if args.cc_C is not None and args.cc_c is not None:
         params = bnd.BoundParams(d=args.d, q=args.q, C=args.cc_C, c=args.cc_c)
@@ -204,9 +207,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_classify(args) -> int:
     G = load_group(args.group_file, cap=args.cap)
-    scheme = _load_scheme(args.scheme)
-    if scheme is not None and scheme.d != args.d:
-        raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {args.d}")
+    scheme = _load_scheme(args.scheme, args.d)
     rep = classify_case(G, args.q, args.delta)
     xi_ok, wit = rep.case == "Xi", rep.witness
     bound_log = None
@@ -216,11 +217,9 @@ def cmd_classify(args) -> int:
                                        t_gamma=float(rep.t_max))
     pi_txt = None
     if scheme is not None:
-        from .classify import root_colours
         labels = []
         block = G.degree // args.q
         rc = root_colours(scheme, args.q)
-        from .tree import cone_leaf_labels
         for x in range(args.q):
             labels.extend(cone_leaf_labels(scheme, rc[x],
                                            _int_log(block, args.d)))
@@ -279,7 +278,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_census(args) -> int:
-    scheme = _load_scheme(args.scheme)
+    scheme = _load_scheme(args.scheme, args.d)
     leaves = args.d ** args.depth
     if args.k > leaves:
         # orbit_census counts no subsets here; a header-only table is no answer

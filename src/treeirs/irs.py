@@ -272,11 +272,6 @@ def verify_index(nu: ConjInvariantMeasure, Q, U, V) -> VerifyResult:
     return VerifyResult(lhs, rhs, lhs <= rhs)
 
 
-def _side_restriction_group(elements, side, degree, cap) -> GeneratedGroup:
-    els = tuple(sorted({restrict(p, side) for p in elements}))
-    return GeneratedGroup(len(side), els, cap, _elements=els)
-
-
 def verify_E2(mu: ConjInvariantMeasure, side1, side2, B) -> VerifyResult:
     """Check the conjugacy-class-size inequality in a product of two groups.
 
@@ -304,7 +299,7 @@ def verify_E2(mu: ConjInvariantMeasure, side1, side2, B) -> VerifyResult:
         if b not in amb:
             raise ValueError("B must be a subset of the ambient group")
 
-    L1 = _side_restriction_group(amb.elements, side1, amb.degree, amb.cap)
+    L1 = amb.restricted(side1)
     pi2B = {restrict(b, side2) for b in B}
     Bset = set(B)
 

@@ -221,14 +221,6 @@ def estimate_colormatch(scheme: ColourScheme, n: int, k: int, orbit_i: int,
                     trials, succ, seed)
 
 
-ESTIMATORS = {
-    "treematch": estimate_treematch,
-    "cut1": estimate_cut1,
-    "cut2": estimate_cut2,
-    "colormatch": estimate_colormatch,
-}
-
-
 # ---------------------------------------------------------------------------
 # exact enumeration oracles for the small configurations
 # ---------------------------------------------------------------------------

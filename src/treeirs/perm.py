@@ -625,25 +625,34 @@ def perms_from_json(data, size_key: str, offset: int = 0) -> tuple[int, list[Per
     [...]}`` whose generators are permutations of ``range(size + offset)``.
 
     Anything else raises ``ValueError``, so a malformed input file is refused
-    as bad input rather than failing partway with a ``KeyError``.
+    as bad input rather than failing partway with a ``KeyError``.  Sizes and
+    points must be JSON integers: ``2.9`` or ``true`` is refused, not rounded.
     """
     if not isinstance(data, dict) or size_key not in data or "generators" not in data:
         raise ValueError(f'expected a JSON object with keys "{size_key}" '
                          f'and "generators"')
+    size = data[size_key]
+    if not _is_json_int(size):
+        raise ValueError(f'"{size_key}" must be an integer, not {size!r}')
     try:
-        size = int(data[size_key])
-        gens = [tuple(int(x) for x in g) for g in data["generators"]]
+        gens = [tuple(g) for g in data["generators"]]
     except TypeError as exc:
         raise ValueError(f"malformed generators: {exc}") from None
     degree = size + offset
     for g in gens:
-        if len(g) != degree or not is_perm(g):
+        if len(g) != degree or not all(map(_is_json_int, g)) or not is_perm(g):
             raise ValueError(f"bad generator for degree {degree}: {g}")
     return size, gens
 
 
+def _is_json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def group_from_json(data, cap: int = DEFAULT_CAP) -> GeneratedGroup:
     degree, gens = perms_from_json(data, "degree")
+    if degree < 1:
+        raise ValueError(f"group degree must be >= 1, not {degree}")
     return GeneratedGroup(degree, gens, cap)
 
 

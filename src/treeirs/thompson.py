@@ -257,8 +257,7 @@ def act_on_address(pair: TreePair, w, deepen: bool = False):
                  for i in below)
 
 
-def is_label_preserving(pair: TreePair, scheme: ColourScheme,
-                        policy: str = "orbit") -> bool:
+def is_label_preserving(pair: TreePair, scheme: ColourScheme) -> bool:
     """Does the leaf bijection preserve the parent-edge label everywhere?
 
     Order preservation below the leaves is built into the calculus; this
@@ -274,7 +273,7 @@ def is_label_preserving(pair: TreePair, scheme: ColourScheme,
         if not a:
             continue  # root-only pair: nothing to check
         b = pair.range_leaves[pair.sigma[i]]
-        if orbit_label(shape, scheme, a, policy) != orbit_label(shape, scheme, b, policy):
+        if orbit_label(shape, scheme, a) != orbit_label(shape, scheme, b):
             return False
     return True
 

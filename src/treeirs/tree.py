@@ -8,15 +8,16 @@ Colour schemes fix an edge colouring of the ambient (d+1)-regular tree with
 colours D = {0..d}, legal in the sense that the edges at each vertex carry
 pairwise distinct colours.  The concrete colouring is deterministic: at a
 vertex whose parent edge has colour ``a``, the j-th child edge receives the
-j-th colour of D \\ {a} in a fixed order.  Two orders are supported:
+j-th colour of D \\ {a} in ascending (orbit index, colour value) order.
 
-* ``"value"``   -- plain ascending colour value;
-* ``"orbit"``   -- ascending (orbit index, colour value).
-
-The orbit order makes the sequence of child labels depend only on the orbit
+This orbit order makes the sequence of child labels depend only on the orbit
 of the parent colour, which is exactly the compatibility needed for the
-label-preserving tree-pair calculus to be closed under composition.  Label
-counts per level are order-independent; tests check that explicitly.
+label-preserving tree-pair calculus to be closed under composition, and it is
+the one colouring every walk, form, census and tree-pair check uses.  Only
+the label layer (``child_colours``, ``cone_level_labels``,
+``cone_leaf_labels`` and ``level_counts_direct``) also takes
+``policy="value"``, plain ascending colour value, so that label counts per
+level can be checked not to depend on the order.
 """
 
 from __future__ import annotations
@@ -149,26 +150,25 @@ def child_colours(scheme: ColourScheme | None, parent_colour: int | None,
     return tuple(avail[:arity])
 
 
-def edge_colour_walk(shape: TreeShape, scheme: ColourScheme, addr: Address,
-                     policy: str = "orbit") -> tuple[int, ...]:
+def edge_colour_walk(shape: TreeShape, scheme: ColourScheme,
+                     addr: Address) -> tuple[int, ...]:
     """Colour of each edge along the path from the root to addr."""
     addr = shape.validate(addr)
     colours = []
     parent: int | None = None
     for depth, digit in enumerate(addr):
-        cc = child_colours(scheme, parent, shape.arity(depth), policy)
+        cc = child_colours(scheme, parent, shape.arity(depth))
         parent = cc[digit]
         colours.append(parent)
     return tuple(colours)
 
 
-def orbit_label(shape: TreeShape, scheme: ColourScheme, v: Address,
-                policy: str = "orbit") -> int:
+def orbit_label(shape: TreeShape, scheme: ColourScheme, v: Address) -> int:
     """The F-orbit index of the colour of v's parent edge."""
     v = shape.validate(v)
     if not v:
         raise RootHasNoLabel("the root has no parent edge")
-    return scheme.orbit_index[edge_colour_walk(shape, scheme, v, policy)[-1]]
+    return scheme.orbit_index[edge_colour_walk(shape, scheme, v)[-1]]
 
 
 def cone_level_labels(scheme: ColourScheme, parent_colour: int, n: int,

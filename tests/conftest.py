@@ -79,7 +79,7 @@ def random_full_image(rng, E, depth: int, d: int) -> tuple[int, ...]:
 
 
 def random_coloured_image(rng, E, depth: int, scheme: ColourScheme,
-                          parent_colour: int, policy: str = "orbit") -> tuple[int, ...]:
+                          parent_colour: int) -> tuple[int, ...]:
     """Image under a uniformly random constrained self-map of the cone.
 
     Local permutations are drawn uniformly from the relevant coset of F at
@@ -94,8 +94,8 @@ def random_coloured_image(rng, E, depth: int, scheme: ColourScheme,
         block = d ** (level - 1)
         options = [s for s in scheme.F.elements if s[c_phys] == c_img]
         sigma = options[_randbelow(rng, len(options))]
-        cs = child_colours(scheme, c_phys, d, policy)
-        ct = child_colours(scheme, c_img, d, policy)
+        cs = child_colours(scheme, c_phys, d)
+        ct = child_colours(scheme, c_img, d)
         tslot = {c: j for j, c in enumerate(ct)}
         out = []
         for j, part in enumerate(_block_split(tuple(sub), d, block)):

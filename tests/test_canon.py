@@ -277,44 +277,31 @@ GOLDEN_FULL_FORMS = [
 
 # coloured forms of these (depth, subset) pairs, binary cones ...
 GOLDEN_COLOURED_SUBSETS = [(0, (0,)), (1, (0,)), (2, (0, 3)), (3, (0, 1, 6)), (3, (2, 7))]
-# ... under F = <transposition>, per (transposition, policy, parent colour);
-# the two policies differ under <(0 2)>
+# ... under F = <transposition>, per (transposition, parent colour)
 GOLDEN_COLOURED_FORMS = {
-    ((0, 1), "orbit", 0): ("1", "(1,0)", "((1,0),(0,1))", "(((1,1),(0,0)),((0,0),(1,0)))",
-                           "(((0,0),(0,1)),((0,0),(0,1)))"),
-    ((0, 1), "orbit", 1): ("1", "(1,0)", "((1,0),(0,1))", "(((1,1),(0,0)),((0,0),(1,0)))",
-                           "(((0,0),(0,1)),((0,0),(0,1)))"),
-    ((0, 1), "orbit", 2): ("1", "(0,1)", "((0,1),(1,0))", "(((0,0),(0,1)),((1,1),(0,0)))",
-                           "(((0,0),(0,1)),((0,0),(0,1)))"),
-    ((0, 1), "value", 0): ("1", "(1,0)", "((1,0),(0,1))", "(((1,1),(0,0)),((0,0),(1,0)))",
-                           "(((0,0),(0,1)),((0,0),(0,1)))"),
-    ((0, 1), "value", 1): ("1", "(1,0)", "((1,0),(0,1))", "(((1,1),(0,0)),((0,0),(1,0)))",
-                           "(((0,0),(0,1)),((0,0),(0,1)))"),
-    ((0, 1), "value", 2): ("1", "(0,1)", "((0,1),(1,0))", "(((0,0),(0,1)),((1,1),(0,0)))",
-                           "(((0,0),(0,1)),((0,0),(0,1)))"),
-    ((0, 2), "orbit", 0): ("1", "(0,1)", "((0,1),(1,0))", "(((0,0),(1,0)),((1,1),(0,0)))",
-                           "(((0,0),(0,1)),((0,0),(0,1)))"),
-    ((0, 2), "orbit", 1): ("1", "(0,1)", "((0,1),(0,1))", "(((0,0),(1,1)),((0,0),(0,1)))",
-                           "(((0,1),(0,0)),((0,0),(0,1)))"),
-    ((0, 2), "orbit", 2): ("1", "(0,1)", "((0,1),(1,0))", "(((0,0),(1,0)),((1,1),(0,0)))",
-                           "(((0,0),(0,1)),((0,0),(0,1)))"),
-    ((0, 2), "value", 0): ("1", "(1,0)", "((0,1),(0,1))", "(((0,0),(1,1)),((0,0),(0,1)))",
-                           "(((0,0),(1,0)),((0,0),(0,1)))"),
-    ((0, 2), "value", 1): ("1", "(0,1)", "((1,0),(0,1))", "(((0,1),(0,0)),((0,0),(1,1)))",
-                           "(((0,0),(1,0)),((0,0),(0,1)))"),
-    ((0, 2), "value", 2): ("1", "(0,1)", "((0,1),(0,1))", "(((0,0),(1,0)),((0,0),(1,1)))",
-                           "(((0,0),(0,1)),((0,1),(0,0)))"),
+    ((0, 1), 0): ("1", "(1,0)", "((1,0),(0,1))", "(((1,1),(0,0)),((0,0),(1,0)))",
+                  "(((0,0),(0,1)),((0,0),(0,1)))"),
+    ((0, 1), 1): ("1", "(1,0)", "((1,0),(0,1))", "(((1,1),(0,0)),((0,0),(1,0)))",
+                  "(((0,0),(0,1)),((0,0),(0,1)))"),
+    ((0, 1), 2): ("1", "(0,1)", "((0,1),(1,0))", "(((0,0),(0,1)),((1,1),(0,0)))",
+                  "(((0,0),(0,1)),((0,0),(0,1)))"),
+    ((0, 2), 0): ("1", "(0,1)", "((0,1),(1,0))", "(((0,0),(1,0)),((1,1),(0,0)))",
+                  "(((0,0),(0,1)),((0,0),(0,1)))"),
+    ((0, 2), 1): ("1", "(0,1)", "((0,1),(0,1))", "(((0,0),(1,1)),((0,0),(0,1)))",
+                  "(((0,1),(0,0)),((0,0),(0,1)))"),
+    ((0, 2), 2): ("1", "(0,1)", "((0,1),(1,0))", "(((0,0),(1,0)),((1,1),(0,0)))",
+                  "(((0,0),(0,1)),((0,0),(0,1)))"),
 }
 
 
 def test_form_strings_golden():
     for d, depth, E, text in GOLDEN_FULL_FORMS:
         assert form_str(canon_full(E, depth, d)) == text, (d, depth, E)
-    for (swap, policy, colour), texts in GOLDEN_COLOURED_FORMS.items():
+    for (swap, colour), texts in GOLDEN_COLOURED_FORMS.items():
         scheme = ColourScheme.from_generators(2, [from_cycles(3, swap)])
-        got = tuple(form_str(canon_coloured(E, depth, scheme, colour, policy))
+        got = tuple(form_str(canon_coloured(E, depth, scheme, colour))
                     for depth, E in GOLDEN_COLOURED_SUBSETS)
-        assert got == texts, (swap, policy, colour)
+        assert got == texts, (swap, colour)
 
 
 def test_orbit_census_refuses_scheme_of_other_d():
@@ -516,8 +503,7 @@ def test_same_under_random_coloured_image(case, data, seed):
 # the class-table census against canonicalizing every subset
 # ---------------------------------------------------------------------------
 
-def census_by_subsets(d, depth, k, scheme=None, parent_colour=None,
-                      policy="orbit", ground=None):
+def census_by_subsets(d, depth, k, scheme=None, parent_colour=None, ground=None):
     """Oracle: the census counts by canonicalizing every k-subset of
     ``ground`` (default: all leaves), sorted by form string."""
     if scheme is not None and parent_colour is None:
@@ -527,7 +513,7 @@ def census_by_subsets(d, depth, k, scheme=None, parent_colour=None,
         if scheme is None:
             fid = canon_full(E, depth, d)
         else:
-            fid = canon_coloured(E, depth, scheme, parent_colour, policy)
+            fid = canon_coloured(E, depth, scheme, parent_colour)
         counts[fid] = counts.get(fid, 0) + 1
     return tuple(sorted(counts.items(), key=lambda kv: form_str(kv[0])))
 
@@ -547,15 +533,14 @@ def test_census_equals_subset_loop_full_mode(d, depth):
         assert c.counts == census_by_subsets(d, depth, k), k
 
 
-@pytest.mark.parametrize("policy", ["orbit", "value"])
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
-def test_census_equals_subset_loop_coloured_mode(depth, policy):
+def test_census_equals_subset_loop_coloured_mode(depth):
     for scheme in all_schemes(2):
         for colour in range(3):
             for k in range(2 ** depth + 1):
-                c = orbit_census(2, depth, k, scheme, colour, policy)
+                c = orbit_census(2, depth, k, scheme, colour)
                 assert c.mode == "coloured"
-                assert c.counts == census_by_subsets(2, depth, k, scheme, colour, policy), \
+                assert c.counts == census_by_subsets(2, depth, k, scheme, colour), \
                     (scheme.F.generators, colour, k)
 
 

@@ -346,6 +346,12 @@ MALFORMED_SCHEMES = {
                            "bad generator for degree 3"),
     "not-a-permutation": ({"d": 2, "generators": [[0, 0, 2]]}, "bad generator for degree 3"),
     "generator-not-a-list": ({"d": 2, "generators": [1]}, "malformed generators"),
+    "non-integer-d": ({"d": 2.9, "generators": [[1.7, 0, 2]]}, '"d" must be an integer'),
+    "boolean-d": ({"d": True, "generators": []}, '"d" must be an integer'),
+    "non-integer-point": ({"d": 2, "generators": [[1.0, 0, 2]]},
+                          "bad generator for degree 3"),
+    "boolean-point": ({"d": 2, "generators": [[True, False, 2]]},
+                      "bad generator for degree 3"),
 }
 
 MALFORMED_GROUPS = {
@@ -356,6 +362,14 @@ MALFORMED_GROUPS = {
                             "bad generator for degree 4"),
     "not-a-permutation": ({"degree": 4, "generators": [[1, 1, 2, 3]]},
                           "bad generator for degree 4"),
+    "non-integer-degree": ({"degree": 4.5, "generators": []}, '"degree" must be an integer'),
+    "boolean-degree": ({"degree": True, "generators": []}, '"degree" must be an integer'),
+    "non-integer-point": ({"degree": 4, "generators": [[1.5, 0, 2, 3]]},
+                          "bad generator for degree 4"),
+    "boolean-point": ({"degree": 4, "generators": [[True, False, 2, 3]]},
+                      "bad generator for degree 4"),
+    # degree 0 used to crash classify with an IndexError
+    "degree-zero": ({"degree": 0, "generators": []}, "group degree must be >= 1"),
 }
 
 

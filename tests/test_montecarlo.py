@@ -7,7 +7,6 @@ import pytest
 
 from treeirs.canon import BudgetExceeded, ColourSchemeMismatch, canon_coloured, canon_full
 from treeirs.montecarlo import (
-    ESTIMATORS,
     Estimate,
     KTooLarge,
     TrialRng,
@@ -182,10 +181,6 @@ def test_treematch_coloured_mode():
 def test_paper_range_warning():
     with pytest.warns(UserWarning):
         estimate_treematch(2, 3, 7, trials=10, seed=1)
-
-
-def test_estimators_registry():
-    assert set(ESTIMATORS) == {"treematch", "cut1", "cut2", "colormatch"}
 
 
 def test_treematch_refuses_scheme_of_other_d():
