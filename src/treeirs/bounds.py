@@ -140,17 +140,12 @@ class BoundParams:
     q: int
     C: float
     c: float
-    eps: float | None = None
 
     def __post_init__(self):
         if self.d < 2 or self.q < 2:
             raise DomainError("need d >= 2 and q >= 2")
         if not (0 < self.C < math.inf and 0 < self.c < math.inf):
             raise DomainError("constants C, c must be positive and finite")
-        eps = self.eps if self.eps is not None else 1.0 / (2 * self.d ** 2)
-        if not 0 < eps < 1.0 / self.d ** 2:
-            raise DomainError("eps must lie in (0, 1/d^2)")
-        object.__setattr__(self, "eps", eps)
 
     @property
     def alpha(self) -> float:

@@ -196,8 +196,7 @@ def equivalent(E, F2, depth: int, d: int, scheme: ColourScheme | None = None,
     the first orbit representative); cones with labels in different F-orbits
     are never equivalent.
     """
-    if depth < 0:
-        raise DepthMismatch("negative depth")
+    _check_cone(d, depth)
     if scheme is None:
         if colour_e is not None or colour_f is not None:
             raise ValueError("parent_colour needs a colour scheme")
@@ -248,8 +247,7 @@ class Matcher:
 
     def __post_init__(self):
         depth, d, scheme = self.depth, self.d, self.scheme
-        if depth < 0:
-            raise DepthMismatch("negative depth")
+        _check_cone(d, depth)
         colours = orders = None
         if scheme is None:
             if self.parent_colour is not None:
@@ -406,6 +404,7 @@ def orbit_census(d: int, depth: int, k: int, scheme: ColourScheme | None = None,
     mode only) just the subsets of the leaves carrying that label are counted.
     The budget caps the number of subsets counted, as if each were visited.
     """
+    _check_cone(d, depth)
     if scheme is None:
         for name, value in (("parent_colour", parent_colour), ("leaf_label", leaf_label)):
             if value is not None:
@@ -426,6 +425,13 @@ def orbit_census(d: int, depth: int, k: int, scheme: ColourScheme | None = None,
                                                    parent_colour, leaf_label)
     mode = "full" if scheme is None else "coloured"
     return Census(d, depth, k, mode, tuple(sorted(counts.items())))
+
+
+def _check_cone(d: int, depth: int) -> None:
+    if d < 2:
+        raise ValueError(f"need d >= 2, not {d}")
+    if depth < 0:
+        raise DepthMismatch("negative depth")
 
 
 def _check_colour(scheme: ColourScheme, colour: int) -> None:

@@ -32,6 +32,7 @@ from .irs import (
     verify_index,
 )
 from .perm import (
+    DEFAULT_CAP,
     enumerate_subgroups,
     load_group,
     product_of_symmetric,
@@ -143,7 +144,7 @@ def cmd_verify_counting(args) -> int:
     if args.degree > 5:
         print("verify-counting supports --degree <= 5", file=sys.stderr)
         return 2
-    rows = counting_rows(args.degree, args.cap)
+    rows = counting_rows(args.degree, DEFAULT_CAP)
     header = ["lemma", "degree", "gamma_id", "U", "V",
               "lhs_num", "lhs_den", "rhs_num", "rhs_den", "detail", "holds"]
     _write_rows(args.out, args.format, header, rows)
@@ -182,16 +183,13 @@ def cmd_simulate(args) -> int:
     elif name == "cut2":
         est = mc.estimate_cut2(args.d, args.q, args.n, args.k, args.trials,
                                args.seed)
-    elif name == "colormatch":
+    else:  # colormatch, the last of the parser's choices
         if scheme is None:
             print("colormatch needs --scheme", file=sys.stderr)
             return 2
         est = mc.estimate_colormatch(scheme, args.n, args.k, args.orbit,
                                      args.trials, args.seed,
                                      root_label=args.root_label)
-    else:
-        print(f"unknown experiment {name!r}", file=sys.stderr)
-        return 2
     bound = None if params is None else params.C * exp(-params.c * args.k ** params.alpha)
     scheme_txt = "" if scheme is None else json.dumps(
         {"d": scheme.d, "generators": [list(g) for g in scheme.F.generators]},
@@ -279,12 +277,11 @@ def cmd_bounds(args) -> int:
 
 def cmd_census(args) -> int:
     scheme = _load_scheme(args.scheme, args.d)
-    leaves = args.d ** args.depth
-    if args.k > leaves:
-        # orbit_census counts no subsets here; a header-only table is no answer
-        raise mc.KTooLarge(f"k={args.k} exceeds {leaves} leaves")
     census = orbit_census(args.d, args.depth, args.k, scheme,
                           parent_colour=args.parent_colour, budget=args.budget)
+    if not census.total:
+        # no k-subset exists when k > leaves; a header-only table is no answer
+        raise mc.KTooLarge(f"k={args.k} exceeds {args.d ** args.depth} leaves")
     header = ["d", "depth", "k", "mode", "class_id", "count"]
     rows = [[args.d, args.depth, args.k, census.mode, form, cnt]
             for form, cnt in census.counts]
@@ -304,13 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility; has no effect")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for simulate's trials; the other commands "
-                            "accept and ignore it")
 
     p = sub.add_parser("verify-counting", help="exhaustive counting-lemma sweeps")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--cap", type=int, default=10_000)
     common(p)
     p.set_defaults(fn=cmd_verify_counting)
 
@@ -327,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root-label", type=int, default=0)
     p.add_argument("--cc-C", type=float, default=None)
     p.add_argument("--cc-c", type=float, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed for the trials")
     common(p)
     p.set_defaults(fn=cmd_simulate)
 
@@ -368,7 +363,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

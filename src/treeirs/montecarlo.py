@@ -106,6 +106,21 @@ def _run_trials(trial_fn, trials: int) -> int:
     return sum(1 for t in range(trials) if trial_fn(t))
 
 
+def _check_k(k: int, room: int, draws: int = 1, leaves: str = "leaves") -> None:
+    """Refuse a negative k, and ``draws`` disjoint k-subsets of ``room`` leaves."""
+    if k < 0:
+        raise ValueError(f"k={k} must be >= 0")
+    if draws * k > room:
+        size = f"k={k}" if draws == 1 else f"{draws}k={draws * k}"
+        raise KTooLarge(f"{size} exceeds {room} {leaves}")
+
+
+def _root_colour(scheme: ColourScheme, root_label: int) -> int:
+    if not 0 <= root_label < len(scheme.reps):
+        raise ValueError(f"root_label {root_label} out of range")
+    return scheme.reps[root_label]
+
+
 def _warn_if_outside_paper_range(k: int, half: float) -> None:
     if not 2 <= k <= half:
         warnings.warn(f"k={k} is outside the bound's stated range [2, {half:g}]",
@@ -125,8 +140,7 @@ def estimate_treematch(d: int, n: int, k: int, trials: int, seed: int,
     """
     same = Matcher(n, d, scheme, parent_colour).same  # refuses a scheme of another d
     leaves = d ** n
-    if k > leaves:
-        raise KTooLarge(f"k={k} exceeds {leaves} leaves")
+    _check_k(k, leaves)
     _warn_if_outside_paper_range(k, leaves / 2)
 
     def trial(t: int) -> bool:
@@ -146,22 +160,14 @@ def _split_two_cones(subset, cone_size: int):
     return tuple(e1), tuple(e2)
 
 
-def estimate_cut1(d: int, q: int, n: int, k: int, trials: int, seed: int,
-                  K: tuple[int, ...] | None = None) -> Estimate:
+def estimate_cut1(d: int, q: int, n: int, k: int, trials: int, seed: int) -> Estimate:
     """P((K sigma) n C_u ~ (K sigma) n C_v) for uniform sigma on q d^n leaves.
 
-    K defaults to the first k leaves; the distribution of K sigma depends on
-    K only through k, so any fixed K gives the same law (unit-tested).  The
-    image of a fixed k-set under uniform sigma is sampled directly as a
-    uniform k-subset.
+    The image of any fixed k-set K under uniform sigma is a uniform k-subset,
+    so its law depends on K only through k, and it is sampled directly.
     """
     m = q * d ** n
-    if k > m:
-        raise KTooLarge(f"k={k} exceeds {m} leaves")
-    if K is None:
-        K = tuple(range(k))
-    if len(K) != k or len(set(K)) != k or any(not 0 <= x < m for x in K):
-        raise ValueError("K must be a k-subset of the leaf range")
+    _check_k(k, m)
     cone_size = d ** n
     same = Matcher(n, d).same
 
@@ -177,8 +183,7 @@ def estimate_cut1(d: int, q: int, n: int, k: int, trials: int, seed: int,
 def estimate_cut2(d: int, q: int, n: int, k: int, trials: int, seed: int) -> Estimate:
     """P((K1 sigma) n C_u ~ (K2 sigma) n C_v) for disjoint fixed k-sets K1, K2."""
     m = q * d ** n
-    if 2 * k > m:
-        raise KTooLarge(f"2k={2 * k} exceeds {m} leaves")
+    _check_k(k, m, draws=2)
     cone_size = d ** n
     same = Matcher(n, d).same
 
@@ -200,13 +205,12 @@ def estimate_colormatch(scheme: ColourScheme, n: int, k: int, orbit_i: int,
     Both cones carry the representative colour of ``root_label`` on their
     parent edges; equivalence is the colour-constrained one.
     """
-    parent_colour = scheme.reps[root_label]
+    parent_colour = _root_colour(scheme, root_label)
+    same = Matcher(n, scheme.d, scheme, parent_colour).same
     labels = cone_leaf_labels(scheme, parent_colour, n)
     ground = tuple(i for i, lab in enumerate(labels) if lab == orbit_i)
-    if k > len(ground):
-        raise KTooLarge(f"k={k} exceeds {len(ground)} label-{orbit_i} leaves")
+    _check_k(k, len(ground), leaves=f"label-{orbit_i} leaves")
     _warn_if_outside_paper_range(k, len(ground) / 2)
-    same = Matcher(n, scheme.d, scheme, parent_colour).same
 
     def trial(t: int) -> bool:
         rng = TrialRng(seed, t)
@@ -236,13 +240,14 @@ def exact_treematch(d: int, n: int, k: int, scheme: ColourScheme | None = None,
 def exact_colormatch(scheme: ColourScheme, n: int, k: int, orbit_i: int,
                      root_label: int = 0, budget: int = 2_000_000) -> Fraction:
     """Exact colormatch probability from the census of the label-i leaf slots."""
-    return orbit_census(scheme.d, n, k, scheme, scheme.reps[root_label],
+    return orbit_census(scheme.d, n, k, scheme, _root_colour(scheme, root_label),
                         budget=budget, leaf_label=orbit_i).match_probability()
 
 
 def exact_cut1(d: int, q: int, n: int, k: int, budget: int = 2_000_000) -> Fraction:
     """Exact cut1 probability by enumerating all images K sigma."""
     m = q * d ** n
+    _check_k(k, m)
     total = comb(m, k)
     if total > budget:
         raise BudgetExceeded(f"{total} subsets exceed budget={budget}")
@@ -256,6 +261,7 @@ def exact_cut1(d: int, q: int, n: int, k: int, budget: int = 2_000_000) -> Fract
 def exact_cut2(d: int, q: int, n: int, k: int, budget: int = 2_000_000) -> Fraction:
     """Exact cut2 probability over ordered pairs of disjoint k-subsets."""
     m = q * d ** n
+    _check_k(k, m, draws=2)
     total = comb(m, k) * comb(m - k, k)
     if total > budget:
         raise BudgetExceeded(f"{total} pairs exceed budget={budget}")

@@ -222,11 +222,11 @@ class GeneratedGroup:
 
     def restricted(self, points) -> "GeneratedGroup":
         """The action on an invariant point set, on {0..len(points)-1},
-        generated by the restricted generators."""
+        generated by the restricted generators and closed only when its
+        elements are asked for."""
         pts = tuple(sorted(points))
-        els = tuple(sorted({restrict(p, pts) for p in self.elements}))
         return GeneratedGroup(len(pts), [restrict(g, pts) for g in self.generators],
-                              self.cap, _elements=els)
+                              self.cap)
 
 
 def symmetric_group(n: int, cap: int = DEFAULT_CAP) -> GeneratedGroup:
@@ -613,11 +613,8 @@ def overgroups_of_cycle(degree: int, cap: int = DEFAULT_CAP) -> tuple[GeneratedG
 # group files
 # ---------------------------------------------------------------------------
 
-def group_to_json(G: GeneratedGroup, include_elements: bool = False) -> dict:
-    data = {"degree": G.degree, "generators": [list(g) for g in G.generators]}
-    if include_elements:
-        data["elements"] = [list(p) for p in G.elements]
-    return data
+def group_to_json(G: GeneratedGroup) -> dict:
+    return {"degree": G.degree, "generators": [list(g) for g in G.generators]}
 
 
 def perms_from_json(data, size_key: str, offset: int = 0) -> tuple[int, list[Perm]]:

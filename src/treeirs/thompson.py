@@ -81,8 +81,8 @@ class TreePair:
     """A (domain tree, range tree, leaf bijection) triple; not auto-reduced.
 
     ``sigma[i]`` is the index into ``range_leaves`` of the image of
-    ``domain_leaves[i]``.  Use :func:`reduce_pair` (or the ``reduced``
-    convenience) to get the canonical representative.
+    ``domain_leaves[i]``.  Use :func:`reduce_pair` to get the canonical
+    representative.
     """
 
     d: int
@@ -124,9 +124,6 @@ class TreePair:
     def mapping(self) -> dict[Address, Address]:
         return {a: self.range_leaves[self.sigma[i]]
                 for i, a in enumerate(self.domain_leaves)}
-
-    def reduced(self) -> "TreePair":
-        return reduce_pair(self)
 
 
 def _internal_vertices(leaves) -> set[Address]:

@@ -185,8 +185,6 @@ def test_bound_params_alpha():
     assert 0 < params.alpha < (params.d - 1) / (2 * params.d)
     with pytest.raises(DomainError):
         BoundParams(d=2, q=4, C=0.0, c=1.0)
-    with pytest.raises(DomainError):
-        BoundParams(d=2, q=4, C=1.0, c=1.0, eps=0.3)
 
 
 @pytest.mark.parametrize("C, c", [(math.nan, 1.0), (1.0, math.nan),

@@ -13,6 +13,7 @@ from treeirs.canon import (
     BudgetExceeded,
     Census,
     ColourSchemeMismatch,
+    DepthMismatch,
     Matcher,
     brute_force_equivalent,
     canon_coloured,
@@ -302,6 +303,18 @@ def test_form_strings_golden():
         got = tuple(form_str(canon_coloured(E, depth, scheme, colour))
                     for depth, E in GOLDEN_COLOURED_SUBSETS)
         assert got == texts, (swap, colour)
+
+
+@pytest.mark.parametrize("build", [Matcher, lambda depth, d: orbit_census(d, depth, 0)],
+                         ids=["Matcher", "orbit_census"])
+def test_cone_refuses_bad_shape(build):
+    # orbit_census used to crash at d = -2 or depth -1, and to count one
+    # empty class at d = 0 or 1
+    for d in (-2, 0, 1):
+        with pytest.raises(ValueError, match=f"need d >= 2, not {d}"):
+            build(2, d)
+    with pytest.raises(DepthMismatch):
+        build(-1, 2)
 
 
 def test_orbit_census_refuses_scheme_of_other_d():

@@ -413,3 +413,54 @@ def test_usage_error_exit_code():
         main(["simulate", "--experiment", "bogus", "--n", "1", "--k", "1",
               "--trials", "1", "--out", "x.csv"])
     assert exc.value.code == 2
+
+
+# flags no command reads any more: each is now a usage error
+@pytest.mark.parametrize("argv", [
+    ["verify-counting", "--degree", "3", "--seed", "1"],
+    ["verify-counting", "--degree", "3", "--cap", "1"],
+    ["classify", "--group-file", "g.json", "--delta", "1", "--q", "2", "--seed", "1"],
+    ["bounds", "--d", "2", "--q", "4", "--n-hi", "3", "--cc-C", "1", "--cc-c", "1",
+     "--seed", "1"],
+    ["census", "--d", "2", "--depth", "2", "--k", "2", "--seed", "1"],
+], ids=["verify-counting-seed", "verify-counting-cap", "classify-seed",
+        "bounds-seed", "census-seed"])
+def test_unread_flags_are_refused(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SIMULATE = ["simulate", "--trials", "10", "--experiment"]
+
+# command lines on a tree with too few children, a negative depth or size,
+# or a missing root orbit: each used to crash or print an estimate
+BAD_TREE_PARAMETERS = {
+    "census-d-negative": (["census", "--d", "-2", "--depth", "2", "--k", "1"],
+                          "need d >= 2, not -2"),
+    "census-d-0": (["census", "--d", "0", "--depth", "2", "--k", "0"], "need d >= 2, not 0"),
+    "census-d-1": (["census", "--d", "1", "--depth", "2", "--k", "1"], "need d >= 2, not 1"),
+    "census-depth-negative": (["census", "--d", "2", "--depth", "-1", "--k", "0"],
+                              "negative depth"),
+    "treematch-d-1": (SIMULATE + ["treematch", "--d", "1", "--n", "2", "--k", "1"],
+                      "need d >= 2, not 1"),
+    "treematch-k-negative": (SIMULATE + ["treematch", "--n", "2", "--k", "-1"],
+                             "k=-1 must be >= 0"),
+    "colormatch-k-negative": (SIMULATE + ["colormatch", "--n", "2", "--k", "-1", "--scheme"],
+                              "k=-1 must be >= 0"),
+    "cut2-k-negative": (SIMULATE + ["cut2", "--n", "2", "--k", "-1"], "k=-1 must be >= 0"),
+    "colormatch-root-label-5": (SIMULATE + ["colormatch", "--n", "2", "--k", "1",
+                                            "--root-label", "5", "--scheme"],
+                                "root_label 5 out of range"),
+}
+
+
+@pytest.mark.parametrize("argv,message", BAD_TREE_PARAMETERS.values(),
+                         ids=BAD_TREE_PARAMETERS)
+def test_bad_tree_parameters_are_bad_input(tmp_path, capsys, argv, message):
+    if argv[-1] == "--scheme":
+        argv = argv + [write_scheme(tmp_path, [[1, 0, 2]])]
+    assert_refused_as_bad_input(tmp_path, capsys, argv, message)

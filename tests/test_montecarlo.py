@@ -93,24 +93,42 @@ def test_cut1_full_level_is_certain():
     assert e.p_hat == 1.0
 
 
-def test_cut1_distribution_depends_only_on_k():
-    # two different fixed K of the same size: statistically indistinguishable
-    a = estimate_cut1(2, 2, 3, 4, trials=40_000, seed=21, K=(0, 1, 2, 3))
-    b = estimate_cut1(2, 2, 3, 4, trials=40_000, seed=22, K=(1, 5, 9, 14))
-    assert abs(a.p_hat - b.p_hat) <= 4 * (a.stderr + b.stderr)
-
-
 def test_cut1_refuses_k_past_leaves_before_checking_K():
-    # the default K = range(k) would run past the leaf range; the refusal
-    # must still name the real fault, k > q d^n
+    # the refusal names the real fault, k > q d^n
     with pytest.raises(KTooLarge, match="k=9 exceeds 8 leaves"):
         estimate_cut1(2, 2, 2, 9, trials=1, seed=0)
 
 
-@pytest.mark.parametrize("K", [(3, 3), (0, 8), (-1, 0), (0,), (0, 1, 2), (1, 1, 2)])
-def test_cut1_refuses_K_that_is_not_a_k_subset(K):
-    with pytest.raises(ValueError, match="K must be a k-subset"):
-        estimate_cut1(2, 2, 2, 2, trials=1, seed=0, K=K)
+def test_exact_cuts_refuse_k_past_leaves():
+    # both used to raise ZeroDivisionError from Fraction(0, 0)
+    with pytest.raises(KTooLarge, match="k=9 exceeds 8 leaves"):
+        exact_cut1(2, 2, 2, 9)
+    with pytest.raises(KTooLarge, match="2k=10 exceeds 8 leaves"):
+        exact_cut2(2, 2, 2, 5)
+    assert exact_cut1(2, 2, 2, 8) == 1  # k = q d^n is still in range
+
+
+@pytest.mark.parametrize("run", [
+    lambda k: estimate_treematch(2, 2, k, trials=10, seed=1),
+    lambda k: estimate_cut1(2, 2, 2, k, trials=10, seed=1),
+    lambda k: estimate_cut2(2, 2, 2, k, trials=10, seed=1),
+    lambda k: estimate_colormatch(ColourScheme.full(2), 2, k, 0, trials=10, seed=1),
+], ids=["treematch", "cut1", "cut2", "colormatch"])
+def test_estimators_refuse_negative_k(run):
+    # each used to return p_hat 1.0 (cut2: 0.0) for k = -1
+    with pytest.raises(ValueError, match="k=-1 must be >= 0"):
+        run(-1)
+
+
+@pytest.mark.parametrize("root_label", [-1, 1, 5])
+def test_colormatch_refuses_root_label_without_orbit(root_label):
+    # one orbit under Sym(3); label 5 used to raise IndexError and -1 to
+    # wrap round to the last orbit
+    s = ColourScheme.full(2)
+    with pytest.raises(ValueError, match=f"root_label {root_label} out of range"):
+        estimate_colormatch(s, 2, 1, 0, trials=10, seed=1, root_label=root_label)
+    with pytest.raises(ValueError, match=f"root_label {root_label} out of range"):
+        exact_colormatch(s, 2, 1, 0, root_label=root_label)
 
 
 def test_cut2_exact_point_and_mc():

@@ -628,6 +628,21 @@ def test_restrict():
     assert restrict(p, (4,)) == (0,)
 
 
+@pytest.mark.parametrize("gens, points", [
+    ([from_cycles(5, (0, 1)), from_cycles(5, (2, 3, 4)), from_cycles(5, (2, 3))], (2, 3, 4)),
+    ([from_cycles(5, (0, 1), (2, 3)), from_cycles(5, (2, 4, 3))], (4, 2, 3)),
+    ([from_cycles(6, (0, 1, 2), (3, 4, 5)), from_cycles(6, (0, 1), (3, 4))], (5, 3, 4)),
+    ([], (1, 2)),
+])
+def test_restricted_is_the_restriction_closed_on_demand(gens, points):
+    G = GeneratedGroup(len(gens[0]) if gens else 3, gens)
+    R = G.restricted(points)
+    assert G._elements is None and R._elements is None  # nothing closed yet
+    pts = tuple(sorted(points))
+    assert R.element_set == {restrict(p, pts) for p in G.elements}
+    assert R.generators == tuple(restrict(g, pts) for g in gens)
+
+
 def test_group_json_roundtrip():
     G = GeneratedGroup(4, [from_cycles(4, (0, 1, 2, 3))])
     data = group_to_json(G)
