@@ -17,7 +17,7 @@ import itertools
 import json
 import os
 import sys
-from fractions import Fraction
+from collections import deque
 from math import exp
 
 from . import bounds as bnd
@@ -33,7 +33,10 @@ from .irs import (
 )
 from .perm import (
     DEFAULT_CAP,
+    compose,
+    conjugate,
     enumerate_subgroups,
+    identity,
     load_group,
     product_of_symmetric,
     subgroups_of,
@@ -88,44 +91,86 @@ def _disjoint_pairs(degree: int):
     return out
 
 
+def _conjugators(rep, generators) -> dict:
+    """For each conjugate of the subgroup with sorted element tuple ``rep``
+    under the group ``generators`` generate, as a sorted element tuple, an
+    element g with conjugate(r, g) running over it as r runs over ``rep``;
+    found breadth-first over conjugation by the generators."""
+    found = {rep: identity(len(rep[0]))}
+    queue = deque([rep])
+    while queue:
+        cur = queue.popleft()
+        for s in generators:
+            nxt = tuple(sorted(conjugate(h, s) for h in cur))
+            if nxt not in found:
+                found[nxt] = compose(found[cur], s)
+                queue.append(nxt)
+    return found
+
+
+def _cells(res, detail: str) -> list:
+    """The lhs, rhs, detail and holds columns of a verified row."""
+    return [res.lhs.numerator, res.lhs.denominator,
+            res.rhs.numerator, res.rhs.denominator, detail, res.holds]
+
+
+def _class_table(gamma, ambient, degree: int) -> list:
+    """The E1 and index rows of one subgroup, less their first five columns,
+    as (U, V, E1 cells, index cells) for each pair (U, V) with a non-empty
+    U -> V transporter, in ``_disjoint_pairs`` order."""
+    mu = uniform_conjugate_measure(gamma, ambient)
+    table = []
+    for U, Vs in itertools.groupby(_disjoint_pairs(degree), key=lambda pair: pair[0]):
+        own = transporters(gamma, U)
+        for _, V in Vs:
+            tv = own.get(V)
+            if tv is None:
+                continue
+            table.append((U, V,
+                          _cells(verify_E1(mu, U, V, tv.restrictions),
+                                 f"|A|={len(tv.restrictions)}"),
+                          _cells(verify_index(mu, tv.elements, U, V),
+                                 f"|Q|={len(tv.elements)}")))
+    return table
+
+
 def counting_rows(degree: int, cap: int) -> list[list]:
     """E1 and transporter-index rows for all subgroups of Sym(degree), plus
     conjugacy-class-size rows over the fixed Sym(2) x Sym(3) product.
 
-    Conjugate subgroups have the same uniform conjugate measure, so one
-    measure serves a whole conjugacy class and is dropped after its last
-    member's rows."""
+    The rows are verified once per conjugacy class, on its first member R.
+    Every row's measure mu is uniform on R's conjugates, so it is invariant
+    under conjugation by Sym(degree).  A member gamma = g^-1 R g carries U
+    onto V through g^-1 r g exactly when r carries g^-1 U onto g^-1 V, so
+    conjugation by g maps R's transporter at (g^-1 U, g^-1 V) onto gamma's at
+    (U, V), keeping |A| and |Q|, and both sides of each inequality are the
+    mu-measures of events that conjugation by g carries onto each other.
+    So gamma's row at (U, V) is R's row at (g^-1 U, g^-1 V), read off R's
+    table.  Each conjugator g is found breadth-first and checked."""
     rows = []
     ambient = symmetric_group(degree, cap=max(cap, 720))
     subs, classes = enumerate_subgroups(degree, cap=max(cap, 720))
-    class_of = {gid: cls for cls in classes for gid in cls}
-    measures = {}
-    by_U = [(U, [V for _, V in UV]) for U, UV in
-            itertools.groupby(_disjoint_pairs(degree), key=lambda pair: pair[0])]
-    for gid, gamma in enumerate(subs):
-        cls = class_of[gid]
-        mu = measures.pop(cls, None) or uniform_conjugate_measure(gamma, ambient)
-        if gid != cls[-1]:
-            measures[cls] = mu
-        emitted = False
-        for U, Vs in by_U:
-            own = transporters(gamma, U)
-            for V in Vs:
-                tv = own.get(V)
-                if tv is None:
-                    continue
-                emitted = True
-                res = verify_E1(mu, U, V, tv.restrictions)
-                rows.append(["E1", degree, gid, _pts(U), _pts(V),
-                             res.lhs.numerator, res.lhs.denominator,
-                             res.rhs.numerator, res.rhs.denominator,
-                             f"|A|={len(tv.restrictions)}", res.holds])
-                res = verify_index(mu, tv.elements, U, V)
-                rows.append(["index", degree, gid, _pts(U), _pts(V),
-                             res.lhs.numerator, res.lhs.denominator,
-                             res.rhs.numerator, res.rhs.denominator,
-                             f"|Q|={len(tv.elements)}", res.holds])
-        if not emitted:
+    placed = {}
+    for cls in classes:
+        R = subs[cls[0]]
+        table = _class_table(R, ambient, degree)
+        found = _conjugators(R.elements, ambient.generators)
+        for gid in cls:
+            els = subs[gid].elements
+            g = found.get(els)
+            if g is None or tuple(sorted(conjugate(r, g) for r in R.elements)) != els:
+                raise RuntimeError(f"no conjugator carries subgroup {cls[0]} "
+                                   f"onto subgroup {gid}")
+            placed[gid] = (table, g)
+    order = {pair: i for i, pair in enumerate(_disjoint_pairs(degree))}
+    for gid in range(len(subs)):
+        table, g = placed[gid]
+        moved = sorted(((tuple(sorted(g[x] for x in U)), tuple(sorted(g[x] for x in V)), e1, ix)
+                        for U, V, e1, ix in table), key=lambda row: order[row[:2]])
+        for U, V, e1, ix in moved:
+            rows.append(["E1", degree, gid, _pts(U), _pts(V), *e1])
+            rows.append(["index", degree, gid, _pts(U), _pts(V), *ix])
+        if not moved:
             rows.append(["E1", degree, gid, "", "", 0, 1, 0, 1, "vacuous", True])
     product = product_of_symmetric([2, 3])
     side1, side2 = (0, 1), (2, 3, 4)
@@ -134,15 +179,13 @@ def counting_rows(degree: int, cap: int) -> list[list]:
         for b in lam.elements:
             res = verify_E2(mu, side1, side2, [b])
             rows.append(["E2", product.degree, lid, _pts(side1), _pts(side2),
-                         res.lhs.numerator, res.lhs.denominator,
-                         res.rhs.numerator, res.rhs.denominator,
-                         f"B={_pts(b)}", res.holds])
+                         *_cells(res, f"B={_pts(b)}")])
     return rows
 
 
 def cmd_verify_counting(args) -> int:
-    if args.degree > 5:
-        print("verify-counting supports --degree <= 5", file=sys.stderr)
+    if args.degree > 6:
+        print("verify-counting supports --degree <= 6", file=sys.stderr)
         return 2
     rows = counting_rows(args.degree, DEFAULT_CAP)
     header = ["lemma", "degree", "gamma_id", "U", "V",

@@ -115,9 +115,20 @@ def _check_k(k: int, room: int, draws: int = 1, leaves: str = "leaves") -> None:
         raise KTooLarge(f"{size} exceeds {room} {leaves}")
 
 
+def _check_q(q: int) -> None:
+    """Refuse fewer than the two root cones C_u and C_v the cut experiments compare."""
+    if q < 2:
+        raise ValueError(f"need q >= 2, not {q}")
+
+
+def _check_label(scheme: ColourScheme, label: int, name: str) -> None:
+    """Refuse a label (an index into ``scheme.reps``) that names no orbit."""
+    if not 0 <= label < len(scheme.reps):
+        raise ValueError(f"{name} {label} out of range")
+
+
 def _root_colour(scheme: ColourScheme, root_label: int) -> int:
-    if not 0 <= root_label < len(scheme.reps):
-        raise ValueError(f"root_label {root_label} out of range")
+    _check_label(scheme, root_label, "root_label")
     return scheme.reps[root_label]
 
 
@@ -166,6 +177,7 @@ def estimate_cut1(d: int, q: int, n: int, k: int, trials: int, seed: int) -> Est
     The image of any fixed k-set K under uniform sigma is a uniform k-subset,
     so its law depends on K only through k, and it is sampled directly.
     """
+    _check_q(q)
     m = q * d ** n
     _check_k(k, m)
     cone_size = d ** n
@@ -182,6 +194,7 @@ def estimate_cut1(d: int, q: int, n: int, k: int, trials: int, seed: int) -> Est
 
 def estimate_cut2(d: int, q: int, n: int, k: int, trials: int, seed: int) -> Estimate:
     """P((K1 sigma) n C_u ~ (K2 sigma) n C_v) for disjoint fixed k-sets K1, K2."""
+    _check_q(q)
     m = q * d ** n
     _check_k(k, m, draws=2)
     cone_size = d ** n
@@ -206,6 +219,7 @@ def estimate_colormatch(scheme: ColourScheme, n: int, k: int, orbit_i: int,
     parent edges; equivalence is the colour-constrained one.
     """
     parent_colour = _root_colour(scheme, root_label)
+    _check_label(scheme, orbit_i, "orbit")
     same = Matcher(n, scheme.d, scheme, parent_colour).same
     labels = cone_leaf_labels(scheme, parent_colour, n)
     ground = tuple(i for i, lab in enumerate(labels) if lab == orbit_i)
@@ -240,12 +254,14 @@ def exact_treematch(d: int, n: int, k: int, scheme: ColourScheme | None = None,
 def exact_colormatch(scheme: ColourScheme, n: int, k: int, orbit_i: int,
                      root_label: int = 0, budget: int = 2_000_000) -> Fraction:
     """Exact colormatch probability from the census of the label-i leaf slots."""
+    _check_label(scheme, orbit_i, "orbit")
     return orbit_census(scheme.d, n, k, scheme, _root_colour(scheme, root_label),
                         budget=budget, leaf_label=orbit_i).match_probability()
 
 
 def exact_cut1(d: int, q: int, n: int, k: int, budget: int = 2_000_000) -> Fraction:
     """Exact cut1 probability by enumerating all images K sigma."""
+    _check_q(q)
     m = q * d ** n
     _check_k(k, m)
     total = comb(m, k)
@@ -260,6 +276,7 @@ def exact_cut1(d: int, q: int, n: int, k: int, budget: int = 2_000_000) -> Fract
 
 def exact_cut2(d: int, q: int, n: int, k: int, budget: int = 2_000_000) -> Fraction:
     """Exact cut2 probability over ordered pairs of disjoint k-subsets."""
+    _check_q(q)
     m = q * d ** n
     _check_k(k, m, draws=2)
     total = comb(m, k) * comb(m - k, k)

@@ -399,28 +399,43 @@ def contains_alt_on(G: GeneratedGroup, U) -> bool:
 # subgroup enumeration
 # ---------------------------------------------------------------------------
 
-def _double_coset_reps(H_gens, ambient_elements):
-    """Representatives of H\\G/H, in ambient element order.
+def _double_coset_reps(H_gens, H_elements, ambient_elements):
+    """Representatives of H\\G/H, each the first of its double coset in
+    ambient order.
 
-    H is given by generators: the double coset H g H is the closure of {g}
-    under left and right multiplication by them, found breadth-first, so the
-    whole sweep costs 2 |H_gens| products per ambient element.
+    One pass over the ambient labels every element with its coset
+    {compose(g, h) : h in H}, numbered in order of first element: one product
+    per ambient element.  Composing with a on the left carries the coset of g
+    onto that of compose(a, g), so the orbits of H's generators acting this
+    way on the cosets are the double cosets H g H (Holt, Eick & O'Brien,
+    *Handbook of Computational Group Theory*, 2005, section 4.6), found with
+    |H_gens| products per coset.  A double coset's first element is the first
+    element of its first coset.
     """
-    visited = set()
-    reps = []
+    # keyed by the ambient's own tuples, so each product is dropped once stored
+    coset_of = dict.fromkeys(ambient_elements)
+    firsts = []
     for g in ambient_elements:
-        if g in visited:
+        if coset_of[g] is None:
+            i = len(firsts)
+            firsts.append(g)
+            for h in H_elements:
+                coset_of[tuple([h[x] for x in g])] = i
+    seen = [False] * len(firsts)
+    reps = []
+    for i, g in enumerate(firsts):
+        if seen[i]:
             continue
         reps.append(g)
-        visited.add(g)
-        queue = deque([g])
-        while queue:
-            x = queue.popleft()
-            for h in H_gens:
-                for y in (compose(h, x), compose(x, h)):
-                    if y not in visited:
-                        visited.add(y)
-                        queue.append(y)
+        seen[i] = True
+        stack = [g]
+        while stack:
+            x = stack.pop()
+            for a in H_gens:
+                j = coset_of[tuple([x[y] for y in a])]
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(firsts[j])
     return reps
 
 
@@ -459,10 +474,11 @@ def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=())
 
     Works up from <seed_gens> by joining each subgroup H found with one
     element per double coset H g H outside H: <H, a g b> == <H, g> for a, b
-    in H, so the double coset representatives (``_double_coset_reps``, walked
-    from H's generators) cover every join, and each subgroup over the seed is
-    reached through a chain of joins.  Each join at least doubles the order,
-    so a subgroup of order m is reached with at most log2(m) generators.
+    in H, so the double coset representatives (``_double_coset_reps``, the
+    orbits of H's generators on the cosets of H) cover every join, and each
+    subgroup over the seed is reached through a chain of joins.  Each join
+    at least doubles the order, so a subgroup of order m is reached with at
+    most log2(m) generators.
     Returns (generators, orbit) for each subgroup registered, in order of
     discovery; the orbit is its conjugacy orbit under <conj_gens>
     (``conjugacy_orbit``), mapping each member, a sorted element tuple, to
@@ -489,7 +505,7 @@ def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=())
     while todo:
         gens, eset = todo.popleft()
         H = tuple(eset)
-        for g in _double_coset_reps(gens, ambient_elements):
+        for g in _double_coset_reps(gens, H, ambient_elements):
             if g in eset:
                 continue
             joined = _extend(H, gens + (g,), cap, ambient, alt)

@@ -4,8 +4,18 @@ import os
 
 import pytest
 
+from treeirs import cli
 from treeirs.cli import main
-from treeirs.perm import GeneratedGroup, from_cycles, group_to_json, symmetric_group
+from treeirs.irs import transporter, uniform_conjugate_measure, verify_E1, verify_index
+from treeirs.perm import (
+    DEFAULT_CAP,
+    GeneratedGroup,
+    compose,
+    enumerate_subgroups,
+    from_cycles,
+    group_to_json,
+    symmetric_group,
+)
 
 
 def read(path):
@@ -270,6 +280,90 @@ def test_verify_counting_output_golden(tmp_path, degree):
     assert hashlib.sha256(read(tmp_path / "only.json")).hexdigest() == digests[1]
 
 
+def counting_rows_oracle(degree):
+    """The E1 and index rows of ``cli.counting_rows``, verified subgroup by
+    subgroup: each row from the subgroup's own transporter, under one
+    uniform conjugate measure per conjugacy class."""
+    ambient = symmetric_group(degree)
+    subs, classes = enumerate_subgroups(degree)
+    class_of = {gid: cls for cls in classes for gid in cls}
+    measures = {}
+    rows = []
+    for gid, gamma in enumerate(subs):
+        cls = class_of[gid]
+        if cls not in measures:
+            measures[cls] = uniform_conjugate_measure(gamma, ambient)
+        mu = measures[cls]
+        emitted = False
+        for U, V in cli._disjoint_pairs(degree):
+            tv = transporter(gamma, U, V)
+            if not tv.elements:
+                continue
+            emitted = True
+            U_txt, V_txt = ";".join(map(str, U)), ";".join(map(str, V))
+            res = verify_E1(mu, U, V, tv.restrictions)
+            rows.append(["E1", degree, gid, U_txt, V_txt,
+                         res.lhs.numerator, res.lhs.denominator,
+                         res.rhs.numerator, res.rhs.denominator,
+                         f"|A|={len(tv.restrictions)}", res.holds])
+            res = verify_index(mu, tv.elements, U, V)
+            rows.append(["index", degree, gid, U_txt, V_txt,
+                         res.lhs.numerator, res.lhs.denominator,
+                         res.rhs.numerator, res.rhs.denominator,
+                         f"|Q|={len(tv.elements)}", res.holds])
+        if not emitted:
+            rows.append(["E1", degree, gid, "", "", 0, 1, 0, 1, "vacuous", True])
+    return rows
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_counting_rows_vs_per_subgroup_oracle(degree):
+    # rows read off each class representative's table equal the rows
+    # verified on every subgroup, row by row
+    rows = [r for r in cli.counting_rows(degree, DEFAULT_CAP) if r[0] != "E2"]
+    expect = counting_rows_oracle(degree)
+    assert len(rows) == len(expect)
+    for row, want in zip(rows, expect):
+        assert row == want
+
+
+def test_counting_rows_refuses_a_wrong_conjugator(monkeypatch):
+    # each conjugator is checked before a row is read through it: one
+    # composed with an extra transposition carries the class representative
+    # onto another member, and the sweep raises instead of relabelling
+    real = cli._conjugators
+
+    def wrong(rep, generators):
+        return {els: compose(g, generators[0]) for els, g in real(rep, generators).items()}
+
+    monkeypatch.setattr(cli, "_conjugators", wrong)
+    with pytest.raises(RuntimeError, match="no conjugator carries subgroup"):
+        cli.counting_rows(3, DEFAULT_CAP)
+
+
+def test_verify_counting_degree6(tmp_path, capsys, monkeypatch):
+    # every subgroup of Sym(6); the digest is of the rows as the per-subgroup
+    # loop computed them before rows were verified class by class
+    seen = []
+    real = cli.counting_rows
+    monkeypatch.setattr(cli, "counting_rows", lambda *a: seen.append(real(*a)) or seen[-1])
+    out = tmp_path / "verify.json"
+    assert main(["verify-counting", "--degree", "6", "--out", str(out),
+                 "--format", "json"]) == 0
+    assert capsys.readouterr().out == "verified 132181 instances, all hold\n"
+    (rows,) = seen
+    assert len(rows) == 132181
+    assert (hashlib.sha256(repr(rows).encode()).hexdigest()
+            == "8ca6f60891512947fe31b9a01ea6e71086311b31c3a1289f979bd3d5d862e089")
+
+
+def test_verify_counting_refuses_degree7(tmp_path, capsys):
+    out = tmp_path / "verify.csv"
+    assert main(["verify-counting", "--degree", "7", "--out", str(out)]) == 2
+    assert "verify-counting supports --degree <= 6" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "verify.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--k", "1", "--parent-colour", "7"],  # no scheme to read a colour in
     ["--k", "1", "--parent-colour", "0"],
@@ -436,8 +530,9 @@ def test_unread_flags_are_refused(tmp_path, capsys, argv):
 
 SIMULATE = ["simulate", "--trials", "10", "--experiment"]
 
-# command lines on a tree with too few children, a negative depth or size,
-# or a missing root orbit: each used to crash or print an estimate
+# command lines on a tree with too few children or root cones, a negative
+# depth or size, or a missing root or leaf orbit: each used to crash or print
+# an estimate
 BAD_TREE_PARAMETERS = {
     "census-d-negative": (["census", "--d", "-2", "--depth", "2", "--k", "1"],
                           "need d >= 2, not -2"),
@@ -455,6 +550,16 @@ BAD_TREE_PARAMETERS = {
     "colormatch-root-label-5": (SIMULATE + ["colormatch", "--n", "2", "--k", "1",
                                             "--root-label", "5", "--scheme"],
                                 "root_label 5 out of range"),
+    "cut1-q-0": (SIMULATE + ["cut1", "--q", "0", "--n", "2", "--k", "0"],
+                 "need q >= 2, not 0"),
+    "cut2-q-1": (SIMULATE + ["cut2", "--q", "1", "--n", "2", "--k", "1"],
+                 "need q >= 2, not 1"),
+    "colormatch-orbit-7": (SIMULATE + ["colormatch", "--n", "2", "--k", "0",
+                                       "--orbit", "7", "--scheme"],
+                           "orbit 7 out of range"),
+    "colormatch-orbit-negative": (SIMULATE + ["colormatch", "--n", "2", "--k", "1",
+                                              "--orbit", "-1", "--scheme"],
+                                  "orbit -1 out of range"),
 }
 
 

@@ -131,6 +131,31 @@ def test_colormatch_refuses_root_label_without_orbit(root_label):
         exact_colormatch(s, 2, 1, 0, root_label=root_label)
 
 
+@pytest.mark.parametrize("q", [-1, 0, 1])
+@pytest.mark.parametrize("run", [
+    lambda q: estimate_cut1(2, q, 2, 0, trials=10, seed=1),
+    lambda q: estimate_cut2(2, q, 2, 0, trials=10, seed=1),
+    lambda q: exact_cut1(2, q, 2, 0),
+    lambda q: exact_cut2(2, q, 2, 0),
+], ids=["estimate_cut1", "estimate_cut2", "exact_cut1", "exact_cut2"])
+def test_cuts_refuse_fewer_than_two_cones(run, q):
+    # the cuts compare the cones C_u and C_v: q = 0 and 1 used to give an
+    # answer on a tree without C_v, and q = -1 a refusal that named k
+    with pytest.raises(ValueError, match=f"need q >= 2, not {q}"):
+        run(q)
+
+
+@pytest.mark.parametrize("orbit_i,k", [(7, 0), (-1, 1), (2, 0)])
+def test_colormatch_refuses_orbit_the_scheme_lacks(orbit_i, k):
+    # two orbits under <(0 1)>: orbit 7 used to give p_hat 1.0 at k = 0,
+    # and -1 a refusal about "label--1 leaves"
+    s = ColourScheme.from_generators(2, [from_cycles(3, (0, 1))])
+    with pytest.raises(ValueError, match=f"orbit {orbit_i} out of range"):
+        estimate_colormatch(s, 2, k, orbit_i, trials=10, seed=1)
+    with pytest.raises(ValueError, match=f"orbit {orbit_i} out of range"):
+        exact_colormatch(s, 2, k, orbit_i)
+
+
 def test_cut2_exact_point_and_mc():
     assert exact_cut2(2, 2, 2, 2) == Fraction(10, 21)
     e = estimate_cut2(2, 2, 2, 2, trials=60_000, seed=13)
@@ -312,10 +337,12 @@ def test_exact_cut2_vs_pair_enumeration():
                 hits += len(e1) == len(e2) and canon_full(e1, n, d) == canon_full(e2, n, d)
         return Fraction(hits, total)
 
-    # q = 1 has no second cone: only k = 0 matches
-    for config in ((2, 2, 2, 2), (2, 2, 2, 3), (2, 3, 1, 3), (3, 2, 1, 1), (2, 2, 1, 0),
-                   (2, 1, 2, 0), (2, 1, 2, 1), (2, 1, 2, 2), (3, 1, 1, 1)):
+    for config in ((2, 2, 2, 2), (2, 2, 2, 3), (2, 3, 1, 3), (3, 2, 1, 1), (2, 2, 1, 0)):
         assert exact_cut2(*config) == enumerate_pairs(*config), config
+    # q = 1 has no second cone, so there is nothing to compare
+    for config in ((2, 1, 2, 0), (2, 1, 2, 1), (2, 1, 2, 2), (3, 1, 1, 1)):
+        with pytest.raises(ValueError, match="need q >= 2, not 1"):
+            exact_cut2(*config)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
+import hashlib
 import itertools
 import random
+from collections import deque
 from math import factorial, gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from treeirs import perm
 from treeirs.perm import (
+    DEFAULT_CAP,
     BlockSystem,
     ClosureExceedsCap,
     DegreeTooLarge,
@@ -270,6 +274,17 @@ def test_enumerate_subgroups_regression_counts():
     # frozen: 156 subgroups of Sym(5) in 19 classes, 1455 of Sym(6) in 56
     subs5, cls5 = enumerate_subgroups(5)
     assert (len(subs5), len(cls5)) == (156, 19)
+
+
+def test_enumerate_subgroups_digest():
+    # SHA-256 of every subgroup's element and generator tuples, and the
+    # classes, at degrees 1-6, as the breadth-first double-coset sweep gave them
+    data = []
+    for degree in range(1, 7):
+        subs, classes = enumerate_subgroups(degree)
+        data.append((tuple((G.elements, G.generators) for G in subs), classes))
+    assert (hashlib.sha256(repr(data).encode()).hexdigest()
+            == "09ce5be2a66d9ea8f825106c31c9d7456770c687d89e3a30e82f258de3e6eebf")
 
 
 def test_enumerate_subgroups_degree_too_large():
@@ -580,6 +595,28 @@ def double_coset_reps_oracle(H_els, ambient_elements):
     return reps
 
 
+def double_coset_sweep_oracle(H_gens, ambient_elements):
+    """The breadth-first sweep the walk used before cosets: each new
+    representative's double coset is closed under left and right
+    multiplication by H's generators, 2 |H_gens| products per element."""
+    visited = set()
+    reps = []
+    for g in ambient_elements:
+        if g in visited:
+            continue
+        reps.append(g)
+        visited.add(g)
+        queue = deque([g])
+        while queue:
+            x = queue.popleft()
+            for h in H_gens:
+                for y in (compose(h, x), compose(x, h)):
+                    if y not in visited:
+                        visited.add(y)
+                        queue.append(y)
+    return reps
+
+
 def conjugacy_orbit_oracle(els, ambient_elements):
     """Brute force: conjugate by every element of the ambient group."""
     return {tuple(sorted(conjugate(h, s) for h in els)) for s in ambient_elements}
@@ -594,9 +631,33 @@ def test_double_coset_reps_vs_bruteforce(degree):
         # enumerated subgroups carry the join walk's short generating sets,
         # greedy_generators another one (both empty for the trivial group),
         # and the whole element list generates too
-        assert _double_coset_reps(H.generators, ambient) == expect
-        assert _double_coset_reps(greedy_generators(H), ambient) == expect
-        assert _double_coset_reps(H.elements, ambient) == expect
+        assert _double_coset_reps(H.generators, H.elements, ambient) == expect
+        assert _double_coset_reps(greedy_generators(H), H.elements, ambient) == expect
+        assert _double_coset_reps(H.elements, H.elements, ambient) == expect
+        assert double_coset_sweep_oracle(H.generators, ambient) == expect
+
+
+def test_double_coset_reps_vs_sweep_in_the_walk(monkeypatch):
+    # every call the join walks make, at degrees <= 6 and in subgroups_of and
+    # overgroups_of_cycle, returns what the element sweep returns
+    calls = []
+
+    def checked(H_gens, H_elements, ambient_elements):
+        reps = real(H_gens, H_elements, ambient_elements)
+        assert reps == double_coset_sweep_oracle(H_gens, ambient_elements)
+        calls.append(len(reps))
+        return reps
+
+    real = perm._double_coset_reps
+    monkeypatch.setattr(perm, "_double_coset_reps", checked)
+    for degree in range(1, 7):
+        perm._subgroup_classes.__wrapped__(degree, DEFAULT_CAP)
+    subgroups_of(symmetric_group(5))
+    subgroups_of(product_of_symmetric([2, 3]))
+    overgroups_of_cycle(5)
+    # 93 class-level calls at degrees 1-6, one per subgroup of Sym(5) and of
+    # Sym(2) x Sym(3), and 5 over the 5-cycle
+    assert len(calls) == 93 + 156 + 16 + 5
 
 
 def test_conjugacy_orbit_vs_bruteforce():
