@@ -308,6 +308,9 @@ def classify_case(G: GeneratedGroup, q: int, delta: int) -> CaseReport:
     projection when it is.  "alt-giant" flags the residual configuration
     (giant projection primitive and alternating-containing, yet not Xi),
     which the bounds do not cover; at desk scales it should not occur.
+    The giant projection is G itself when the giant covers every point and
+    is kept on G's memo otherwise, so repeated calls on one group, over q
+    and delta, reuse its orbits, blocks and alternating tests.
     """
     ok, wit = in_Xi(G, delta)
     prof = profile(G)
@@ -316,7 +319,10 @@ def classify_case(G: GeneratedGroup, q: int, delta: int) -> CaseReport:
     kn = G.degree
     if prof.t_max <= (1 - 1 / (2 * q)) * kn:
         return CaseReport("I", prof.t_max, None)
-    proj = G.restricted(prof.giant)
+    if prof.t_max == kn:
+        proj = G
+    else:
+        proj = G.memo("classify.giant", lambda: G.restricted(prof.giant))
     if minimal_blocks(proj) is not None:
         return CaseReport("III", prof.t_max, None)
     if contains_alt_on(proj, range(proj.degree)):

@@ -69,14 +69,36 @@ class TrialRng:
         return tuple(sorted(self.sample_seq(m, k)))
 
     def sample_seq(self, m: int, k: int) -> tuple[int, ...]:
-        """Uniform ordered sequence of k distinct values from range(m)."""
+        """Uniform ordered sequence of k distinct values from range(m).
+
+        The first k steps of a Fisher-Yates shuffle of range(m), each step
+        swapping position i with i + ``randbelow(m - i)``.  Only the
+        positions a swap has touched are stored, in a dict, so a draw costs
+        O(k), not O(m); the ``randbelow`` and ``next64`` steps are inlined,
+        with the same draws and the same final state.
+        """
         if k > m:
             raise KTooLarge(f"k={k} exceeds population {m}")
-        arr = list(range(m))
+        state = self._state
+        moved = {}
+        out = []
         for i in range(k):
-            j = i + self.randbelow(m - i)
-            arr[i], arr[j] = arr[j], arr[i]
-        return tuple(arr[:k])
+            n = m - i
+            j = i
+            if n > 1:
+                mask = (1 << (n - 1).bit_length()) - 1
+                while True:
+                    state = (state + _GOLDEN) & _MASK64
+                    z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+                    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+                    r = (z ^ (z >> 31)) & mask
+                    if r < n:
+                        break
+                j += r
+            out.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        self._state = state
+        return tuple(out)
 
 
 @dataclass(frozen=True)

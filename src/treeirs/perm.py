@@ -264,7 +264,12 @@ def product_of_symmetric(sizes, cap: int = DEFAULT_CAP) -> GeneratedGroup:
 # ---------------------------------------------------------------------------
 
 def orbits(G: GeneratedGroup) -> tuple[tuple[int, ...], ...]:
-    """Transitive components, each sorted, ordered by smallest point."""
+    """Transitive components, each sorted, ordered by smallest point; kept
+    on ``G.memo``."""
+    return G.memo("perm.orbits", lambda: _orbits(G))
+
+
+def _orbits(G: GeneratedGroup) -> tuple[tuple[int, ...], ...]:
     seen = [False] * G.degree
     out = []
     for x in range(G.degree):
@@ -337,11 +342,16 @@ def minimal_blocks(G: GeneratedGroup, component=None) -> BlockSystem | None:
     """A nontrivial block system of minimal block size, or None if primitive.
 
     Deterministic: block seeds (component[0], b) are tried with b ascending and
-    the smallest resulting nontrivial block wins.
+    the smallest resulting nontrivial block wins.  With no ``component`` the
+    answer for the whole domain is kept on ``G.memo``; ``NotTransitive``
+    keeps nothing.
     """
     if component is None:
-        component = tuple(range(G.degree))
-    component = tuple(sorted(component))
+        return G.memo("perm.minimal_blocks", lambda: _minimal_blocks(G, tuple(range(G.degree))))
+    return _minimal_blocks(G, tuple(sorted(component)))
+
+
+def _minimal_blocks(G: GeneratedGroup, component) -> BlockSystem | None:
     orbs = [o for o in orbits(G) if set(o) & set(component)]
     if len(orbs) != 1 or set(orbs[0]) != set(component):
         raise NotTransitive(f"group is not transitive on {component}")
@@ -381,7 +391,7 @@ def contains_alt_on(G: GeneratedGroup, U) -> bool:
     point outside U, so restriction to U is injective and keeps parity, and
     the count equals |U|!/2 exactly when the restriction contains Alt(U).
     A group of order below |U|!/2 is refused before the rigid stabilizer is
-    built.
+    built.  Other answers are kept on ``G.memo``, keyed by sorted U.
     """
     U = tuple(sorted(U))
     if len(U) <= 2:
@@ -389,28 +399,32 @@ def contains_alt_on(G: GeneratedGroup, U) -> bool:
     target = factorial(len(U)) // 2
     if G.order < target:
         return False
-    R = G if len(U) == G.degree else rigid_stabilizer(G, U)
-    if R.order < target:
-        return False
-    return sum(1 for h in R.elements if is_even(h)) == target
+
+    def build():
+        R = G if len(U) == G.degree else rigid_stabilizer(G, U)
+        return R.order >= target and sum(1 for h in R.elements if is_even(h)) == target
+
+    return G.memo(("perm.contains_alt_on", U), build)
 
 
 # ---------------------------------------------------------------------------
 # subgroup enumeration
 # ---------------------------------------------------------------------------
 
-def _double_coset_reps(H_gens, H_elements, ambient_elements):
-    """Representatives of H\\G/H, each the first of its double coset in
-    ambient order.
+def _double_cosets(H_gens, H_elements, ambient_elements):
+    """The cosets g H and double cosets H g H of the ambient group, as
+    ``(coset_of, firsts, first_coset)``.
 
     One pass over the ambient labels every element with its coset
     {compose(g, h) : h in H}, numbered in order of first element: one product
-    per ambient element.  Composing with a on the left carries the coset of g
-    onto that of compose(a, g), so the orbits of H's generators acting this
-    way on the cosets are the double cosets H g H (Holt, Eick & O'Brien,
-    *Handbook of Computational Group Theory*, 2005, section 4.6), found with
-    |H_gens| products per coset.  A double coset's first element is the first
-    element of its first coset.
+    per ambient element.  ``coset_of`` maps each ambient element to its
+    coset's number and ``firsts[i]`` is coset i's first element.  Composing
+    with a on the left carries the coset of g onto that of compose(a, g), so
+    the orbits of H's generators acting this way on the cosets are the double
+    cosets H g H (Holt, Eick & O'Brien, *Handbook of Computational Group
+    Theory*, 2005, section 4.6), found with |H_gens| products per coset.
+    ``first_coset[i]`` is the number of the first coset of coset i's double
+    coset, whose first element is the double coset's first element.
     """
     # keyed by the ambient's own tuples, so each product is dropped once stored
     coset_of = dict.fromkeys(ambient_elements)
@@ -421,22 +435,27 @@ def _double_coset_reps(H_gens, H_elements, ambient_elements):
             firsts.append(g)
             for h in H_elements:
                 coset_of[tuple([h[x] for x in g])] = i
-    seen = [False] * len(firsts)
-    reps = []
+    first_coset = [None] * len(firsts)
     for i, g in enumerate(firsts):
-        if seen[i]:
+        if first_coset[i] is not None:
             continue
-        reps.append(g)
-        seen[i] = True
+        first_coset[i] = i
         stack = [g]
         while stack:
             x = stack.pop()
             for a in H_gens:
                 j = coset_of[tuple([x[y] for y in a])]
-                if not seen[j]:
-                    seen[j] = True
+                if first_coset[j] is None:
+                    first_coset[j] = i
                     stack.append(firsts[j])
-    return reps
+    return coset_of, firsts, first_coset
+
+
+def _double_coset_reps(H_gens, H_elements, ambient_elements):
+    """Representatives of H\\G/H, each the first of its double coset in
+    ambient order (``_double_cosets``)."""
+    _, firsts, first_coset = _double_cosets(H_gens, H_elements, ambient_elements)
+    return [g for i, g in enumerate(firsts) if first_coset[i] == i]
 
 
 def conjugacy_orbit(els, generators, carry=()) -> dict[tuple[Perm, ...], tuple[Perm, ...]]:
@@ -474,11 +493,11 @@ def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=())
 
     Works up from <seed_gens> by joining each subgroup H found with one
     element per double coset H g H outside H: <H, a g b> == <H, g> for a, b
-    in H, so the double coset representatives (``_double_coset_reps``, the
-    orbits of H's generators on the cosets of H) cover every join, and each
-    subgroup over the seed is reached through a chain of joins.  Each join
-    at least doubles the order, so a subgroup of order m is reached with at
-    most log2(m) generators.
+    in H, so the first elements of the double cosets (``_double_cosets``,
+    the orbits of H's generators on the cosets of H) cover every join, and
+    each subgroup over the seed is reached through a chain of joins.  Each
+    join at least doubles the order, so a subgroup of order m is reached
+    with at most log2(m) generators.
     Returns (generators, orbit) for each subgroup registered, in order of
     discovery; the orbit is its conjugacy orbit under <conj_gens>
     (``conjugacy_orbit``), mapping each member, a sorted element tuple, to
@@ -486,6 +505,14 @@ def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=())
     is the subgroup alone and every subgroup is registered; with them one
     subgroup per conjugacy class is, because a join is skipped once any
     conjugate of it is known.
+
+    ``conj_gens``, when given, must generate the ambient group.  Then only
+    one double coset per orbit of the normalizer N(H) is joined: for n in
+    N(H), conjugation by n carries H g H onto H g^n H and <H, g^n> ==
+    <H, g>^n, a conjugate of a join already made (``_normalizer_orbits``).
+    The joins skipped are exactly those that would find only known
+    subgroups, so the subgroups registered, their order and their
+    generators are the same as with every join.
     """
     found = []
     known = set()
@@ -505,13 +532,70 @@ def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=())
     while todo:
         gens, eset = todo.popleft()
         H = tuple(eset)
-        for g in _double_coset_reps(gens, H, ambient_elements):
+        cosets = _double_cosets(gens, H, ambient_elements)
+        _, firsts, first_coset = cosets
+        reps = [i for i, f in enumerate(first_coset) if f == i]
+        if conj_gens:
+            normalizer = _normalizer_gens(gens, eset, firsts, conj_gens, cap, ambient, alt)
+            reps = _normalizer_orbits(normalizer, cosets, reps)
+        for i in reps:
+            g = firsts[i]
             if g in eset:
                 continue
             joined = _extend(H, gens + (g,), cap, ambient, alt)
             if joined not in known:
                 register(gens + (g,), joined)
     return found
+
+
+def _normalizer_gens(gens, eset, firsts, whole_gens, cap: int, ambient: frozenset,
+                     alt: frozenset | None):
+    """Generators of the normalizer N(H) of H = <gens> (element set
+    ``eset``) in the ambient group, modulo H.
+
+    N(H) is a union of cosets g H, since g h normalizes H when g does, so
+    one element per coset is tested (``firsts``): g normalizes H iff g
+    conjugates each of H's generators into H.  When every coset passes, H is
+    normal and ``whole_gens``, the ambient's generators, are returned.
+    Otherwise the passing elements are taken greedily, each one not yet in
+    the group generated so far, which ``_extend`` grows coset by coset.
+    """
+    normalizing = [g for g in firsts if all(conjugate(a, g) in eset for a in gens)]
+    if len(normalizing) == len(firsts):
+        return tuple(whole_gens)
+    span, extra = eset, ()
+    for g in normalizing:
+        if g not in span:
+            extra += (g,)
+            span = _extend(tuple(span), gens + extra, cap, ambient, alt)
+    return extra
+
+
+def _normalizer_orbits(normalizer, cosets, reps) -> list[int]:
+    """The first of ``reps`` in each orbit of <normalizer> on the double
+    cosets H g H, in order.
+
+    ``cosets`` is ``_double_cosets``' result for H and ``reps`` numbers the
+    first coset of each double coset.  Each element of ``normalizer``
+    normalizes H, so conjugating by it permutes the double cosets: one
+    element of each is conjugated to find its image, and union-find merges
+    the orbits, keeping the earliest double coset as root.
+    """
+    coset_of, firsts, first_coset = cosets
+    root = {i: i for i in reps}
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for n in normalizer:
+        for i in reps:
+            a, b = find(i), find(first_coset[coset_of[conjugate(firsts[i], n)]])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [i for i in reps if find(i) == i]
 
 
 def _extend(H, gens, cap: int, ambient: frozenset, alt: frozenset | None = None) -> frozenset:
@@ -568,14 +652,28 @@ def _sorted_groups(degree: int, walk, cap: int) -> tuple[GeneratedGroup, ...]:
     return tuple(GeneratedGroup(degree, gens, cap, _elements=els) for gens, els in groups)
 
 
-@lru_cache(maxsize=None)
-def _subgroup_classes(degree: int, cap: int):
-    """Conjugacy classes of subgroups of Sym(degree), in order of discovery,
-    each as the tuple of its members' (sorted element tuple, generators)
-    pairs, sorted by element tuple."""
+def subgroup_classes(degree: int, cap: int = DEFAULT_CAP) -> tuple[tuple[GeneratedGroup, ...], ...]:
+    """Conjugacy classes of subgroups of Sym(degree), for degree <= 7, in the
+    join walk's order of discovery.
+
+    Each class is the tuple of its members, by sorted element list, and each
+    member carries its element list and the walk's short generating set,
+    conjugated from the class representative.  Degree 7 has 96 classes and
+    11,300 subgroups and takes seconds; ``enumerate_subgroups`` stops at 6
+    and caches its answer, while this one keeps nothing once the caller
+    drops it.
+    """
+    if degree < 1:
+        raise ValueError("degree must be positive")
+    if degree > 7:
+        raise DegreeTooLarge("class-level subgroup enumeration supports degree <= 7")
+    if factorial(degree) > cap:
+        raise ClosureExceedsCap(f"|Sym({degree})| exceeds cap={cap}")
     ambient = tuple(sorted(itertools.permutations(range(degree))))
     walk = _join_walk((), ambient, degree, cap, symmetric_group(degree, cap).generators)
-    return tuple(tuple(sorted(orbit.items())) for _, orbit in walk)
+    return tuple(tuple(GeneratedGroup(degree, gens, cap, _elements=els)
+                       for els, gens in sorted(orbit.items()))
+                 for _, orbit in walk)
 
 
 @lru_cache(maxsize=None)
@@ -589,22 +687,14 @@ def enumerate_subgroups(degree: int, cap: int = DEFAULT_CAP):
     trivial group, at most log2 of the order), conjugated from its class
     representative, and its sorted element list.
     """
-    if degree < 1:
-        raise ValueError("degree must be positive")
     if degree > 6:
         raise DegreeTooLarge("exhaustive subgroup enumeration supports degree <= 6")
-    if factorial(degree) > cap:
-        raise ClosureExceedsCap(f"|Sym({degree})| exceeds cap={cap}")
-    expanded = _subgroup_classes(degree, cap)
-    gens_of = {els: gens for cls in expanded for els, gens in cls}
-    flat = sorted(gens_of, key=lambda e: (len(e), e))
-    index = {els: i for i, els in enumerate(flat)}
-    subgroups = tuple(
-        GeneratedGroup(degree, gens_of[els], cap, _elements=els) for els in flat
-    )
-    classes = tuple(tuple(sorted(index[e] for e, _ in cls)) for cls in expanded)
-    classes = tuple(sorted(classes, key=lambda c: c[0]))
-    return subgroups, classes
+    classes = subgroup_classes(degree, cap)
+    subgroups = tuple(sorted((G for cls in classes for G in cls),
+                             key=lambda G: (G.order, G.elements)))
+    index = {G.elements: i for i, G in enumerate(subgroups)}
+    classes = tuple(tuple(sorted(index[G.elements] for G in cls)) for cls in classes)
+    return subgroups, tuple(sorted(classes, key=lambda c: c[0]))
 
 
 def subgroups_of(G: GeneratedGroup, cap: int = DEFAULT_CAP) -> tuple[GeneratedGroup, ...]:

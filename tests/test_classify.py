@@ -6,6 +6,7 @@ import pytest
 
 from conftest import listed_by_elements
 from treeirs.classify import (
+    CaseReport,
     IncompatibleChain,
     LabelMismatch,
     LabelPartitionViolated,
@@ -22,6 +23,7 @@ from treeirs.classify import (
 )
 from treeirs.perm import (
     GeneratedGroup,
+    contains_alt_on,
     enumerate_subgroups,
     from_cycles,
     identity,
@@ -226,6 +228,39 @@ def test_classify_case_matrix():
     assert pgl.order == 120
     rep = classify_case(pgl, q=3, delta=0)
     assert rep.case == "II"
+
+
+def classify_case_oracle(G, q, delta):
+    """``classify_case`` as it was before the giant projection was kept on
+    G's memo: each call restricts G to its giant afresh."""
+    ok, wit = in_Xi(G, delta)
+    prof = profile(G)
+    if ok:
+        return CaseReport("Xi", prof.t_max, wit)
+    if prof.t_max <= (1 - 1 / (2 * q)) * G.degree:
+        return CaseReport("I", prof.t_max, None)
+    proj = G.restricted(prof.giant)
+    if minimal_blocks(proj) is not None:
+        return CaseReport("III", prof.t_max, None)
+    if contains_alt_on(proj, range(proj.degree)):
+        return CaseReport("alt-giant", prof.t_max, None)
+    return CaseReport("II", prof.t_max, None)
+
+
+def test_classify_case_vs_fresh_restriction_oracle():
+    # every subgroup of Sym(1..6), every q that puts the giant cut at or
+    # below the whole level, twice each: the second call reads G's memo
+    # (for q < 3 the giant need not cover every point, so the restricted
+    # projection is kept there) and the oracle works on a cold twin
+    restricted = 0
+    for degree in range(1, 7):
+        for G in enumerate_subgroups(degree)[0]:
+            cold = GeneratedGroup(degree, G.generators)
+            for q, delta in itertools.product((1, 2, 3), (0, 1, 2)):
+                classify_case(G, q, delta)
+                assert classify_case(G, q, delta) == classify_case_oracle(cold, q, delta)
+            restricted += "classify.giant" in (G._memo or {})
+    assert restricted > 100
 
 
 def test_heredity_good_chain():

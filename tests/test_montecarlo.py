@@ -306,21 +306,46 @@ def test_estimators_equal_forms_only_loop(seed):
     assert all(est.successes for est, _ in cases[-2:])
 
 
+def list_sample_seq(rng, m, k):
+    """``TrialRng.sample_seq`` before it stored only touched positions: a
+    Fisher-Yates prefix over the whole list range(m), drawing through
+    ``randbelow``."""
+    if k > m:
+        raise KTooLarge(f"k={k} exceeds population {m}")
+    arr = list(range(m))
+    for i in range(k):
+        j = i + rng.randbelow(m - i)
+        arr[i], arr[j] = arr[j], arr[i]
+    return tuple(arr[:k])
+
+
+def test_sample_seq_vs_list_oracle():
+    # same draws and the same final state, over random (seed, trial, m, k),
+    # the edges m <= 1, k = 0 and k = m, and chains of draws on one stream
+    gen = random.Random(2718)
+    for _ in range(1500):
+        seed, trial = gen.getrandbits(64), gen.randrange(10 ** 6)
+        fast, slow = TrialRng(seed, trial), TrialRng(seed, trial)
+        for _ in range(gen.randint(1, 4)):
+            m = gen.choice([0, 1, 2, gen.randint(0, 40), gen.randint(0, 600)])
+            k = gen.choice([0, m, gen.randint(0, m)])
+            assert fast.sample_seq(m, k) == list_sample_seq(slow, m, k), (seed, trial, m, k)
+            assert fast._state == slow._state
+            assert fast.next64() == slow.next64()
+    for m, k in ((0, 1), (3, 4)):
+        with pytest.raises(KTooLarge):
+            TrialRng(1, 1).sample_seq(m, k)
+
+
 def test_sample_is_sorted_sample_seq():
     # the Fisher-Yates body ``sample`` had before it delegated to ``sample_seq``
-    def old_sample(rng, m, k):
-        arr = list(range(m))
-        for i in range(k):
-            j = i + rng.randbelow(m - i)
-            arr[i], arr[j] = arr[j], arr[i]
-        return tuple(sorted(arr[:k]))
-
     gen = random.Random(314)
     for _ in range(2000):
         seed, trial = gen.getrandbits(64), gen.randrange(10 ** 6)
         m = gen.randint(0, 300)
         k = gen.randint(0, m)
-        assert TrialRng(seed, trial).sample(m, k) == old_sample(TrialRng(seed, trial), m, k)
+        expect = tuple(sorted(list_sample_seq(TrialRng(seed, trial), m, k)))
+        assert TrialRng(seed, trial).sample(m, k) == expect
 
 
 def test_exact_cut2_vs_pair_enumeration():

@@ -292,6 +292,50 @@ def test_enumerate_subgroups_degree_too_large():
         enumerate_subgroups(7)
 
 
+def test_subgroup_classes_are_the_enumerated_classes():
+    for degree in range(1, 7):
+        subs, classes = enumerate_subgroups(degree)
+        expect = {frozenset((subs[i].elements, subs[i].generators) for i in cls)
+                  for cls in classes}
+        got = [frozenset((G.elements, G.generators) for G in cls)
+               for cls in perm.subgroup_classes(degree)]
+        assert len(got) == len(classes) and set(got) == expect
+    with pytest.raises(DegreeTooLarge):
+        perm.subgroup_classes(8)
+    with pytest.raises(ValueError):
+        perm.subgroup_classes(0)
+    with pytest.raises(ClosureExceedsCap):
+        perm.subgroup_classes(5, cap=100)
+
+
+def test_memoized_invariants_equal_a_cold_group():
+    # for every subgroup of Sym(1..6), orbits, minimal_blocks and
+    # contains_alt_on on every U, read back from the group's memo, equal
+    # those of a group built from the same generators with a cold memo; a
+    # minimal_blocks call that raises NotTransitive keeps nothing
+    for degree in range(1, 7):
+        subsets = [U for r in range(degree + 1) for U in itertools.combinations(range(degree), r)]
+        for G in enumerate_subgroups(degree)[0]:
+            closed = GeneratedGroup(degree, G.generators).elements
+
+            def cold():
+                return GeneratedGroup(degree, G.generators, _elements=closed)
+
+            orbits(G)
+            assert "perm.orbits" in G._memo and orbits(G) == orbits(cold())
+            if len(orbits(G)) == 1:
+                minimal_blocks(G)
+                blocks, cold_blocks = minimal_blocks(G), minimal_blocks(cold())
+                assert (blocks and blocks.blocks) == (cold_blocks and cold_blocks.blocks)
+            else:
+                with pytest.raises(NotTransitive):
+                    minimal_blocks(G)
+                assert "perm.minimal_blocks" not in G._memo
+            for U in subsets:
+                contains_alt_on(G, U[::-1])
+                assert contains_alt_on(G, U) == contains_alt_on(cold(), U)
+
+
 def test_enumerated_generators_are_short():
     # each subgroup carries the join walk's generators, conjugated from its
     # class representative: they generate it, and each join at least
@@ -639,25 +683,135 @@ def test_double_coset_reps_vs_bruteforce(degree):
 
 def test_double_coset_reps_vs_sweep_in_the_walk(monkeypatch):
     # every call the join walks make, at degrees <= 6 and in subgroups_of and
-    # overgroups_of_cycle, returns what the element sweep returns
+    # overgroups_of_cycle, finds the double cosets the element sweep finds
     calls = []
 
     def checked(H_gens, H_elements, ambient_elements):
-        reps = real(H_gens, H_elements, ambient_elements)
+        cosets = real(H_gens, H_elements, ambient_elements)
+        _, firsts, first_coset = cosets
+        reps = [g for i, g in enumerate(firsts) if first_coset[i] == i]
         assert reps == double_coset_sweep_oracle(H_gens, ambient_elements)
         calls.append(len(reps))
-        return reps
+        return cosets
 
-    real = perm._double_coset_reps
-    monkeypatch.setattr(perm, "_double_coset_reps", checked)
+    real = perm._double_cosets
+    monkeypatch.setattr(perm, "_double_cosets", checked)
     for degree in range(1, 7):
-        perm._subgroup_classes.__wrapped__(degree, DEFAULT_CAP)
+        perm.subgroup_classes(degree)
     subgroups_of(symmetric_group(5))
     subgroups_of(product_of_symmetric([2, 3]))
     overgroups_of_cycle(5)
     # 93 class-level calls at degrees 1-6, one per subgroup of Sym(5) and of
     # Sym(2) x Sym(3), and 5 over the 5-cycle
     assert len(calls) == 93 + 156 + 16 + 5
+
+
+def unreduced_join_walk_oracle(ambient_elements, degree, conj_gens):
+    """The class-level join walk before joins were taken up to the
+    normalizer: every double coset H g H outside H is joined."""
+    found, known, todo = [], set(), deque()
+
+    def register(gens, eset):
+        orbit = conjugacy_orbit(eset, conj_gens, gens)
+        known.update(frozenset(els) for els in orbit)
+        found.append((gens, orbit))
+        todo.append((gens, eset))
+
+    ambient = frozenset(ambient_elements)
+    alt = frozenset(p for p in ambient if is_even(p)) if degree >= 5 else None
+    register((), frozenset([identity(degree)]))
+    while todo:
+        gens, eset = todo.popleft()
+        H = tuple(eset)
+        for g in _double_coset_reps(gens, H, ambient_elements):
+            if g not in eset:
+                joined = perm._extend(H, gens + (g,), DEFAULT_CAP, ambient, alt)
+                if joined not in known:
+                    register(gens + (g,), joined)
+    return found
+
+
+def count_joins(monkeypatch):
+    """Count ``_extend`` calls outside ``_normalizer_gens``: the joins."""
+    joins = [0]
+    inside = [False]
+
+    def extend(*args):
+        joins[0] += not inside[0]
+        return real_extend(*args)
+
+    def normalizer_gens(*args):
+        inside[0] = True
+        try:
+            return real_normalizer_gens(*args)
+        finally:
+            inside[0] = False
+
+    real_extend, real_normalizer_gens = perm._extend, perm._normalizer_gens
+    monkeypatch.setattr(perm, "_extend", extend)
+    monkeypatch.setattr(perm, "_normalizer_gens", normalizer_gens)
+    return joins
+
+
+def test_join_walk_up_to_normalizer_vs_unreduced_oracle(monkeypatch):
+    # one join per N(H)-orbit of double cosets registers the same subgroups,
+    # in the same order, with the same generators and conjugacy orbits, as
+    # joining every double coset, with far fewer joins
+    joins = count_joins(monkeypatch)
+    walk_joins, oracle_joins = [], []
+    for degree in range(1, 7):
+        ambient = sym_elements(degree)
+        conj_gens = symmetric_group(degree).generators
+        joins[0] = 0
+        walk = perm._join_walk((), ambient, degree, DEFAULT_CAP, conj_gens)
+        walk_joins.append(joins[0])
+        joins[0] = 0
+        oracle = unreduced_join_walk_oracle(ambient, degree, conj_gens)
+        oracle_joins.append(joins[0])
+        assert ([(gens, list(orbit.items())) for gens, orbit in walk]
+                == [(gens, list(orbit.items())) for gens, orbit in oracle])
+    assert walk_joins == [0, 1, 4, 25, 85, 587]
+    assert oracle_joins[4:] == [262, 2290]
+
+
+def test_normalizer_by_cosets_vs_ambient_scan():
+    # for every class representative H at degrees <= 6, the group that H and
+    # the coset scan's generators generate is N(H), found here by testing
+    # every ambient element
+    for degree in range(1, 7):
+        ambient = sym_elements(degree)
+        ambient_set = frozenset(ambient)
+        alt = frozenset(p for p in ambient if is_even(p)) if degree >= 5 else None
+        conj_gens = symmetric_group(degree).generators
+        for gens, orbit in perm._join_walk((), ambient, degree, DEFAULT_CAP, conj_gens):
+            eset = frozenset(next(iter(orbit)))
+            _, firsts, _ = perm._double_cosets(gens, tuple(eset), ambient)
+            extra = perm._normalizer_gens(gens, eset, firsts, conj_gens, DEFAULT_CAP,
+                                          ambient_set, alt)
+            scan = {g for g in ambient if all(conjugate(h, g) in eset for h in eset)}
+            assert set(close(gens + extra, degree=degree)) == scan
+
+
+@pytest.mark.parametrize("degree", [4, 5])
+def test_normalizer_orbits_vs_bruteforce(degree):
+    # for each class representative H, the double cosets kept are the first
+    # of each orbit of N(H) acting by conjugation, found here by conjugating
+    # every element of each double coset by every element of N(H)
+    ambient = sym_elements(degree)
+    subs, classes = enumerate_subgroups(degree)
+    for H in (subs[cls[0]] for cls in classes):
+        cosets = perm._double_cosets(H.generators, H.elements, ambient)
+        _, firsts, first_coset = cosets
+        reps = [i for i, f in enumerate(first_coset) if f == i]
+        normalizer = [g for g in ambient
+                      if all(conjugate(h, g) in H.element_set for h in H.generators)]
+        double = {i: frozenset(compose(compose(a, firsts[i]), b)
+                               for a in H.elements for b in H.elements) for i in reps}
+        index = {els: j for j, els in double.items()}
+        first_conjugate = {i: min(index[frozenset(conjugate(x, n) for x in double[i])]
+                                  for n in normalizer) for i in reps}
+        kept = perm._normalizer_orbits(normalizer, cosets, reps)
+        assert kept == [i for i in reps if first_conjugate[i] == i]
 
 
 def test_conjugacy_orbit_vs_bruteforce():
