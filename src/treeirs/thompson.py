@@ -3,11 +3,14 @@
 An element is a reduced triple (A, B, sigma): two complete finite subtrees
 with equally many leaves and a leaf bijection.  It acts on addresses by
 replacing the unique A-leaf prefix with its sigma image; below the leaves the
-identification is order preserving by construction.  Composition is one
-pass over the common refinement of the middle trees, with no intermediate
-pair; reduction is a single bottom-up sweep that collapses sibling families
-mapping order-preservingly onto sibling families.  The reduced representative
-is unique, so it is the canonical form used for equality.
+identification is order preserving by construction.  Composition merges
+the two sorted middle frontiers with two pointers, which walks the leaves of
+their common refinement and builds no intermediate pair; reduction is one
+left-to-right stack pass over the (domain leaf, image) items, sorted by
+domain leaf, that collapses sibling families mapping order-preservingly onto
+sibling families.  The reduced representative is the reduced tree-pair
+diagram of Cannon, Floyd & Parry (Enseign. Math. 42, 1996); it is unique, so
+it is the canonical form used for equality.
 
 Subtrees are stored as their leaf sets: sorted tuples of digit-tuple
 addresses (the root-only tree is ``((),)``).  Every pair is validated when it
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .perm import _is_json_int
 from .tree import ColourScheme, TreeShape, orbit_label
 
 Address = tuple[int, ...]
@@ -92,17 +96,21 @@ class TreePair:
     sigma: tuple[int, ...]
 
     def __post_init__(self):
-        if self.d < 2 or self.q < 2:
-            raise MalformedPair("need d >= 2 and q >= 2")
+        if not (_is_json_int(self.d) and _is_json_int(self.q)) \
+                or self.d < 2 or self.q < 2:
+            raise MalformedPair(
+                f"need integers d >= 2 and q >= 2, not {self.d!r}, {self.q!r}")
         dom = _check_leafset(self.domain_leaves, self.d, self.q)
         rng = _check_leafset(self.range_leaves, self.d, self.q)
+        sigma = tuple(self.sigma)
         object.__setattr__(self, "domain_leaves", dom)
         object.__setattr__(self, "range_leaves", rng)
-        object.__setattr__(self, "sigma", tuple(self.sigma))
+        object.__setattr__(self, "sigma", sigma)
         if len(dom) != len(rng):
             raise MalformedPair("domain and range leaf counts differ")
-        if sorted(self.sigma) != list(range(len(dom))):
-            raise MalformedPair("sigma is not a bijection of leaf indices")
+        # the type test comes first: floats and bools sort among the ints
+        if set(map(type, sigma)) != {int} or sorted(sigma) != list(range(len(dom))):
+            raise MalformedPair("sigma is not a bijection of leaf indices (ints)")
 
     @classmethod
     def identity(cls, d: int, q: int) -> "TreePair":
@@ -111,11 +119,8 @@ class TreePair:
     @classmethod
     def from_mapping(cls, d: int, q: int, mapping) -> "TreePair":
         """Build from {domain address: range address} pairs."""
-        items = sorted((tuple(a), tuple(b)) for a, b in dict(mapping).items())
-        dom = tuple(a for a, _ in items)
-        rng = tuple(sorted(b for _, b in items))
-        pos = {b: j for j, b in enumerate(rng)}
-        return cls(d, q, dom, rng, tuple(pos[b] for _, b in items))
+        return _from_sorted(d, q, sorted((tuple(a), tuple(b))
+                                         for a, b in dict(mapping).items()))
 
     def image_of_leaf(self, a: Address) -> Address:
         i = self.domain_leaves.index(tuple(a))
@@ -126,62 +131,52 @@ class TreePair:
                 for i, a in enumerate(self.domain_leaves)}
 
 
-def _internal_vertices(leaves) -> set[Address]:
-    out = set()
-    for a in leaves:
-        for j in range(len(a) - 1, -1, -1):
-            if a[:j] in out:
-                break  # its ancestors are in already
-            out.add(a[:j])
-    return out
+def _collapse(items, d: int, q: int) -> list[tuple[Address, Address]]:
+    """Reduce (domain leaf, image) items sorted by domain leaf, in one pass.
 
-
-def join_frontiers(l1, l2, d: int, q: int) -> tuple[Address, ...]:
-    """Frontier of the smallest complete subtree refining both frontiers."""
-    internal = _internal_vertices(l1) | _internal_vertices(l2)
-    out = []
-    stack = [()]
-    while stack:
-        prefix = stack.pop()
-        if prefix in internal:
-            stack.extend(prefix + (j,)
-                         for j in reversed(range(q if not prefix else d)))
-        else:
-            out.append(prefix)  # depth first, least child first: sorted
-    return tuple(out)
-
-
-def _collapse(m: dict[Address, Address], d: int, q: int) -> bool:
-    """Collapse the sibling families of ``m`` in place; True if any collapsed.
-
-    ``m`` maps domain leaves to range leaves.  One sweep over the parents
-    whose first child is a domain leaf (no other family can collapse),
-    deepest first, reaches the fixed point: a collapse at depth L only makes
-    a new leaf at depth L, which can complete a family only under its own
-    parent, one level up, where the sweep has not been yet.
+    Each item is pushed onto a stack.  While the top ``arity`` entries are a
+    whole sibling family ``parent+(0..arity-1,)`` mapped in order onto a
+    family ``w+(0..arity-1,)`` of the same arity, they are replaced by
+    ``(parent, w)``.  The stack stays sorted.  When a last child reaches the
+    top, every leaf before it is final, so a family that fails the test then
+    can never collapse later: the pass ends at the fixed point.
     """
-    levels: dict[int, set[Address]] = {}
-    for a in m:
-        if a and a[-1] == 0:
-            levels.setdefault(len(a) - 1, set()).add(a[:-1])
-    collapsed = False
-    for depth in range(max(levels, default=-1), -1, -1):
-        for parent in levels.get(depth, ()):
-            arity = q if not parent else d
-            first = m[parent + (0,)]
-            if not first or (q if len(first) == 1 else d) != arity:
+    stack = []
+    push = stack.append
+    for a, b in items:
+        while a:
+            n = len(a)
+            arity = d if n > 1 else q
+            top = arity - 1
+            if a[-1] != top or b[-1] != top or (d if len(b) > 1 else q) != arity:
+                break
+            start = len(stack) - top
+            if start < 0:
+                break
+            w = b[:-1]
+            # the domain side is a sorted frontier: the entries before a
+            # last child that have its length are its elder siblings
+            for t, (x, y) in enumerate(stack[start:]):
+                if len(x) != n or y[-1] != t or y[:-1] != w:
+                    break
+            else:
+                del stack[start:]
+                a, b = a[:-1], w
                 continue
-            w = first[:-1]
-            kids = [parent + (j,) for j in range(arity)]
-            if any(m.get(k) != w + (j,) for j, k in enumerate(kids)):
-                continue
-            for k in kids:
-                del m[k]
-            m[parent] = w
-            collapsed = True
-            if parent and parent[-1] == 0:
-                levels.setdefault(depth - 1, set()).add(parent[:-1])
-    return collapsed
+            break
+        push((a, b))
+    return stack
+
+
+def _from_sorted(d: int, q: int, items) -> TreePair:
+    """The pair of (domain leaf, image) items sorted by domain leaf."""
+    dom, images = zip(*items) if items else ((), ())
+    order = sorted(range(len(images)), key=images.__getitem__)
+    sigma = [0] * len(order)
+    for j, i in enumerate(order):
+        sigma[i] = j
+    return TreePair(d, q, dom, tuple(map(images.__getitem__, order)),
+                    tuple(sigma))
 
 
 def reduce_pair(pair: TreePair) -> TreePair:
@@ -189,10 +184,12 @@ def reduce_pair(pair: TreePair) -> TreePair:
 
     Returns ``pair`` itself when it is already reduced.
     """
-    m = pair.mapping()
-    if not _collapse(m, pair.d, pair.q):
+    items = list(zip(pair.domain_leaves,
+                     map(pair.range_leaves.__getitem__, pair.sigma)))
+    reduced = _collapse(items, pair.d, pair.q)
+    if len(reduced) == len(items):
         return pair
-    return TreePair.from_mapping(pair.d, pair.q, m)
+    return _from_sorted(pair.d, pair.q, reduced)
 
 
 def compose(p1: TreePair, p2: TreePair) -> TreePair:
@@ -201,28 +198,41 @@ def compose(p1: TreePair, p2: TreePair) -> TreePair:
     Every leaf ``w`` of the common refinement of p1's range and p2's domain
     has a unique prefix ``r`` among p1's range leaves and ``s`` among p2's
     domain leaves, and the composite maps ``pre[r] + w[len(r):]`` to
-    ``post[s] + w[len(s):]``.  The refinement is walked from the root, so
-    each prefix is found on the way down.
+    ``post[s] + w[len(s):]``.  Both frontiers are sorted, so the refinement
+    is a merge: the current ``r`` and ``s`` are comparable, the longer one
+    is ``w``, its pointer advances, and the shorter one's advances once its
+    cone is used up.  The items are gathered per ``r`` and read back in the
+    order of p1's domain leaves, which sorts them by domain address.
     """
     if (p1.d, p1.q) != (p2.d, p2.q):
         raise MalformedPair("tree parameters differ")
-    d, q = p1.d, p1.q
-    pre = {p1.range_leaves[j]: a for a, j in zip(p1.domain_leaves, p1.sigma)}
-    post = {a: p2.range_leaves[j] for a, j in zip(p2.domain_leaves, p2.sigma)}
-    m = {}
-    stack = [((), None, None)]
-    while stack:
-        w, r, s = stack.pop()
-        if r is None and w in pre:
-            r = w
-        if s is None and w in post:
-            s = w
-        if r is None or s is None:
-            stack.extend((w + (j,), r, s) for j in range(q if not w else d))
+    rs, ss = p1.range_leaves, p2.domain_leaves
+    pre = [()] * len(rs)
+    for a, j in zip(p1.domain_leaves, p1.sigma):
+        pre[j] = a
+    post = list(map(p2.range_leaves.__getitem__, p2.sigma))
+    cones = [[] for _ in rs]
+    i = k = 0
+    n_s = len(ss)
+    while k < n_s:
+        r, s = rs[i], ss[k]
+        lr, ls = len(r), len(s)
+        if lr == ls:
+            cones[i].append((pre[i], post[k]))
+            i += 1
+            k += 1
+        elif lr < ls:
+            cones[i].append((pre[i] + s[lr:], post[k]))
+            k += 1
+            if k == n_s or ss[k][:lr] != r:
+                i += 1
         else:
-            m[pre[r] + w[len(r):]] = post[s] + w[len(s):]
-    _collapse(m, d, q)
-    return TreePair.from_mapping(d, q, m)
+            cones[i].append((pre[i], post[k] + r[ls:]))
+            i += 1
+            if i == len(rs) or rs[i][:ls] != s:
+                k += 1
+    items = [item for j in p1.sigma for item in cones[j]]
+    return _from_sorted(p1.d, p1.q, _collapse(items, p1.d, p1.q))
 
 
 def inverse(pair: TreePair) -> TreePair:
@@ -294,11 +304,24 @@ def pair_to_json(pair: TreePair) -> dict:
 
 
 def pair_from_json(data) -> TreePair:
-    d, q = int(data["d"]), int(data["q"])
+    """Read :func:`pair_to_json` output; every number must be a JSON integer
+    and every address a string of ASCII digits."""
+    d, q = data["d"], data["q"]
+    for key, value in (("d", d), ("q", q)):
+        if not _is_json_int(value):
+            raise MalformedPair(f'"{key}" must be an integer, not {value!r}')
     _check_json_digits(d, q)
-    return TreePair(
-        d, q,
-        tuple(tuple(int(ch) for ch in s) for s in data["domain_leaves"]),
-        tuple(tuple(int(ch) for ch in s) for s in data["range_leaves"]),
-        tuple(int(x) for x in data["sigma"]),
-    )
+    # TreePair refuses sigma entries that are not ints
+    return TreePair(d, q, _addresses_from_json(data["domain_leaves"]),
+                    _addresses_from_json(data["range_leaves"]),
+                    tuple(data["sigma"]))
+
+
+def _addresses_from_json(strings) -> tuple[Address, ...]:
+    out = []
+    for s in strings:
+        # str.isdigit also accepts non-ASCII digits such as "\uff11"
+        if not (isinstance(s, str) and s.isascii() and (s.isdigit() or not s)):
+            raise MalformedPair(f"address must be a string of digits 0-9, not {s!r}")
+        out.append(tuple(map(int, s)))
+    return tuple(out)

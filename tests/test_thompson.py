@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -21,7 +22,6 @@ from treeirs.thompson import (
     compose,
     inverse,
     is_label_preserving,
-    join_frontiers,
     pair_from_json,
     pair_to_json,
     reduce_pair,
@@ -38,6 +38,16 @@ def test_validation_rejects_garbage():
         TreePair(2, 2, ((0,), (1,)), ((0,), (1,)), (0, 0))  # sigma not bijective
     with pytest.raises(MalformedPair):
         TreePair(2, 2, ((0,), (1,), (1, 0)), ((0,), (1,), (1, 0)), (0, 1, 2))
+
+
+def test_validation_refuses_non_int_parameters_and_sigma():
+    # a float d used to be accepted and failed later, inside compose
+    for d, q in ((2.0, 2), (2, 2.0), (True, 2), ("2", 2)):
+        with pytest.raises(MalformedPair, match="integers d >= 2"):
+            TreePair(d, q, ((0,), (1,)), ((0,), (1,)), (1, 0))
+    for sigma in ((0.0, 1), (True, False), (1, 0.0), ("0", 1)):
+        with pytest.raises(MalformedPair, match="bijection"):
+            TreePair(2, 2, ((0,), (1,)), ((0,), (1,)), sigma)
 
 
 def test_identity_pair_and_action():
@@ -243,6 +253,29 @@ def test_json_output_unchanged():
                                "sigma": [2, 0, 3, 1]}
 
 
+_GOOD_JSON = {"d": 2, "q": 2, "domain_leaves": ["0", "1"],
+              "range_leaves": ["0", "1"], "sigma": [1, 0]}
+
+
+@pytest.mark.parametrize("change,match", [
+    ({"d": 2.9}, '"d" must be an integer, not 2.9'),
+    ({"d": 2.0}, '"d" must be an integer'),
+    ({"q": "2"}, '"q" must be an integer'),
+    ({"q": True}, '"q" must be an integer'),
+    ({"sigma": [1.7, 0.2]}, "bijection"),
+    ({"sigma": [1.0, 0]}, "bijection"),
+    ({"sigma": [True, False]}, "bijection"),
+    ({"domain_leaves": ["0", "\uff11"]}, "digits 0-9"),
+    ({"range_leaves": ["\u0660", "1"]}, "digits 0-9"),
+    ({"domain_leaves": [[0], [1]]}, "digits 0-9"),
+])
+def test_json_refuses_non_integers(change, match):
+    assert pair_from_json(_GOOD_JSON) == TreePair(2, 2, ((0,), (1,)),
+                                                  ((0,), (1,)), (1, 0))
+    with pytest.raises(MalformedPair, match=match):
+        pair_from_json({**_GOOD_JSON, **change})
+
+
 # ---------------------------------------------------------------------------
 # differential test of the leaf-set check against the recursive cover check
 # it replaced
@@ -357,6 +390,31 @@ def test_leafset_check_accepts_frontiers_as_oracle_does(shape, data):
 
 def _oracle_arity(prefix, d, q):
     return q if prefix == () else d
+
+
+def _internal_vertices(leaves):
+    out = set()
+    for a in leaves:
+        for j in range(len(a) - 1, -1, -1):
+            if a[:j] in out:
+                break  # its ancestors are in already
+            out.add(a[:j])
+    return out
+
+
+def join_frontiers(l1, l2, d, q):
+    """Frontier of the smallest complete subtree refining both frontiers."""
+    internal = _internal_vertices(l1) | _internal_vertices(l2)
+    out = []
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        if prefix in internal:
+            stack.extend(prefix + (j,)
+                         for j in reversed(range(q if not prefix else d)))
+        else:
+            out.append(prefix)  # depth first, least child first: sorted
+    return tuple(out)
 
 
 def _oracle_internal(leaves):
@@ -508,3 +566,134 @@ def test_action_of_composite(pairs, digits):
     w = (digits[0] % q,) + tuple(x % d for x in digits[1:])
     assert act_on_address(compose(p1, p2), w) == \
         act_on_address(p2, act_on_address(p1, w))
+
+
+# ---------------------------------------------------------------------------
+# differential test against the earlier calculus: compose walked the common
+# refinement from the root, and the collapse swept parents deepest level
+# first; results must agree as objects and sigma tuples exactly
+# ---------------------------------------------------------------------------
+
+def _prior_collapse(m, d, q):
+    levels = {}
+    for a in m:
+        if a and a[-1] == 0:
+            levels.setdefault(len(a) - 1, set()).add(a[:-1])
+    collapsed = False
+    for depth in range(max(levels, default=-1), -1, -1):
+        for parent in levels.get(depth, ()):
+            arity = q if not parent else d
+            first = m[parent + (0,)]
+            if not first or (q if len(first) == 1 else d) != arity:
+                continue
+            w = first[:-1]
+            kids = [parent + (j,) for j in range(arity)]
+            if any(m.get(k) != w + (j,) for j, k in enumerate(kids)):
+                continue
+            for k in kids:
+                del m[k]
+            m[parent] = w
+            collapsed = True
+            if parent and parent[-1] == 0:
+                levels.setdefault(depth - 1, set()).add(parent[:-1])
+    return collapsed
+
+
+def _prior_from_mapping(d, q, m):
+    items = sorted(m.items())
+    dom = tuple(a for a, _ in items)
+    rng = tuple(sorted(b for _, b in items))
+    pos = {b: j for j, b in enumerate(rng)}
+    return TreePair(d, q, dom, rng, tuple(pos[b] for _, b in items))
+
+
+def _prior_reduce(pair):
+    m = pair.mapping()
+    if not _prior_collapse(m, pair.d, pair.q):
+        return pair
+    return _prior_from_mapping(pair.d, pair.q, m)
+
+
+def _prior_compose(p1, p2):
+    d, q = p1.d, p1.q
+    pre = {p1.range_leaves[j]: a for a, j in zip(p1.domain_leaves, p1.sigma)}
+    post = {a: p2.range_leaves[j] for a, j in zip(p2.domain_leaves, p2.sigma)}
+    m = {}
+    stack = [((), None, None)]
+    while stack:
+        w, r, s = stack.pop()
+        if r is None and w in pre:
+            r = w
+        if s is None and w in post:
+            s = w
+        if r is None or s is None:
+            stack.extend((w + (j,), r, s) for j in range(q if not w else d))
+        else:
+            m[pre[r] + w[len(r):]] = post[s] + w[len(s):]
+    _prior_collapse(m, d, q)
+    return _prior_from_mapping(d, q, m)
+
+
+def _fields(p):
+    return p.d, p.q, p.domain_leaves, p.range_leaves, p.sigma
+
+
+def _assert_same_as_prior(p1, p2):
+    for p in (p1, p2):
+        got, want = reduce_pair(p), _prior_reduce(p)
+        assert got == want and _fields(got) == _fields(want)
+        assert (got is p) == (want is p)
+    got, want = compose(p1, p2), _prior_compose(p1, p2)
+    assert got == want and _fields(got) == _fields(want)
+    m = p1.mapping()
+    assert _fields(TreePair.from_mapping(p1.d, p1.q, m)) == \
+        _fields(_prior_from_mapping(p1.d, p1.q, m))
+
+
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+def test_calculus_equals_prior_calculus_seeded(d, q):
+    rng = random.Random(7000 + 10 * d + q)
+    raw = [random_raw_pair(rng, d, q, 7) for _ in range(150)]
+    reduced = [reduce_pair(p) for p in raw]
+    for pairs in (raw, reduced):
+        for p1, p2 in zip(pairs, pairs[1:] + pairs[:1]):
+            _assert_same_as_prior(p1, p2)
+            _assert_same_as_prior(p1, inverse(p1))
+    for p, r in zip(raw, reduced):
+        _assert_same_as_prior(p, r)
+        _assert_same_as_prior(TreePair.identity(d, q), r)
+
+
+def test_calculus_equals_prior_calculus_on_deep_combs():
+    comb = [(1,) * i + (0,) for i in range(1500)] + [(1,) * 1500]
+    mirror = sorted(tuple(1 - x for x in a) for a in comb)
+    n = len(comb)
+    rotate = tuple((i + 1) % n for i in range(n))
+    p = TreePair(2, 2, comb, comb, rotate)
+    m = TreePair(2, 2, mirror, mirror, rotate)
+    across = TreePair(2, 2, comb, mirror, tuple(reversed(range(n))))
+    _assert_same_as_prior(p, m)
+    _assert_same_as_prior(across, inverse(across))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_tuples(2))
+def test_calculus_equals_prior_calculus_drawn(pairs):
+    p1, p2 = pairs
+    _assert_same_as_prior(p1, p2)
+    _assert_same_as_prior(reduce_pair(p1), reduce_pair(p2))
+    _assert_same_as_prior(p1, inverse(p1))
+
+
+def test_calculus_digest_pinned():
+    # the digest was taken with the earlier calculus, over 3 x 1,000 pairs
+    rng = random.Random(1729)
+    h = hashlib.sha256()
+    for d, q in ((2, 2), (2, 3), (3, 2)):
+        raw = [random_raw_pair(rng, d, q) for _ in range(1000)]
+        for p1, p2 in zip(raw, raw[1:] + raw[:1]):
+            for x in (reduce_pair(p1), compose(p1, inverse(p1)),
+                      compose(p1, p2)):
+                h.update(repr(_fields(x)).encode())
+    assert h.hexdigest() == \
+        "efe9992b3b9375d35460f1117bdfa9488c0b088612f2d33098d7c5326f87053a"
