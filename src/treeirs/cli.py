@@ -17,7 +17,6 @@ import itertools
 import json
 import os
 import sys
-from collections import deque
 from math import exp
 
 from . import bounds as bnd
@@ -33,10 +32,9 @@ from .irs import (
 )
 from .perm import (
     DEFAULT_CAP,
-    compose,
+    conjugacy_orbit,
     conjugate,
     enumerate_subgroups,
-    identity,
     load_group,
     product_of_symmetric,
     subgroups_of,
@@ -57,21 +55,16 @@ def _fmt(x) -> str:
 
 def _write_rows(path: str, fmt: str, header: list[str], rows: list[list]) -> None:
     rows = [[_fmt(x) for x in row] for row in rows]
-    payload = {"header": header, "rows": rows}
-    if fmt == "json":
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+            fh.write(buf.getvalue())
+        path = os.path.splitext(path)[0] + ".json"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
-    mirror = os.path.splitext(path)[0] + ".json"
-    with open(mirror, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump({"header": header, "rows": rows}, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
@@ -89,23 +82,6 @@ def _disjoint_pairs(degree: int):
                 for V in itertools.combinations(rest, rv):
                     out.append((U, V))
     return out
-
-
-def _conjugators(rep, generators) -> dict:
-    """For each conjugate of the subgroup with sorted element tuple ``rep``
-    under the group ``generators`` generate, as a sorted element tuple, an
-    element g with conjugate(r, g) running over it as r runs over ``rep``;
-    found breadth-first over conjugation by the generators."""
-    found = {rep: identity(len(rep[0]))}
-    queue = deque([rep])
-    while queue:
-        cur = queue.popleft()
-        for s in generators:
-            nxt = tuple(sorted(conjugate(h, s) for h in cur))
-            if nxt not in found:
-                found[nxt] = compose(found[cur], s)
-                queue.append(nxt)
-    return found
 
 
 def _cells(res, detail: str) -> list:
@@ -146,15 +122,16 @@ def counting_rows(degree: int, cap: int) -> list[list]:
     (U, V), keeping |A| and |Q|, and both sides of each inequality are the
     mu-measures of events that conjugation by g carries onto each other.
     So gamma's row at (U, V) is R's row at (g^-1 U, g^-1 V), read off R's
-    table.  Each conjugator g is found breadth-first and checked."""
+    table.  Each conjugator g comes from ``perm.conjugacy_orbit`` and is
+    checked."""
     rows = []
     ambient = symmetric_group(degree, cap=max(cap, 720))
-    subs, classes = enumerate_subgroups(degree, cap=max(cap, 720))
+    subs, classes = enumerate_subgroups(degree)
     placed = {}
     for cls in classes:
         R = subs[cls[0]]
         table = _class_table(R, ambient, degree)
-        found = _conjugators(R.elements, ambient.generators)
+        found = conjugacy_orbit(R.elements, ambient.generators)
         for gid in cls:
             els = subs[gid].elements
             g = found.get(els)
@@ -374,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--scheme", help="colour scheme JSON file")
-    p.add_argument("--cap", type=int, default=10_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--cc-C", type=float, default=None)
     p.add_argument("--cc-c", type=float, default=None)
     common(p)

@@ -215,11 +215,6 @@ class GeneratedGroup:
     def is_subgroup_of(self, other: "GeneratedGroup") -> bool:
         return self.degree == other.degree and self.element_set <= other.element_set
 
-    def conjugated(self, g: Perm) -> "GeneratedGroup":
-        els = tuple(sorted(conjugate(h, g) for h in self.elements))
-        return GeneratedGroup(self.degree, [conjugate(h, g) for h in self.generators] or els,
-                              self.cap, _elements=els)
-
     def restricted(self, points) -> "GeneratedGroup":
         """The action on an invariant point set, on {0..len(points)-1},
         generated by the restricted generators and closed only when its
@@ -458,37 +453,30 @@ def _double_coset_reps(H_gens, H_elements, ambient_elements):
     return [g for i, g in enumerate(firsts) if first_coset[i] == i]
 
 
-def conjugacy_orbit(els, generators, carry=()) -> dict[tuple[Perm, ...], tuple[Perm, ...]]:
+def conjugacy_orbit(els, generators) -> dict[tuple[Perm, ...], Perm]:
     """The conjugates of the subgroup ``els`` under the group that
-    ``generators`` generate, each as a sorted element tuple, mapped to the
-    tuple ``carry`` conjugated by the same element.
+    ``generators`` generate, each as a sorted element tuple, mapped to an
+    element g with conjugate(h, g) running over it as h runs over ``els``.
 
     Breadth-first over conjugation by the generators alone, which reaches the
     whole orbit because the group is finite: |generators| |orbit| |els|
-    conjugations in all.  ``carry`` holds elements of ``els`` (say, its
-    generators, and then each member's value generates that member); each
-    value holds the member's own element objects, so it costs no memory
-    beyond its tuple.
+    conjugations in all.  ``els`` itself maps to the identity, and a member
+    first reached from ``cur`` by s maps to compose(orbit[cur], s).
     """
-    def shared(member, perms):
-        return tuple(member[bisect_left(member, p)] for p in perms)
-
     start = tuple(sorted(els))
-    if not set(carry) <= set(start):
-        raise ValueError("carry must hold elements of els")
-    orbit = {start: shared(start, carry)}
+    orbit = {start: identity(len(start[0]))}
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for g in generators:
-            nxt = tuple(sorted(conjugate(h, g) for h in cur))
+        for s in generators:
+            nxt = tuple(sorted(conjugate(h, s) for h in cur))
             if nxt not in orbit:
-                orbit[nxt] = shared(nxt, [conjugate(c, g) for c in orbit[cur]])
+                orbit[nxt] = compose(orbit[cur], s)
                 queue.append(nxt)
     return orbit
 
 
-def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=()):
+def _join_walk(seed_gens, ambient_elements, degree: int, conj_gens=()):
     """Every subgroup of the ambient group that contains <seed_gens>.
 
     Works up from <seed_gens> by joining each subgroup H found with one
@@ -501,10 +489,11 @@ def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=())
     Returns (generators, orbit) for each subgroup registered, in order of
     discovery; the orbit is its conjugacy orbit under <conj_gens>
     (``conjugacy_orbit``), mapping each member, a sorted element tuple, to
-    the generators conjugated along with it.  With no ``conj_gens`` the orbit
-    is the subgroup alone and every subgroup is registered; with them one
-    subgroup per conjugacy class is, because a join is skipped once any
-    conjugate of it is known.
+    the generators conjugated onto it, held as the member's own element
+    objects so they cost no memory beyond their tuple.  With no
+    ``conj_gens`` the orbit is the subgroup alone and every subgroup is
+    registered; with them one subgroup per conjugacy class is, because a
+    join is skipped once any conjugate of it is known.
 
     ``conj_gens``, when given, must generate the ambient group.  Then only
     one double coset per orbit of the normalizer N(H) is joined: for n in
@@ -519,7 +508,8 @@ def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=())
     todo = deque()
 
     def register(gens, eset):
-        orbit = conjugacy_orbit(eset, conj_gens, gens)
+        orbit = {member: tuple(member[bisect_left(member, conjugate(a, g))] for a in gens)
+                 for member, g in conjugacy_orbit(eset, conj_gens).items()}
         known.update(frozenset(els) for els in orbit)
         found.append((gens, orbit))
         todo.append((gens, eset))
@@ -528,7 +518,7 @@ def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=())
     alt = None
     if degree >= 5 and len(ambient) == factorial(degree):
         alt = frozenset(p for p in ambient_elements if is_even(p))
-    register(seed_gens, frozenset(close(seed_gens, cap, degree=degree)))
+    register(seed_gens, frozenset(close(seed_gens, degree=degree)))
     while todo:
         gens, eset = todo.popleft()
         H = tuple(eset)
@@ -536,19 +526,19 @@ def _join_walk(seed_gens, ambient_elements, degree: int, cap: int, conj_gens=())
         _, firsts, first_coset = cosets
         reps = [i for i, f in enumerate(first_coset) if f == i]
         if conj_gens:
-            normalizer = _normalizer_gens(gens, eset, firsts, conj_gens, cap, ambient, alt)
+            normalizer = _normalizer_gens(gens, eset, firsts, conj_gens, ambient, alt)
             reps = _normalizer_orbits(normalizer, cosets, reps)
         for i in reps:
             g = firsts[i]
             if g in eset:
                 continue
-            joined = _extend(H, gens + (g,), cap, ambient, alt)
+            joined = _extend(H, gens + (g,), ambient, alt)
             if joined not in known:
                 register(gens + (g,), joined)
     return found
 
 
-def _normalizer_gens(gens, eset, firsts, whole_gens, cap: int, ambient: frozenset,
+def _normalizer_gens(gens, eset, firsts, whole_gens, ambient: frozenset,
                      alt: frozenset | None):
     """Generators of the normalizer N(H) of H = <gens> (element set
     ``eset``) in the ambient group, modulo H.
@@ -567,7 +557,7 @@ def _normalizer_gens(gens, eset, firsts, whole_gens, cap: int, ambient: frozense
     for g in normalizing:
         if g not in span:
             extra += (g,)
-            span = _extend(tuple(span), gens + extra, cap, ambient, alt)
+            span = _extend(tuple(span), gens + extra, ambient, alt)
     return extra
 
 
@@ -598,7 +588,7 @@ def _normalizer_orbits(normalizer, cosets, reps) -> list[int]:
     return [i for i in reps if find(i) == i]
 
 
-def _extend(H, gens, cap: int, ambient: frozenset, alt: frozenset | None = None) -> frozenset:
+def _extend(H, gens, ambient: frozenset, alt: frozenset | None = None) -> frozenset:
     """The element set of <gens>, where ``gens`` extends a generating set of
     the subgroup whose elements are the tuple ``H``, built coset by coset as
     in Dimino's algorithm.
@@ -609,22 +599,18 @@ def _extend(H, gens, cap: int, ambient: frozenset, alt: frozenset | None = None)
     representative.  Once every representative has been tried, the union
     holds H and is closed under multiplication by every generator (if
     compose(r, s) = compose(h', r'), then compose(compose(h, r), s) lies in
-    H r'), so it is <gens>.  Cosets join whole, so this raises
-    ``ClosureExceedsCap`` exactly when ``close`` would: when the order
-    exceeds ``cap``.
+    H r'), so it is <gens>.
 
     ``ambient`` is the element set of a group containing ``gens``.  Once the
     union holds more than half of it, <gens> is the whole ambient
-    (its order divides |ambient|, by Lagrange), which is returned at once,
-    after the same cap test.
+    (its order divides |ambient|, by Lagrange), which is returned at once.
 
     ``alt``, when given, is the element set of Alt(n), and ``ambient`` that
     of Sym(n), for n >= 5.  Then the cut comes sooner, once the union holds
     more than (n-1)! elements: <gens> has index below n there, and for
     n >= 5 the only such subgroups of Sym(n) are Alt(n) and Sym(n) (Dixon &
     Mortimer, *Permutation Groups*, 1996, ch. 5).  So <gens> is ``alt`` when
-    every generator is even and ``ambient`` otherwise, again after the cap
-    test.
+    every generator is even and ``ambient`` otherwise.
     """
     elements = set(H)
     reps = [H[0]]  # any element of H represents H itself
@@ -633,26 +619,21 @@ def _extend(H, gens, cap: int, ambient: frozenset, alt: frozenset | None = None)
         for s in gens:
             t = tuple([s[x] for x in r])
             if t not in elements:
-                if len(elements) + len(H) > cap:
-                    raise ClosureExceedsCap(f"closure exceeds cap={cap}")
                 elements.update([tuple([t[x] for x in h]) for h in H])
                 if len(elements) > limit:
-                    whole = alt if alt is not None and all(map(is_even, gens)) else ambient
-                    if len(whole) > cap:
-                        raise ClosureExceedsCap(f"closure exceeds cap={cap}")
-                    return whole
+                    return alt if alt is not None and all(map(is_even, gens)) else ambient
                 reps.append(t)
     return frozenset(elements)
 
 
-def _sorted_groups(degree: int, walk, cap: int) -> tuple[GeneratedGroup, ...]:
+def _sorted_groups(degree: int, walk) -> tuple[GeneratedGroup, ...]:
     """The subgroups of a walk without conjugacy dedupe, by order, then by
     sorted element list."""
     groups = sorted(((gens, els) for gens, (els,) in walk), key=lambda ge: (len(ge[1]), ge[1]))
-    return tuple(GeneratedGroup(degree, gens, cap, _elements=els) for gens, els in groups)
+    return tuple(GeneratedGroup(degree, gens, _elements=els) for gens, els in groups)
 
 
-def subgroup_classes(degree: int, cap: int = DEFAULT_CAP) -> tuple[tuple[GeneratedGroup, ...], ...]:
+def subgroup_classes(degree: int) -> tuple[tuple[GeneratedGroup, ...], ...]:
     """Conjugacy classes of subgroups of Sym(degree), for degree <= 7, in the
     join walk's order of discovery.
 
@@ -667,17 +648,15 @@ def subgroup_classes(degree: int, cap: int = DEFAULT_CAP) -> tuple[tuple[Generat
         raise ValueError("degree must be positive")
     if degree > 7:
         raise DegreeTooLarge("class-level subgroup enumeration supports degree <= 7")
-    if factorial(degree) > cap:
-        raise ClosureExceedsCap(f"|Sym({degree})| exceeds cap={cap}")
     ambient = tuple(sorted(itertools.permutations(range(degree))))
-    walk = _join_walk((), ambient, degree, cap, symmetric_group(degree, cap).generators)
-    return tuple(tuple(GeneratedGroup(degree, gens, cap, _elements=els)
+    walk = _join_walk((), ambient, degree, symmetric_group(degree).generators)
+    return tuple(tuple(GeneratedGroup(degree, gens, _elements=els)
                        for els, gens in sorted(orbit.items()))
                  for _, orbit in walk)
 
 
 @lru_cache(maxsize=None)
-def enumerate_subgroups(degree: int, cap: int = DEFAULT_CAP):
+def enumerate_subgroups(degree: int):
     """All subgroups of Sym(degree), each exactly once, plus conjugacy classes.
 
     Returns (subgroups, classes): subgroups is a tuple of GeneratedGroup in a
@@ -689,7 +668,7 @@ def enumerate_subgroups(degree: int, cap: int = DEFAULT_CAP):
     """
     if degree > 6:
         raise DegreeTooLarge("exhaustive subgroup enumeration supports degree <= 6")
-    classes = subgroup_classes(degree, cap)
+    classes = subgroup_classes(degree)
     subgroups = tuple(sorted((G for cls in classes for G in cls),
                              key=lambda G: (G.order, G.elements)))
     index = {G.elements: i for i, G in enumerate(subgroups)}
@@ -697,22 +676,28 @@ def enumerate_subgroups(degree: int, cap: int = DEFAULT_CAP):
     return subgroups, tuple(sorted(classes, key=lambda c: c[0]))
 
 
-def subgroups_of(G: GeneratedGroup, cap: int = DEFAULT_CAP) -> tuple[GeneratedGroup, ...]:
+def subgroups_of(G: GeneratedGroup) -> tuple[GeneratedGroup, ...]:
     """All subgroups of an explicitly enumerable ambient group, by order,
-    then by sorted element list; fine for ambient orders in the hundreds."""
-    return _sorted_groups(G.degree, _join_walk((), G.elements, G.degree, cap), cap)
+    then by sorted element list; fine for ambient orders in the hundreds.
+    An ambient of more than ``DEFAULT_CAP`` elements is refused up front."""
+    if G.order > DEFAULT_CAP:
+        raise ClosureExceedsCap(f"ambient of order {G.order} exceeds cap={DEFAULT_CAP}")
+    return _sorted_groups(G.degree, _join_walk((), G.elements, G.degree))
 
 
-def overgroups_of_cycle(degree: int, cap: int = DEFAULT_CAP) -> tuple[GeneratedGroup, ...]:
+def overgroups_of_cycle(degree: int) -> tuple[GeneratedGroup, ...]:
     """Every subgroup of Sym(degree) containing the standard degree-cycle.
 
     Every transitive subgroup of prime degree p contains a p-cycle (Cauchy),
     and all p-cycles are conjugate, so for prime degree this interval carries
-    a representative of every transitive conjugacy class.
+    a representative of every transitive conjugacy class.  Degrees with
+    degree! > ``DEFAULT_CAP`` are refused up front.
     """
+    if factorial(degree) > DEFAULT_CAP:
+        raise ClosureExceedsCap(f"|Sym({degree})| exceeds cap={DEFAULT_CAP}")
     ambient = tuple(sorted(itertools.permutations(range(degree))))
     cycle = from_cycles(degree, tuple(range(degree)))
-    return _sorted_groups(degree, _join_walk((cycle,), ambient, degree, cap), cap)
+    return _sorted_groups(degree, _join_walk((cycle,), ambient, degree))
 
 
 # ---------------------------------------------------------------------------

@@ -331,12 +331,12 @@ def test_counting_rows_refuses_a_wrong_conjugator(monkeypatch):
     # each conjugator is checked before a row is read through it: one
     # composed with an extra transposition carries the class representative
     # onto another member, and the sweep raises instead of relabelling
-    real = cli._conjugators
+    real = cli.conjugacy_orbit
 
-    def wrong(rep, generators):
-        return {els: compose(g, generators[0]) for els, g in real(rep, generators).items()}
+    def wrong(els, generators):
+        return {member: compose(g, generators[0]) for member, g in real(els, generators).items()}
 
-    monkeypatch.setattr(cli, "_conjugators", wrong)
+    monkeypatch.setattr(cli, "conjugacy_orbit", wrong)
     with pytest.raises(RuntimeError, match="no conjugator carries subgroup"):
         cli.counting_rows(3, DEFAULT_CAP)
 

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import time
+from bisect import bisect_left
 from collections import deque
 from math import factorial, gcd
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treeirs import perm
+from treeirs import cli, perm
 from treeirs.perm import (
     DEFAULT_CAP,
     BlockSystem,
@@ -304,8 +306,6 @@ def test_subgroup_classes_are_the_enumerated_classes():
         perm.subgroup_classes(8)
     with pytest.raises(ValueError):
         perm.subgroup_classes(0)
-    with pytest.raises(ClosureExceedsCap):
-        perm.subgroup_classes(5, cap=100)
 
 
 def test_memoized_invariants_equal_a_cold_group():
@@ -436,15 +436,13 @@ def subgroup_and_element(draw):
 
 def check_extend(H, gens, degree, ambient, alt=None):
     """``_extend`` inside ``ambient`` (and with ``alt``) against ``close``:
-    the same join, and the same cap threshold (order passes, order - 1
-    raises)."""
+    the same join, and ``close``'s cap threshold at the join's order (order
+    passes, order - 1 raises)."""
     joined = frozenset(close(gens, cap=factorial(degree), degree=degree))
-    assert _extend(H, gens, factorial(degree), ambient, alt) == joined
+    assert _extend(H, gens, ambient, alt) == joined
     if gens[-1] not in H:  # the join walk extends only by elements outside H
         order = len(joined)
-        assert _extend(H, gens, order, ambient, alt) == joined
-        with pytest.raises(ClosureExceedsCap):
-            _extend(H, gens, order - 1, ambient, alt)
+        assert frozenset(close(gens, cap=order, degree=degree)) == joined
         with pytest.raises(ClosureExceedsCap):
             close(gens, cap=order - 1, degree=degree)
     return joined
@@ -512,12 +510,11 @@ def even_and_mixed_cases(n):
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_extend_cut_at_index_n(n):
     # with Alt(n) given, a join past (n-1)! elements is Alt(n) or Sym(n) by
-    # generator parity, returned as the very set passed in; at cap = |join|
-    # it passes and at |join| - 1 it raises, as close does
+    # generator parity, returned as the very set passed in
     for H, gens in even_and_mixed_cases(n):
         whole = ALT_SETS[n] if all(map(is_even, gens)) else SYM_SETS[n]
         assert check_extend(H, gens, n, SYM_SETS[n], ALT_SETS[n]) == whole
-        assert _extend(H, gens, factorial(n), SYM_SETS[n], ALT_SETS[n]) is whole
+        assert _extend(H, gens, SYM_SETS[n], ALT_SETS[n]) is whole
     assert any(all(map(is_even, gens)) for _, gens in even_and_mixed_cases(n))
     assert not all(all(map(is_even, gens)) for _, gens in even_and_mixed_cases(n))
     # a point stabilizer Sym(n - 1) has exactly (n-1)! elements: no cut
@@ -712,7 +709,9 @@ def unreduced_join_walk_oracle(ambient_elements, degree, conj_gens):
     found, known, todo = [], set(), deque()
 
     def register(gens, eset):
-        orbit = conjugacy_orbit(eset, conj_gens, gens)
+        orbit = {}
+        for els, g in conjugacy_orbit(eset, conj_gens).items():
+            orbit[els] = tuple(els[bisect_left(els, conjugate(a, g))] for a in gens)
         known.update(frozenset(els) for els in orbit)
         found.append((gens, orbit))
         todo.append((gens, eset))
@@ -725,7 +724,7 @@ def unreduced_join_walk_oracle(ambient_elements, degree, conj_gens):
         H = tuple(eset)
         for g in _double_coset_reps(gens, H, ambient_elements):
             if g not in eset:
-                joined = perm._extend(H, gens + (g,), DEFAULT_CAP, ambient, alt)
+                joined = perm._extend(H, gens + (g,), ambient, alt)
                 if joined not in known:
                     register(gens + (g,), joined)
     return found
@@ -763,7 +762,7 @@ def test_join_walk_up_to_normalizer_vs_unreduced_oracle(monkeypatch):
         ambient = sym_elements(degree)
         conj_gens = symmetric_group(degree).generators
         joins[0] = 0
-        walk = perm._join_walk((), ambient, degree, DEFAULT_CAP, conj_gens)
+        walk = perm._join_walk((), ambient, degree, conj_gens)
         walk_joins.append(joins[0])
         joins[0] = 0
         oracle = unreduced_join_walk_oracle(ambient, degree, conj_gens)
@@ -783,11 +782,10 @@ def test_normalizer_by_cosets_vs_ambient_scan():
         ambient_set = frozenset(ambient)
         alt = frozenset(p for p in ambient if is_even(p)) if degree >= 5 else None
         conj_gens = symmetric_group(degree).generators
-        for gens, orbit in perm._join_walk((), ambient, degree, DEFAULT_CAP, conj_gens):
+        for gens, orbit in perm._join_walk((), ambient, degree, conj_gens):
             eset = frozenset(next(iter(orbit)))
             _, firsts, _ = perm._double_cosets(gens, tuple(eset), ambient)
-            extra = perm._normalizer_gens(gens, eset, firsts, conj_gens, DEFAULT_CAP,
-                                          ambient_set, alt)
+            extra = perm._normalizer_gens(gens, eset, firsts, conj_gens, ambient_set, alt)
             scan = {g for g in ambient if all(conjugate(h, g) in eset for h in eset)}
             assert set(close(gens + extra, degree=degree)) == scan
 
@@ -822,18 +820,39 @@ def test_conjugacy_orbit_vs_bruteforce():
         assert conjugacy_orbit(H.elements, gens).keys() == conjugacy_orbit_oracle(H.elements, ambient)
 
 
-def test_conjugacy_orbit_carries_generators():
-    # the carried generators of each conjugate generate that conjugate
+def test_conjugacy_orbit_gives_conjugators():
+    # the representative of each class maps to the identity, the keys are
+    # the class members, and each conjugator carries the representative
+    # onto its key
     gens = symmetric_group(5).generators
     subs, classes = enumerate_subgroups(5)
     for cls in classes:
         H = subs[cls[0]]
-        orbit = conjugacy_orbit(H.elements, gens, H.generators)
-        assert orbit[H.elements] == H.generators
+        orbit = conjugacy_orbit(H.elements, gens)
+        assert orbit[H.elements] == identity(5)
         assert sorted(orbit) == [subs[i].elements for i in cls]
-        for els, carried in orbit.items():
-            assert len(carried) == len(H.generators)
-            assert frozenset(close(carried, degree=5)) == set(els)
+        for els, g in orbit.items():
+            assert tuple(sorted(conjugate(h, g) for h in H.elements)) == els
+
+
+def test_enumerate_subgroups_caches_one_entry_per_degree():
+    # counting_rows asks for the lattice the way every other caller does,
+    # so both calls share one cache entry
+    enumerate_subgroups.cache_clear()
+    enumerate_subgroups(3)
+    cli.counting_rows(3, DEFAULT_CAP)
+    assert enumerate_subgroups.cache_info().currsize == 1
+
+
+def test_large_ambients_refused_before_any_walk():
+    # Sym(8) has 40,320 elements, past DEFAULT_CAP: both entry points raise
+    # before a join is made
+    start = time.perf_counter()
+    with pytest.raises(ClosureExceedsCap):
+        overgroups_of_cycle(8)
+    with pytest.raises(ClosureExceedsCap):
+        subgroups_of(symmetric_group(8, cap=50_000))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_restrict():
