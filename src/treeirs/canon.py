@@ -68,18 +68,12 @@ from fractions import Fraction
 from math import comb
 
 from .perm import ClosureExceedsCap, Perm
-from .tree import ColourScheme, child_colours, cone_leaf_labels
+from .tree import (ColourScheme, ColourSchemeMismatch, check_cone, check_label, child_colours,
+                   cone_colour, cone_leaf_labels, cone_level_colours)
+from .tree import DepthMismatch  # noqa: F401  (callers import it from here too)
 
 
 class BudgetExceeded(ValueError):
-    pass
-
-
-class DepthMismatch(ValueError):
-    pass
-
-
-class ColourSchemeMismatch(ValueError):
     pass
 
 
@@ -119,6 +113,7 @@ def _leaf_tuple(E, depth: int, d: int) -> tuple[int, ...]:
 
 def canon_full(E, depth: int, d: int) -> str:
     """Canonical form of a leaf subset under all rooted cone automorphisms."""
+    check_cone(d, depth)
     leaves = _leaf_tuple(E, depth, d)
 
     def go(sub: tuple[int, ...], level: int) -> str:
@@ -140,8 +135,8 @@ def canon_coloured(E, depth: int, scheme: ColourScheme, parent_colour: int) -> s
     F-orbit of ``parent_colour``, so two cones are comparable exactly when
     their root labels agree.
     """
-    _check_colour(scheme, parent_colour)
     d = scheme.d
+    parent_colour = cone_colour(d, depth, scheme, parent_colour)
     leaves = _leaf_tuple(E, depth, d)
     F_els = scheme.F.elements
     all_colours = range(d + 1)
@@ -196,17 +191,10 @@ def equivalent(E, F2, depth: int, d: int, scheme: ColourScheme | None = None,
     the first orbit representative); cones with labels in different F-orbits
     are never equivalent.
     """
-    _check_cone(d, depth)
+    colour_e = cone_colour(d, depth, scheme, colour_e)
+    colour_f = cone_colour(d, depth, scheme, colour_e if colour_f is None else colour_f)
     if scheme is None:
-        if colour_e is not None or colour_f is not None:
-            raise ValueError("parent_colour needs a colour scheme")
         return canon_full(E, depth, d) == canon_full(F2, depth, d)
-    if scheme.d != d:
-        raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {d}")
-    if colour_e is None:
-        colour_e = scheme.reps[0]
-    if colour_f is None:
-        colour_f = colour_e
     if scheme.orbit_index[colour_e] != scheme.orbit_index[colour_f]:
         return False
     return (canon_coloured(E, depth, scheme, colour_e)
@@ -247,23 +235,12 @@ class Matcher:
 
     def __post_init__(self):
         depth, d, scheme = self.depth, self.d, self.scheme
-        _check_cone(d, depth)
+        object.__setattr__(self, "parent_colour", cone_colour(d, depth, scheme, self.parent_colour))
         colours = orders = None
         if scheme is None:
-            if self.parent_colour is not None:
-                raise ValueError("parent_colour needs a colour scheme")
             levels = tuple((d ** (depth - j), None) for j in range(1, depth))
         else:
-            if scheme.d != d:
-                raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {d}")
-            if self.parent_colour is None:
-                object.__setattr__(self, "parent_colour", scheme.reps[0])
-            _check_colour(scheme, self.parent_colour)
-            kids = [child_colours(scheme, c, d) for c in range(d + 1)]
-            colours = [(self.parent_colour,)]
-            for _ in range(depth):
-                colours.append(tuple(x for c in colours[-1] for x in kids[c]))
-            colours = tuple(colours)
+            colours = cone_level_colours(scheme, self.parent_colour, depth)
             label = scheme.orbit_index
             levels = tuple((d ** (depth - j), tuple(label[c] for c in colours[j]))
                            for j in range(1, depth + 1))
@@ -404,19 +381,12 @@ def orbit_census(d: int, depth: int, k: int, scheme: ColourScheme | None = None,
     mode only) just the subsets of the leaves carrying that label are counted.
     The budget caps the number of subsets counted, as if each were visited.
     """
-    _check_cone(d, depth)
-    if scheme is None:
-        for name, value in (("parent_colour", parent_colour), ("leaf_label", leaf_label)):
-            if value is not None:
-                raise ValueError(f"{name} needs a colour scheme")
-    else:
-        if scheme.d != d:
-            raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {d}")
-        if parent_colour is None:
-            parent_colour = scheme.reps[0]
-        _check_colour(scheme, parent_colour)
+    parent_colour = cone_colour(d, depth, scheme, parent_colour)
     n_leaves = d ** depth
     if leaf_label is not None:
+        if scheme is None:
+            raise ValueError("leaf_label needs a colour scheme")
+        check_label(scheme, leaf_label, "leaf_label")
         n_leaves = cone_leaf_labels(scheme, parent_colour, depth).count(leaf_label)
     total = comb(n_leaves, k)
     if total > budget:
@@ -427,33 +397,15 @@ def orbit_census(d: int, depth: int, k: int, scheme: ColourScheme | None = None,
     return Census(d, depth, k, mode, tuple(sorted(counts.items())))
 
 
-def _check_cone(d: int, depth: int) -> None:
-    if d < 2:
-        raise ValueError(f"need d >= 2, not {d}")
-    if depth < 0:
-        raise DepthMismatch("negative depth")
-
-
-def _check_colour(scheme: ColourScheme, colour: int) -> None:
-    if not 0 <= colour <= scheme.d:
-        raise ColourSchemeMismatch(f"colour {colour} outside 0..{scheme.d}")
-
-
-def _orbit_of(scheme: ColourScheme, c: int) -> tuple[int, ...]:
-    """The F-orbit of colour c in ascending order: the image colours a form
-    of a vertex with parent-edge colour c is taken at."""
-    return tuple(sorted(scheme.orbits[scheme.orbit_index[c]]))
-
-
 def _placements(scheme: ColourScheme, c: int,
                 c_img: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each sigma in F with sigma(c) = c_img, the (child slot, position of
-    the image colour in the child's ``_orbit_of``) read at each image colour
-    other than c_img, ascending.  A form at c_img is the least of the tuples
-    of child forms these placements read."""
+    the image colour in its F-orbit, which ``scheme.orbits`` lists ascending)
+    read at each image colour other than c_img, ascending.  A form at c_img
+    is the least of the tuples of child forms these placements read."""
     slot = {x: j for j, x in enumerate(child_colours(scheme, c, scheme.d))}
     img_cols = [e for e in range(scheme.d + 1) if e != c_img]
-    pos = {e: _orbit_of(scheme, e).index(e) for e in img_cols}
+    pos = {e: scheme.orbits[scheme.orbit_index[e]].index(e) for e in img_cols}
     return tuple(tuple((slot[_inv_at(sigma, e)], pos[e]) for e in img_cols)
                  for sigma in scheme.F.elements if sigma[c] == c_img)
 
@@ -509,7 +461,7 @@ def _class_counts(d: int, depth: int, k: int, scheme: ColourScheme | None,
     else:
         root = parent_colour
         root_img = scheme.reps[scheme.orbit_index[parent_colour]]
-        orbit_of = [_orbit_of(scheme, c) for c in range(d + 1)]
+        orbit_of = [scheme.orbits[i] for i in scheme.orbit_index]
         child_cols: dict[int, tuple[int, ...]] = {}
         placements: dict[tuple[int, int], tuple] = {}
 
@@ -581,12 +533,8 @@ def enumerate_cone_maps(depth: int, d: int, scheme: ColourScheme | None = None,
     and the image root's being ``colour_to``.  Each map is a tuple m with
     m[i] the image leaf index of source leaf i.
     """
-    if scheme is not None:
-        if colour_from is None:
-            colour_from = scheme.reps[0]
-        if colour_to is None:
-            colour_to = colour_from
-
+    colour_from = cone_colour(d, depth, scheme, colour_from)
+    colour_to = cone_colour(d, depth, scheme, colour_from if colour_to is None else colour_to)
     memo: dict[tuple, list] = {}
 
     def rec(level: int, c_from, c_to) -> list[tuple[int, ...]]:

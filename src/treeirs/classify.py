@@ -25,7 +25,7 @@ from .perm import (
     overgroups_of_cycle,
     restrict,
 )
-from .tree import ColourScheme, child_colours
+from .tree import ColourScheme, check_scheme, child_colours
 
 
 class LabelPartitionViolated(ValueError):
@@ -236,7 +236,7 @@ def theta_event(G: GeneratedGroup, u: int, v: int, d: int, q: int, n: int,
         raise ValueError("u, v must be distinct cone indices")
     if G.degree != q * d ** n:
         raise ValueError(f"group degree {G.degree} is not q d^n = {q * d ** n}")
-    rc = root_colours(scheme, q)
+    rc = root_colours(check_scheme(scheme, d), q)
     if scheme.orbit_index[rc[u]] != scheme.orbit_index[rc[v]]:
         raise LabelMismatch("cones u and v carry different root labels")
     block = d ** n
@@ -269,7 +269,7 @@ def boundary_quotient_elements(d: int, q: int, n: int, scheme: ColourScheme,
     Every label-preserving cone permutation combined with every per-cone
     F-realizable truncation; the test oracle for ``theta_event``.
     """
-    rc = root_colours(scheme, q)
+    rc = root_colours(check_scheme(scheme, d), q)
     block = d ** n
     out = []
     for rho in itertools.permutations(range(q)):

@@ -21,7 +21,7 @@ from math import exp
 
 from . import bounds as bnd
 from . import montecarlo as mc
-from .canon import ColourSchemeMismatch, orbit_census
+from .canon import orbit_census
 from .classify import classify_case, in_Pi, profile, root_colours
 from .irs import (
     transporters,
@@ -40,7 +40,7 @@ from .perm import (
     subgroups_of,
     symmetric_group,
 )
-from .tree import ColourScheme, cone_leaf_labels, scheme_from_json
+from .tree import ColourScheme, check_scheme, cone_leaf_labels, scheme_from_json
 
 DEFAULT_SEED = 1729
 
@@ -182,10 +182,7 @@ def _load_scheme(path: str | None, d: int) -> ColourScheme | None:
     if path is None:
         return None
     with open(path, "r", encoding="utf-8") as fh:
-        scheme = scheme_from_json(json.load(fh))
-    if scheme.d != d:
-        raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {d}")
-    return scheme
+        return check_scheme(scheme_from_json(json.load(fh)), d)
 
 
 def cmd_simulate(args) -> int:

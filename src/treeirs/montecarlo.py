@@ -25,7 +25,7 @@ from .canon import (
     canon_full,  # noqa: F401
     orbit_census,
 )
-from .tree import ColourScheme, cone_leaf_labels
+from .tree import ColourScheme, check_label, cone_leaf_labels
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -143,17 +143,6 @@ def _check_q(q: int) -> None:
         raise ValueError(f"need q >= 2, not {q}")
 
 
-def _check_label(scheme: ColourScheme, label: int, name: str) -> None:
-    """Refuse a label (an index into ``scheme.reps``) that names no orbit."""
-    if not 0 <= label < len(scheme.reps):
-        raise ValueError(f"{name} {label} out of range")
-
-
-def _root_colour(scheme: ColourScheme, root_label: int) -> int:
-    _check_label(scheme, root_label, "root_label")
-    return scheme.reps[root_label]
-
-
 def _warn_if_outside_paper_range(k: int, half: float) -> None:
     if not 2 <= k <= half:
         warnings.warn(f"k={k} is outside the bound's stated range [2, {half:g}]",
@@ -240,8 +229,8 @@ def estimate_colormatch(scheme: ColourScheme, n: int, k: int, orbit_i: int,
     Both cones carry the representative colour of ``root_label`` on their
     parent edges; equivalence is the colour-constrained one.
     """
-    parent_colour = _root_colour(scheme, root_label)
-    _check_label(scheme, orbit_i, "orbit")
+    parent_colour = scheme.reps[check_label(scheme, root_label, "root_label")]
+    check_label(scheme, orbit_i, "orbit")
     same = Matcher(n, scheme.d, scheme, parent_colour).same
     labels = cone_leaf_labels(scheme, parent_colour, n)
     ground = tuple(i for i, lab in enumerate(labels) if lab == orbit_i)
@@ -276,8 +265,9 @@ def exact_treematch(d: int, n: int, k: int, scheme: ColourScheme | None = None,
 def exact_colormatch(scheme: ColourScheme, n: int, k: int, orbit_i: int,
                      root_label: int = 0, budget: int = 2_000_000) -> Fraction:
     """Exact colormatch probability from the census of the label-i leaf slots."""
-    _check_label(scheme, orbit_i, "orbit")
-    return orbit_census(scheme.d, n, k, scheme, _root_colour(scheme, root_label),
+    check_label(scheme, orbit_i, "orbit")
+    return orbit_census(scheme.d, n, k, scheme,
+                        scheme.reps[check_label(scheme, root_label, "root_label")],
                         budget=budget, leaf_label=orbit_i).match_probability()
 
 

@@ -14,11 +14,12 @@ it is the canonical form used for equality.
 
 Subtrees are stored as their leaf sets: sorted tuples of digit-tuple
 addresses (the root-only tree is ``((),)``).  Every pair is validated when it
-is built, by one forward sweep over its sorted leaves: each leaf must be the
-next uncovered boundary vertex followed only by zeros, and the sweep must
-pass the root at the last leaf.  That one test refuses empty sets, bad
-digits, duplicates, nested leaves and gaps; only a refused set is examined
-again, to name the reason.  Nothing in the calculus recurses per tree level.
+is built, by one pass that finds every digit an int and one forward sweep
+over its sorted leaves: each leaf must be the next uncovered boundary vertex
+followed only by zeros, and the sweep must pass the root at the last leaf.
+That one test refuses empty sets, bad digits, duplicates, nested leaves and
+gaps; only a refused set is examined again, to name the reason.  Nothing in
+the calculus recurses per tree level.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .perm import _is_json_int
-from .tree import ColourScheme, TreeShape, orbit_label
+from .tree import ColourScheme, TreeShape, check_scheme, orbit_label
 
 Address = tuple[int, ...]
 
@@ -47,7 +48,12 @@ def _check_leafset(leaves, d: int, q: int) -> tuple[Address, ...]:
     ``e`` moves to the next sibling of the leaf's last incomplete ancestor
     (or past the root, once the root's family is complete).
     """
-    leaves = tuple(sorted(map(tuple, leaves)))
+    leaves = tuple(map(tuple, leaves))
+    for a in leaves:  # the sweep compares digits by value: 0.0 and True would pass
+        for digit in a:
+            if type(digit) is not int:
+                raise MalformedPair(f"bad digit {digit!r} in address {a}: not an int")
+    leaves = tuple(sorted(leaves))
     e = ()
     for a in leaves:
         if a != e and (e is None or a[:len(e)] != e or any(a[len(e):])):
@@ -271,6 +277,7 @@ def is_label_preserving(pair: TreePair, scheme: ColourScheme) -> bool:
     checks the labels of matched frontier leaves.  Needs q <= d+1 so the root
     edges can be coloured.
     """
+    check_scheme(scheme, pair.d)
     if pair.q > scheme.d + 1:
         raise MalformedPair("root arity exceeds the number of colours")
     shape = TreeShape(pair.d, pair.q,

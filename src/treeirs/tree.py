@@ -37,6 +37,14 @@ class RootHasNoLabel(ValueError):
     pass
 
 
+class DepthMismatch(ValueError):
+    pass
+
+
+class ColourSchemeMismatch(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class TreeShape:
     d: int
@@ -98,6 +106,7 @@ class ColourScheme:
     reps: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
+        check_cone(self.d, 0)
         if self.F.degree != self.d + 1:
             raise ValueError(f"F must act on {self.d + 1} colours")
         orbs = group_orbits(self.F)
@@ -129,6 +138,53 @@ class ColourScheme:
         return cls(d, GeneratedGroup(d + 1, generators))
 
 
+# ---------------------------------------------------------------------------
+# the cone context: branching, depth, colour scheme and parent colour
+# ---------------------------------------------------------------------------
+
+def check_cone(d: int, depth: int) -> None:
+    """Refuse a branching below 2 or a negative depth."""
+    if d < 2:
+        raise ValueError(f"need d >= 2, not {d}")
+    if depth < 0:
+        raise DepthMismatch("negative depth")
+
+
+def check_scheme(scheme: ColourScheme, d: int) -> ColourScheme:
+    """Refuse a scheme for another branching than ``d``."""
+    if scheme.d != d:
+        raise ColourSchemeMismatch(f"scheme is for d={scheme.d}, not {d}")
+    return scheme
+
+
+def check_colour(scheme: ColourScheme, colour: int) -> int:
+    """Refuse a colour outside D = {0..d}."""
+    if not 0 <= colour <= scheme.d:
+        raise ColourSchemeMismatch(f"colour {colour} outside 0..{scheme.d}")
+    return colour
+
+
+def check_label(scheme: ColourScheme, label: int, name: str) -> int:
+    """Refuse a label (an index into ``scheme.reps``) that names no orbit."""
+    if not 0 <= label < scheme.n_orbits:
+        raise ValueError(f"{name} {label} out of range")
+    return label
+
+
+def cone_colour(d: int, depth: int, scheme: ColourScheme | None,
+                parent_colour: int | None) -> int | None:
+    """The checked parent-edge colour of a depth-``depth`` cone of branching
+    ``d``: None in full mode (no scheme), where a colour is refused, and by
+    default the first orbit representative in coloured mode."""
+    check_cone(d, depth)
+    if scheme is None:
+        if parent_colour is not None:
+            raise ValueError("parent_colour needs a colour scheme")
+        return None
+    check_scheme(scheme, d)
+    return scheme.reps[0] if parent_colour is None else check_colour(scheme, parent_colour)
+
+
 def child_colours(scheme: ColourScheme | None, parent_colour: int | None,
                   arity: int, policy: str = "orbit") -> tuple[int, ...]:
     """Colours of the child edges of a vertex, in child order.
@@ -138,6 +194,8 @@ def child_colours(scheme: ColourScheme | None, parent_colour: int | None,
     """
     if scheme is None:
         raise ValueError("child_colours needs a colour scheme")
+    if parent_colour is not None:
+        check_colour(scheme, parent_colour)
     avail = [c for c in range(scheme.d + 1) if c != parent_colour]
     if policy == "value":
         avail.sort()
@@ -171,32 +229,33 @@ def orbit_label(shape: TreeShape, scheme: ColourScheme, v: Address) -> int:
     return scheme.orbit_index[edge_colour_walk(shape, scheme, v)[-1]]
 
 
-def cone_level_labels(scheme: ColourScheme, parent_colour: int, n: int,
-                      policy: str = "orbit") -> tuple[tuple[int, ...], ...]:
-    """Labels of a cone's vertices, one tuple per depth 0..n, in vertex order.
-
-    The cone root's parent edge has colour ``parent_colour``; every vertex in
-    the cone has d children.  Entry j lists the F-orbit indices of the
-    parent-edge colours of the d^j vertices at depth j.
-    """
-    kids: dict[int, tuple[int, ...]] = {}  # child colours depend only on the colour
-    colours = [parent_colour]
-    out = [(scheme.orbit_index[parent_colour],)]
+def cone_level_colours(scheme: ColourScheme, parent_colour: int | None, n: int,
+                       policy: str = "orbit") -> tuple[tuple[int, ...], ...]:
+    """Parent-edge colours of a cone's vertices, one tuple per depth 0..n, in
+    vertex order: the cone root's is ``parent_colour`` (checked; by default the
+    first orbit representative), and every vertex in the cone has d children."""
+    d = scheme.d
+    out = [(cone_colour(d, n, scheme, parent_colour),)]
+    kids = [child_colours(scheme, c, d, policy) for c in range(d + 1)]
     for _ in range(n):
-        nxt = []
-        for c in colours:
-            if c not in kids:
-                kids[c] = child_colours(scheme, c, scheme.d, policy)
-            nxt.extend(kids[c])
-        colours = nxt
-        out.append(tuple(scheme.orbit_index[c] for c in colours))
+        out.append(tuple([x for c in out[-1] for x in kids[c]]))
     return tuple(out)
 
 
-def cone_leaf_labels(scheme: ColourScheme, parent_colour: int, n: int,
+def cone_level_labels(scheme: ColourScheme, parent_colour: int | None, n: int,
+                      policy: str = "orbit") -> tuple[tuple[int, ...], ...]:
+    """Labels of a cone's vertices, one tuple per depth 0..n, in vertex order:
+    the F-orbit indices of ``cone_level_colours``."""
+    label = scheme.orbit_index
+    return tuple(tuple([label[c] for c in level])
+                 for level in cone_level_colours(scheme, parent_colour, n, policy))
+
+
+def cone_leaf_labels(scheme: ColourScheme, parent_colour: int | None, n: int,
                      policy: str = "orbit") -> tuple[int, ...]:
     """Labels of the depth-n leaves of a cone, in leaf order."""
-    return cone_level_labels(scheme, parent_colour, n, policy)[-1]
+    label = scheme.orbit_index
+    return tuple([label[c] for c in cone_level_colours(scheme, parent_colour, n, policy)[-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +272,7 @@ def level_counts(scheme: ColourScheme, n: int, root_label: int) -> tuple[int, ..
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0 <= root_label < scheme.n_orbits:
-        raise ValueError(f"root_label {root_label} out of range")
+    check_label(scheme, root_label, "root_label")
     sizes = scheme.orbit_sizes()
     v = [sizes[j] - (1 if j == root_label else 0) for j in range(scheme.n_orbits)]
     for _ in range(n - 1):

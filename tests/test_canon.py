@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_coloured_image, random_full_image
+from treeirs import tree
 from treeirs.canon import (
     BudgetExceeded,
     Census,
@@ -53,6 +54,24 @@ def test_equivalent_refuses_colours_without_scheme(colours):
     # colours 7 and 9 exist on no binary tree; full mode used to ignore them
     with pytest.raises(ValueError, match="parent_colour needs a colour scheme"):
         equivalent((0,), (1,), 2, 2, None, *colours)
+
+
+@pytest.mark.parametrize("colours", [(-1, 0), (0, -1), (7, 0), (0, 7), (3, 3)])
+def test_equivalent_refuses_colours_outside_the_scheme(colours):
+    # colour -1 used to be read as the last colour and the pair called
+    # inequivalent; colour 7 raised IndexError
+    s = ColourScheme.from_generators(2, [(1, 0, 2)])
+    bad = next(c for c in colours if not 0 <= c <= 2)
+    with pytest.raises(ColourSchemeMismatch, match=f"colour {bad} outside 0..2"):
+        equivalent((0,), (1,), 2, 2, s, *colours)
+    with pytest.raises(ColourSchemeMismatch, match=f"colour {bad} outside 0..2"):
+        enumerate_cone_maps(2, 2, s, *colours)
+
+
+def test_mismatch_classes_live_in_tree():
+    # canon imports the cone-context refusals back, so either import works
+    assert ColourSchemeMismatch is tree.ColourSchemeMismatch
+    assert DepthMismatch is tree.DepthMismatch
 
 
 def test_canon_full_invariance_random():
@@ -305,8 +324,12 @@ def test_form_strings_golden():
         assert got == texts, (swap, colour)
 
 
-@pytest.mark.parametrize("build", [Matcher, lambda depth, d: orbit_census(d, depth, 0)],
-                         ids=["Matcher", "orbit_census"])
+@pytest.mark.parametrize("build", [Matcher, lambda depth, d: orbit_census(d, depth, 0),
+                                   lambda depth, d: canon_full((), depth, d),
+                                   lambda depth, d: canon_full((0,), depth, d),
+                                   lambda depth, d: enumerate_cone_maps(depth, d)],
+                         ids=["Matcher", "orbit_census", "canon_full", "canon_full_one_leaf",
+                              "enumerate_cone_maps"])
 def test_cone_refuses_bad_shape(build):
     # orbit_census used to crash at d = -2 or depth -1, and to count one
     # empty class at d = 0 or 1
@@ -315,6 +338,17 @@ def test_cone_refuses_bad_shape(build):
             build(2, d)
     with pytest.raises(DepthMismatch):
         build(-1, 2)
+
+
+def test_canon_coloured_refuses_bad_cone():
+    # a negative depth used to give the leaf form "0", a colour outside D
+    # was refused already
+    s = ColourScheme.from_generators(2, [(1, 0, 2)])
+    with pytest.raises(DepthMismatch):
+        canon_coloured((), -1, s, 0)
+    with pytest.raises(ColourSchemeMismatch):
+        canon_coloured((), 1, s, 3)
+    assert canon_coloured((), 0, s, None) == canon_coloured((), 0, s, s.reps[0])
 
 
 def test_orbit_census_refuses_scheme_of_other_d():
@@ -627,6 +661,16 @@ def test_census_edge_cases():
         assert orbit_census(2, 3, 9, scheme).match_probability() == 0
     with pytest.raises(ValueError):
         orbit_census(2, 2, 1, leaf_label=0)  # labels need a scheme
+
+
+@pytest.mark.parametrize("leaf_label", [7, -1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_census_refuses_leaf_label_without_orbit(leaf_label, k):
+    # s has two orbits; these used to give an empty census for k >= 1 and one
+    # class for k = 0
+    s = ColourScheme.from_generators(2, [(1, 0, 2)])
+    with pytest.raises(ValueError, match=f"leaf_label {leaf_label} out of range"):
+        orbit_census(2, 3, k, s, 0, leaf_label=leaf_label)
 
 
 def test_census_refusals():

@@ -33,7 +33,7 @@ from treeirs.perm import (
     product_of_symmetric,
     symmetric_group,
 )
-from treeirs.tree import ColourScheme
+from treeirs.tree import ColourScheme, ColourSchemeMismatch
 
 
 def test_profile_examples():
@@ -180,6 +180,17 @@ def test_theta_event_label_mismatch():
     swap = GeneratedGroup(4, [from_cycles(4, (0, 2), (1, 3))])
     with pytest.raises(LabelMismatch):
         theta_event(swap, 0, 1, 2, 2, 1, triv)
+
+
+def test_theta_event_refuses_scheme_of_other_d():
+    # a d = 3 scheme on a binary tree used to raise IndexError here and
+    # KeyError in the brute-force oracle
+    swap = GeneratedGroup(4, [from_cycles(4, (0, 2), (1, 3))])
+    for scheme in (ColourScheme.full(3), ColourScheme.trivial(3)):
+        with pytest.raises(ColourSchemeMismatch, match="scheme is for d=3, not 2"):
+            theta_event(swap, 0, 1, 2, 2, 1, scheme)
+        with pytest.raises(ColourSchemeMismatch, match="scheme is for d=3, not 2"):
+            boundary_quotient_elements(2, 2, 1, scheme)
 
 
 def test_theta_event_vs_bruteforce_depth1():

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +187,24 @@ def test_classify_refuses_scheme_of_other_d(tmp_path):
                "--q", "2", "--d", "2", "--scheme", scheme, "--out", str(out)])
     assert rc == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("d,q", [(1, 2), (0, 1)])
+def test_classify_refuses_scheme_below_binary(tmp_path, d, q):
+    # classify with a d = 1 or d = 0 scheme used to loop forever looking for
+    # the cone depth, so it runs in a child process with a timeout
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps(group_to_json(symmetric_group(4))))
+    scheme = write_scheme(tmp_path, [[1, 0]] if d == 1 else [], d=d)
+    out = tmp_path / "x.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeirs.cli", "classify", "--group-file", str(gfile),
+         "--q", str(q), "--delta", "0", "--d", str(d), "--scheme", scheme, "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert f"need d >= 2, not {d}" in proc.stderr
+    assert not out.exists() and not (tmp_path / "x.json").exists()
 
 
 def test_classify_trivial_case1(tmp_path):

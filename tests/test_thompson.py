@@ -26,7 +26,7 @@ from treeirs.thompson import (
     pair_to_json,
     reduce_pair,
 )
-from treeirs.tree import ColourScheme
+from treeirs.tree import ColourScheme, ColourSchemeMismatch
 
 PARAMS = [(2, 2), (2, 3), (3, 2)]
 
@@ -48,6 +48,21 @@ def test_validation_refuses_non_int_parameters_and_sigma():
     for sigma in ((0.0, 1), (True, False), (1, 0.0), ("0", 1)):
         with pytest.raises(MalformedPair, match="bijection"):
             TreePair(2, 2, ((0,), (1,)), ((0,), (1,)), sigma)
+
+
+@pytest.mark.parametrize("digit", [0.0, False, "0", 1.0, True])
+@pytest.mark.parametrize("side", ["domain", "range"])
+def test_validation_refuses_non_int_digits(digit, side):
+    # float and bool digits used to be stored as given, and pair_to_json then
+    # wrote "0.0" or "True", which pair_from_json refuses
+    good = ((0,), (1,))
+    bad = ((digit,), (1,)) if digit in (0, "0") else ((0,), (digit,))
+    leaves = (bad, good) if side == "domain" else (good, bad)
+    with pytest.raises(MalformedPair, match="digit"):
+        TreePair(2, 2, *leaves, (0, 1))
+    if not isinstance(digit, str):  # from_mapping cannot sort "0" among ints
+        with pytest.raises(MalformedPair, match="digit"):
+            TreePair.from_mapping(2, 2, dict(zip(*leaves)))
 
 
 def test_identity_pair_and_action():
@@ -171,6 +186,15 @@ def test_label_preserving_examples():
     assert not is_label_preserving(bad, s)
     ok = TreePair.from_mapping(2, 3, {(0,): (1,), (1,): (0,), (2,): (2,)})
     assert is_label_preserving(ok, s)
+
+
+def test_label_preserving_refuses_scheme_of_other_d():
+    # a d = 3 scheme on a binary tree used to answer: True under the full
+    # scheme, False under the trivial one
+    p = TreePair.from_mapping(2, 2, {(0,): (1,), (1,): (0,)})
+    for scheme in (ColourScheme.full(3), ColourScheme.trivial(3)):
+        with pytest.raises(ColourSchemeMismatch, match="scheme is for d=3, not 2"):
+            is_label_preserving(p, scheme)
 
 
 def test_label_preserving_closed_under_composition():

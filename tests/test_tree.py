@@ -6,12 +6,15 @@ import pytest
 from treeirs.perm import GeneratedGroup, enumerate_subgroups, from_cycles
 from treeirs.tree import (
     ColourScheme,
+    ColourSchemeMismatch,
     DepthExceeded,
+    DepthMismatch,
     RootHasNoLabel,
     TreeShape,
     child_colours,
     cone,
     cone_leaf_labels,
+    cone_level_colours,
     cone_level_labels,
     edge_colour_walk,
     format_address,
@@ -165,8 +168,9 @@ def test_level_counts_asymptotic_share():
 
 
 def test_cone_level_labels_vs_colour_walk():
-    # each vertex's label is the orbit of the colour reached by walking
-    # child_colours down its digits from the cone's parent colour
+    # each vertex's colour is the one reached by walking child_colours down
+    # its digits from the cone's parent colour, and its label is that
+    # colour's orbit
     for d in (2, 3):
         subs, _ = enumerate_subgroups(d + 1)
         for F in subs:
@@ -174,6 +178,7 @@ def test_cone_level_labels_vs_colour_walk():
             for colour in range(d + 1):
                 for policy in ("value", "orbit"):
                     levels = cone_level_labels(s, colour, 3, policy)
+                    colours = cone_level_colours(s, colour, 3, policy)
                     assert levels[-1] == cone_leaf_labels(s, colour, 3, policy)
                     for depth, labels in enumerate(levels):
                         assert len(labels) == d ** depth
@@ -182,6 +187,38 @@ def test_cone_level_labels_vs_colour_walk():
                             for i in reversed(range(depth)):
                                 c = child_colours(s, c, d, policy)[v // d ** i % d]
                             assert lab == s.orbit_index[c], (F.generators, colour, v)
+                            assert colours[depth][v] == c, (F.generators, colour, v)
+    # the parent colour defaults to the first orbit representative
+    s = ColourScheme.from_generators(2, [(1, 0, 2)])
+    assert cone_level_colours(s, None, 2) == cone_level_colours(s, s.reps[0], 2)
+
+
+@pytest.mark.parametrize("d", [1, 0])
+def test_colour_scheme_refuses_branching_below_two(d):
+    # a d = 1 scheme used to be built, and classify --d 1 --scheme then looped
+    # forever looking for the cone depth
+    with pytest.raises(ValueError, match=f"need d >= 2, not {d}"):
+        ColourScheme.trivial(d)
+    with pytest.raises(ValueError, match=f"need d >= 2, not {d}"):
+        ColourScheme.from_generators(d, [(1, 0)] if d == 1 else [])
+
+
+def test_label_layer_refuses_colours_outside_the_scheme():
+    # each of these used to answer (colour -1 indexed from the end, colour 5
+    # was simply not excluded) or raise IndexError
+    s = ColourScheme.from_generators(2, [(1, 0, 2)])
+    for colour in (-1, 3, 5):
+        with pytest.raises(ColourSchemeMismatch, match=f"colour {colour} outside 0..2"):
+            cone_leaf_labels(s, colour, 2)
+        with pytest.raises(ColourSchemeMismatch, match=f"colour {colour} outside 0..2"):
+            cone_level_labels(s, colour, 2)
+        with pytest.raises(ColourSchemeMismatch, match=f"colour {colour} outside 0..2"):
+            level_counts_direct(s, 2, colour)
+        with pytest.raises(ColourSchemeMismatch, match=f"colour {colour} outside 0..2"):
+            child_colours(s, colour, 2)
+    with pytest.raises(DepthMismatch):
+        cone_level_colours(s, 0, -1)
+    assert child_colours(s, None, 3) == (0, 1, 2)  # the root has no parent colour
 
 
 def test_cone_leaf_labels_lengths():
