@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, factorial, lgamma, log, sqrt
 
+from .tree import check_tree
+
 
 class DomainError(ValueError):
     pass
@@ -142,8 +144,7 @@ class BoundParams:
     c: float
 
     def __post_init__(self):
-        if self.d < 2 or self.q < 2:
-            raise DomainError("need d >= 2 and q >= 2")
+        check_tree(self.d, self.q, DomainError)
         if not (0 < self.C < math.inf and 0 < self.c < math.inf):
             raise DomainError("constants C, c must be positive and finite")
 

@@ -25,7 +25,7 @@ from .perm import (
     overgroups_of_cycle,
     restrict,
 )
-from .tree import ColourScheme, check_scheme, child_colours
+from .tree import ColourScheme, check_scheme, check_tree, child_colours
 
 
 class LabelPartitionViolated(ValueError):
@@ -269,6 +269,7 @@ def boundary_quotient_elements(d: int, q: int, n: int, scheme: ColourScheme,
     Every label-preserving cone permutation combined with every per-cone
     F-realizable truncation; the test oracle for ``theta_event``.
     """
+    check_tree(d, q)
     rc = root_colours(check_scheme(scheme, d), q)
     block = d ** n
     out = []
@@ -312,6 +313,8 @@ def classify_case(G: GeneratedGroup, q: int, delta: int) -> CaseReport:
     is kept on G's memo otherwise, so repeated calls on one group, over q
     and delta, reuse its orbits, blocks and alternating tests.
     """
+    if q < 1:  # the case I threshold divides by q; the CLI holds q to q >= 2
+        raise ValueError(f"need q >= 1, not {q}")
     ok, wit = in_Xi(G, delta)
     prof = profile(G)
     if ok:

@@ -40,7 +40,8 @@ from .perm import (
     subgroups_of,
     symmetric_group,
 )
-from .tree import ColourScheme, check_scheme, cone_leaf_labels, scheme_from_json
+from .tree import (ColourScheme, check_scheme, check_tree, cone_leaf_labels, level_depth,
+                   scheme_from_json)
 
 DEFAULT_SEED = 1729
 
@@ -187,6 +188,7 @@ def _load_scheme(path: str | None, d: int) -> ColourScheme | None:
 
 def cmd_simulate(args) -> int:
     scheme = _load_scheme(args.scheme, args.d)
+    check_tree(args.d, args.q)  # every experiment writes the q column
     params = None
     if args.cc_C is not None and args.cc_c is not None:
         params = bnd.BoundParams(d=args.d, q=args.q, C=args.cc_C, c=args.cc_c)
@@ -222,6 +224,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_classify(args) -> int:
     G = load_group(args.group_file, cap=args.cap)
+    n = level_depth(G.degree, args.d, args.q)
     scheme = _load_scheme(args.scheme, args.d)
     rep = classify_case(G, args.q, args.delta)
     xi_ok, wit = rep.case == "Xi", rep.witness
@@ -232,13 +235,9 @@ def cmd_classify(args) -> int:
                                        t_gamma=float(rep.t_max))
     pi_txt = None
     if scheme is not None:
-        labels = []
-        block = G.degree // args.q
-        rc = root_colours(scheme, args.q)
-        for x in range(args.q):
-            labels.extend(cone_leaf_labels(scheme, rc[x],
-                                           _int_log(block, args.d)))
-        pi_txt = in_Pi(G, tuple(labels), args.delta)[0]
+        labels = tuple(label for colour in root_colours(scheme, args.q)
+                       for label in cone_leaf_labels(scheme, colour, n))
+        pi_txt = in_Pi(G, labels, args.delta)[0]
     header = ["group_id", "degree", "t_max", "case", "in_Xi", "in_Pi",
               "delta", "witness_size", "bound_log"]
     rows = [[os.path.basename(args.group_file), G.degree, rep.t_max, rep.case,
@@ -247,15 +246,6 @@ def cmd_classify(args) -> int:
     _write_rows(args.out, args.format, header, rows)
     print(f"case {rep.case}, t_max={rep.t_max}")
     return 0
-
-
-def _int_log(block: int, d: int) -> int:
-    n = 0
-    while d ** n < block:
-        n += 1
-    if d ** n != block:
-        raise ValueError(f"degree/q = {block} is not a power of d = {d}")
-    return n
 
 
 def cmd_bounds(args) -> int:

@@ -186,17 +186,13 @@ class VerifyResult:
     holds: bool
 
 
-def _restricted_perm_set(elements, U) -> frozenset:
-    return frozenset(restrict(p, U) for p in elements)
-
-
 def _ambient_E1_data(ambient: GeneratedGroup, U) -> tuple[dict, frozenset]:
     """The ambient's U -> V restriction sets, by V, and its rigid stabilizer
-    R(U) as permutations of U, computed once per ambient and U and kept on
-    the ambient (at most 2^degree entries)."""
+    R(U) as U -> U restriction maps, one per element, computed once per
+    ambient and U and kept on the ambient (at most 2^degree entries)."""
     return ambient.memo(("irs.E1", U), lambda: (
         {V: frozenset(t.restrictions) for V, t in transporters(ambient, U).items()},
-        _restricted_perm_set(rigid_stabilizer(ambient, U).elements, U)))
+        frozenset(restriction_map(r, U) for r in rigid_stabilizer(ambient, U).elements)))
 
 
 def _E1_profile(mu: ConjInvariantMeasure, U) -> dict:
@@ -210,7 +206,7 @@ def _E1_profile(mu: ConjInvariantMeasure, U) -> dict:
         profile: dict = {}
         for H, w in mu.support:
             ts = transporters(H, U)
-            meet = len(RU & _restricted_perm_set(ts[U].elements, U))
+            meet = len(RU.intersection(ts[U].restrictions))
             for V, t in ts.items():
                 if V == U:
                     continue

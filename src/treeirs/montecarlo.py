@@ -25,7 +25,7 @@ from .canon import (
     canon_full,  # noqa: F401
     orbit_census,
 )
-from .tree import ColourScheme, check_label, cone_leaf_labels
+from .tree import ColourScheme, check_label, check_tree, cone_leaf_labels
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -137,12 +137,6 @@ def _check_k(k: int, room: int, draws: int = 1, leaves: str = "leaves") -> None:
         raise KTooLarge(f"{size} exceeds {room} {leaves}")
 
 
-def _check_q(q: int) -> None:
-    """Refuse fewer than the two root cones C_u and C_v the cut experiments compare."""
-    if q < 2:
-        raise ValueError(f"need q >= 2, not {q}")
-
-
 def _warn_if_outside_paper_range(k: int, half: float) -> None:
     if not 2 <= k <= half:
         warnings.warn(f"k={k} is outside the bound's stated range [2, {half:g}]",
@@ -182,17 +176,23 @@ def _split_two_cones(subset, cone_size: int):
     return tuple(e1), tuple(e2)
 
 
+def _cut_level(d: int, q: int, n: int, k: int, draws: int = 1):
+    """(m, d^n, full-mode ``same``) for the cut experiments on the m = q d^n
+    leaves of level n, after refusing ``draws`` k-subsets that do not fit;
+    q >= 2, since the cuts compare the two root cones C_u and C_v."""
+    check_tree(d, q)
+    m = q * d ** n
+    _check_k(k, m, draws)
+    return m, d ** n, Matcher(n, d).same
+
+
 def estimate_cut1(d: int, q: int, n: int, k: int, trials: int, seed: int) -> Estimate:
     """P((K sigma) n C_u ~ (K sigma) n C_v) for uniform sigma on q d^n leaves.
 
     The image of any fixed k-set K under uniform sigma is a uniform k-subset,
     so its law depends on K only through k, and it is sampled directly.
     """
-    _check_q(q)
-    m = q * d ** n
-    _check_k(k, m)
-    cone_size = d ** n
-    same = Matcher(n, d).same
+    m, cone_size, same = _cut_level(d, q, n, k)
 
     def trial(t: int) -> bool:
         rng = TrialRng(seed, t)
@@ -205,11 +205,7 @@ def estimate_cut1(d: int, q: int, n: int, k: int, trials: int, seed: int) -> Est
 
 def estimate_cut2(d: int, q: int, n: int, k: int, trials: int, seed: int) -> Estimate:
     """P((K1 sigma) n C_u ~ (K2 sigma) n C_v) for disjoint fixed k-sets K1, K2."""
-    _check_q(q)
-    m = q * d ** n
-    _check_k(k, m, draws=2)
-    cone_size = d ** n
-    same = Matcher(n, d).same
+    m, cone_size, same = _cut_level(d, q, n, k, draws=2)
 
     def trial(t: int) -> bool:
         rng = TrialRng(seed, t)
@@ -273,14 +269,10 @@ def exact_colormatch(scheme: ColourScheme, n: int, k: int, orbit_i: int,
 
 def exact_cut1(d: int, q: int, n: int, k: int, budget: int = 2_000_000) -> Fraction:
     """Exact cut1 probability by enumerating all images K sigma."""
-    _check_q(q)
-    m = q * d ** n
-    _check_k(k, m)
+    m, cone_size, same = _cut_level(d, q, n, k)
     total = comb(m, k)
     if total > budget:
         raise BudgetExceeded(f"{total} subsets exceed budget={budget}")
-    cone_size = d ** n
-    same = Matcher(n, d).same
     hits = sum(1 for image in combinations(range(m), k)
                if same(*_split_two_cones(image, cone_size)))
     return Fraction(hits, total)
@@ -288,14 +280,10 @@ def exact_cut1(d: int, q: int, n: int, k: int, budget: int = 2_000_000) -> Fract
 
 def exact_cut2(d: int, q: int, n: int, k: int, budget: int = 2_000_000) -> Fraction:
     """Exact cut2 probability over ordered pairs of disjoint k-subsets."""
-    _check_q(q)
-    m = q * d ** n
-    _check_k(k, m, draws=2)
+    m, cone_size, same = _cut_level(d, q, n, k, draws=2)
     total = comb(m, k) * comb(m - k, k)
     if total > budget:
         raise BudgetExceeded(f"{total} pairs exceed budget={budget}")
-    cone_size = d ** n
-    same = Matcher(n, d).same
     hits = 0
     for img1 in combinations(range(m), k):
         e1 = _split_two_cones(img1, cone_size)[0]

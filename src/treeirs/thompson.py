@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .perm import _is_json_int
-from .tree import ColourScheme, TreeShape, check_scheme, orbit_label
+from .tree import ColourScheme, TreeShape, check_scheme, check_tree, orbit_label
 
 Address = tuple[int, ...]
 
@@ -49,10 +49,7 @@ def _check_leafset(leaves, d: int, q: int) -> tuple[Address, ...]:
     (or past the root, once the root's family is complete).
     """
     leaves = tuple(map(tuple, leaves))
-    for a in leaves:  # the sweep compares digits by value: 0.0 and True would pass
-        for digit in a:
-            if type(digit) is not int:
-                raise MalformedPair(f"bad digit {digit!r} in address {a}: not an int")
+    _check_digits(leaves)
     leaves = tuple(sorted(leaves))
     e = ()
     for a in leaves:
@@ -68,6 +65,14 @@ def _check_leafset(leaves, d: int, q: int) -> tuple[Address, ...]:
     if e is not None:
         _refuse(leaves, d, q, e)
     return leaves
+
+
+def _check_digits(addresses) -> None:
+    """Refuse a digit that is not an int; run it before any sort or comparison."""
+    for a in addresses:
+        for digit in a:  # the sweep compares digits by value: 0.0 and True would pass
+            if type(digit) is not int:
+                raise MalformedPair(f"bad digit {digit!r} in address {a}: not an int")
 
 
 def _refuse(leaves, d: int, q: int, uncovered) -> None:
@@ -102,10 +107,7 @@ class TreePair:
     sigma: tuple[int, ...]
 
     def __post_init__(self):
-        if not (_is_json_int(self.d) and _is_json_int(self.q)) \
-                or self.d < 2 or self.q < 2:
-            raise MalformedPair(
-                f"need integers d >= 2 and q >= 2, not {self.d!r}, {self.q!r}")
+        check_tree(self.d, self.q, MalformedPair)
         dom = _check_leafset(self.domain_leaves, self.d, self.q)
         rng = _check_leafset(self.range_leaves, self.d, self.q)
         sigma = tuple(self.sigma)
@@ -125,8 +127,9 @@ class TreePair:
     @classmethod
     def from_mapping(cls, d: int, q: int, mapping) -> "TreePair":
         """Build from {domain address: range address} pairs."""
-        return _from_sorted(d, q, sorted((tuple(a), tuple(b))
-                                         for a, b in dict(mapping).items()))
+        items = [(tuple(a), tuple(b)) for a, b in dict(mapping).items()]
+        _check_digits(a for item in items for a in item)  # a str digit would not sort
+        return _from_sorted(d, q, sorted(items))
 
     def image_of_leaf(self, a: Address) -> Address:
         i = self.domain_leaves.index(tuple(a))

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .perm import GeneratedGroup, orbits as group_orbits, perms_from_json, symmetric_group
+from .perm import (GeneratedGroup, _is_json_int, orbits as group_orbits, perms_from_json,
+                   symmetric_group)
 
 Address = tuple[int, ...]
 
@@ -45,6 +46,28 @@ class ColourSchemeMismatch(ValueError):
     pass
 
 
+def check_tree(d: int, q: int, error: type[ValueError] = ValueError) -> None:
+    """Refuse all but integers d >= 2 and q >= 2 (bools too) by raising
+    ``error``, checking d before q."""
+    if not (_is_json_int(d) and _is_json_int(q)):
+        raise error(f"need integers d >= 2 and q >= 2, not {d!r}, {q!r}")
+    if d < 2:
+        raise error(f"need d >= 2, not {d}")
+    if q < 2:
+        raise error(f"need q >= 2, not {q}")
+
+
+def level_depth(degree: int, d: int, q: int) -> int:
+    """The depth n of a level of ``degree`` = q*d^n points of T_{d,q}."""
+    check_tree(d, q)  # with d = 1 the loop below would never end
+    n, size = 0, q
+    while size < degree:
+        n, size = n + 1, size * d
+    if size != degree:
+        raise ValueError(f"degree {degree} is not q*d^n for q={q}, d={d}")
+    return n
+
+
 @dataclass(frozen=True)
 class TreeShape:
     d: int
@@ -52,8 +75,7 @@ class TreeShape:
     n_max: int = 24
 
     def __post_init__(self):
-        if self.d < 2 or self.q < 2:
-            raise ValueError("need d >= 2 and q >= 2")
+        check_tree(self.d, self.q)
 
     def level_size(self, n: int) -> int:
         if n < 0 or n > self.n_max:

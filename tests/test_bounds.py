@@ -187,6 +187,14 @@ def test_bound_params_alpha():
         BoundParams(d=2, q=4, C=0.0, c=1.0)
 
 
+def test_bound_params_name_the_bad_tree_parameter():
+    # both used to read "need d >= 2 and q >= 2"
+    with pytest.raises(DomainError, match="need d >= 2, not 1"):
+        BoundParams(d=1, q=4, C=1.0, c=1.0)
+    with pytest.raises(DomainError, match="need q >= 2, not 1"):
+        BoundParams(d=2, q=1, C=1.0, c=1.0)
+
+
 @pytest.mark.parametrize("C, c", [(math.nan, 1.0), (1.0, math.nan),
                                   (math.inf, 1.0), (1.0, math.inf),
                                   (-math.inf, 1.0), (1.0, -math.inf)])

@@ -220,6 +220,21 @@ def test_boundary_quotient_size_depth1_full():
         assert sorted(h) == list(range(4))
 
 
+@pytest.mark.parametrize("q", [1, 0])
+def test_boundary_quotient_refuses_fewer_than_two_root_cones(q):
+    # q = 1 used to give the 2 permutations of one cone, and q = 0 one
+    # permutation of no points
+    with pytest.raises(ValueError, match=f"need q >= 2, not {q}"):
+        boundary_quotient_elements(2, q, 1, ColourScheme.full(2))
+
+
+def test_classify_case_refuses_q_below_one():
+    # the case I threshold (1 - 1/2q) k_n used to divide by zero
+    G = GeneratedGroup(4, [from_cycles(4, (0, 1))])
+    with pytest.raises(ValueError, match="need q >= 1, not 0"):
+        classify_case(G, 0, 0)
+
+
 def test_classify_case_matrix():
     s6 = symmetric_group(6)
     rep = classify_case(s6, q=3, delta=0)

@@ -207,6 +207,44 @@ def test_classify_refuses_scheme_below_binary(tmp_path, d, q):
     assert not out.exists() and not (tmp_path / "x.json").exists()
 
 
+# classify on a degree-4 group outside Xi at delta 0, with no scheme: --q 0
+# used to die in classify_case with a ZeroDivisionError traceback (exit 1),
+# and the others exited 0, --d being read only by the bound, which it changed
+CLASSIFY_OFF_THE_TREE = {
+    "q-0": (["--q", "0"], "need q >= 2, not 0"),
+    "q-3": (["--q", "3", "--cc-C", "1", "--cc-c", "1"], "degree 4 is not q*d^n for q=3, d=2"),
+    "d-1": (["--q", "2", "--d", "1"], "need d >= 2, not 1"),
+    "d-3": (["--q", "2", "--d", "3", "--cc-C", "1", "--cc-c", "1"],
+            "degree 4 is not q*d^n for q=2, d=3"),
+}
+
+
+@pytest.mark.parametrize("flags,message", CLASSIFY_OFF_THE_TREE.values(),
+                         ids=CLASSIFY_OFF_THE_TREE)
+def test_classify_refuses_a_level_off_the_tree(tmp_path, flags, message):
+    # a child process, so that a traceback shows up as exit 1
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps({"degree": 4, "generators": [[1, 0, 2, 3]]}))
+    out = tmp_path / "c.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeirs.cli", "classify", "--group-file", str(gfile),
+         "--delta", "0", *flags, "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr and not proc.stdout
+    assert not out.exists() and not (tmp_path / "c.json").exists()
+
+
+def test_classify_answers_on_the_tree(tmp_path, capsys):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps({"degree": 4, "generators": [[1, 0, 2, 3]]}))
+    out = tmp_path / "c.csv"
+    assert main(["classify", "--group-file", str(gfile), "--delta", "0", "--q", "2",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "case I, t_max=2\n"
+
+
 def test_classify_trivial_case1(tmp_path):
     triv = GeneratedGroup(6, [])
     gfile = tmp_path / "triv.json"
@@ -563,6 +601,9 @@ BAD_TREE_PARAMETERS = {
                               "negative depth"),
     "treematch-d-1": (SIMULATE + ["treematch", "--d", "1", "--n", "2", "--k", "1"],
                       "need d >= 2, not 1"),
+    # every experiment writes the q column: treematch used to write q = 0
+    "treematch-q-0": (SIMULATE + ["treematch", "--q", "0", "--n", "2", "--k", "1"],
+                      "need q >= 2, not 0"),
     "treematch-k-negative": (SIMULATE + ["treematch", "--n", "2", "--k", "-1"],
                              "k=-1 must be >= 0"),
     "colormatch-k-negative": (SIMULATE + ["colormatch", "--n", "2", "--k", "-1", "--scheme"],

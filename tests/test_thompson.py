@@ -60,9 +60,17 @@ def test_validation_refuses_non_int_digits(digit, side):
     leaves = (bad, good) if side == "domain" else (good, bad)
     with pytest.raises(MalformedPair, match="digit"):
         TreePair(2, 2, *leaves, (0, 1))
-    if not isinstance(digit, str):  # from_mapping cannot sort "0" among ints
-        with pytest.raises(MalformedPair, match="digit"):
-            TreePair.from_mapping(2, 2, dict(zip(*leaves)))
+    # from_mapping used to sort first, so "0" among ints raised TypeError
+    with pytest.raises(MalformedPair, match="digit"):
+        TreePair.from_mapping(2, 2, dict(zip(*leaves)))
+
+
+def test_validation_names_the_bad_tree_parameter():
+    # used to read "need integers d >= 2 and q >= 2, not 2, 1"
+    with pytest.raises(MalformedPair, match="need q >= 2, not 1"):
+        TreePair.identity(2, 1)
+    with pytest.raises(MalformedPair, match="need d >= 2, not 1"):
+        TreePair.identity(1, 2)
 
 
 def test_identity_pair_and_action():

@@ -20,6 +20,7 @@ from treeirs.tree import (
     format_address,
     level_counts,
     level_counts_direct,
+    level_depth,
     orbit_label,
     parse_address,
 )
@@ -201,6 +202,28 @@ def test_colour_scheme_refuses_branching_below_two(d):
         ColourScheme.trivial(d)
     with pytest.raises(ValueError, match=f"need d >= 2, not {d}"):
         ColourScheme.from_generators(d, [(1, 0)] if d == 1 else [])
+
+
+def test_tree_shape_refuses_one_root_cone():
+    # the shape used to say "need d >= 2 and q >= 2" whichever was wrong
+    with pytest.raises(ValueError, match="need q >= 2, not 1"):
+        TreeShape(2, 1)
+
+
+@pytest.mark.parametrize("degree,d,q,n", [(6, 2, 3, 1), (4, 2, 2, 1), (2, 2, 2, 0)])
+def test_level_depth(degree, d, q, n):
+    assert level_depth(degree, d, q) == n
+
+
+@pytest.mark.parametrize("degree,d,q,message", [
+    (5, 2, 2, "degree 5 is not q\\*d\\^n for q=2, d=2"),
+    (4, 2, 3, "degree 4 is not q\\*d\\^n for q=3, d=2"),
+    # d = 1 never grows the level: the depth search used to loop forever
+    (4, 1, 2, "need d >= 2, not 1"),
+])
+def test_level_depth_refuses_degree_off_the_tree(degree, d, q, message):
+    with pytest.raises(ValueError, match=message):
+        level_depth(degree, d, q)
 
 
 def test_label_layer_refuses_colours_outside_the_scheme():
