@@ -25,7 +25,7 @@ from .perm import (
     overgroups_of_cycle,
     restrict,
 )
-from .tree import ColourScheme, check_scheme, check_tree, child_colours
+from .tree import ColourScheme, check_scheme, check_tree, child_colours, level_depth
 
 
 class LabelPartitionViolated(ValueError):
@@ -234,8 +234,8 @@ def theta_event(G: GeneratedGroup, u: int, v: int, d: int, q: int, n: int,
     """
     if not 0 <= u < q or not 0 <= v < q or u == v:
         raise ValueError("u, v must be distinct cone indices")
-    if G.degree != q * d ** n:
-        raise ValueError(f"group degree {G.degree} is not q d^n = {q * d ** n}")
+    if level_depth(G.degree, d, q) != n:
+        raise ValueError(f"degree {G.degree} is not q*d^n for q={q}, d={d}, n={n}")
     rc = root_colours(check_scheme(scheme, d), q)
     if scheme.orbit_index[rc[u]] != scheme.orbit_index[rc[v]]:
         raise LabelMismatch("cones u and v carry different root labels")

@@ -7,7 +7,19 @@ plain loop: the trials are pure Python, so threads would only contend for
 the interpreter lock.
 
 The generator is SplitMix64: a 64-bit counter stream with a strong mixing
-finalizer, keyed here by hashing the seed and the trial index together.
+finalizer, keyed here by hashing the seed and the trial index together.  An
+estimator mixes its seed once per run (``TrialRng.for_seed``) and only the
+trial index once per trial; the streams are those of ``TrialRng(seed, t)``.
+
+Small configurations repeat their draws.  Each estimator counts the distinct
+argument pairs its trials can pass to ``Matcher.same``: C(N, k)^2 for
+treematch on N leaves, C(g, k)^2 for colormatch on g label slots, C(m, k)
+for cut1 and C(m, k) C(m - k, k) for cut2 on m leaves.  When that count is
+at most ``trials``, at least ``trials - count`` decisions are repeats, so
+``same`` goes behind a memo that lives for that one call; it adds at most
+one entry per trial, each for a new pair, so it never holds more than
+min(count, trials).  Above the count ``same`` is called once per trial.
+Every draw and every decision is the same either way.
 """
 
 from __future__ import annotations
@@ -41,14 +53,35 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _seed_key(seed: int) -> int:
+    return _mix64((seed & _MASK64) ^ _GOLDEN)
+
+
+def _trial_state(key: int, trial: int) -> int:
+    return _mix64(key ^ _mix64((trial * _GOLDEN + 0x1F) & _MASK64))
+
+
 class TrialRng:
     """Deterministic SplitMix64 stream for one (seed, trial) pair."""
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int, trial: int):
-        s = _mix64((seed & _MASK64) ^ _GOLDEN)
-        self._state = _mix64(s ^ _mix64((trial * _GOLDEN + 0x1F) & _MASK64))
+        self._state = _trial_state(_seed_key(seed), trial)
+
+    @classmethod
+    def for_seed(cls, seed: int):
+        """``trial -> TrialRng(seed, trial)``, with the seed mixed once for
+        the whole run rather than once per trial."""
+        key = _seed_key(seed)
+        new = cls.__new__
+
+        def trial_rng(trial: int) -> TrialRng:
+            rng = new(cls)
+            rng._state = _trial_state(key, trial)
+            return rng
+
+        return trial_rng
 
     def next64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -121,11 +154,24 @@ class Estimate:
         return sqrt(p * (1.0 - p) / self.trials)
 
 
-def _run_trials(trial_fn, trials: int) -> int:
-    """Number of t in range(trials) for which trial_fn(t) is true."""
+def _count_matches(draw, same, pairs: int, trials: int, seed: int) -> int:
+    """Number of t in range(trials) with ``same(*draw(TrialRng(seed, t)))``,
+    where ``draw`` can return at most ``pairs`` distinct pairs; with
+    ``pairs <= trials``, ``same`` is memoised for this run (module docstring)."""
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    return sum(1 for t in range(trials) if trial_fn(t))
+    trial_rng = TrialRng.for_seed(seed)
+    if pairs > trials:
+        return sum(1 for t in range(trials) if same(*draw(trial_rng(t))))
+    memo = {}
+    hits = 0
+    for t in range(trials):
+        pair = draw(trial_rng(t))
+        hit = memo.get(pair)
+        if hit is None:
+            hit = memo[pair] = same(*pair)
+        hits += hit
+    return hits
 
 
 def _check_k(k: int, room: int, draws: int = 1, leaves: str = "leaves") -> None:
@@ -159,12 +205,10 @@ def estimate_treematch(d: int, n: int, k: int, trials: int, seed: int,
     _check_k(k, leaves)
     _warn_if_outside_paper_range(k, leaves / 2)
 
-    def trial(t: int) -> bool:
-        rng = TrialRng(seed, t)
-        E = rng.sample(leaves, k)
-        return same(E, rng.sample(leaves, k))
+    def draw(rng: TrialRng):
+        return rng.sample(leaves, k), rng.sample(leaves, k)
 
-    succ = _run_trials(trial, trials)
+    succ = _count_matches(draw, same, comb(leaves, k) ** 2, trials, seed)
     mode = "full" if scheme is None else "coloured"
     return Estimate("treematch", (("d", d), ("n", n), ("k", k), ("mode", mode)),
                     trials, succ, seed)
@@ -194,11 +238,10 @@ def estimate_cut1(d: int, q: int, n: int, k: int, trials: int, seed: int) -> Est
     """
     m, cone_size, same = _cut_level(d, q, n, k)
 
-    def trial(t: int) -> bool:
-        rng = TrialRng(seed, t)
-        return same(*_split_two_cones(rng.sample(m, k), cone_size))
+    def draw(rng: TrialRng):
+        return _split_two_cones(rng.sample(m, k), cone_size)
 
-    succ = _run_trials(trial, trials)
+    succ = _count_matches(draw, same, comb(m, k), trials, seed)
     return Estimate("cut1", (("d", d), ("q", q), ("n", n), ("k", k)),
                     trials, succ, seed)
 
@@ -207,13 +250,14 @@ def estimate_cut2(d: int, q: int, n: int, k: int, trials: int, seed: int) -> Est
     """P((K1 sigma) n C_u ~ (K2 sigma) n C_v) for disjoint fixed k-sets K1, K2."""
     m, cone_size, same = _cut_level(d, q, n, k, draws=2)
 
-    def trial(t: int) -> bool:
-        rng = TrialRng(seed, t)
+    def draw(rng: TrialRng):
+        # ``same`` reads its arguments as sets, so sorting the two halves of
+        # the draw changes no decision; it lets the memo key on the sets
         seq = rng.sample_seq(m, 2 * k)
-        return same(_split_two_cones(seq[:k], cone_size)[0],
-                    _split_two_cones(seq[k:], cone_size)[1])
+        return (_split_two_cones(sorted(seq[:k]), cone_size)[0],
+                _split_two_cones(sorted(seq[k:]), cone_size)[1])
 
-    succ = _run_trials(trial, trials)
+    succ = _count_matches(draw, same, comb(m, k) * comb(m - k, k), trials, seed)
     return Estimate("cut2", (("d", d), ("q", q), ("n", n), ("k", k)),
                     trials, succ, seed)
 
@@ -233,13 +277,11 @@ def estimate_colormatch(scheme: ColourScheme, n: int, k: int, orbit_i: int,
     _check_k(k, len(ground), leaves=f"label-{orbit_i} leaves")
     _warn_if_outside_paper_range(k, len(ground) / 2)
 
-    def trial(t: int) -> bool:
-        rng = TrialRng(seed, t)
-        e1 = tuple(ground[i] for i in rng.sample(len(ground), k))
-        e2 = tuple(ground[i] for i in rng.sample(len(ground), k))
-        return same(e1, e2)
+    def draw(rng: TrialRng):
+        return (tuple(ground[i] for i in rng.sample(len(ground), k)),
+                tuple(ground[i] for i in rng.sample(len(ground), k)))
 
-    succ = _run_trials(trial, trials)
+    succ = _count_matches(draw, same, comb(len(ground), k) ** 2, trials, seed)
     return Estimate("colormatch",
                     (("d", scheme.d), ("n", n), ("k", k), ("orbit", orbit_i),
                      ("root_label", root_label)),

@@ -90,6 +90,8 @@ class TreeShape:
         if len(addr) > self.n_max:
             raise DepthExceeded(f"address deeper than n_max={self.n_max}")
         for j, digit in enumerate(addr):
+            if type(digit) is not int:  # 0.0 and True would pass the range test
+                raise ValueError(f"bad digit {digit!r} at position {j} in {addr}: not an int")
             if not 0 <= digit < self.arity(j):
                 raise ValueError(f"bad digit {digit} at position {j} in {addr}")
         return addr

@@ -175,6 +175,17 @@ def test_theta_event_examples():
     assert not theta_event(GeneratedGroup(4, []), 0, 1, 2, 2, 1, full)
 
 
+@pytest.mark.parametrize("degree,n,message", [
+    (5, 1, r"degree 5 is not q\*d\^n for q=2, d=2"),
+    (6, 1, r"degree 6 is not q\*d\^n for q=2, d=2"),
+    (4, 2, r"degree 4 is not q\*d\^n for q=2, d=2, n=2"),
+    (8, 1, r"degree 8 is not q\*d\^n for q=2, d=2, n=1"),
+], ids=["degree-5", "degree-6", "level-1-as-n-2", "level-2-as-n-1"])
+def test_theta_event_refuses_a_degree_off_the_level(degree, n, message):
+    with pytest.raises(ValueError, match=message):
+        theta_event(GeneratedGroup(degree, []), 0, 1, 2, 2, n, ColourScheme.full(2))
+
+
 def test_theta_event_label_mismatch():
     triv = ColourScheme.trivial(2)
     swap = GeneratedGroup(4, [from_cycles(4, (0, 2), (1, 3))])

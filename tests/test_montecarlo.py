@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from treeirs.canon import BudgetExceeded, ColourSchemeMismatch, canon_coloured, canon_full
+from treeirs.canon import (
+    BudgetExceeded,
+    ColourSchemeMismatch,
+    Matcher,
+    canon_coloured,
+    canon_full,
+)
 from treeirs.montecarlo import (
     Estimate,
     KTooLarge,
@@ -238,22 +244,14 @@ def test_treematch_refuses_scheme_of_other_d():
 # the estimators decide every trial exactly as comparing canonical forms does
 # ---------------------------------------------------------------------------
 
-def _forms_only_successes(experiment, trials, seed, d=2, q=2, n=2, k=2,
-                          scheme=None, parent_colour=None, orbit=0):
-    """Success count of a trial loop that compares canonical forms directly,
-    drawing exactly what the estimators draw."""
+def _trial_pairs(experiment, trials, seed, d=2, q=2, n=2, k=2, scheme=None,
+                 parent_colour=None, orbit=0):
+    """The sorted (E, F) pair each trial decides, for t in range(trials),
+    drawn from a fresh ``TrialRng(seed, t)`` exactly as the estimators draw."""
     leaves = d ** n
-
-    def same(a, b):
-        if scheme is None:
-            return canon_full(a, n, d) == canon_full(b, n, d)
-        return (canon_coloured(a, n, scheme, parent_colour)
-                == canon_coloured(b, n, scheme, parent_colour))
-
     if experiment == "colormatch":
         labels = cone_leaf_labels(scheme, parent_colour, n)
         ground = [i for i, lab in enumerate(labels) if lab == orbit]
-    hits = 0
     for t in range(trials):
         rng = TrialRng(seed, t)
         if experiment == "treematch":
@@ -269,10 +267,21 @@ def _forms_only_successes(experiment, trials, seed, d=2, q=2, n=2, k=2,
                 img1, img2 = seq[:k], seq[k:]
             a = [x for x in img1 if x < leaves]
             b = [x - leaves for x in img2 if leaves <= x < 2 * leaves]
-            if len(a) != len(b):
-                continue
-        hits += same(a, b)
-    return hits
+        yield tuple(sorted(a)), tuple(sorted(b))
+
+
+def _forms_only_successes(experiment, trials, seed, d=2, q=2, n=2, k=2,
+                          scheme=None, parent_colour=None, orbit=0):
+    """Success count of a trial loop that compares canonical forms directly,
+    drawing exactly what the estimators draw."""
+    def same(a, b):
+        if scheme is None:
+            return canon_full(a, n, d) == canon_full(b, n, d)
+        return (canon_coloured(a, n, scheme, parent_colour)
+                == canon_coloured(b, n, scheme, parent_colour))
+
+    return sum(same(a, b) for a, b in _trial_pairs(
+        experiment, trials, seed, d, q, n, k, scheme, parent_colour, orbit))
 
 
 @pytest.mark.parametrize("seed", [1729, 7, 2024])
@@ -304,6 +313,121 @@ def test_estimators_equal_forms_only_loop(seed):
         expect = _forms_only_successes(trials=est.trials, seed=seed, **config)
         assert est == Estimate(est.experiment, est.params, est.trials, expect, seed), config
     assert all(est.successes for est, _ in cases[-2:])
+
+
+# ---------------------------------------------------------------------------
+# a memo for one estimator run, used only when its trials must repeat pairs
+# ---------------------------------------------------------------------------
+
+_TRANSPOSITION = ColourScheme.from_generators(2, [from_cycles(3, (0, 1))])
+_MOVED = ColourScheme.from_generators(2, [from_cycles(3, (1, 2))])
+
+# (config, trial counts without the memo, trial counts with it): the memo is
+# used from the config's distinct-pair count of trials up, and not one below
+_MEMO_CASES = [
+    (dict(experiment="treematch", n=2, k=2), (35,), (36, 400)),
+    (dict(experiment="treematch", n=3, k=2), (300,), ()),
+    (dict(experiment="treematch", n=2, k=2, scheme=_MOVED, parent_colour=1), (35,), (36, 400)),
+    (dict(experiment="treematch", n=3, k=2, scheme=_MOVED, parent_colour=1), (300,), ()),
+    (dict(experiment="cut1", n=2, k=2), (27,), (28, 400)),
+    (dict(experiment="cut1", n=3, k=3), (300,), ()),
+    (dict(experiment="cut2", n=2, k=2), (419,), (420, 1000)),
+    (dict(experiment="cut2", n=3, k=2), (300,), ()),
+    (dict(experiment="colormatch", n=2, k=1, scheme=_TRANSPOSITION, parent_colour=0),
+     (8,), (9, 300)),
+    (dict(experiment="colormatch", n=3, k=2, scheme=_TRANSPOSITION, parent_colour=0),
+     (99,), (100, 300)),
+    (dict(experiment="colormatch", n=4, k=2, scheme=_TRANSPOSITION, parent_colour=0),
+     (300,), ()),
+    (dict(experiment="colormatch", n=2, k=2, scheme=ColourScheme.full(2), parent_colour=0),
+     (35,), (36, 400)),
+]
+
+
+def _estimate(experiment, trials, seed, d=2, q=2, n=2, k=2, scheme=None,
+              parent_colour=None, orbit=0):
+    if experiment == "treematch":
+        return estimate_treematch(d, n, k, trials, seed, scheme=scheme,
+                                  parent_colour=parent_colour)
+    if experiment == "cut1":
+        return estimate_cut1(d, q, n, k, trials, seed)
+    if experiment == "cut2":
+        return estimate_cut2(d, q, n, k, trials, seed)
+    assert scheme.reps[0] == parent_colour
+    return estimate_colormatch(scheme, n, k, orbit, trials, seed)
+
+
+def _pair_count(experiment, d=2, q=2, n=2, k=2, scheme=None, parent_colour=None,
+                orbit=0):
+    """How many distinct (E, F) pairs the trials of ``experiment`` can draw."""
+    m = q * d ** n
+    if experiment == "treematch":
+        return math.comb(d ** n, k) ** 2
+    if experiment == "cut1":
+        return math.comb(m, k)
+    if experiment == "cut2":
+        return math.comb(m, k) * math.comb(m - k, k)
+    ground = sum(lab == orbit for lab in cone_leaf_labels(scheme, parent_colour, n))
+    return math.comb(ground, k) ** 2
+
+
+def _memo_params():
+    for config, plain, memo in _MEMO_CASES:
+        name = "-".join(str(v) for key, v in config.items() if key != "scheme")
+        for trials in plain + memo:
+            yield pytest.param(config, trials, trials in memo, id=f"{name}-{trials}")
+
+
+@pytest.mark.parametrize("config,trials,memo", list(_memo_params()))
+@pytest.mark.parametrize("seed", [1729, 7])
+def test_estimators_equal_plain_matcher_loop(config, trials, memo, seed):
+    # a trial loop with TrialRng(seed, t) and a fresh Matcher for every
+    # trial, on both sides of the memo's pair-count rule
+    assert (_pair_count(**config) <= trials) == memo
+    d, n = config.get("d", 2), config["n"]
+    scheme, parent_colour = config.get("scheme"), config.get("parent_colour")
+    expect = sum(Matcher(n, d, scheme, parent_colour).same(a, b)
+                 for a, b in _trial_pairs(trials=trials, seed=seed, **config))
+    est = _estimate(trials=trials, seed=seed, **config)
+    assert (est.trials, est.successes, est.seed) == (trials, expect, seed)
+
+
+@pytest.mark.parametrize("config,trials,memo", list(_memo_params()))
+def test_same_runs_once_per_distinct_pair_only_when_pairs_must_repeat(
+        config, trials, memo, monkeypatch):
+    calls = []
+    decide = Matcher.same
+
+    def counted(self, e, f):
+        calls.append((tuple(e), tuple(f)))
+        return decide(self, e, f)
+
+    monkeypatch.setattr(Matcher, "same", counted)
+    pairs = list(_trial_pairs(trials=trials, seed=1729, **config))
+    for _ in range(2):  # a second run starts with an empty memo
+        calls.clear()
+        _estimate(trials=trials, seed=1729, **config)
+        if memo:
+            assert calls == list(dict.fromkeys(pairs))
+            assert len(calls) <= min(_pair_count(**config), trials)
+        else:
+            assert calls == pairs
+
+
+def test_trial_rng_for_seed_equals_trial_rng():
+    seeds = [0, 1, 7, 1729, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5, -3, 3 ** 50]
+    trials = [0, 1, 2, 999, 10 ** 9, 2 ** 64 + 1]
+    for seed in seeds:
+        trial_rng = TrialRng.for_seed(seed)
+        for t in trials:
+            fast, slow = trial_rng(t), TrialRng(seed, t)
+            assert type(fast) is TrialRng
+            assert fast._state == slow._state
+            assert [fast.next64() for _ in range(3)] == [slow.next64() for _ in range(3)]
+            assert fast.sample(50, 7) == slow.sample(50, 7)
+            assert fast.sample_seq(300, 12) == slow.sample_seq(300, 12)
+            assert fast.sample(5, 5) == slow.sample(5, 5)
+            assert fast._state == slow._state
 
 
 def list_sample_seq(rng, m, k):

@@ -42,6 +42,20 @@ def test_address_validation():
         shape.validate((0, 2))  # inner digit must be < d
 
 
+@pytest.mark.parametrize("refused", [
+    lambda: TreeShape(2, 2).validate((0.5,)),
+    lambda: TreeShape(2, 2).validate((0, 1.0)),
+    lambda: TreeShape(2, 2).validate(("1",)),
+    lambda: cone(TreeShape(2, 2), (True,), 1),
+    lambda: orbit_label(TreeShape(2, 2), ColourScheme.full(2), (1.0,)),
+], ids=["half", "float-one", "string", "bool-cone", "float-orbit-label"])
+def test_address_validation_refuses_digits_that_are_not_ints(refused):
+    # each passed the range test by value: 0.5 came back as an address,
+    # (True,) gave the cone ((True, 0), (True, 1)), and 1.0 a TypeError
+    with pytest.raises(ValueError, match="not an int"):
+        refused()
+
+
 def test_address_strings():
     assert parse_address("201") == (2, 0, 1)
     assert format_address((2, 0, 1)) == "201"
