@@ -5,7 +5,10 @@ Every command is a pure function of its flags: the default seed is the fixed
 constant 1729 (never the clock), row order is canonical, and floats are
 written with repr so reruns are byte-identical.  CSV outputs get a JSON
 mirror with the same basename.  Exit codes: 0 all checks pass, 1 a
-counterexample was found, 2 usage errors.
+counterexample was found, 2 a usage error or a refused input or computation
+(a ``ValueError``, an ``OSError`` or an exceeded closure cap), 3 an internal
+fault (any other ``RuntimeError``, printed as "internal error: ..."), such as
+a conjugator that fails its check in ``verify-counting``.
 """
 
 from __future__ import annotations
@@ -17,14 +20,15 @@ import itertools
 import json
 import os
 import sys
-from math import exp
+from math import exp, factorial
+from operator import itemgetter
 
 from . import bounds as bnd
 from . import montecarlo as mc
 from .canon import orbit_census
 from .classify import classify_case, in_Pi, profile, root_colours
 from .irs import (
-    transporters,
+    kept_transporters,
     uniform_conjugate_measure,
     verify_E1,
     verify_E2,
@@ -32,11 +36,12 @@ from .irs import (
 )
 from .perm import (
     DEFAULT_CAP,
-    conjugacy_orbit,
+    ClosureExceedsCap,
     conjugate,
     enumerate_subgroups,
     load_group,
     product_of_symmetric,
+    subgroup_classes,
     subgroups_of,
     symmetric_group,
 )
@@ -91,14 +96,16 @@ def _cells(res, detail: str) -> list:
             res.rhs.numerator, res.rhs.denominator, detail, res.holds]
 
 
-def _class_table(gamma, ambient, degree: int) -> list:
-    """The E1 and index rows of one subgroup, less their first five columns,
-    as (U, V, E1 cells, index cells) for each pair (U, V) with a non-empty
-    U -> V transporter, in ``_disjoint_pairs`` order."""
-    mu = uniform_conjugate_measure(gamma, ambient)
+def _class_table(mu, degree: int) -> list:
+    """The E1 and index rows of the first member R of ``mu``'s support, less
+    their first five columns, as (U, V, E1 cells, index cells) for each pair
+    (U, V) with a non-empty U -> V transporter, in ``_disjoint_pairs``
+    order.  R's transporters are the ones ``mu``'s E1 profile relabels onto
+    the other members (``irs.kept_transporters``)."""
+    R = mu.support[0][0]
     table = []
     for U, Vs in itertools.groupby(_disjoint_pairs(degree), key=lambda pair: pair[0]):
-        own = transporters(gamma, U)
+        own = kept_transporters(R, U)
         for _, V in Vs:
             tv = own.get(V)
             if tv is None:
@@ -111,53 +118,93 @@ def _class_table(gamma, ambient, degree: int) -> list:
     return table
 
 
+def class_tables(degree: int, cap: int = DEFAULT_CAP):
+    """The E1 and index rows of one subgroup per conjugacy class of
+    subgroups of Sym(degree), for 1 <= degree <= 7.
+
+    Yields (mu, table) one class at a time: mu is the uniform measure on the
+    class (``irs.uniform_conjugate_measure``), whose first support member R,
+    the class's least member by sorted element list, is the representative,
+    and table is R's ``_class_table``.  Classes come in order of R (by
+    order, then sorted element list), as in ``perm.enumerate_subgroups``,
+    whose cached walk degrees up to 6 reuse; degree 7 walks
+    ``perm.subgroup_classes``.  Each of mu's conjugators g is checked to
+    carry R onto its member H before R's rows are verified, since the E1
+    profile reads the other members through them: g^-1 R g is generated by
+    R's generators conjugated by g, so it equals H exactly when those lie in
+    H and |H| = |R|."""
+    if degree <= 6:
+        subs, classes = enumerate_subgroups(degree)
+        reps = [subs[cls[0]] for cls in classes]
+    else:
+        reps = sorted((cls[0] for cls in subgroup_classes(degree)),
+                      key=lambda G: (G.order, G.elements))
+    ambient = symmetric_group(degree, cap=max(cap, factorial(degree)))
+    for c, R in enumerate(reps):
+        mu = uniform_conjugate_measure(R, ambient)
+        for i, ((H, _), g) in enumerate(zip(mu.support, mu.conjugators)):
+            if H.order != R.order or not all(conjugate(a, g) in H for a in R.generators):
+                raise RuntimeError(f"no conjugator carries subgroup 0 of class {c} "
+                                   f"onto subgroup {i} of class {c}")
+        yield mu, _class_table(mu, degree)
+
+
 def counting_rows(degree: int, cap: int) -> list[list]:
     """E1 and transporter-index rows for all subgroups of Sym(degree), plus
-    conjugacy-class-size rows over the fixed Sym(2) x Sym(3) product.
+    conjugacy-class-size rows over the fixed Sym(2) x Sym(3) product
+    (``product_E2_rows``).
 
-    The rows are verified once per conjugacy class, on its first member R.
-    Every row's measure mu is uniform on R's conjugates, so it is invariant
-    under conjugation by Sym(degree).  A member gamma = g^-1 R g carries U
-    onto V through g^-1 r g exactly when r carries g^-1 U onto g^-1 V, so
-    conjugation by g maps R's transporter at (g^-1 U, g^-1 V) onto gamma's at
-    (U, V), keeping |A| and |Q|, and both sides of each inequality are the
-    mu-measures of events that conjugation by g carries onto each other.
-    So gamma's row at (U, V) is R's row at (g^-1 U, g^-1 V), read off R's
-    table.  Each conjugator g comes from ``perm.conjugacy_orbit`` and is
-    checked."""
+    The rows are verified once per conjugacy class, on its first member R
+    (``class_tables``).  Every row's measure mu is uniform on R's
+    conjugates, so it is invariant under conjugation by Sym(degree).  A
+    member gamma = g^-1 R g carries U onto V through g^-1 r g exactly when r
+    carries g^-1 U onto g^-1 V, so conjugation by g maps R's transporter at
+    (g^-1 U, g^-1 V) onto gamma's at (U, V), keeping |A| and |Q|, and both
+    sides of each inequality are the mu-measures of events that conjugation
+    by g carries onto each other.  So gamma's row at (U, V) is R's row at
+    (g^-1 U, g^-1 V), read off R's table.  Each conjugator g is the one mu
+    keeps for gamma, checked in ``class_tables``.  Each member's images of
+    its table's point sets are computed once, and each pair's text once."""
     rows = []
-    ambient = symmetric_group(degree, cap=max(cap, 720))
-    subs, classes = enumerate_subgroups(degree)
+    subs, _ = enumerate_subgroups(degree)
+    gid_of = {G.elements: gid for gid, G in enumerate(subs)}
+    pairs = _disjoint_pairs(degree)
+    pair_id = {pair: i for i, pair in enumerate(pairs)}
+    pair_txt = [(_pts(U), _pts(V)) for U, V in pairs]
     placed = {}
-    for cls in classes:
-        R = subs[cls[0]]
-        table = _class_table(R, ambient, degree)
-        found = conjugacy_orbit(R.elements, ambient.generators)
-        for gid in cls:
-            els = subs[gid].elements
-            g = found.get(els)
-            if g is None or tuple(sorted(conjugate(r, g) for r in R.elements)) != els:
-                raise RuntimeError(f"no conjugator carries subgroup {cls[0]} "
-                                   f"onto subgroup {gid}")
-            placed[gid] = (table, g)
-    order = {pair: i for i, pair in enumerate(_disjoint_pairs(degree))}
+    for mu, table in class_tables(degree, cap):
+        sets = {S for U, V, _, _ in table for S in (U, V)}
+        for (H, _), g in zip(mu.support, mu.conjugators):
+            placed[gid_of[H.elements]] = (table, sets, g)
     for gid in range(len(subs)):
-        table, g = placed[gid]
-        moved = sorted(((tuple(sorted(g[x] for x in U)), tuple(sorted(g[x] for x in V)), e1, ix)
-                        for U, V, e1, ix in table), key=lambda row: order[row[:2]])
-        for U, V, e1, ix in moved:
-            rows.append(["E1", degree, gid, _pts(U), _pts(V), *e1])
-            rows.append(["index", degree, gid, _pts(U), _pts(V), *ix])
+        table, sets, g = placed[gid]
+        image = {S: tuple(sorted(g[x] for x in S)) for S in sets}
+        moved = sorted(((pair_id[image[U], image[V]], e1, ix) for U, V, e1, ix in table),
+                       key=itemgetter(0))
+        for i, e1, ix in moved:
+            U_txt, V_txt = pair_txt[i]
+            rows.append(["E1", degree, gid, U_txt, V_txt, *e1])
+            rows.append(["index", degree, gid, U_txt, V_txt, *ix])
         if not moved:
             rows.append(["E1", degree, gid, "", "", 0, 1, 0, 1, "vacuous", True])
-    product = product_of_symmetric([2, 3])
-    side1, side2 = (0, 1), (2, 3, 4)
+    return rows + product_E2_rows(2, 3)
+
+
+def product_E2_rows(a: int, b: int) -> list[list]:
+    """Conjugacy-class-size rows over Sym(a) x Sym(b), on the points
+    0..a-1 and a..a+b-1: one per subgroup lambda (numbered as
+    ``perm.subgroups_of`` orders them) and element x of lambda, checking
+    ``verify_E2`` for B = {x} under the uniform measure on lambda's
+    conjugates."""
+    product = product_of_symmetric([a, b])
+    side1, side2 = tuple(range(a)), tuple(range(a, a + b))
+    rows = []
     for lid, lam in enumerate(subgroups_of(product)):
         mu = uniform_conjugate_measure(lam, product)
-        for b in lam.elements:
-            res = verify_E2(mu, side1, side2, [b])
+        for x in lam.elements:
+            res = verify_E2(mu, side1, side2, [x])
             rows.append(["E2", product.degree, lid, _pts(side1), _pts(side2),
-                         *_cells(res, f"B={_pts(b)}")])
+                         *_cells(res, f"B={_pts(x)}")])
     return rows
 
 
@@ -370,9 +417,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, OSError, ClosureExceedsCap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from .perm import (
     compose,
     conjugacy_orbit,
     conjugate,
-    identity,
+    inverse,
     memoized,
     restrict,
     rigid_stabilizer,
@@ -47,7 +47,7 @@ PartialMap = tuple[int, ...]  # images of sorted(U), as raw points
 
 def restriction_map(p: Perm, U: tuple[int, ...]) -> PartialMap:
     """The partial map p|_U, encoded as images along sorted(U)."""
-    return tuple(p[x] for x in U)
+    return tuple([p[x] for x in U])
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,13 @@ def transporters(H: GeneratedGroup, U) -> dict[tuple[int, ...], Transporter]:
             for V, (els, rs) in buckets.items() if V == U or Uset.isdisjoint(V)}
 
 
+def kept_transporters(H: GeneratedGroup, U) -> dict[tuple[int, ...], Transporter]:
+    """``transporters(H, U)``, computed once per sorted U and kept on H
+    (``GeneratedGroup.memo``, at most 2^degree entries, freed with H)."""
+    U = tuple(sorted(U))
+    return H.memo(("irs.transporters", U), lambda: transporters(H, U))
+
+
 @dataclass(frozen=True)
 class ConjInvariantMeasure:
     """A finitely supported measure on subgroups of ``ambient``.
@@ -103,16 +110,24 @@ class ConjInvariantMeasure:
     the ambient group (which generate all inner automorphisms).  The measure
     is immutable, so a check that passes is remembered on it and not run
     again; one that fails raises on every call.
+
+    ``conjugators``, when given, says the support is one conjugacy class:
+    the i-th carries the first member onto the i-th, an ambient element g
+    with support[i] = {conjugate(h, g) : h in support[0]}.  They are not
+    part of the measure's value, so ``==`` and ``hash`` ignore them.
     """
 
     ambient: GeneratedGroup
     support: tuple[tuple[GeneratedGroup, Fraction], ...]
+    conjugators: tuple[Perm, ...] | None = field(default=None, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = sum(w for _, w in self.support)
         if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
+        if self.conjugators is not None and len(self.conjugators) != len(self.support):
+            raise ValueError("need one conjugator per support member")
 
     def memo(self, key, build):
         """``build()``, computed once per ``key`` and kept on this measure,
@@ -137,6 +152,33 @@ class ConjInvariantMeasure:
     def expectation(self, fn) -> Fraction:
         return sum((w * fn(H) for H, w in self.support), Fraction(0))
 
+    def classes(self) -> tuple[tuple[GeneratedGroup, Fraction, tuple], ...]:
+        """The support split into ambient conjugacy classes, as (R, w,
+        members): R is the class's first support member, w the weight of
+        each member (constant on a class, by invariance, which is checked
+        first), and members the pairs (H, g) with H = {conjugate(r, g) : r
+        in R} and g in the ambient, R itself among them with the identity.
+        Without ``conjugators`` each class is found by ``conjugacy_orbit``
+        from its first member.  Kept on the measure."""
+        return self.memo("irs.classes", self._classes)
+
+    def _classes(self):
+        self.check_invariance()
+        if self.conjugators is not None:
+            members = tuple((H, g) for (H, _), g in zip(self.support, self.conjugators))
+            return ((self.support[0][0], self.support[0][1], members),)
+        member = {H.element_set: H for H, _ in self.support}
+        placed = set()
+        out = []
+        for R, w in self.support:
+            if R.element_set in placed:
+                continue
+            orbit = conjugacy_orbit(R.elements, self.ambient.generators)
+            members = tuple((member[frozenset(els)], g) for els, g in orbit.items())
+            placed.update(H.element_set for H, _ in members)
+            out.append((R, w, members))
+        return tuple(out)
+
 
 def point_mass(H: GeneratedGroup, ambient: GeneratedGroup) -> ConjInvariantMeasure:
     if not H.is_subgroup_of(ambient):
@@ -152,14 +194,18 @@ def uniform_conjugate_measure(gamma: GeneratedGroup,
     generating the ambient group: the conjugates are found breadth-first by
     conjugating with the generators alone (``perm.conjugacy_orbit``), at a
     cost of |generators| |orbit| |gamma| conjugations.  The support is
-    ordered by sorted element list.
+    ordered by sorted element list, and the measure keeps the conjugators
+    the walk gives, re-based onto the first member (unchanged when that is
+    gamma).
     """
     if not gamma.is_subgroup_of(ambient):
         raise NotASubgroup("gamma is not a subgroup of the ambient group")
-    conjs = [GeneratedGroup(gamma.degree, els, gamma.cap, _elements=els)
-             for els in sorted(conjugacy_orbit(gamma.elements, ambient.generators))]
+    orbit = sorted(conjugacy_orbit(gamma.elements, ambient.generators).items())
+    back = inverse(orbit[0][1])
+    conjs = [GeneratedGroup(gamma.degree, els, gamma.cap, _elements=els) for els, _ in orbit]
     w = Fraction(1, len(conjs))
-    return ConjInvariantMeasure(ambient, tuple((H, w) for H in conjs))
+    return ConjInvariantMeasure(ambient, tuple((H, w) for H in conjs),
+                                tuple(compose(back, g) for _, g in orbit))
 
 
 def stabilizer_measure(ambient: GeneratedGroup) -> ConjInvariantMeasure:
@@ -196,23 +242,41 @@ def _ambient_E1_data(ambient: GeneratedGroup, U) -> tuple[dict, frozenset]:
 
 
 def _E1_profile(mu: ConjInvariantMeasure, U) -> dict:
-    """What ``verify_E1`` needs of the support for a fixed U, by V: the pairs
-    (w, restrictions of H carrying U onto V) for every member H with a
-    non-empty U -> V transporter, and those members' weights summed by the
-    meet size |R(U) n H|_{U->U}|.  Computed once per measure and U and kept
-    on the measure (at most 2^degree entries)."""
+    """What ``verify_E1`` needs of the support for a fixed U, by V: for
+    each conjugacy class, its member weight w and the restriction sets of
+    its members carrying U onto V, and those members' weights summed by the
+    meet size |R(U) n H|_{U->U}|.
+
+    Built one class at a time from its first member R alone
+    (``ConjInvariantMeasure.classes``).  A member H = g^-1 R g carries U onto
+    V through g^-1 r g exactly when r carries U' = g^-1 U onto g^-1 V, and
+    that element maps x in U to g(r(g^-1 x)).  So R's transporters at U'
+    (``kept_transporters``, built once per measure and U') are relabelled
+    through g, and the members are counted by meet size in integers, then
+    scaled by w.  Computed once per measure and U and kept on the measure
+    (at most 2^degree entries)."""
     def build():
         RU = _ambient_E1_data(mu.ambient, U)[1]
         profile: dict = {}
-        for H, w in mu.support:
-            ts = transporters(H, U)
-            meet = len(RU.intersection(ts[U].restrictions))
-            for V, t in ts.items():
-                if V == U:
-                    continue
-                members, by_meet = profile.setdefault(V, ([], {}))
-                members.append((w, frozenset(t.restrictions)))
-                by_meet[meet] = by_meet.get(meet, 0) + w
+        for R, w, members in mu.classes():
+            found: dict = {}
+            for _, g in members:
+                g_inv = inverse(g)
+                Ug = sorted(g_inv[x] for x in U)
+                at = [Ug.index(g_inv[x]) for x in U]
+                sets = {tuple(sorted(g[y] for y in Vg)):
+                        frozenset([tuple([g[r[i]] for i in at]) for r in t.restrictions])
+                        for Vg, t in kept_transporters(R, Ug).items()}
+                meet = len(RU.intersection(sets.pop(U)))
+                for V, rs in sets.items():
+                    rss, meets = found.setdefault(V, ([], {}))
+                    rss.append(rs)
+                    meets[meet] = meets.get(meet, 0) + 1
+            for V, (rss, meets) in found.items():
+                classes, by_meet = profile.setdefault(V, ([], {}))
+                classes.append((w, rss))
+                for m, count in meets.items():
+                    by_meet[m] = by_meet.get(m, 0) + count * w
         return profile
     return mu.memo(("irs.E1", U), build)
 
@@ -238,8 +302,9 @@ def verify_E1(mu: ConjInvariantMeasure, U, V, A) -> VerifyResult:
         raise ValueError("A must consist of restrictions of ambient transporter elements")
 
     # an empty transporter gives no lhs mass, and its indicator kills the rhs term
-    members, by_meet = _E1_profile(mu, U).get(V, ((), {}))
-    lhs = sum((w for w, rs in members if not A.isdisjoint(rs)), Fraction(0))
+    classes, by_meet = _E1_profile(mu, U).get(V, ((), {}))
+    lhs = sum((w * sum(1 for rs in rss if not A.isdisjoint(rs)) for w, rss in classes),
+              Fraction(0))
     rhs = sum((W * min(Fraction(len(A) * m, len(RU)), Fraction(1))
                for m, W in by_meet.items()), Fraction(0))
     return VerifyResult(lhs, rhs, lhs <= rhs)
@@ -295,22 +360,29 @@ def verify_E2(mu: ConjInvariantMeasure, side1, side2, B) -> VerifyResult:
         if b not in amb:
             raise ValueError("B must be a subset of the ambient group")
 
-    L1 = amb.restricted(side1)
+    # what B does not change is kept on the measure, per pair of sides (at
+    # most 2^degree entries): L1, each member's pi_2(H), and (H_1, N_1) for
+    # each member, by support index, once it first passes the pi_2 test
+    L1, pi2H, normal = mu.memo(("irs.E2", side1, side2), lambda: (
+        amb.restricted(side1),
+        [frozenset(restrict(h, side2) for h in H.elements) for H, _ in mu.support],
+        {}))
     pi2B = {restrict(b, side2) for b in B}
     Bset = set(B)
 
     lhs = Fraction(0)
     rhs = Fraction(0)
-    for H, w in mu.support:
+    for i, (H, w) in enumerate(mu.support):
         if Bset <= H.element_set:
             lhs += w
-        pi2H = {restrict(h, side2) for h in H.elements}
-        if not pi2B <= pi2H:
+        if not pi2B <= pi2H[i]:
             continue
-        H1 = frozenset(restrict(h, side1) for h in H.elements
-                       if all(h[x] == x for x in side2))
-        N1 = [n for n in L1.elements
-              if frozenset(conjugate(h, n) for h in H1) == H1]
+        if i not in normal:
+            H1 = frozenset(restrict(h, side1) for h in H.elements
+                           if all(h[x] == x for x in side2))
+            normal[i] = (H1, [n for n in L1.elements
+                              if frozenset(conjugate(h, n) for h in H1) == H1])
+        H1, N1 = normal[i]
         S = frozenset(compose(restrict(b, side1), h) for b in B for h in H1)
         classes = {frozenset(conjugate(s, n) for s in S) for n in N1}
         rhs += w * Fraction(1, len(classes))

@@ -460,19 +460,26 @@ def conjugacy_orbit(els, generators) -> dict[tuple[Perm, ...], Perm]:
 
     Breadth-first over conjugation by the generators alone, which reaches the
     whole orbit because the group is finite: |generators| |orbit| |els|
-    conjugations in all.  ``els`` itself maps to the identity, and a member
-    first reached from ``cur`` by s maps to compose(orbit[cur], s).
+    conjugations in all, each through s's precomputed inverse
+    (conjugate(h, s)[y] = s[h[s^-1[y]]]).  Candidates are compared as
+    element sets, and only a new member is sorted.  ``els`` itself maps to
+    the identity, and a member first reached from ``cur`` by s maps to
+    compose(orbit[cur], s).
     """
     start = tuple(sorted(els))
     orbit = {start: identity(len(start[0]))}
+    seen = {frozenset(start)}
+    steps = [(s, inverse(s)) for s in generators]
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for s in generators:
-            nxt = tuple(sorted(conjugate(h, s) for h in cur))
-            if nxt not in orbit:
-                orbit[nxt] = compose(orbit[cur], s)
-                queue.append(nxt)
+        for s, s_inv in steps:
+            nxt = frozenset([tuple([s[h[x]] for x in s_inv]) for h in cur])
+            if nxt not in seen:
+                seen.add(nxt)
+                member = tuple(sorted(nxt))
+                orbit[member] = compose(orbit[cur], s)
+                queue.append(member)
     return orbit
 
 

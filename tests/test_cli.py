@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ from treeirs.cli import main
 from treeirs.irs import transporter, uniform_conjugate_measure, verify_E1, verify_index
 from treeirs.perm import (
     DEFAULT_CAP,
+    DegreeTooLarge,
     GeneratedGroup,
     compose,
     enumerate_subgroups,
@@ -386,18 +388,60 @@ def test_counting_rows_vs_per_subgroup_oracle(degree):
         assert row == want
 
 
+def test_class_tables_follow_the_class_order():
+    # one table per class, on its least member, in enumerate_subgroups'
+    # class order; the degree-7 sweep runs in CI, and degree 8 is refused
+    subs, classes = enumerate_subgroups(4)
+    tables = list(cli.class_tables(4))
+    assert [mu.support[0][0].elements for mu, _ in tables] == \
+        [subs[cls[0]].elements for cls in classes]
+    assert [len(mu.support) for mu, _ in tables] == [len(cls) for cls in classes]
+    with pytest.raises(DegreeTooLarge):
+        next(cli.class_tables(8))
+
+
+def with_wrong_conjugators(monkeypatch):
+    # each class measure's conjugators, composed with an extra transposition:
+    # they carry the class representative onto the wrong members
+    real = cli.uniform_conjugate_measure
+
+    def wrong(gamma, ambient):
+        mu = real(gamma, ambient)
+        t = ambient.generators[0]
+        return dataclasses.replace(mu, conjugators=tuple(compose(g, t) for g in mu.conjugators))
+
+    monkeypatch.setattr(cli, "uniform_conjugate_measure", wrong)
+
+
 def test_counting_rows_refuses_a_wrong_conjugator(monkeypatch):
-    # each conjugator is checked before a row is read through it: one
-    # composed with an extra transposition carries the class representative
-    # onto another member, and the sweep raises instead of relabelling
-    real = cli.conjugacy_orbit
-
-    def wrong(els, generators):
-        return {member: compose(g, generators[0]) for member, g in real(els, generators).items()}
-
-    monkeypatch.setattr(cli, "conjugacy_orbit", wrong)
+    # each conjugator is checked before a row is read through it, and the
+    # sweep raises instead of relabelling
+    with_wrong_conjugators(monkeypatch)
     with pytest.raises(RuntimeError, match="no conjugator carries subgroup"):
         cli.counting_rows(3, DEFAULT_CAP)
+
+
+def test_internal_fault_exits_3(tmp_path, capsys, monkeypatch):
+    # a failed conjugator check is a fault of the program, not of the input
+    with_wrong_conjugators(monkeypatch)
+    out = tmp_path / "verify.csv"
+    assert main(["verify-counting", "--degree", "3", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: no conjugator carries subgroup")
+    assert not out.exists() and not (tmp_path / "verify.json").exists()
+
+
+def test_exceeded_cap_exits_2(tmp_path, capsys):
+    # a refused computation stays a usage-level error, though
+    # ClosureExceedsCap is a RuntimeError
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps(group_to_json(symmetric_group(4))))
+    out = tmp_path / "cls.csv"
+    assert main(["classify", "--group-file", str(gfile), "--q", "2", "--delta", "0",
+                 "--cap", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: closure exceeds cap=5\n"
+    assert not out.exists()
 
 
 def test_verify_counting_degree6(tmp_path, capsys, monkeypatch):

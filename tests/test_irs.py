@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -12,6 +13,7 @@ from treeirs.irs import (
     NotASubgroup,
     NotConjInvariant,
     VerifyResult,
+    _E1_profile,
     point_mass,
     restriction_map,
     stabilizer_measure,
@@ -26,6 +28,7 @@ from treeirs.perm import (
     GeneratedGroup,
     alternating_group,
     close,
+    compose,
     conjugacy_orbit,
     conjugate,
     enumerate_subgroups,
@@ -349,6 +352,38 @@ def verify_index_oracle(gamma, Q, U, V, ambient):
     return VerifyResult(lhs, rhs, lhs <= rhs)
 
 
+def verify_E2_oracle(mu, side1, side2, B):
+    """``verify_E2`` recomputing every member's pi_2(H), H_1 and N_1 on each
+    call, as it did before they were kept on the measure."""
+    L1 = mu.ambient.restricted(side1)
+    pi2B = {restrict(b, side2) for b in B}
+    lhs = rhs = Fraction(0)
+    for H, w in mu.support:
+        if set(B) <= H.element_set:
+            lhs += w
+        if not pi2B <= {restrict(h, side2) for h in H.elements}:
+            continue
+        H1 = frozenset(restrict(h, side1) for h in H.elements
+                       if all(h[x] == x for x in side2))
+        N1 = [n for n in L1.elements if frozenset(conjugate(h, n) for h in H1) == H1]
+        S = frozenset(compose(restrict(b, side1), h) for b in B for h in H1)
+        rhs += w * Fraction(1, len({frozenset(conjugate(s, n) for s in S) for n in N1}))
+    return VerifyResult(lhs, rhs, lhs <= rhs)
+
+
+def test_verify_e2_equals_recomputing_oracle():
+    # one measure per subgroup, called for every B of one and two elements
+    # on both orders of the sides, so the kept member data is used warm and
+    # is kept apart per pair of sides
+    amb = product_of_symmetric([2, 3])
+    for lam in subgroups_of(amb):
+        mu = uniform_conjugate_measure(lam, amb)
+        Bs = [[b] for b in amb.elements[::7]] + [list(lam.elements[:2]), list(amb.elements[:2])]
+        for sides in (((0, 1), (2, 3, 4)), ((2, 3, 4), (0, 1))):
+            for B in Bs:
+                assert verify_E2(mu, *sides, B) == verify_E2_oracle(mu, *sides, B)
+
+
 def disjoint_pairs(degree):
     pts = range(degree)
     for ru in range(1, degree):
@@ -413,6 +448,98 @@ def test_verify_e1_meets_inside_rigid_stabilizer():
             for A in [restrictions] + [[a] for a in restrictions]:
                 assert verify_E1(mu, U, V, A) == verify_E1_oracle(mu, U, V, A)
     assert straddling
+
+
+def E1_profile_oracle(mu, U):
+    """``irs._E1_profile`` as it was built member by member: every support
+    member's own transporters at U, as (w, restriction set) pairs by V, and
+    the weights summed by meet size."""
+    RU = frozenset(restriction_map(r, U) for r in rigid_stabilizer(mu.ambient, U).elements)
+    profile = {}
+    for H, w in mu.support:
+        ts = transporters(H, U)
+        meet = len(RU.intersection(ts[U].restrictions))
+        for V, t in ts.items():
+            if V == U:
+                continue
+            members, by_meet = profile.setdefault(V, ([], {}))
+            members.append((w, frozenset(t.restrictions)))
+            by_meet[meet] = by_meet.get(meet, 0) + w
+    return profile
+
+
+def assert_profile_equals_oracle(mu):
+    mu.check_invariance()
+    for U in nonempty_subsets(tuple(range(mu.ambient.degree))):
+        got = _E1_profile(mu, U)
+        expect = E1_profile_oracle(mu, U)
+        assert got.keys() == expect.keys()
+        for V, (classes, by_meet) in got.items():
+            members, want_by_meet = expect[V]
+            assert Counter((w, rs) for w, rss in classes for rs in rss) == Counter(members)
+            assert by_meet == want_by_meet
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_E1_profile_by_class_equals_member_by_member(degree):
+    # every class measure of Sym(degree) and every U: the profile read off
+    # the class representative through the conjugators is the one every
+    # member's own transporters give
+    ambient = symmetric_group(degree)
+    subs, classes = enumerate_subgroups(degree)
+    for cls in classes:
+        mu = uniform_conjugate_measure(subs[cls[0]], ambient)
+        assert len(mu.classes()) == 1
+        assert_profile_equals_oracle(mu)
+
+
+def mixture(parts, ambient):
+    """The measure sum of w * mu over (w, mu) in parts, on disjoint supports."""
+    support = [(H, w * v) for w, mu in parts for H, v in mu.support]
+    return ConjInvariantMeasure(ambient, tuple(sorted(support, key=lambda Hw: Hw[0].elements)))
+
+
+def test_E1_profile_over_several_classes_with_unequal_weights():
+    # measures without conjugators: their classes are found by conjugacy
+    # orbits, and each class carries its own member weight
+    s4 = symmetric_group(4)
+    subs, classes = enumerate_subgroups(4)
+    cyclic = uniform_conjugate_measure(GeneratedGroup(4, [from_cycles(4, (0, 1, 2, 3))]), s4)
+    klein = point_mass(GeneratedGroup(4, [from_cycles(4, (0, 1), (2, 3)),
+                                          from_cycles(4, (0, 2), (1, 3))]), s4)
+    measures = [
+        mixture([(Fraction(1, 3), cyclic), (Fraction(2, 3), klein)], s4),
+        mixture([(Fraction(1, 4), uniform_conjugate_measure(subs[cls[0]], s4))
+                 for cls in classes[1:5]], s4),
+        stabilizer_measure(product_of_symmetric([2, 3])),  # weights 2/5 and 1/5
+    ]
+    for mu, n_classes, n_weights in zip(measures, (2, 4, 2), (2, 3, 2)):
+        assert mu.conjugators is None
+        assert len(mu.classes()) == n_classes
+        assert len({w for _, w, _ in mu.classes()}) == n_weights
+        assert sum(len(members) for _, _, members in mu.classes()) == len(mu.support)
+        assert_profile_equals_oracle(mu)
+        for U, V in disjoint_pairs(mu.ambient.degree):
+            restrictions = transporter(mu.ambient, U, V).restrictions
+            for A in (restrictions[:1], restrictions):
+                assert verify_E1(mu, U, V, A) == verify_E1_oracle(mu, U, V, A)
+
+
+def test_uniform_conjugate_measure_keeps_checked_conjugators():
+    # the i-th conjugator carries the first member onto the i-th, even when
+    # gamma is not the first member; equality and hashing ignore them
+    s4 = symmetric_group(4)
+    gamma = GeneratedGroup(4, [from_cycles(4, (0, 1))])
+    mu = uniform_conjugate_measure(gamma, s4)
+    assert mu.support[0][0].elements != tuple(sorted(gamma.elements))
+    first = mu.support[0][0].elements
+    assert mu.conjugators[0] == identity(4)
+    for (H, _), g in zip(mu.support, mu.conjugators):
+        assert tuple(sorted(conjugate(h, g) for h in first)) == H.elements
+    bare = ConjInvariantMeasure(mu.ambient, mu.support)
+    assert bare == mu and hash(bare) == hash(mu)
+    with pytest.raises(ValueError, match="one conjugator per support member"):
+        ConjInvariantMeasure(mu.ambient, mu.support, mu.conjugators[1:])
 
 
 def test_not_conj_invariant_raises_on_every_call():
