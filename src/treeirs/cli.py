@@ -20,7 +20,7 @@ import itertools
 import json
 import os
 import sys
-from math import exp, factorial
+from math import exp
 from operator import itemgetter
 
 from . import bounds as bnd
@@ -118,7 +118,7 @@ def _class_table(mu, degree: int) -> list:
     return table
 
 
-def class_tables(degree: int, cap: int = DEFAULT_CAP):
+def class_tables(degree: int):
     """The E1 and index rows of one subgroup per conjugacy class of
     subgroups of Sym(degree), for 1 <= degree <= 7.
 
@@ -128,21 +128,23 @@ def class_tables(degree: int, cap: int = DEFAULT_CAP):
     and table is R's ``_class_table``.  Classes come in order of R (by
     order, then sorted element list), as in ``perm.enumerate_subgroups``,
     whose cached walk degrees up to 6 reuse; degree 7 walks
-    ``perm.subgroup_classes``.  Each of mu's conjugators g is checked to
-    carry R onto its member H before R's rows are verified, since the E1
-    profile reads the other members through them: g^-1 R g is generated by
-    R's generators conjugated by g, so it equals H exactly when those lie in
-    H and |H| = |R|."""
+    ``perm.subgroup_classes``.  Each conjugator g of mu's one class
+    (``ConjInvariantMeasure.classes``) is checked to carry R onto its member
+    H before R's rows are verified, since the E1 profile reads the other
+    members through them: g^-1 R g is generated by R's generators
+    conjugated by g, so it equals H exactly when those lie in H and
+    |H| = |R|."""
     if degree <= 6:
         subs, classes = enumerate_subgroups(degree)
         reps = [subs[cls[0]] for cls in classes]
     else:
         reps = sorted((cls[0] for cls in subgroup_classes(degree)),
                       key=lambda G: (G.order, G.elements))
-    ambient = symmetric_group(degree, cap=max(cap, factorial(degree)))
-    for c, R in enumerate(reps):
-        mu = uniform_conjugate_measure(R, ambient)
-        for i, ((H, _), g) in enumerate(zip(mu.support, mu.conjugators)):
+    ambient = symmetric_group(degree)
+    for c, gamma in enumerate(reps):
+        mu = uniform_conjugate_measure(gamma, ambient)
+        (R, _, members), = mu.classes()
+        for i, (H, g) in enumerate(members):
             if H.order != R.order or not all(conjugate(a, g) in H for a in R.generators):
                 raise RuntimeError(f"no conjugator carries subgroup 0 of class {c} "
                                    f"onto subgroup {i} of class {c}")
@@ -163,8 +165,10 @@ def counting_rows(degree: int, cap: int) -> list[list]:
     sides of each inequality are the mu-measures of events that conjugation
     by g carries onto each other.  So gamma's row at (U, V) is R's row at
     (g^-1 U, g^-1 V), read off R's table.  Each conjugator g is the one mu
-    keeps for gamma, checked in ``class_tables``.  Each member's images of
-    its table's point sets are computed once, and each pair's text once."""
+    keeps for gamma in its class, checked in ``class_tables``.  Each
+    member's images of its table's point sets are computed once, and each
+    pair's text once.  ``cap`` has no effect: Sym(degree), degree <= 6, is
+    within ``DEFAULT_CAP``."""
     rows = []
     subs, _ = enumerate_subgroups(degree)
     gid_of = {G.elements: gid for gid, G in enumerate(subs)}
@@ -172,9 +176,9 @@ def counting_rows(degree: int, cap: int) -> list[list]:
     pair_id = {pair: i for i, pair in enumerate(pairs)}
     pair_txt = [(_pts(U), _pts(V)) for U, V in pairs]
     placed = {}
-    for mu, table in class_tables(degree, cap):
+    for mu, table in class_tables(degree):
         sets = {S for U, V, _, _ in table for S in (U, V)}
-        for (H, _), g in zip(mu.support, mu.conjugators):
+        for H, g in mu.classes()[0][2]:
             placed[gid_of[H.elements]] = (table, sets, g)
     for gid in range(len(subs)):
         table, sets, g = placed[gid]

@@ -110,24 +110,16 @@ class ConjInvariantMeasure:
     the ambient group (which generate all inner automorphisms).  The measure
     is immutable, so a check that passes is remembered on it and not run
     again; one that fails raises on every call.
-
-    ``conjugators``, when given, says the support is one conjugacy class:
-    the i-th carries the first member onto the i-th, an ambient element g
-    with support[i] = {conjugate(h, g) : h in support[0]}.  They are not
-    part of the measure's value, so ``==`` and ``hash`` ignore them.
     """
 
     ambient: GeneratedGroup
     support: tuple[tuple[GeneratedGroup, Fraction], ...]
-    conjugators: tuple[Perm, ...] | None = field(default=None, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = sum(w for _, w in self.support)
         if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
-        if self.conjugators is not None and len(self.conjugators) != len(self.support):
-            raise ValueError("need one conjugator per support member")
 
     def memo(self, key, build):
         """``build()``, computed once per ``key`` and kept on this measure,
@@ -156,17 +148,16 @@ class ConjInvariantMeasure:
         """The support split into ambient conjugacy classes, as (R, w,
         members): R is the class's first support member, w the weight of
         each member (constant on a class, by invariance, which is checked
-        first), and members the pairs (H, g) with H = {conjugate(r, g) : r
-        in R} and g in the ambient, R itself among them with the identity.
-        Without ``conjugators`` each class is found by ``conjugacy_orbit``
-        from its first member.  Kept on the measure."""
+        before the support is split), and members the pairs (H, g) with
+        H = {conjugate(r, g) : r in R} and g in the ambient, R itself among
+        them with the identity.
+        Each class is found by ``conjugacy_orbit`` from its first member,
+        except that ``uniform_conjugate_measure`` keeps the one class its
+        own orbit walk found.  Kept on the measure."""
         return self.memo("irs.classes", self._classes)
 
     def _classes(self):
         self.check_invariance()
-        if self.conjugators is not None:
-            members = tuple((H, g) for (H, _), g in zip(self.support, self.conjugators))
-            return ((self.support[0][0], self.support[0][1], members),)
         member = {H.element_set: H for H, _ in self.support}
         placed = set()
         out = []
@@ -194,9 +185,9 @@ def uniform_conjugate_measure(gamma: GeneratedGroup,
     generating the ambient group: the conjugates are found breadth-first by
     conjugating with the generators alone (``perm.conjugacy_orbit``), at a
     cost of |generators| |orbit| |gamma| conjugations.  The support is
-    ordered by sorted element list, and the measure keeps the conjugators
-    the walk gives, re-based onto the first member (unchanged when that is
-    gamma).
+    ordered by sorted element list.  The walk's conjugators, re-based onto
+    the first member (unchanged when that is gamma), are the measure's one
+    class (``ConjInvariantMeasure.classes``), kept on it from the start.
     """
     if not gamma.is_subgroup_of(ambient):
         raise NotASubgroup("gamma is not a subgroup of the ambient group")
@@ -204,8 +195,10 @@ def uniform_conjugate_measure(gamma: GeneratedGroup,
     back = inverse(orbit[0][1])
     conjs = [GeneratedGroup(gamma.degree, els, gamma.cap, _elements=els) for els, _ in orbit]
     w = Fraction(1, len(conjs))
-    return ConjInvariantMeasure(ambient, tuple((H, w) for H in conjs),
-                                tuple(compose(back, g) for _, g in orbit))
+    mu = ConjInvariantMeasure(ambient, tuple((H, w) for H in conjs))
+    members = tuple((H, compose(back, g)) for H, (_, g) in zip(conjs, orbit))
+    mu.memo("irs.classes", lambda: ((conjs[0], w, members),))
+    return mu
 
 
 def stabilizer_measure(ambient: GeneratedGroup) -> ConjInvariantMeasure:
@@ -360,29 +353,22 @@ def verify_E2(mu: ConjInvariantMeasure, side1, side2, B) -> VerifyResult:
         if b not in amb:
             raise ValueError("B must be a subset of the ambient group")
 
-    # what B does not change is kept on the measure, per pair of sides (at
-    # most 2^degree entries): L1, each member's pi_2(H), and (H_1, N_1) for
-    # each member, by support index, once it first passes the pi_2 test
-    L1, pi2H, normal = mu.memo(("irs.E2", side1, side2), lambda: (
-        amb.restricted(side1),
-        [frozenset(restrict(h, side2) for h in H.elements) for H, _ in mu.support],
-        {}))
+    L1 = amb.restricted(side1)
     pi2B = {restrict(b, side2) for b in B}
     Bset = set(B)
 
     lhs = Fraction(0)
     rhs = Fraction(0)
-    for i, (H, w) in enumerate(mu.support):
+    for H, w in mu.support:
         if Bset <= H.element_set:
             lhs += w
-        if not pi2B <= pi2H[i]:
+        pi2H = {restrict(h, side2) for h in H.elements}
+        if not pi2B <= pi2H:
             continue
-        if i not in normal:
-            H1 = frozenset(restrict(h, side1) for h in H.elements
-                           if all(h[x] == x for x in side2))
-            normal[i] = (H1, [n for n in L1.elements
-                              if frozenset(conjugate(h, n) for h in H1) == H1])
-        H1, N1 = normal[i]
+        H1 = frozenset(restrict(h, side1) for h in H.elements
+                       if all(h[x] == x for x in side2))
+        N1 = [n for n in L1.elements
+              if frozenset(conjugate(h, n) for h in H1) == H1]
         S = frozenset(compose(restrict(b, side1), h) for b in B for h in H1)
         classes = {frozenset(conjugate(s, n) for s in S) for n in N1}
         rhs += w * Fraction(1, len(classes))

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -8,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from treeirs import cli
+from treeirs import cli, irs
 from treeirs.cli import main
 from treeirs.irs import transporter, uniform_conjugate_measure, verify_E1, verify_index
 from treeirs.perm import (
@@ -401,16 +400,16 @@ def test_class_tables_follow_the_class_order():
 
 
 def with_wrong_conjugators(monkeypatch):
-    # each class measure's conjugators, composed with an extra transposition:
-    # they carry the class representative onto the wrong members
-    real = cli.uniform_conjugate_measure
+    # every conjugator perm.conjugacy_orbit gives, but the identity it gives
+    # its start, composed with an extra transposition: the class measures
+    # built on the walk then carry their first member onto the wrong members
+    real = irs.conjugacy_orbit
 
-    def wrong(gamma, ambient):
-        mu = real(gamma, ambient)
-        t = ambient.generators[0]
-        return dataclasses.replace(mu, conjugators=tuple(compose(g, t) for g in mu.conjugators))
+    def wrong(els, generators):
+        return {member: g if member == els else compose(g, generators[0])
+                for member, g in real(els, generators).items()}
 
-    monkeypatch.setattr(cli, "uniform_conjugate_measure", wrong)
+    monkeypatch.setattr(irs, "conjugacy_orbit", wrong)
 
 
 def test_counting_rows_refuses_a_wrong_conjugator(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -28,7 +29,6 @@ from treeirs.perm import (
     GeneratedGroup,
     alternating_group,
     close,
-    compose,
     conjugacy_orbit,
     conjugate,
     enumerate_subgroups,
@@ -352,38 +352,6 @@ def verify_index_oracle(gamma, Q, U, V, ambient):
     return VerifyResult(lhs, rhs, lhs <= rhs)
 
 
-def verify_E2_oracle(mu, side1, side2, B):
-    """``verify_E2`` recomputing every member's pi_2(H), H_1 and N_1 on each
-    call, as it did before they were kept on the measure."""
-    L1 = mu.ambient.restricted(side1)
-    pi2B = {restrict(b, side2) for b in B}
-    lhs = rhs = Fraction(0)
-    for H, w in mu.support:
-        if set(B) <= H.element_set:
-            lhs += w
-        if not pi2B <= {restrict(h, side2) for h in H.elements}:
-            continue
-        H1 = frozenset(restrict(h, side1) for h in H.elements
-                       if all(h[x] == x for x in side2))
-        N1 = [n for n in L1.elements if frozenset(conjugate(h, n) for h in H1) == H1]
-        S = frozenset(compose(restrict(b, side1), h) for b in B for h in H1)
-        rhs += w * Fraction(1, len({frozenset(conjugate(s, n) for s in S) for n in N1}))
-    return VerifyResult(lhs, rhs, lhs <= rhs)
-
-
-def test_verify_e2_equals_recomputing_oracle():
-    # one measure per subgroup, called for every B of one and two elements
-    # on both orders of the sides, so the kept member data is used warm and
-    # is kept apart per pair of sides
-    amb = product_of_symmetric([2, 3])
-    for lam in subgroups_of(amb):
-        mu = uniform_conjugate_measure(lam, amb)
-        Bs = [[b] for b in amb.elements[::7]] + [list(lam.elements[:2]), list(amb.elements[:2])]
-        for sides in (((0, 1), (2, 3, 4)), ((2, 3, 4), (0, 1))):
-            for B in Bs:
-                assert verify_E2(mu, *sides, B) == verify_E2_oracle(mu, *sides, B)
-
-
 def disjoint_pairs(degree):
     pts = range(degree)
     for ru in range(1, degree):
@@ -500,8 +468,8 @@ def mixture(parts, ambient):
 
 
 def test_E1_profile_over_several_classes_with_unequal_weights():
-    # measures without conjugators: their classes are found by conjugacy
-    # orbits, and each class carries its own member weight
+    # mixtures and a stabilizer measure: their classes are found by
+    # conjugacy orbits, and each class carries its own member weight
     s4 = symmetric_group(4)
     subs, classes = enumerate_subgroups(4)
     cyclic = uniform_conjugate_measure(GeneratedGroup(4, [from_cycles(4, (0, 1, 2, 3))]), s4)
@@ -514,7 +482,6 @@ def test_E1_profile_over_several_classes_with_unequal_weights():
         stabilizer_measure(product_of_symmetric([2, 3])),  # weights 2/5 and 1/5
     ]
     for mu, n_classes, n_weights in zip(measures, (2, 4, 2), (2, 3, 2)):
-        assert mu.conjugators is None
         assert len(mu.classes()) == n_classes
         assert len({w for _, w, _ in mu.classes()}) == n_weights
         assert sum(len(members) for _, _, members in mu.classes()) == len(mu.support)
@@ -525,21 +492,26 @@ def test_E1_profile_over_several_classes_with_unequal_weights():
                 assert verify_E1(mu, U, V, A) == verify_E1_oracle(mu, U, V, A)
 
 
-def test_uniform_conjugate_measure_keeps_checked_conjugators():
-    # the i-th conjugator carries the first member onto the i-th, even when
-    # gamma is not the first member; equality and hashing ignore them
+def test_uniform_conjugate_measure_keeps_its_class():
+    # the measure's one class is its support in order, each member with a
+    # conjugator carrying the first member onto it, even when gamma is not
+    # the first member; a copy finds the same class by conjugacy orbit
     s4 = symmetric_group(4)
     gamma = GeneratedGroup(4, [from_cycles(4, (0, 1))])
     mu = uniform_conjugate_measure(gamma, s4)
     assert mu.support[0][0].elements != tuple(sorted(gamma.elements))
-    first = mu.support[0][0].elements
-    assert mu.conjugators[0] == identity(4)
-    for (H, _), g in zip(mu.support, mu.conjugators):
-        assert tuple(sorted(conjugate(h, g) for h in first)) == H.elements
-    bare = ConjInvariantMeasure(mu.ambient, mu.support)
-    assert bare == mu and hash(bare) == hash(mu)
-    with pytest.raises(ValueError, match="one conjugator per support member"):
-        ConjInvariantMeasure(mu.ambient, mu.support, mu.conjugators[1:])
+    (R, w, members), = mu.classes()
+    assert R is mu.support[0][0] and w == Fraction(1, 6)
+    assert [H for H, _ in members] == [H for H, _ in mu.support]
+    assert members[0][1] == identity(4)
+    for H, g in members:
+        assert tuple(sorted(conjugate(r, g) for r in R.elements)) == H.elements
+    copy = dataclasses.replace(mu)
+    (R2, w2, members2), = copy.classes()
+    assert (R2, w2) == (R, w)
+    assert {H.elements for H, _ in members2} == {H.elements for H, _ in members}
+    for H, g in members2:
+        assert tuple(sorted(conjugate(r, g) for r in R.elements)) == H.elements
 
 
 def test_not_conj_invariant_raises_on_every_call():
