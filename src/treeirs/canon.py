@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .perm import ClosureExceedsCap, Perm
+from .perm import ClosureExceedsCap, Perm, _is_json_int
 from .tree import (ColourScheme, ColourSchemeMismatch, check_cone, check_label, child_colours,
                    cone_colour, cone_leaf_labels, cone_level_colours)
 from .tree import DepthMismatch  # noqa: F401  (callers import it from here too)
@@ -382,6 +382,8 @@ def orbit_census(d: int, depth: int, k: int, scheme: ColourScheme | None = None,
     The budget caps the number of subsets counted, as if each were visited.
     """
     parent_colour = cone_colour(d, depth, scheme, parent_colour)
+    if not _is_json_int(k):
+        raise ValueError(f"bad k {k!r}: not an int")
     n_leaves = d ** depth
     if leaf_label is not None:
         if scheme is None:

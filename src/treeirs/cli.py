@@ -37,7 +37,6 @@ from .irs import (
 from .perm import (
     DEFAULT_CAP,
     ClosureExceedsCap,
-    conjugate,
     enumerate_subgroups,
     load_group,
     product_of_symmetric,
@@ -128,12 +127,9 @@ def class_tables(degree: int):
     and table is R's ``_class_table``.  Classes come in order of R (by
     order, then sorted element list), as in ``perm.enumerate_subgroups``,
     whose cached walk degrees up to 6 reuse; degree 7 walks
-    ``perm.subgroup_classes``.  Each conjugator g of mu's one class
-    (``ConjInvariantMeasure.classes``) is checked to carry R onto its member
-    H before R's rows are verified, since the E1 profile reads the other
-    members through them: g^-1 R g is generated by R's generators
-    conjugated by g, so it equals H exactly when those lie in H and
-    |H| = |R|."""
+    ``perm.subgroup_classes``.  The E1 profile reads the other members
+    through the conjugators of mu's one class, which
+    ``ConjInvariantMeasure.classes`` checks as it finds them."""
     if degree <= 6:
         subs, classes = enumerate_subgroups(degree)
         reps = [subs[cls[0]] for cls in classes]
@@ -141,13 +137,8 @@ def class_tables(degree: int):
         reps = sorted((cls[0] for cls in subgroup_classes(degree)),
                       key=lambda G: (G.order, G.elements))
     ambient = symmetric_group(degree)
-    for c, gamma in enumerate(reps):
+    for gamma in reps:
         mu = uniform_conjugate_measure(gamma, ambient)
-        (R, _, members), = mu.classes()
-        for i, (H, g) in enumerate(members):
-            if H.order != R.order or not all(conjugate(a, g) in H for a in R.generators):
-                raise RuntimeError(f"no conjugator carries subgroup 0 of class {c} "
-                                   f"onto subgroup {i} of class {c}")
         yield mu, _class_table(mu, degree)
 
 
@@ -164,11 +155,11 @@ def counting_rows(degree: int, cap: int) -> list[list]:
     (g^-1 U, g^-1 V) onto gamma's at (U, V), keeping |A| and |Q|, and both
     sides of each inequality are the mu-measures of events that conjugation
     by g carries onto each other.  So gamma's row at (U, V) is R's row at
-    (g^-1 U, g^-1 V), read off R's table.  Each conjugator g is the one mu
-    keeps for gamma in its class, checked in ``class_tables``.  Each
-    member's images of its table's point sets are computed once, and each
-    pair's text once.  ``cap`` has no effect: Sym(degree), degree <= 6, is
-    within ``DEFAULT_CAP``."""
+    (g^-1 U, g^-1 V), read off R's table.  Each conjugator g is the one
+    ``ConjInvariantMeasure.classes`` finds and checks for gamma in mu's
+    class.  Each member's images of its table's point sets are computed
+    once, and each pair's text once.  ``cap`` has no effect: Sym(degree),
+    degree <= 6, is within ``DEFAULT_CAP``."""
     rows = []
     subs, _ = enumerate_subgroups(degree)
     gid_of = {G.elements: gid for gid, G in enumerate(subs)}

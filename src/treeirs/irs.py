@@ -106,10 +106,10 @@ class ConjInvariantMeasure:
     """A finitely supported measure on subgroups of ``ambient``.
 
     Subgroups in the support are deduplicated by element set; weights are
-    exact and sum to one.  Conjugation invariance is checked on generators of
-    the ambient group (which generate all inner automorphisms).  The measure
-    is immutable, so a check that passes is remembered on it and not run
-    again; one that fails raises on every call.
+    exact and sum to one.  Conjugation invariance is checked by ``classes``
+    on generators of the ambient group (which generate all inner
+    automorphisms).  The measure is immutable, so a check that passes is
+    remembered on it and not run again; one that fails raises on every call.
     """
 
     ambient: GeneratedGroup
@@ -129,45 +129,43 @@ class ConjInvariantMeasure:
         return memoized(self._memo, key, build)
 
     def check_invariance(self) -> None:
-        self.memo("irs.invariant", self._check_invariance)
-
-    def _check_invariance(self) -> bool:
-        weights = {H.element_set: w for H, w in self.support}
-        for g in self.ambient.generators:
-            for H, w in self.support:
-                key = frozenset(conjugate(h, g) for h in H.elements)
-                if weights.get(key) != w:
-                    raise NotConjInvariant(
-                        f"support not closed under conjugation by {g}")
-        return True
+        self.classes()
 
     def expectation(self, fn) -> Fraction:
         return sum((w * fn(H) for H, w in self.support), Fraction(0))
 
     def classes(self) -> tuple[tuple[GeneratedGroup, Fraction, tuple], ...]:
         """The support split into ambient conjugacy classes, as (R, w,
-        members): R is the class's first support member, w the weight of
-        each member (constant on a class, by invariance, which is checked
-        before the support is split), and members the pairs (H, g) with
-        H = {conjugate(r, g) : r in R} and g in the ambient, R itself among
-        them with the identity.
-        Each class is found by ``conjugacy_orbit`` from its first member,
-        except that ``uniform_conjugate_measure`` keeps the one class its
-        own orbit walk found.  Kept on the measure."""
+        members): R is the class's first support member, w each member's
+        weight, and members the pairs (H, g) in sorted element order, with
+        H = {conjugate(r, g) : r in R}, g in the ambient (the identity for R).
+        This is the invariance check: each class is walked once by
+        ``conjugacy_orbit`` from R, and every conjugate must be in the
+        support with weight w (``NotConjInvariant``).  Each conjugator g is
+        checked as it is read: g^-1 R g equals H exactly when |H| = |R| and
+        R's generators conjugated by g lie in H (``RuntimeError``, a fault
+        of the walk, otherwise).  Kept on the measure."""
         return self.memo("irs.classes", self._classes)
 
     def _classes(self):
-        self.check_invariance()
-        member = {H.element_set: H for H, _ in self.support}
-        placed = set()
+        unplaced = {H.element_set: (H, w) for H, w in self.support}
         out = []
         for R, w in self.support:
-            if R.element_set in placed:
+            if R.element_set not in unplaced:
                 continue
-            orbit = conjugacy_orbit(R.elements, self.ambient.generators)
-            members = tuple((member[frozenset(els)], g) for els, g in orbit.items())
-            placed.update(H.element_set for H, _ in members)
-            out.append((R, w, members))
+            c = len(out)
+            members = []
+            for i, (els, g) in enumerate(sorted(
+                    conjugacy_orbit(R.elements, self.ambient.generators).items())):
+                H, v = unplaced.pop(frozenset(els), (None, None))
+                if v != w:
+                    raise NotConjInvariant(f"support not closed under conjugation "
+                                           f"with constant weight {w} (class {c})")
+                if H.order != R.order or not all(conjugate(a, g) in H for a in R.generators):
+                    raise RuntimeError(f"no conjugator carries subgroup 0 of class {c} "
+                                       f"onto subgroup {i} of class {c}")
+                members.append((H, g))
+            out.append((R, w, tuple(members)))
         return tuple(out)
 
 
@@ -181,24 +179,19 @@ def uniform_conjugate_measure(gamma: GeneratedGroup,
                               ambient: GeneratedGroup) -> ConjInvariantMeasure:
     """Uniform measure over the distinct ambient-conjugates of gamma.
 
-    Like ``check_invariance``, this relies on ``ambient.generators``
-    generating the ambient group: the conjugates are found breadth-first by
-    conjugating with the generators alone (``perm.conjugacy_orbit``), at a
-    cost of |generators| |orbit| |gamma| conjugations.  The support is
-    ordered by sorted element list.  The walk's conjugators, re-based onto
-    the first member (unchanged when that is gamma), are the measure's one
-    class (``ConjInvariantMeasure.classes``), kept on it from the start.
+    Like ``ConjInvariantMeasure.classes``, this relies on
+    ``ambient.generators`` generating the ambient group: the conjugates are
+    found breadth-first by conjugating with the generators alone
+    (``perm.conjugacy_orbit``), at a cost of |generators| |orbit| |gamma|
+    conjugations.  The support is ordered by sorted element list, so its
+    first member is the one class's R.
     """
     if not gamma.is_subgroup_of(ambient):
         raise NotASubgroup("gamma is not a subgroup of the ambient group")
-    orbit = sorted(conjugacy_orbit(gamma.elements, ambient.generators).items())
-    back = inverse(orbit[0][1])
-    conjs = [GeneratedGroup(gamma.degree, els, gamma.cap, _elements=els) for els, _ in orbit]
+    conjs = [GeneratedGroup(gamma.degree, els, gamma.cap, _elements=els)
+             for els in sorted(conjugacy_orbit(gamma.elements, ambient.generators))]
     w = Fraction(1, len(conjs))
-    mu = ConjInvariantMeasure(ambient, tuple((H, w) for H in conjs))
-    members = tuple((H, compose(back, g)) for H, (_, g) in zip(conjs, orbit))
-    mu.memo("irs.classes", lambda: ((conjs[0], w, members),))
-    return mu
+    return ConjInvariantMeasure(ambient, tuple((H, w) for H in conjs))
 
 
 def stabilizer_measure(ambient: GeneratedGroup) -> ConjInvariantMeasure:

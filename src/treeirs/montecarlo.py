@@ -37,6 +37,7 @@ from .canon import (
     canon_full,  # noqa: F401
     orbit_census,
 )
+from .perm import _is_json_int
 from .tree import ColourScheme, check_label, check_tree, cone_leaf_labels
 
 _MASK64 = (1 << 64) - 1
@@ -158,6 +159,8 @@ def _count_matches(draw, same, pairs: int, trials: int, seed: int) -> int:
     """Number of t in range(trials) with ``same(*draw(TrialRng(seed, t)))``,
     where ``draw`` can return at most ``pairs`` distinct pairs; with
     ``pairs <= trials``, ``same`` is memoised for this run (module docstring)."""
+    if not _is_json_int(trials):
+        raise ValueError(f"bad trials {trials!r}: not an int")
     if trials < 0:
         raise ValueError("trials must be >= 0")
     trial_rng = TrialRng.for_seed(seed)
@@ -175,7 +178,9 @@ def _count_matches(draw, same, pairs: int, trials: int, seed: int) -> int:
 
 
 def _check_k(k: int, room: int, draws: int = 1, leaves: str = "leaves") -> None:
-    """Refuse a negative k, and ``draws`` disjoint k-subsets of ``room`` leaves."""
+    """Refuse a k that is no int or negative, or ``draws`` disjoint k-subsets of ``room`` leaves."""
+    if not _is_json_int(k):
+        raise ValueError(f"bad k {k!r}: not an int")
     if k < 0:
         raise ValueError(f"k={k} must be >= 0")
     if draws * k > room:

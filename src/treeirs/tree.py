@@ -167,9 +167,13 @@ class ColourScheme:
 # ---------------------------------------------------------------------------
 
 def check_cone(d: int, depth: int) -> None:
-    """Refuse a branching below 2 or a negative depth."""
+    """Refuse all but integers d >= 2 and depth >= 0 (bools too)."""
+    if not _is_json_int(d):
+        raise ValueError(f"bad d {d!r}: not an int")
     if d < 2:
         raise ValueError(f"need d >= 2, not {d}")
+    if not _is_json_int(depth):
+        raise DepthMismatch(f"bad depth {depth!r}: not an int")
     if depth < 0:
         raise DepthMismatch("negative depth")
 
@@ -182,14 +186,18 @@ def check_scheme(scheme: ColourScheme, d: int) -> ColourScheme:
 
 
 def check_colour(scheme: ColourScheme, colour: int) -> int:
-    """Refuse a colour outside D = {0..d}."""
+    """Refuse a colour that is not an integer in D = {0..d} (bools too)."""
+    if not _is_json_int(colour):
+        raise ColourSchemeMismatch(f"bad colour {colour!r}: not an int")
     if not 0 <= colour <= scheme.d:
         raise ColourSchemeMismatch(f"colour {colour} outside 0..{scheme.d}")
     return colour
 
 
 def check_label(scheme: ColourScheme, label: int, name: str) -> int:
-    """Refuse a label (an index into ``scheme.reps``) that names no orbit."""
+    """Refuse a label (an index into ``scheme.reps``) that is no int or names no orbit."""
+    if not _is_json_int(label):
+        raise ValueError(f"bad {name} {label!r}: not an int")
     if not 0 <= label < scheme.n_orbits:
         raise ValueError(f"{name} {label} out of range")
     return label

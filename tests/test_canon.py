@@ -700,3 +700,21 @@ def test_census_refusals():
     for k in (1, 9):
         with pytest.raises(ValueError, match="needs a colour scheme"):
             orbit_census(2, 3, k, parent_colour=0)
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: Matcher(2, 2.0), ValueError, "bad d 2.0: not an int"),
+    (lambda: Matcher(2, 2, ColourScheme.full(2), 1.0), ColourSchemeMismatch,
+     "bad colour 1.0: not an int"),
+    (lambda: canon_full((0,), 2.0, 2), DepthMismatch, "bad depth 2.0: not an int"),
+    (lambda: orbit_census(2, 2.0, 2), DepthMismatch, "bad depth 2.0: not an int"),
+    (lambda: orbit_census(2, 2, True), ValueError, "bad k True: not an int"),
+    (lambda: orbit_census(2, 2, 1, ColourScheme.full(2), 0, leaf_label=0.0), ValueError,
+     "bad leaf_label 0.0: not an int"),
+], ids=["matcher-d", "matcher-colour", "canon-full-depth", "census-depth", "census-k",
+        "census-leaf-label"])
+def test_cone_arguments_that_are_not_ints_are_refused(refused, error, message):
+    # Matcher(2, 2.0) matched (0,) with (1,), orbit_census(2, 2, True) and a
+    # float leaf label gave a census, and the rest died with a TypeError
+    with pytest.raises(error, match=message):
+        refused()

@@ -674,3 +674,27 @@ def test_bad_tree_parameters_are_bad_input(tmp_path, capsys, argv, message):
     if argv[-1] == "--scheme":
         argv = argv + [write_scheme(tmp_path, [[1, 0, 2]])]
     assert_refused_as_bad_input(tmp_path, capsys, argv, message)
+
+
+def test_counterexample_exits_1(tmp_path, capsys, monkeypatch):
+    # a row that fails is written with the others, both files, and the first
+    # failing row is reported
+    real = cli.verify_E2
+    calls = []
+
+    def fail_first(*args):
+        calls.append(args)
+        res = real(*args)
+        return irs.VerifyResult(res.rhs + 1, res.rhs, False) if len(calls) == 1 else res
+
+    monkeypatch.setattr(cli, "verify_E2", fail_first)
+    out = tmp_path / "verify.csv"
+    assert main(["verify-counting", "--degree", "3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("counterexample: ['E2', 5, 0, ")
+    lines = out.read_text().splitlines()
+    assert len(lines) == 98
+    assert [line.startswith("E2,5,0,") for line in lines if line.endswith("false")] == [True]
+    mirror = json.loads((tmp_path / "verify.json").read_text())
+    assert [row[-1] for row in mirror["rows"]].count("false") == 1

@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from conftest import listed_by_elements
+from treeirs import irs
 from treeirs.irs import (
     BadFactorization,
     BadTransporterSet,
@@ -29,6 +30,7 @@ from treeirs.perm import (
     GeneratedGroup,
     alternating_group,
     close,
+    compose,
     conjugacy_orbit,
     conjugate,
     enumerate_subgroups,
@@ -493,9 +495,10 @@ def test_E1_profile_over_several_classes_with_unequal_weights():
 
 
 def test_uniform_conjugate_measure_keeps_its_class():
-    # the measure's one class is its support in order, each member with a
-    # conjugator carrying the first member onto it, even when gamma is not
-    # the first member; a copy finds the same class by conjugacy orbit
+    # the one class that classes() walks from the first member is the
+    # support in order, each member with a conjugator carrying the first
+    # member onto it, even when gamma is not the first member; a copy walks
+    # the same class
     s4 = symmetric_group(4)
     gamma = GeneratedGroup(4, [from_cycles(4, (0, 1))])
     mu = uniform_conjugate_measure(gamma, s4)
@@ -553,3 +556,64 @@ def test_verify_e1_rejects_bad_A_with_warm_ambient():
         with pytest.raises(ValueError, match="restrictions of ambient"):
             verify_E1(point_mass(s4, s4), (0,), (1,), [(1,), (3,)])
     assert verify_E1(mu, (0,), (1,), [(1,)]).holds
+
+
+def test_verify_e1_refuses_a_wrong_conjugator(monkeypatch):
+    # the stabilizer measure's class is walked by irs.conjugacy_orbit; a walk
+    # that hands back wrong conjugators used to make verify_E1 relabel the
+    # wrong members and answer 1/4 on both sides
+    s4 = symmetric_group(4)
+    A = transporter(s4, (0,), (2,)).restrictions
+    half = Fraction(1, 2)
+    assert verify_E1(stabilizer_measure(s4), (0,), (2,), A) == VerifyResult(half, half, True)
+    real = irs.conjugacy_orbit
+
+    def wrong(els, generators):
+        return {member: g if member == els else compose(g, generators[0])
+                for member, g in real(els, generators).items()}
+
+    monkeypatch.setattr(irs, "conjugacy_orbit", wrong)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="no conjugator carries subgroup 0 of class 0"):
+            verify_E1(stabilizer_measure(s4), (0,), (2,), A)
+
+
+def test_unequal_weights_in_one_class_are_refused():
+    # the four point stabilizers of Sym(4) form one closed class; with
+    # weights 1/2, 1/6, 1/6, 1/6 the support is closed but not invariant
+    s4 = symmetric_group(4)
+    stabilizers = [H for H, _ in stabilizer_measure(s4).support]
+    weights = [Fraction(1, 2)] + [Fraction(1, 6)] * 3
+    bad = ConjInvariantMeasure(s4, tuple(zip(stabilizers, weights)))
+    A = transporter(s4, (0,), (1,)).restrictions
+    for refused in (bad.classes, bad.check_invariance,
+                    lambda: verify_E1(bad, (0,), (1,), A),
+                    lambda: verify_index(bad, [], (0,), (1,)),
+                    lambda: verify_E2(bad, (0, 1, 2, 3), (), [identity(4)])):
+        with pytest.raises(NotConjInvariant, match="not closed under conjugation"):
+            refused()
+
+
+S3 = symmetric_group(3)
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: transporter(S3, (0, 1), (1, 2)), ValueError, "U and V must be disjoint or equal"),
+    (lambda: ConjInvariantMeasure(S3, ((S3, Fraction(1, 2)),)), ValueError,
+     "weights sum to 1/2, not 1"),
+    (lambda: point_mass(symmetric_group(4), alternating_group(4)), NotASubgroup,
+     "H is not a subgroup of the ambient group"),
+    (lambda: verify_E1(point_mass(S3, S3), (), (1,), []), ValueError,
+     "U, V must be disjoint and non-empty"),
+    (lambda: verify_E1(point_mass(S3, S3), (0, 1), (1, 2), []), ValueError,
+     "U, V must be disjoint and non-empty"),
+    (lambda: verify_E2(point_mass(S3, S3), (0,), (1,), [identity(3)]), BadFactorization,
+     "side1, side2 must partition the points"),
+    (lambda: verify_E2(point_mass(alternating_group(3), alternating_group(3)),
+                       (0, 1, 2), (), [from_cycles(3, (0, 1))]), ValueError,
+     "B must be a subset of the ambient group"),
+], ids=["transporter-overlap", "weights", "point-mass", "E1-empty-U", "E1-overlap",
+        "E2-partition", "E2-B-outside"])
+def test_irs_refusals(refused, error, message):
+    with pytest.raises(error, match=message):
+        refused()

@@ -535,3 +535,32 @@ def test_exact_colormatch_pinned_value_and_refusals():
         exact_colormatch(s, 5, 4, 0, budget=5984)
     assert exact_colormatch(s, 2, 0, 0) == 1
     assert exact_colormatch(s, 2, 4, 0) == 0  # only 3 label-0 slots
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: estimate_treematch(2, 2, 2, trials=-1, seed=1), ValueError,
+     "trials must be >= 0"),
+    (lambda: exact_cut1(2, 2, 2, 2, budget=27), BudgetExceeded, "28 subsets exceed budget=27"),
+    (lambda: exact_cut2(2, 2, 2, 2, budget=419), BudgetExceeded, "420 pairs exceed budget=419"),
+], ids=["negative-trials", "cut1-budget", "cut2-budget"])
+def test_montecarlo_refusals(refused, error, message):
+    with pytest.raises(error, match=message):
+        refused()
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: estimate_treematch(2, 2, True, 10, 1), "bad k True: not an int"),
+    (lambda: estimate_cut1(2, 2, 1, True, 10, 1), "bad k True: not an int"),
+    (lambda: estimate_cut2(2, 2, 2, 1.0, 10, 1), "bad k 1.0: not an int"),
+    (lambda: estimate_colormatch(ColourScheme.full(2), 2, 1.0, 0, 10, 1),
+     "bad k 1.0: not an int"),
+    (lambda: exact_cut1(2, 2, 2, 2.0), "bad k 2.0: not an int"),
+    (lambda: estimate_treematch(2, 2, 2, 2.0, 1), "bad trials 2.0: not an int"),
+    (lambda: estimate_cut1(2, 2, 1, 2, True, 1), "bad trials True: not an int"),
+], ids=["treematch-bool-k", "cut1-bool-k", "cut2-float-k", "colormatch-float-k",
+        "exact-cut1-float-k", "float-trials", "bool-trials"])
+def test_counts_that_are_not_ints_are_refused(refused, message):
+    # a bool k came back in the estimate's params, and a float trials count
+    # died with a TypeError from range
+    with pytest.raises(ValueError, match=message):
+        refused()

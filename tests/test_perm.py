@@ -882,3 +882,14 @@ def test_group_json_roundtrip():
     data = group_to_json(G)
     H = group_from_json(data)
     assert H.element_set == G.element_set
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: from_cycles(3, (0, 1), (1, 2)), "cycles overlap"),
+    (lambda: close([]), "empty generating set needs an explicit degree"),
+    (lambda: close([(1, 0), (1, 2, 0)]), "generators of mixed degree"),
+    (lambda: close([(0, 0)]), "not a permutation"),
+], ids=["overlapping-cycles", "no-generators", "mixed-degree", "not-a-permutation"])
+def test_perm_refusals(refused, message):
+    with pytest.raises(ValueError, match=message):
+        refused()

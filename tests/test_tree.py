@@ -11,6 +11,9 @@ from treeirs.tree import (
     DepthMismatch,
     RootHasNoLabel,
     TreeShape,
+    check_colour,
+    check_cone,
+    check_label,
     child_colours,
     cone,
     cone_leaf_labels,
@@ -263,3 +266,20 @@ def test_cone_leaf_labels_lengths():
     labs = cone_leaf_labels(s, 0, 2)
     assert len(labs) == 4
     assert labs.count(0) == 3 and labs.count(1) == 1
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: check_cone(2.0, 1), ValueError, "bad d 2.0: not an int"),
+    (lambda: check_cone(2, True), DepthMismatch, "bad depth True: not an int"),
+    (lambda: check_colour(ColourScheme.full(2), 1.0), ColourSchemeMismatch,
+     "bad colour 1.0: not an int"),
+    (lambda: check_colour(ColourScheme.full(2), True), ColourSchemeMismatch,
+     "bad colour True: not an int"),
+    (lambda: check_label(ColourScheme.full(2), 0.0, "orbit"), ValueError,
+     "bad orbit 0.0: not an int"),
+], ids=["float-d", "bool-depth", "float-colour", "bool-colour", "float-label"])
+def test_cone_context_refuses_values_that_are_not_ints(refused, error, message):
+    # each passed the range test by value: check_cone returned, and
+    # check_colour and check_label gave the value back
+    with pytest.raises(error, match=message):
+        refused()
