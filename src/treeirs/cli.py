@@ -29,7 +29,7 @@ from .canon import orbit_census
 from .classify import classify_case, in_Pi, profile, root_colours
 from .irs import (
     kept_transporters,
-    uniform_conjugate_measure,
+    uniform_class_measure,
     verify_E1,
     verify_E2,
     verify_index,
@@ -37,12 +37,11 @@ from .irs import (
 from .perm import (
     DEFAULT_CAP,
     ClosureExceedsCap,
+    class_records,
     enumerate_subgroups,
     load_group,
     product_of_symmetric,
-    subgroup_classes,
-    subgroups_of,
-    symmetric_group,
+    symmetric_class_records,
 )
 from .tree import (ColourScheme, check_scheme, check_tree, cone_leaf_labels, level_depth,
                    scheme_from_json)
@@ -121,24 +120,20 @@ def class_tables(degree: int):
     """The E1 and index rows of one subgroup per conjugacy class of
     subgroups of Sym(degree), for 1 <= degree <= 7.
 
-    Yields (mu, table) one class at a time: mu is the uniform measure on the
-    class (``irs.uniform_conjugate_measure``), whose first support member R,
-    the class's least member by sorted element list, is the representative,
-    and table is R's ``_class_table``.  Classes come in order of R (by
-    order, then sorted element list), as in ``perm.enumerate_subgroups``,
-    whose cached walk degrees up to 6 reuse; degree 7 walks
-    ``perm.subgroup_classes``.  The E1 profile reads the other members
-    through the conjugators of mu's one class, which
-    ``ConjInvariantMeasure.classes`` checks as it finds them."""
-    if degree <= 6:
-        subs, classes = enumerate_subgroups(degree)
-        reps = [subs[cls[0]] for cls in classes]
-    else:
-        reps = sorted((cls[0] for cls in subgroup_classes(degree)),
-                      key=lambda G: (G.order, G.elements))
-    ambient = symmetric_group(degree)
-    for gamma in reps:
-        mu = uniform_conjugate_measure(gamma, ambient)
+    Yields (mu, table) one class at a time: mu is the uniform measure on
+    the class (``irs.uniform_class_measure``), built from its record in
+    ``perm.symmetric_class_records``, which degrees up to 6 share with
+    ``perm.enumerate_subgroups``.  Its first support member R, the class's
+    least member by sorted element list, is the representative, and table
+    is R's ``_class_table``.  Classes come in order of R (by order, then
+    sorted element list), as in ``perm.enumerate_subgroups``.  The E1
+    profile reads the other members through the record's conjugators,
+    which ``ConjInvariantMeasure.classes`` checks as it reads them."""
+    records = symmetric_class_records(degree)
+    ambient = records[0].ambient  # the one group every record was walked in
+    for rec in sorted(records, key=lambda rec: (rec.members[0][0].order,
+                                                rec.members[0][0].elements)):
+        mu = uniform_class_measure(rec, ambient)
         yield mu, _class_table(mu, degree)
 
 
@@ -156,9 +151,9 @@ def counting_rows(degree: int, cap: int) -> list[list]:
     sides of each inequality are the mu-measures of events that conjugation
     by g carries onto each other.  So gamma's row at (U, V) is R's row at
     (g^-1 U, g^-1 V), read off R's table.  Each conjugator g is the one
-    ``ConjInvariantMeasure.classes`` finds and checks for gamma in mu's
-    class.  Each member's images of its table's point sets are computed
-    once, and each pair's text once.  ``cap`` has no effect: Sym(degree),
+    ``ConjInvariantMeasure.classes`` reads from the class record and checks
+    for gamma in mu's class.  Each member's images of its table's point
+    sets are computed once, and each pair's text once.  ``cap`` has no effect: Sym(degree),
     degree <= 6, is within ``DEFAULT_CAP``."""
     rows = []
     subs, _ = enumerate_subgroups(degree)
@@ -190,12 +185,17 @@ def product_E2_rows(a: int, b: int) -> list[list]:
     0..a-1 and a..a+b-1: one per subgroup lambda (numbered as
     ``perm.subgroups_of`` orders them) and element x of lambda, checking
     ``verify_E2`` for B = {x} under the uniform measure on lambda's
-    conjugates."""
+    conjugates.  That measure is built once per class, from the class's
+    record (``perm.class_records``), and shared by its members' rows."""
     product = product_of_symmetric([a, b])
     side1, side2 = tuple(range(a)), tuple(range(a, a + b))
+    members = []
+    for rec in class_records(product):
+        mu = uniform_class_measure(rec, product)
+        members += [(lam, mu) for lam, _ in rec.members]
+    members.sort(key=lambda member: (member[0].order, member[0].elements))
     rows = []
-    for lid, lam in enumerate(subgroups_of(product)):
-        mu = uniform_conjugate_measure(lam, product)
+    for lid, (lam, mu) in enumerate(members):
         for x in lam.elements:
             res = verify_E2(mu, side1, side2, [x])
             rows.append(["E2", product.degree, lid, _pts(side1), _pts(side2),

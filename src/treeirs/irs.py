@@ -16,7 +16,9 @@ from math import factorial
 from .perm import (
     GeneratedGroup,
     Perm,
+    SubgroupClass,
     compose,
+    conjugacy_class,
     conjugacy_orbit,
     conjugate,
     inverse,
@@ -40,6 +42,10 @@ class BadFactorization(ValueError):
 
 class BadTransporterSet(ValueError):
     """An element of Q fails to carry U onto V."""
+
+
+class NotSymmetricAmbient(ValueError):
+    """The index bound was asked of a measure whose ambient is not Sym(X)."""
 
 
 PartialMap = tuple[int, ...]  # images of sorted(U), as raw points
@@ -105,9 +111,9 @@ def kept_transporters(H: GeneratedGroup, U) -> dict[tuple[int, ...], Transporter
 class ConjInvariantMeasure:
     """A finitely supported measure on subgroups of ``ambient``.
 
-    Subgroups in the support are deduplicated by element set; weights are
-    exact and sum to one.  Conjugation invariance is checked by ``classes``
-    on generators of the ambient group (which generate all inner
+    No two support members have the same element set (``ValueError``);
+    weights are exact and sum to one.  Conjugation invariance is checked by
+    ``classes`` on generators of the ambient group (which generate all inner
     automorphisms).  The measure is immutable, so a check that passes is
     remembered on it and not run again; one that fails raises on every call.
     """
@@ -120,6 +126,12 @@ class ConjInvariantMeasure:
         total = sum(w for _, w in self.support)
         if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
+        seen = set()
+        for H, _ in self.support:
+            if H.element_set in seen:
+                raise ValueError(f"the support lists the subgroup of order {H.order} "
+                                 f"generated by {list(H.generators)} twice")
+            seen.add(H.element_set)
 
     def memo(self, key, build):
         """``build()``, computed once per ``key`` and kept on this measure,
@@ -139,25 +151,33 @@ class ConjInvariantMeasure:
         members): R is the class's first support member, w each member's
         weight, and members the pairs (H, g) in sorted element order, with
         H = {conjugate(r, g) : r in R}, g in the ambient (the identity for R).
-        This is the invariance check: each class is walked once by
-        ``conjugacy_orbit`` from R, and every conjugate must be in the
-        support with weight w (``NotConjInvariant``).  Each conjugator g is
-        checked as it is read: g^-1 R g equals H exactly when |H| = |R| and
-        R's generators conjugated by g lie in H (``RuntimeError``, a fault
-        of the walk, otherwise).  Kept on the measure."""
+        This is the invariance check: each class is walked once, from R, and
+        every conjugate must be in the support with weight w
+        (``NotConjInvariant``).  A measure built from a class record
+        (``uniform_class_measure``) reads the record's members and
+        conjugators; any other walks ``conjugacy_orbit`` from R.  Each
+        conjugator g is checked as it is read: g^-1 R g equals H exactly when
+        |H| = |R| and R's generators conjugated by g lie in H
+        (``RuntimeError``, a fault of the walk, otherwise).  Kept on the
+        measure."""
         return self.memo("irs.classes", self._classes)
 
     def _classes(self):
         unplaced = {H.element_set: (H, w) for H, w in self.support}
+        record = self._memo.get("irs.record")
         out = []
         for R, w in self.support:
             if R.element_set not in unplaced:
                 continue
             c = len(out)
+            if record is None:
+                walk = [(frozenset(els), g) for els, g in
+                        sorted(conjugacy_orbit(R.elements, self.ambient.generators).items())]
+            else:
+                walk = [(H.element_set, g) for H, g in record.members]
             members = []
-            for i, (els, g) in enumerate(sorted(
-                    conjugacy_orbit(R.elements, self.ambient.generators).items())):
-                H, v = unplaced.pop(frozenset(els), (None, None))
+            for i, (key, g) in enumerate(walk):
+                H, v = unplaced.pop(key, (None, None))
                 if v != w:
                     raise NotConjInvariant(f"support not closed under conjugation "
                                            f"with constant weight {w} (class {c})")
@@ -175,23 +195,43 @@ def point_mass(H: GeneratedGroup, ambient: GeneratedGroup) -> ConjInvariantMeasu
     return ConjInvariantMeasure(ambient, ((H, Fraction(1)),))
 
 
+def uniform_class_measure(record: SubgroupClass,
+                          ambient: GeneratedGroup) -> ConjInvariantMeasure:
+    """Uniform measure on the members of a class record (``perm.class_records``,
+    ``perm.conjugacy_class``), which must have been walked in ``ambient``
+    (``NotConjInvariant`` otherwise: the record does not show that its
+    members are a whole class of another group).
+
+    The support is the record's members in its sorted element order, so its
+    first member is the class's R.  Each is a new group with the member's
+    generators and elements, so what the verifiers keep on R is freed with
+    the measure, not with the record.  ``classes`` reads the record's
+    conjugators, checking each, instead of walking the orbit again.
+    """
+    if record.ambient is not ambient and record.ambient != ambient:
+        raise NotConjInvariant("the class record was walked in another ambient group")
+    w = Fraction(1, len(record.members))
+    mu = ConjInvariantMeasure(ambient, tuple(
+        (GeneratedGroup(H.degree, H.generators, H.cap, _elements=H.elements), w)
+        for H, _ in record.members))
+    mu.memo("irs.record", lambda: record)
+    return mu
+
+
 def uniform_conjugate_measure(gamma: GeneratedGroup,
                               ambient: GeneratedGroup) -> ConjInvariantMeasure:
-    """Uniform measure over the distinct ambient-conjugates of gamma.
+    """Uniform measure over the distinct ambient-conjugates of gamma: the
+    ``uniform_class_measure`` of gamma's class, walked once by
+    ``perm.conjugacy_class``.
 
-    Like ``ConjInvariantMeasure.classes``, this relies on
-    ``ambient.generators`` generating the ambient group: the conjugates are
-    found breadth-first by conjugating with the generators alone
-    (``perm.conjugacy_orbit``), at a cost of |generators| |orbit| |gamma|
-    conjugations.  The support is ordered by sorted element list, so its
-    first member is the one class's R.
+    This relies on ``ambient.generators`` generating the ambient group: the
+    conjugates are found breadth-first by conjugating with the generators
+    alone, at a cost of |generators| |orbit| |gamma| conjugations.  Each
+    member carries gamma's generators, conjugated onto it.
     """
     if not gamma.is_subgroup_of(ambient):
         raise NotASubgroup("gamma is not a subgroup of the ambient group")
-    conjs = [GeneratedGroup(gamma.degree, els, gamma.cap, _elements=els)
-             for els in sorted(conjugacy_orbit(gamma.elements, ambient.generators))]
-    w = Fraction(1, len(conjs))
-    return ConjInvariantMeasure(ambient, tuple((H, w) for H in conjs))
+    return uniform_class_measure(conjugacy_class(gamma, ambient), ambient)
 
 
 def stabilizer_measure(ambient: GeneratedGroup) -> ConjInvariantMeasure:
@@ -300,8 +340,11 @@ def verify_index(nu: ConjInvariantMeasure, Q, U, V) -> VerifyResult:
     """Check P_nu(H meets Q) <= E_nu[|H|] |Q_U| / |U|!.
 
     Q must consist of permutations carrying U onto V; Q_U is the set of their
-    restrictions to U, deduplicated.  For the uniform measure on the
-    Sym(X)-conjugates of gamma the bound is |gamma| |Q_U| / |U|!.
+    restrictions to U, deduplicated.  The bound is a statement about
+    Sym(X)-invariant measures, so an ambient other than the whole symmetric
+    group of its points is refused (``NotSymmetricAmbient``): over a smaller
+    ambient it can fail for invariant measures.  For the uniform measure on
+    the Sym(X)-conjugates of gamma the bound is |gamma| |Q_U| / |U|!.
     """
     U = tuple(sorted(U))
     V = tuple(sorted(V))
@@ -310,6 +353,10 @@ def verify_index(nu: ConjInvariantMeasure, Q, U, V) -> VerifyResult:
     for q in Q:
         if {q[x] for x in U} != Vset:
             raise BadTransporterSet(f"element does not carry U onto V: {q}")
+    amb = nu.ambient
+    if amb.order != factorial(amb.degree):
+        raise NotSymmetricAmbient(f"the index bound needs the ambient Sym({amb.degree}), "
+                                  f"not a group of order {amb.order}")
     nu.check_invariance()
     Qset = set(Q)
     lhs = sum((w for H, w in nu.support if not Qset.isdisjoint(H.element_set)), Fraction(0))
@@ -317,6 +364,25 @@ def verify_index(nu: ConjInvariantMeasure, Q, U, V) -> VerifyResult:
     mean_order = nu.memo("irs.mean_order", lambda: nu.expectation(lambda H: H.order))
     rhs = mean_order * len(QU) / factorial(len(U))
     return VerifyResult(lhs, rhs, lhs <= rhs)
+
+
+def _E2_data(mu: ConjInvariantMeasure, side1, side2) -> list:
+    """What ``verify_E2`` needs of each support member, whatever B is: its
+    side-2 restriction pi_2(H), the side-1 restriction H_1 of its elements
+    that fix side2 pointwise, and the normalizer N_1 of H_1 in the side-1
+    restriction L_1 of the ambient, in support order.  Computed once per
+    measure and pair of sides and kept on the measure (at most 2^degree
+    entries)."""
+    def build():
+        L1 = mu.ambient.restricted(side1)
+        data = []
+        for H, _ in mu.support:
+            H1 = frozenset(restrict(h, side1) for h in H.elements
+                           if all(h[x] == x for x in side2))
+            N1 = [n for n in L1.elements if frozenset(conjugate(h, n) for h in H1) == H1]
+            data.append((frozenset(restrict(h, side2) for h in H.elements), H1, N1))
+        return data
+    return mu.memo(("irs.E2", side1, side2), build)
 
 
 def verify_E2(mu: ConjInvariantMeasure, side1, side2, B) -> VerifyResult:
@@ -329,7 +395,9 @@ def verify_E2(mu: ConjInvariantMeasure, side1, side2, B) -> VerifyResult:
     support, H_1 is the part of H acting trivially on side2, N_1 the
     normalizer of its side-1 restriction inside the side-1 restriction of the
     ambient, and the bound counts N_1-conjugates of the coset-like set
-    pi_1(B) H_1.
+    pi_1(B) H_1.  What does not depend on B is kept on the measure
+    (``_E2_data``), and read only once the sides, the invariance and B
+    have passed their checks.
     """
     side1 = tuple(sorted(side1))
     side2 = tuple(sorted(side2))
@@ -346,22 +414,16 @@ def verify_E2(mu: ConjInvariantMeasure, side1, side2, B) -> VerifyResult:
         if b not in amb:
             raise ValueError("B must be a subset of the ambient group")
 
-    L1 = amb.restricted(side1)
     pi2B = {restrict(b, side2) for b in B}
     Bset = set(B)
 
     lhs = Fraction(0)
     rhs = Fraction(0)
-    for H, w in mu.support:
+    for (H, w), (pi2H, H1, N1) in zip(mu.support, _E2_data(mu, side1, side2)):
         if Bset <= H.element_set:
             lhs += w
-        pi2H = {restrict(h, side2) for h in H.elements}
         if not pi2B <= pi2H:
             continue
-        H1 = frozenset(restrict(h, side1) for h in H.elements
-                       if all(h[x] == x for x in side2))
-        N1 = [n for n in L1.elements
-              if frozenset(conjugate(h, n) for h in H1) == H1]
         S = frozenset(compose(restrict(b, side1), h) for b in B for h in H1)
         classes = {frozenset(conjugate(s, n) for s in S) for n in N1}
         rhs += w * Fraction(1, len(classes))

@@ -18,6 +18,7 @@ from bisect import bisect_left
 from collections import deque
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 Perm = tuple[int, ...]
 
@@ -494,11 +495,10 @@ def _join_walk(seed_gens, ambient_elements, degree: int, conj_gens=()):
     join at least doubles the order, so a subgroup of order m is reached
     with at most log2(m) generators.
     Returns (generators, orbit) for each subgroup registered, in order of
-    discovery; the orbit is its conjugacy orbit under <conj_gens>
-    (``conjugacy_orbit``), mapping each member, a sorted element tuple, to
-    the generators conjugated onto it, held as the member's own element
-    objects so they cost no memory beyond their tuple.  With no
-    ``conj_gens`` the orbit is the subgroup alone and every subgroup is
+    discovery; the orbit is its conjugacy orbit under <conj_gens> as
+    ``conjugacy_orbit`` gives it, mapping each member, a sorted element
+    tuple, to a conjugator carrying the registered subgroup onto it.  With
+    no ``conj_gens`` the orbit is the subgroup alone and every subgroup is
     registered; with them one subgroup per conjugacy class is, because a
     join is skipped once any conjugate of it is known.
 
@@ -515,8 +515,7 @@ def _join_walk(seed_gens, ambient_elements, degree: int, conj_gens=()):
     todo = deque()
 
     def register(gens, eset):
-        orbit = {member: tuple(member[bisect_left(member, conjugate(a, g))] for a in gens)
-                 for member, g in conjugacy_orbit(eset, conj_gens).items()}
+        orbit = conjugacy_orbit(eset, conj_gens)
         known.update(frozenset(els) for els in orbit)
         found.append((gens, orbit))
         todo.append((gens, eset))
@@ -633,33 +632,88 @@ def _extend(H, gens, ambient: frozenset, alt: frozenset | None = None) -> frozen
     return frozenset(elements)
 
 
-def _sorted_groups(degree: int, walk) -> tuple[GeneratedGroup, ...]:
-    """The subgroups of a walk without conjugacy dedupe, by order, then by
-    sorted element list."""
-    groups = sorted(((gens, els) for gens, (els,) in walk), key=lambda ge: (len(ge[1]), ge[1]))
-    return tuple(GeneratedGroup(degree, gens, _elements=els) for gens, els in groups)
+class SubgroupClass(NamedTuple):
+    """One conjugacy class of subgroups of ``ambient``, the group it was
+    walked in.
 
-
-def subgroup_classes(degree: int) -> tuple[tuple[GeneratedGroup, ...], ...]:
-    """Conjugacy classes of subgroups of Sym(degree), for degree <= 7, in the
-    join walk's order of discovery.
-
-    Each class is the tuple of its members, by sorted element list, and each
-    member carries its element list and the walk's short generating set,
-    conjugated from the class representative.  Degree 7 has 96 classes and
-    11,300 subgroups and takes seconds; ``enumerate_subgroups`` stops at 6
-    and caches its answer, while this one keeps nothing once the caller
-    drops it.
+    ``members`` are the pairs (H, g) in sorted element order.  Each H holds
+    its sorted element list and generators conjugated from those of the
+    subgroup the walk started from; g is an element of the ambient carrying
+    the least member R = members[0][0] onto H, H = {conjugate(r, g) : r in
+    R}, and the identity for R.  ``irs`` checks each g as it reads it.
     """
+
+    ambient: GeneratedGroup
+    members: tuple[tuple[GeneratedGroup, Perm], ...]
+
+
+def _class_record(ambient: GeneratedGroup, gens, orbit) -> SubgroupClass:
+    """The record of a ``conjugacy_orbit`` walked from the subgroup <gens>:
+    each member carries ``gens`` conjugated onto it, held as the member's own
+    element objects, and the walk's conjugator re-based onto the least
+    member."""
+    items = sorted(orbit.items())
+    back = inverse(items[0][1])
+    return SubgroupClass(ambient, tuple(
+        (GeneratedGroup(ambient.degree, [els[bisect_left(els, conjugate(a, g))] for a in gens],
+                        _elements=els), compose(back, g))
+        for els, g in items))
+
+
+def conjugacy_class(H: GeneratedGroup, ambient: GeneratedGroup) -> SubgroupClass:
+    """The conjugacy class of H in ``ambient``, from one ``conjugacy_orbit``
+    walk over ``ambient.generators``, which must generate it; every member
+    carries H's generators conjugated."""
+    return _class_record(ambient, H.generators, conjugacy_orbit(H.elements, ambient.generators))
+
+
+def class_records(G: GeneratedGroup) -> tuple[SubgroupClass, ...]:
+    """One record per conjugacy class of subgroups of an explicitly
+    enumerable group G, in the join walk's order of discovery, walked over
+    G's elements in G's element order with G's generators as conjugators.
+    Every member carries the walk's short generating set, conjugated from
+    the subgroup the walk registered.  A G of more than ``DEFAULT_CAP``
+    elements is refused up front."""
+    if G.order > DEFAULT_CAP:
+        raise ClosureExceedsCap(f"ambient of order {G.order} exceeds cap={DEFAULT_CAP}")
+    return tuple(_class_record(G, gens, orbit)
+                 for gens, orbit in _join_walk((), G.elements, G.degree, G.generators))
+
+
+def _walk_symmetric(degree: int) -> tuple[SubgroupClass, ...]:
+    elements = tuple(sorted(itertools.permutations(range(degree))))
+    return class_records(GeneratedGroup(degree, symmetric_group(degree).generators,
+                                        _elements=elements))
+
+
+_kept_symmetric_records = lru_cache(maxsize=None)(_walk_symmetric)
+
+
+def symmetric_class_records(degree: int) -> tuple[SubgroupClass, ...]:
+    """``class_records`` of Sym(degree), for 1 <= degree <= 7, walked over
+    its elements in sorted order.  Degrees up to 6 are walked once and kept,
+    for ``enumerate_subgroups`` and ``cli.class_tables`` alike.  Degree 7
+    has 96 classes and 11,300 subgroups and takes seconds; it is walked on
+    every call and kept nowhere."""
     if degree < 1:
         raise ValueError("degree must be positive")
     if degree > 7:
         raise DegreeTooLarge("class-level subgroup enumeration supports degree <= 7")
-    ambient = tuple(sorted(itertools.permutations(range(degree))))
-    walk = _join_walk((), ambient, degree, symmetric_group(degree).generators)
-    return tuple(tuple(GeneratedGroup(degree, gens, _elements=els)
-                       for els, gens in sorted(orbit.items()))
-                 for _, orbit in walk)
+    return _kept_symmetric_records(degree) if degree <= 6 else _walk_symmetric(degree)
+
+
+def _by_order(groups) -> tuple[GeneratedGroup, ...]:
+    """``groups`` by order, then by sorted element list."""
+    return tuple(sorted(groups, key=lambda G: (G.order, G.elements)))
+
+
+def subgroup_classes(degree: int) -> tuple[tuple[GeneratedGroup, ...], ...]:
+    """Conjugacy classes of subgroups of Sym(degree), for degree <= 7, in the
+    join walk's order of discovery: the members of each of
+    ``symmetric_class_records(degree)``, by sorted element list, each with
+    its element list and the walk's short generating set, conjugated from
+    the class representative."""
+    return tuple(tuple(H for H, _ in rec.members) for rec in symmetric_class_records(degree))
 
 
 @lru_cache(maxsize=None)
@@ -676,8 +730,7 @@ def enumerate_subgroups(degree: int):
     if degree > 6:
         raise DegreeTooLarge("exhaustive subgroup enumeration supports degree <= 6")
     classes = subgroup_classes(degree)
-    subgroups = tuple(sorted((G for cls in classes for G in cls),
-                             key=lambda G: (G.order, G.elements)))
+    subgroups = _by_order(G for cls in classes for G in cls)
     index = {G.elements: i for i, G in enumerate(subgroups)}
     classes = tuple(tuple(sorted(index[G.elements] for G in cls)) for cls in classes)
     return subgroups, tuple(sorted(classes, key=lambda c: c[0]))
@@ -685,11 +738,9 @@ def enumerate_subgroups(degree: int):
 
 def subgroups_of(G: GeneratedGroup) -> tuple[GeneratedGroup, ...]:
     """All subgroups of an explicitly enumerable ambient group, by order,
-    then by sorted element list; fine for ambient orders in the hundreds.
-    An ambient of more than ``DEFAULT_CAP`` elements is refused up front."""
-    if G.order > DEFAULT_CAP:
-        raise ClosureExceedsCap(f"ambient of order {G.order} exceeds cap={DEFAULT_CAP}")
-    return _sorted_groups(G.degree, _join_walk((), G.elements, G.degree))
+    then by sorted element list: the members of ``class_records(G)``, which
+    refuses an ambient of more than ``DEFAULT_CAP`` elements up front."""
+    return _by_order(H for rec in class_records(G) for H, _ in rec.members)
 
 
 def overgroups_of_cycle(degree: int) -> tuple[GeneratedGroup, ...]:
@@ -704,7 +755,8 @@ def overgroups_of_cycle(degree: int) -> tuple[GeneratedGroup, ...]:
         raise ClosureExceedsCap(f"|Sym({degree})| exceeds cap={DEFAULT_CAP}")
     ambient = tuple(sorted(itertools.permutations(range(degree))))
     cycle = from_cycles(degree, tuple(range(degree)))
-    return _sorted_groups(degree, _join_walk((cycle,), ambient, degree))
+    return _by_order(GeneratedGroup(degree, gens, _elements=els)
+                     for gens, orbit in _join_walk((cycle,), ambient, degree) for els in orbit)
 
 
 # ---------------------------------------------------------------------------

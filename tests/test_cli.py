@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from treeirs import cli, irs
+from treeirs import cli, irs, perm
 from treeirs.cli import main
 from treeirs.irs import transporter, uniform_conjugate_measure, verify_E1, verify_index
 from treeirs.perm import (
@@ -400,16 +400,19 @@ def test_class_tables_follow_the_class_order():
 
 
 def with_wrong_conjugators(monkeypatch):
-    # every conjugator perm.conjugacy_orbit gives, but the identity it gives
-    # its start, composed with an extra transposition: the class measures
-    # built on the walk then carry their first member onto the wrong members
-    real = irs.conjugacy_orbit
+    # every conjugator of the class records the sweep reads, but the
+    # identity of each class's first member, composed with an extra
+    # transposition: the class measures built on the records then carry
+    # their first member onto the wrong members; the kept records are
+    # copied, not changed
+    real = cli.symmetric_class_records
 
-    def wrong(els, generators):
-        return {member: g if member == els else compose(g, generators[0])
-                for member, g in real(els, generators).items()}
+    def wrong(degree):
+        return tuple(rec._replace(members=tuple(
+            (H, g if i == 0 else compose(g, rec.ambient.generators[0]))
+            for i, (H, g) in enumerate(rec.members))) for rec in real(degree))
 
-    monkeypatch.setattr(irs, "conjugacy_orbit", wrong)
+    monkeypatch.setattr(cli, "symmetric_class_records", wrong)
 
 
 def test_counting_rows_refuses_a_wrong_conjugator(monkeypatch):
@@ -429,6 +432,28 @@ def test_internal_fault_exits_3(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("internal error: no conjugator carries subgroup")
     assert not out.exists() and not (tmp_path / "verify.json").exists()
+
+
+def test_cold_counting_rows_walk_each_class_once(monkeypatch):
+    # a cold counting_rows(6) walks each conjugacy orbit once: 56 for the
+    # classes of Sym(6) and 10 for those of Sym(2) x Sym(3), counted in
+    # every module that binds conjugacy_orbit; the measures read the
+    # walk's records instead of walking again
+    calls = []
+    real = perm.conjugacy_orbit
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    for module in (perm, irs, cli):
+        if getattr(module, "conjugacy_orbit", None) is real:
+            monkeypatch.setattr(module, "conjugacy_orbit", counted)
+    perm._kept_symmetric_records.cache_clear()
+    enumerate_subgroups.cache_clear()
+    rows = cli.counting_rows(6, DEFAULT_CAP)
+    assert len(rows) == 132181
+    assert len(calls) == 56 + 10
 
 
 def test_exceeded_cap_exits_2(tmp_path, capsys):

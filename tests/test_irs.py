@@ -7,13 +7,14 @@ from math import factorial
 import pytest
 
 from conftest import listed_by_elements
-from treeirs import irs
+from treeirs import cli, irs
 from treeirs.irs import (
     BadFactorization,
     BadTransporterSet,
     ConjInvariantMeasure,
     NotASubgroup,
     NotConjInvariant,
+    NotSymmetricAmbient,
     VerifyResult,
     _E1_profile,
     point_mass,
@@ -21,6 +22,7 @@ from treeirs.irs import (
     stabilizer_measure,
     transporter,
     transporters,
+    uniform_class_measure,
     uniform_conjugate_measure,
     verify_E1,
     verify_E2,
@@ -29,6 +31,7 @@ from treeirs.irs import (
 from treeirs.perm import (
     GeneratedGroup,
     alternating_group,
+    class_records,
     close,
     compose,
     conjugacy_orbit,
@@ -77,15 +80,22 @@ def uniform_conjugate_measure_oracle(gamma, ambient):
 
 
 def support_key(support):
-    return [(H.degree, H.generators, H.elements, w) for H, w in support]
+    return [(H.degree, H.elements, w) for H, w in support]
 
 
 def assert_measure_matches_oracle(ambient):
+    # the oracle's members are generated by their element lists; the
+    # measure's carry gamma's generators, conjugated by one ambient element
+    # that carries gamma onto the member
     for gamma in subgroups_of(ambient):
         mu = uniform_conjugate_measure(gamma, ambient)
         assert mu.ambient is ambient
         expect = uniform_conjugate_measure_oracle(gamma, ambient)
         assert support_key(mu.support) == support_key(expect), gamma.elements
+        for H, _ in mu.support:
+            assert any(H.generators == tuple(conjugate(a, g) for a in gamma.generators)
+                       and H.element_set == {conjugate(h, g) for h in gamma.elements}
+                       for g in ambient.elements), (gamma.elements, H.elements)
 
 
 def test_uniform_conjugate_measure_vs_bruteforce_product():
@@ -384,16 +394,22 @@ def with_class_measures(ambient):
 def test_verifiers_equal_recomputing_oracles(ambient):
     # one ambient object and one measure per conjugacy class for every
     # (U, V), so the kept ambient data, the remembered invariance, and the
-    # measure's E1 profiles and mean order are all used warm
+    # measure's E1 profiles and mean order are all used warm; the index
+    # bound is a Sym(X) statement, refused over the product
     pairs = list(disjoint_pairs(ambient.degree))
+    symmetric = ambient.order == factorial(ambient.degree)
     checked = 0
     for gamma, mu in with_class_measures(ambient):
         for U, V in pairs:
             tv = transporter(gamma, U, V)
             for A in (tv.restrictions, transporter(ambient, U, V).restrictions[:1]):
                 assert verify_E1(mu, U, V, A) == verify_E1_oracle(mu, U, V, A)
-            assert (verify_index(mu, tv.elements, U, V)
-                    == verify_index_oracle(gamma, tv.elements, U, V, ambient))
+            if symmetric:
+                assert (verify_index(mu, tv.elements, U, V)
+                        == verify_index_oracle(gamma, tv.elements, U, V, ambient))
+            else:
+                with pytest.raises(NotSymmetricAmbient):
+                    verify_index(mu, tv.elements, U, V)
             checked += 1
     assert checked == len(subgroups_of(ambient)) * len(pairs)
 
@@ -617,3 +633,172 @@ S3 = symmetric_group(3)
 def test_irs_refusals(refused, error, message):
     with pytest.raises(error, match=message):
         refused()
+
+
+def test_duplicated_support_is_refused():
+    # two copies of Sym(3) at weight 1/2 each are the point mass at Sym(3)
+    # written twice; verify_E1 used to answer 1/2 for it where the point
+    # mass answers 1
+    s3 = symmetric_group(3)
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match=r"subgroup of order 6 generated by .* twice"):
+        ConjInvariantMeasure(s3, ((s3, half), (s3, half)))
+    with pytest.raises(ValueError, match="twice"):  # the same elements, other generators
+        ConjInvariantMeasure(s3, ((s3, half), (GeneratedGroup(3, s3.elements), half)))
+    A = transporter(s3, (0,), (1,)).restrictions
+    assert verify_E1(point_mass(s3, s3), (0,), (1,), A) == VerifyResult(1, 1, True)
+
+
+def test_class_measures_read_their_records():
+    # a measure built from a class record finds its one class without a
+    # conjugacy orbit walk, and its members are new groups with the
+    # record's elements and generators
+    product = product_of_symmetric([2, 3])
+
+    def refused(*args):
+        raise AssertionError("conjugacy_orbit called")
+
+    for rec in class_records(product):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(irs, "conjugacy_orbit", refused)
+            mu = uniform_class_measure(rec, product)
+            (R, w, members), = mu.classes()
+        assert R is mu.support[0][0] and w == Fraction(1, len(rec.members))
+        assert [(H, g) for H, g in members] == [(H, g) for (H, _), (_, g)
+                                                 in zip(mu.support, rec.members)]
+        for (H, _), (G, g) in zip(mu.support, rec.members):
+            assert H is not G
+            assert (H.elements, H.generators) == (G.elements, G.generators)
+            assert H.element_set == {conjugate(r, g) for r in R.elements}
+
+
+def test_class_record_walked_in_another_ambient_is_refused():
+    # the record of a class of Sym(2) x Sym(3) is not a class of Sym(5), so
+    # no measure over Sym(5) is built from it; an equal product is accepted
+    product = product_of_symmetric([2, 3])
+    rec = next(rec for rec in class_records(product) if len(rec.members) == 3)
+    with pytest.raises(NotConjInvariant, match="walked in another ambient"):
+        uniform_class_measure(rec, symmetric_group(5))
+    with pytest.raises(NotConjInvariant, match="walked in another ambient"):
+        uniform_class_measure(rec, rigid_stabilizer(product, (2, 3, 4)))
+    mu = uniform_class_measure(rec, product_of_symmetric([2, 3]))
+    assert len(mu.classes()[0][2]) == 3
+
+
+def test_class_record_with_a_wrong_conjugator_is_refused():
+    # each conjugator is checked against R's few walk generators as the
+    # one class is read
+    s4 = symmetric_group(4)
+    rec = next(rec for rec in class_records(s4) if len(rec.members) == 6)
+    R = rec.members[0][0]
+    assert len(R.generators) == 1
+    swap = from_cycles(4, (0, 1))
+    bad = rec._replace(members=rec.members[:2] + (
+        (rec.members[2][0], compose(rec.members[2][1], swap)),) + rec.members[3:])
+    assert rec.members[2][0].element_set != {conjugate(r, bad.members[2][1]) for r in R.elements}
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="onto subgroup 2 of class 0"):
+            uniform_class_measure(bad, s4).classes()
+
+
+def W222():
+    """The level-2 group W(2,2,2) of T_{2,2}, of order 128."""
+    return GeneratedGroup(8, [from_cycles(8, (0, 4), (1, 5), (2, 6), (3, 7)),
+                              from_cycles(8, (0, 2), (1, 3)), from_cycles(8, (0, 1))])
+
+
+def test_verify_index_refuses_an_ambient_that_is_not_symmetric():
+    # over W(2,2,2), the uniform measure on the 8 conjugates of the swap of
+    # the two halves meets that swap's own transporter from U = (0,1,2,3)
+    # to V = (4,5,6,7) with probability 1/8, above the Sym(8) bound
+    # E[|H|] |Q_U| / |U|! = 1/12; that is no counterexample, since the bound
+    # is for Sym(X)-invariant measures, so the question is refused
+    W = W222()
+    assert W.order == 128
+    gamma = GeneratedGroup(8, [from_cycles(8, (0, 4), (1, 5), (2, 6), (3, 7))])
+    mu = uniform_conjugate_measure(gamma, W)
+    assert len(mu.support) == 8
+    U, V = (0, 1, 2, 3), (4, 5, 6, 7)
+    Q = transporter(gamma, U, V).elements
+    assert sum(w for H, w in mu.support if set(Q) & H.element_set) == Fraction(1, 8)
+    assert Fraction(2 * len({restriction_map(q, U) for q in Q}), factorial(4)) == Fraction(1, 12)
+    with pytest.raises(NotSymmetricAmbient, match="order 128"):
+        verify_index(mu, Q, U, V)
+    assert verify_E1(mu, U, V, transporter(gamma, U, V).restrictions).holds
+    product = product_of_symmetric([2, 3])
+    nu = uniform_conjugate_measure(GeneratedGroup(5, [from_cycles(5, (0, 1))]), product)
+    with pytest.raises(NotSymmetricAmbient, match="order 12"):
+        verify_index(nu, [], (0,), (1,))
+
+
+def verify_E2_oracle(mu, side1, side2, B):
+    """``verify_E2``'s loop as it was before its B-independent data was
+    kept on the measure: L_1, pi_2(H), H_1 and N_1 are rebuilt on every
+    call."""
+    side1 = tuple(sorted(side1))
+    side2 = tuple(sorted(side2))
+    ConjInvariantMeasure(mu.ambient, mu.support).check_invariance()
+    B = [tuple(b) for b in B]
+    L1 = mu.ambient.restricted(side1)
+    pi2B = {restrict(b, side2) for b in B}
+    Bset = set(B)
+    lhs = Fraction(0)
+    rhs = Fraction(0)
+    for H, w in mu.support:
+        if Bset <= H.element_set:
+            lhs += w
+        pi2H = {restrict(h, side2) for h in H.elements}
+        if not pi2B <= pi2H:
+            continue
+        H1 = frozenset(restrict(h, side1) for h in H.elements
+                       if all(h[x] == x for x in side2))
+        N1 = [n for n in L1.elements
+              if frozenset(conjugate(h, n) for h in H1) == H1]
+        S = frozenset(compose(restrict(b, side1), h) for b in B for h in H1)
+        classes = {frozenset(conjugate(s, n) for s in S) for n in N1}
+        rhs += w * Fraction(1, len(classes))
+    return VerifyResult(lhs, rhs, lhs <= rhs)
+
+
+@pytest.mark.parametrize("a, b", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_product_E2_rows_equal_the_per_call_oracle(a, b):
+    # every row of cli.product_E2_rows, verified with one measure per
+    # class and the kept E2 data, equals the per-call loop under a measure
+    # built for each subgroup on its own
+    product = product_of_symmetric([a, b])
+    side1, side2 = tuple(range(a)), tuple(range(a, a + b))
+    pts = lambda points: ";".join(map(str, points))
+    expect = []
+    for lid, lam in enumerate(subgroups_of(product)):
+        mu = uniform_conjugate_measure(lam, product)
+        for x in lam.elements:
+            res = verify_E2_oracle(mu, side1, side2, [x])
+            expect.append(["E2", a + b, lid, pts(side1), pts(side2),
+                           res.lhs.numerator, res.lhs.denominator,
+                           res.rhs.numerator, res.rhs.denominator, f"B={pts(x)}", res.holds])
+    assert cli.product_E2_rows(a, b) == expect
+
+
+def test_E2_refusals_come_before_the_kept_data(monkeypatch):
+    # a bad factorization reads no memo at all, and a measure that is not
+    # invariant reads only its class check, never the E2 data
+    keys = []
+    real = ConjInvariantMeasure.memo
+    monkeypatch.setattr(ConjInvariantMeasure, "memo",
+                        lambda self, key, build: keys.append(key) or real(self, key, build))
+    s4 = symmetric_group(4)
+    with pytest.raises(BadFactorization):
+        verify_E2(point_mass(s4, s4), (0, 1), (2, 3), [identity(4)])
+    assert keys == []
+    product = product_of_symmetric([2, 3])
+    bad = point_mass(GeneratedGroup(5, [from_cycles(5, (2, 3))]), product)
+    for _ in range(2):
+        with pytest.raises(NotConjInvariant):
+            verify_E2(bad, (0, 1), (2, 3, 4), [identity(5)])
+    assert keys == ["irs.classes", "irs.classes"]
+    good = uniform_conjugate_measure(GeneratedGroup(5, [from_cycles(5, (2, 3))]), product)
+    with pytest.raises(ValueError, match="subset of the ambient"):
+        verify_E2(good, (0, 1), (2, 3, 4), [from_cycles(5, (1, 2))])
+    assert ("irs.E2", (0, 1), (2, 3, 4)) not in keys
+    assert verify_E2(good, (0, 1), (2, 3, 4), [identity(5)]).holds
+    assert keys[-1] == ("irs.E2", (0, 1), (2, 3, 4))

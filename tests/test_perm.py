@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 import time
-from bisect import bisect_left
 from collections import deque
 from math import factorial, gcd
 
@@ -693,14 +692,15 @@ def test_double_coset_reps_vs_sweep_in_the_walk(monkeypatch):
 
     real = perm._double_cosets
     monkeypatch.setattr(perm, "_double_cosets", checked)
+    perm._kept_symmetric_records.cache_clear()  # walk degrees 1-6 afresh
     for degree in range(1, 7):
         perm.subgroup_classes(degree)
     subgroups_of(symmetric_group(5))
     subgroups_of(product_of_symmetric([2, 3]))
     overgroups_of_cycle(5)
-    # 93 class-level calls at degrees 1-6, one per subgroup of Sym(5) and of
+    # 93 class-level calls at degrees 1-6, one per class of Sym(5) and of
     # Sym(2) x Sym(3), and 5 over the 5-cycle
-    assert len(calls) == 93 + 156 + 16 + 5
+    assert len(calls) == 93 + 19 + 10 + 5
 
 
 def unreduced_join_walk_oracle(ambient_elements, degree, conj_gens):
@@ -709,9 +709,7 @@ def unreduced_join_walk_oracle(ambient_elements, degree, conj_gens):
     found, known, todo = [], set(), deque()
 
     def register(gens, eset):
-        orbit = {}
-        for els, g in conjugacy_orbit(eset, conj_gens).items():
-            orbit[els] = tuple(els[bisect_left(els, conjugate(a, g))] for a in gens)
+        orbit = conjugacy_orbit(eset, conj_gens)
         known.update(frozenset(els) for els in orbit)
         found.append((gens, orbit))
         todo.append((gens, eset))
@@ -754,8 +752,8 @@ def count_joins(monkeypatch):
 
 def test_join_walk_up_to_normalizer_vs_unreduced_oracle(monkeypatch):
     # one join per N(H)-orbit of double cosets registers the same subgroups,
-    # in the same order, with the same generators and conjugacy orbits, as
-    # joining every double coset, with far fewer joins
+    # in the same order, with the same generators, conjugacy orbits and
+    # conjugators, as joining every double coset, with far fewer joins
     joins = count_joins(monkeypatch)
     walk_joins, oracle_joins = [], []
     for degree in range(1, 7):
@@ -835,6 +833,35 @@ def test_conjugacy_orbit_gives_conjugators():
             assert tuple(sorted(conjugate(h, g) for h in H.elements)) == els
 
 
+W222 = GeneratedGroup(8, [from_cycles(8, (0, 4), (1, 5), (2, 6), (3, 7)),
+                          from_cycles(8, (0, 2), (1, 3)), from_cycles(8, (0, 1))])
+
+
+@pytest.mark.parametrize("amb, n_classes, n_subgroups", [
+    (symmetric_group(4), 11, 30), (product_of_symmetric([2, 3]), 10, 16), (W222, 177, 576),
+], ids=["S4", "S2xS3", "W222"])
+def test_class_records_over_any_ambient(amb, n_classes, n_subgroups):
+    # one record per class, walked in amb: its members are the brute-force
+    # conjugacy orbit of the least member R, in sorted element order, each
+    # generated by its generators, with a conjugator carrying R onto it
+    records = perm.class_records(amb)
+    members = [H for rec in records for H, _ in rec.members]
+    assert (len(records), len(members)) == (n_classes, n_subgroups)
+    assert len({H.elements for H in members}) == n_subgroups
+    assert sorted(members, key=lambda H: (H.order, H.elements)) == list(subgroups_of(amb))
+    for rec in records:
+        assert rec.ambient is amb
+        R = rec.members[0][0]
+        assert rec.members[0][1] == identity(amb.degree)
+        assert ([H.elements for H, _ in rec.members]
+                == sorted(conjugacy_orbit_oracle(R.elements, amb.elements)))
+        for H, g in rec.members:
+            assert g in amb
+            assert H.element_set == {conjugate(r, g) for r in R.elements}
+            assert H.generators == tuple(conjugate(a, g) for a in R.generators)
+            assert set(close(H.generators, degree=amb.degree)) == H.element_set
+
+
 def test_enumerate_subgroups_caches_one_entry_per_degree():
     # counting_rows asks for the lattice the way every other caller does,
     # so both calls share one cache entry
@@ -852,6 +879,8 @@ def test_large_ambients_refused_before_any_walk():
         overgroups_of_cycle(8)
     with pytest.raises(ClosureExceedsCap):
         subgroups_of(symmetric_group(8, cap=50_000))
+    with pytest.raises(ClosureExceedsCap):
+        perm.class_records(symmetric_group(8, cap=50_000))
     assert time.perf_counter() - start < 1.0
 
 

@@ -12,6 +12,8 @@ from conftest import (
     random_raw_pair,
     random_tree_pair,
 )
+from treeirs import perm
+from treeirs.classify import _block_lift
 from treeirs.perm import enumerate_subgroups, from_cycles
 from treeirs.thompson import (
     AddressTooShallow,
@@ -729,3 +731,53 @@ def test_calculus_digest_pinned():
                 h.update(repr(_fields(x)).encode())
     assert h.hexdigest() == \
         "efe9992b3b9375d35460f1117bdfa9488c0b088612f2d33098d7c5326f87053a"
+
+
+# ---------------------------------------------------------------------------
+# level permutations as tree pairs: sigma on the sorted level-n addresses
+# L_n is the pair (L_n, L_n, sigma), so perm's calculus is an oracle for
+# compose and reduce_pair, and tree pairs are one for classify._block_lift
+# ---------------------------------------------------------------------------
+
+LEVEL_SHAPES = [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (2, 2, 3), (3, 3, 2)]
+
+
+def level_pair(d, q, n, sigma):
+    """The tree pair of a permutation of the q*d^n level-n addresses."""
+    level = tuple(itertools.product(range(q), *[range(d)] * n))  # sorted
+    return TreePair(d, q, level, level, tuple(sigma))
+
+
+def assert_level_embedding(d, q, n, a, b):
+    # a homomorphism, and the same element as its lift one level down
+    assert (compose(level_pair(d, q, n, a), level_pair(d, q, n, b))
+            == reduce_pair(level_pair(d, q, n, perm.compose(a, b))))
+    assert (reduce_pair(level_pair(d, q, n, a))
+            == reduce_pair(level_pair(d, q, n + 1, _block_lift(a, d))))
+
+
+@pytest.mark.parametrize("d, q, n", LEVEL_SHAPES)
+def test_level_permutations_compose_as_tree_pairs(d, q, n):
+    rng = random.Random(f"level {d} {q} {n}")
+    points = range(q * d ** n)
+    for _ in range(300):
+        assert_level_embedding(d, q, n, tuple(rng.sample(points, len(points))),
+                               tuple(rng.sample(points, len(points))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LEVEL_SHAPES), st.data())
+def test_level_permutations_compose_as_tree_pairs_drawn(shape, data):
+    d, q, n = shape
+    points = range(q * d ** n)
+    a, b = (tuple(data.draw(st.permutations(points))) for _ in range(2))
+    assert_level_embedding(d, q, n, a, b)
+
+
+def test_level_group_embeds_injectively():
+    # W(2,2,2), the level-2 group of T_{2,2}, has 128 elements and as many
+    # reduced tree pairs
+    W = perm.GeneratedGroup(8, [from_cycles(8, (0, 4), (1, 5), (2, 6), (3, 7)),
+                                from_cycles(8, (0, 2), (1, 3)), from_cycles(8, (0, 1))])
+    assert W.order == 128
+    assert len({reduce_pair(level_pair(2, 2, 2, g)) for g in W.elements}) == 128
