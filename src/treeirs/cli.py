@@ -29,7 +29,7 @@ from .canon import orbit_census
 from .classify import classify_case, in_Pi, profile, root_colours
 from .irs import (
     kept_transporters,
-    uniform_class_measure,
+    uniform_conjugate_measure,
     verify_E1,
     verify_E2,
     verify_index,
@@ -120,20 +120,20 @@ def class_tables(degree: int):
     """The E1 and index rows of one subgroup per conjugacy class of
     subgroups of Sym(degree), for 1 <= degree <= 7.
 
-    Yields (mu, table) one class at a time: mu is the uniform measure on
-    the class (``irs.uniform_class_measure``), built from its record in
-    ``perm.symmetric_class_records``, which degrees up to 6 share with
-    ``perm.enumerate_subgroups``.  Its first support member R, the class's
-    least member by sorted element list, is the representative, and table
-    is R's ``_class_table``.  Classes come in order of R (by order, then
-    sorted element list), as in ``perm.enumerate_subgroups``.  The E1
-    profile reads the other members through the record's conjugators,
-    which ``ConjInvariantMeasure.classes`` checks as it reads them."""
+    Yields (mu, table) one class at a time: mu is the uniform measure
+    (``irs.uniform_conjugate_measure``) on the class of the least member R
+    of its record in ``perm.symmetric_class_records``, over the ambient the
+    records were walked in, so mu reads the record instead of walking the
+    class again.  R is mu's first support member and the representative,
+    and table is R's ``_class_table``.  Classes come in order of R (by
+    order, then sorted element list), as in ``perm.enumerate_subgroups``.
+    The E1 profile reads the other members through the record's
+    conjugators, which ``ConjInvariantMeasure.classes`` checks."""
     records = symmetric_class_records(degree)
     ambient = records[0].ambient  # the one group every record was walked in
-    for rec in sorted(records, key=lambda rec: (rec.members[0][0].order,
-                                                rec.members[0][0].elements)):
-        mu = uniform_class_measure(rec, ambient)
+    for R in sorted((rec.members[0][0] for rec in records),
+                    key=lambda R: (R.order, R.elements)):
+        mu = uniform_conjugate_measure(R, ambient)
         yield mu, _class_table(mu, degree)
 
 
@@ -185,13 +185,14 @@ def product_E2_rows(a: int, b: int) -> list[list]:
     0..a-1 and a..a+b-1: one per subgroup lambda (numbered as
     ``perm.subgroups_of`` orders them) and element x of lambda, checking
     ``verify_E2`` for B = {x} under the uniform measure on lambda's
-    conjugates.  That measure is built once per class, from the class's
-    record (``perm.class_records``), and shared by its members' rows."""
+    conjugates.  That measure is built once per class, from the least
+    member of its record (``perm.class_records``), and shared by its
+    members' rows."""
     product = product_of_symmetric([a, b])
     side1, side2 = tuple(range(a)), tuple(range(a, a + b))
     members = []
     for rec in class_records(product):
-        mu = uniform_class_measure(rec, product)
+        mu = uniform_conjugate_measure(rec.members[0][0], product)
         members += [(lam, mu) for lam, _ in rec.members]
     members.sort(key=lambda member: (member[0].order, member[0].elements))
     rows = []

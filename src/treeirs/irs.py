@@ -16,10 +16,8 @@ from math import factorial
 from .perm import (
     GeneratedGroup,
     Perm,
-    SubgroupClass,
     compose,
     conjugacy_class,
-    conjugacy_orbit,
     conjugate,
     inverse,
     memoized,
@@ -111,9 +109,10 @@ def kept_transporters(H: GeneratedGroup, U) -> dict[tuple[int, ...], Transporter
 class ConjInvariantMeasure:
     """A finitely supported measure on subgroups of ``ambient``.
 
-    No two support members have the same element set (``ValueError``);
-    weights are exact and sum to one.  Conjugation invariance is checked by
-    ``classes`` on generators of the ambient group (which generate all inner
+    Every support member is a subgroup of the ambient (``NotASubgroup``)
+    and no two have the same element set (``ValueError``); weights are
+    exact and sum to one.  Conjugation invariance is checked by ``classes``
+    on generators of the ambient group (which generate all inner
     automorphisms).  The measure is immutable, so a check that passes is
     remembered on it and not run again; one that fails raises on every call.
     """
@@ -128,9 +127,11 @@ class ConjInvariantMeasure:
             raise ValueError(f"weights sum to {total}, not 1")
         seen = set()
         for H, _ in self.support:
+            named = f"the subgroup of order {H.order} generated by {list(H.generators)}"
+            if not H.is_subgroup_of(self.ambient):
+                raise NotASubgroup(f"{named} is not a subgroup of the ambient group")
             if H.element_set in seen:
-                raise ValueError(f"the support lists the subgroup of order {H.order} "
-                                 f"generated by {list(H.generators)} twice")
+                raise ValueError(f"the support lists {named} twice")
             seen.add(H.element_set)
 
     def memo(self, key, build):
@@ -148,90 +149,62 @@ class ConjInvariantMeasure:
 
     def classes(self) -> tuple[tuple[GeneratedGroup, Fraction, tuple], ...]:
         """The support split into ambient conjugacy classes, as (R, w,
-        members): R is the class's first support member, w each member's
-        weight, and members the pairs (H, g) in sorted element order, with
-        H = {conjugate(r, g) : r in R}, g in the ambient (the identity for R).
-        This is the invariance check: each class is walked once, from R, and
-        every conjugate must be in the support with weight w
-        (``NotConjInvariant``).  A measure built from a class record
-        (``uniform_class_measure``) reads the record's members and
-        conjugators; any other walks ``conjugacy_orbit`` from R.  Each
-        conjugator g is checked as it is read: g^-1 R g equals H exactly when
-        |H| = |R| and R's generators conjugated by g lie in H
-        (``RuntimeError``, a fault of the walk, otherwise).  Kept on the
-        measure."""
+        members): R is the class's least support member by sorted element
+        list, w each member's weight, and members the pairs (H, g) in sorted
+        element order, with H = {conjugate(r, g) : r in R}, g in the ambient
+        (the identity for R).  This is the invariance check: each class is
+        read from ``perm.conjugacy_class`` of its first support member over
+        the ambient, and every member of the class must be in the support
+        with that member's weight (``NotConjInvariant``).  Each conjugator g
+        is checked as it is read: g^-1 R g equals H exactly when |H| = |R|
+        and R's generators conjugated by g lie in H (``RuntimeError``, a
+        fault of the walk, otherwise).  Kept on the measure."""
         return self.memo("irs.classes", self._classes)
 
     def _classes(self):
         unplaced = {H.element_set: (H, w) for H, w in self.support}
-        record = self._memo.get("irs.record")
         out = []
-        for R, w in self.support:
-            if R.element_set not in unplaced:
+        for first, w in self.support:
+            if first.element_set not in unplaced:
                 continue
             c = len(out)
-            if record is None:
-                walk = [(frozenset(els), g) for els, g in
-                        sorted(conjugacy_orbit(R.elements, self.ambient.generators).items())]
-            else:
-                walk = [(H.element_set, g) for H, g in record.members]
             members = []
-            for i, (key, g) in enumerate(walk):
-                H, v = unplaced.pop(key, (None, None))
+            for i, (member, g) in enumerate(conjugacy_class(first, self.ambient).members):
+                H, v = unplaced.pop(member.element_set, (None, None))
                 if v != w:
                     raise NotConjInvariant(f"support not closed under conjugation "
                                            f"with constant weight {w} (class {c})")
+                R = members[0][0] if members else H
                 if H.order != R.order or not all(conjugate(a, g) in H for a in R.generators):
                     raise RuntimeError(f"no conjugator carries subgroup 0 of class {c} "
                                        f"onto subgroup {i} of class {c}")
                 members.append((H, g))
-            out.append((R, w, tuple(members)))
+            out.append((members[0][0], w, tuple(members)))
         return tuple(out)
 
 
 def point_mass(H: GeneratedGroup, ambient: GeneratedGroup) -> ConjInvariantMeasure:
-    if not H.is_subgroup_of(ambient):
-        raise NotASubgroup("H is not a subgroup of the ambient group")
     return ConjInvariantMeasure(ambient, ((H, Fraction(1)),))
-
-
-def uniform_class_measure(record: SubgroupClass,
-                          ambient: GeneratedGroup) -> ConjInvariantMeasure:
-    """Uniform measure on the members of a class record (``perm.class_records``,
-    ``perm.conjugacy_class``), which must have been walked in ``ambient``
-    (``NotConjInvariant`` otherwise: the record does not show that its
-    members are a whole class of another group).
-
-    The support is the record's members in its sorted element order, so its
-    first member is the class's R.  Each is a new group with the member's
-    generators and elements, so what the verifiers keep on R is freed with
-    the measure, not with the record.  ``classes`` reads the record's
-    conjugators, checking each, instead of walking the orbit again.
-    """
-    if record.ambient is not ambient and record.ambient != ambient:
-        raise NotConjInvariant("the class record was walked in another ambient group")
-    w = Fraction(1, len(record.members))
-    mu = ConjInvariantMeasure(ambient, tuple(
-        (GeneratedGroup(H.degree, H.generators, H.cap, _elements=H.elements), w)
-        for H, _ in record.members))
-    mu.memo("irs.record", lambda: record)
-    return mu
 
 
 def uniform_conjugate_measure(gamma: GeneratedGroup,
                               ambient: GeneratedGroup) -> ConjInvariantMeasure:
     """Uniform measure over the distinct ambient-conjugates of gamma: the
-    ``uniform_class_measure`` of gamma's class, walked once by
-    ``perm.conjugacy_class``.
+    members of its ``perm.conjugacy_class``, in sorted element order, each
+    a new group with the member's generators and elements, so what the
+    verifiers keep on it is freed with the measure.
 
-    This relies on ``ambient.generators`` generating the ambient group: the
-    conjugates are found breadth-first by conjugating with the generators
-    alone, at a cost of |generators| |orbit| |gamma| conjugations.  Each
-    member carries gamma's generators, conjugated onto it.
+    The class is walked at most once per ambient, by conjugating with
+    ``ambient.generators`` alone, which must generate the ambient group:
+    |generators| |orbit| |gamma| conjugations.
     """
     if not gamma.is_subgroup_of(ambient):
         raise NotASubgroup("gamma is not a subgroup of the ambient group")
-    return uniform_class_measure(conjugacy_class(gamma, ambient), ambient)
+    members = conjugacy_class(gamma, ambient).members
+    w = Fraction(1, len(members))
+    return ConjInvariantMeasure(ambient, tuple(
+        (GeneratedGroup(H.degree, H.generators, H.cap, _elements=H.elements), w)
+        for H, _ in members))
 
 
 def stabilizer_measure(ambient: GeneratedGroup) -> ConjInvariantMeasure:
@@ -249,6 +222,17 @@ def stabilizer_measure(ambient: GeneratedGroup) -> ConjInvariantMeasure:
     items = [counts[k] for k in sorted(counts, key=lambda k: tuple(sorted(k)))]
     return ConjInvariantMeasure(
         ambient, tuple((H, Fraction(c, ambient.degree)) for H, c in items))
+
+
+def _sorted_points(degree: int, points) -> tuple[int, ...]:
+    """``points`` in sorted order, refused (``ValueError``) unless they are
+    distinct ints in 0..degree-1."""
+    points = tuple(points)
+    if not all(isinstance(x, int) and not isinstance(x, bool) and 0 <= x < degree
+               for x in points) or len(set(points)) != len(points):
+        raise ValueError(f"points must be distinct integers in 0..{degree - 1}, "
+                         f"not {points}")
+    return tuple(sorted(points))
 
 
 @dataclass(frozen=True)
@@ -317,8 +301,8 @@ def verify_E1(mu: ConjInvariantMeasure, U, V, A) -> VerifyResult:
     the meet size m, so the rhs is a sum over the meet sizes of the support
     (``_E1_profile``).
     """
-    U = tuple(sorted(U))
-    V = tuple(sorted(V))
+    U = _sorted_points(mu.ambient.degree, U)
+    V = _sorted_points(mu.ambient.degree, V)
     if not U or not V or set(U) & set(V):
         raise ValueError("U, V must be disjoint and non-empty")
     mu.check_invariance()
@@ -346,8 +330,8 @@ def verify_index(nu: ConjInvariantMeasure, Q, U, V) -> VerifyResult:
     ambient it can fail for invariant measures.  For the uniform measure on
     the Sym(X)-conjugates of gamma the bound is |gamma| |Q_U| / |U|!.
     """
-    U = tuple(sorted(U))
-    V = tuple(sorted(V))
+    U = _sorted_points(nu.ambient.degree, U)
+    V = _sorted_points(nu.ambient.degree, V)
     Q = [tuple(q) for q in Q]
     Vset = set(V)
     for q in Q:
@@ -395,9 +379,14 @@ def verify_E2(mu: ConjInvariantMeasure, side1, side2, B) -> VerifyResult:
     support, H_1 is the part of H acting trivially on side2, N_1 the
     normalizer of its side-1 restriction inside the side-1 restriction of the
     ambient, and the bound counts N_1-conjugates of the coset-like set
-    pi_1(B) H_1.  What does not depend on B is kept on the measure
+    S = pi_1(B) H_1.  What does not depend on B is kept on the measure
     (``_E2_data``), and read only once the sides, the invariance and B
     have passed their checks.
+
+    The count is |N_1| over the stabilizer of S, found with |N_1| |pi_1(B)|
+    conjugations: every n in N_1 normalizes H_1, so S^n is the union of the
+    cosets b^n H_1, b in pi_1(B).  S is closed under right multiplication
+    by H_1, so S^n lies in S, and then equals it, exactly when every b^n does.
     """
     side1 = tuple(sorted(side1))
     side2 = tuple(sorted(side2))
@@ -414,6 +403,7 @@ def verify_E2(mu: ConjInvariantMeasure, side1, side2, B) -> VerifyResult:
         if b not in amb:
             raise ValueError("B must be a subset of the ambient group")
 
+    pi1B = {restrict(b, side1) for b in B}
     pi2B = {restrict(b, side2) for b in B}
     Bset = set(B)
 
@@ -424,7 +414,7 @@ def verify_E2(mu: ConjInvariantMeasure, side1, side2, B) -> VerifyResult:
             lhs += w
         if not pi2B <= pi2H:
             continue
-        S = frozenset(compose(restrict(b, side1), h) for b in B for h in H1)
-        classes = {frozenset(conjugate(s, n) for s in S) for n in N1}
-        rhs += w * Fraction(1, len(classes))
+        S = {compose(b, h) for b in pi1B for h in H1}
+        fixing = sum(1 for n in N1 if all(conjugate(b, n) in S for b in pi1B))
+        rhs += w * Fraction(fixing, len(N1))
     return VerifyResult(lhs, rhs, lhs <= rhs)

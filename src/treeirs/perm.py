@@ -647,36 +647,53 @@ class SubgroupClass(NamedTuple):
     members: tuple[tuple[GeneratedGroup, Perm], ...]
 
 
-def _class_record(ambient: GeneratedGroup, gens, orbit) -> SubgroupClass:
-    """The record of a ``conjugacy_orbit`` walked from the subgroup <gens>:
-    each member carries ``gens`` conjugated onto it, held as the member's own
-    element objects, and the walk's conjugator re-based onto the least
-    member."""
+def _filed_members(ambient: GeneratedGroup, gens, orbit) -> tuple:
+    """The members of a class record, from a ``conjugacy_orbit`` walked from
+    the subgroup <gens>, filed in the ambient's class table under each
+    member's element set.  Each member carries ``gens`` conjugated onto it,
+    held as the member's own element objects, and the walk's conjugator
+    re-based onto the least member.  The table holds members, not records,
+    so it makes no reference cycle through the ambient, which is then freed
+    as soon as it is dropped."""
     items = sorted(orbit.items())
     back = inverse(items[0][1])
-    return SubgroupClass(ambient, tuple(
+    members = tuple(
         (GeneratedGroup(ambient.degree, [els[bisect_left(els, conjugate(a, g))] for a in gens],
                         _elements=els), compose(back, g))
-        for els, g in items))
+        for els, g in items)
+    table = ambient.memo("perm.classes", dict)
+    for H, _ in members:
+        table[H.element_set] = members
+    return members
 
 
 def conjugacy_class(H: GeneratedGroup, ambient: GeneratedGroup) -> SubgroupClass:
-    """The conjugacy class of H in ``ambient``, from one ``conjugacy_orbit``
-    walk over ``ambient.generators``, which must generate it; every member
-    carries H's generators conjugated."""
-    return _class_record(ambient, H.generators, conjugacy_orbit(H.elements, ambient.generators))
+    """The record of the conjugacy class of H, a subgroup of ``ambient``.
+
+    The ambient keeps one table of class members on its memo, keyed by
+    member element set: at most one entry per subgroup, freed with the
+    ambient.  Only a miss walks the class, by ``conjugacy_orbit`` over
+    ``ambient.generators``, which must generate it; every member then
+    carries H's generators conjugated.  ``class_records`` files every class
+    it walks in the same table."""
+    members = ambient.memo("perm.classes", dict).get(H.element_set)
+    if members is None:
+        members = _filed_members(ambient, H.generators,
+                                 conjugacy_orbit(H.elements, ambient.generators))
+    return SubgroupClass(ambient, members)
 
 
 def class_records(G: GeneratedGroup) -> tuple[SubgroupClass, ...]:
     """One record per conjugacy class of subgroups of an explicitly
     enumerable group G, in the join walk's order of discovery, walked over
-    G's elements in G's element order with G's generators as conjugators.
-    Every member carries the walk's short generating set, conjugated from
-    the subgroup the walk registered.  A G of more than ``DEFAULT_CAP``
-    elements is refused up front."""
+    G's elements in G's element order with G's generators as conjugators,
+    and filed in G's class table (``conjugacy_class``).  Every member
+    carries the walk's short generating set, conjugated from the subgroup
+    the walk registered.  A G of more than ``DEFAULT_CAP`` elements is
+    refused up front."""
     if G.order > DEFAULT_CAP:
         raise ClosureExceedsCap(f"ambient of order {G.order} exceeds cap={DEFAULT_CAP}")
-    return tuple(_class_record(G, gens, orbit)
+    return tuple(SubgroupClass(G, _filed_members(G, gens, orbit))
                  for gens, orbit in _join_walk((), G.elements, G.degree, G.generators))
 
 
@@ -707,15 +724,6 @@ def _by_order(groups) -> tuple[GeneratedGroup, ...]:
     return tuple(sorted(groups, key=lambda G: (G.order, G.elements)))
 
 
-def subgroup_classes(degree: int) -> tuple[tuple[GeneratedGroup, ...], ...]:
-    """Conjugacy classes of subgroups of Sym(degree), for degree <= 7, in the
-    join walk's order of discovery: the members of each of
-    ``symmetric_class_records(degree)``, by sorted element list, each with
-    its element list and the walk's short generating set, conjugated from
-    the class representative."""
-    return tuple(tuple(H for H, _ in rec.members) for rec in symmetric_class_records(degree))
-
-
 @lru_cache(maxsize=None)
 def enumerate_subgroups(degree: int):
     """All subgroups of Sym(degree), each exactly once, plus conjugacy classes.
@@ -729,10 +737,10 @@ def enumerate_subgroups(degree: int):
     """
     if degree > 6:
         raise DegreeTooLarge("exhaustive subgroup enumeration supports degree <= 6")
-    classes = subgroup_classes(degree)
-    subgroups = _by_order(G for cls in classes for G in cls)
-    index = {G.elements: i for i, G in enumerate(subgroups)}
-    classes = tuple(tuple(sorted(index[G.elements] for G in cls)) for cls in classes)
+    records = symmetric_class_records(degree)
+    subgroups = _by_order(H for rec in records for H, _ in rec.members)
+    index = {H.elements: i for i, H in enumerate(subgroups)}
+    classes = tuple(tuple(sorted(index[H.elements] for H, _ in rec.members)) for rec in records)
     return subgroups, tuple(sorted(classes, key=lambda c: c[0]))
 
 

@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
+from treeirs import perm
 from treeirs.canon import _block_split
-from treeirs.perm import GeneratedGroup
+from treeirs.perm import GeneratedGroup, compose
 from treeirs.thompson import TreePair, reduce_pair
 from treeirs.tree import ColourScheme, TreeShape, child_colours, orbit_label
 
@@ -111,3 +114,30 @@ def random_coloured_image(rng, E, depth: int, scheme: ColourScheme,
 def listed_by_elements(G):
     """G again, with its whole element list as its generators."""
     return GeneratedGroup(G.degree, G.elements, G.cap, _elements=G.elements)
+
+
+@pytest.fixture
+def wrong_conjugators(monkeypatch):
+    """A function that makes every conjugacy orbit walked from then on hand
+    back wrong conjugators: each member but the start gets its conjugator
+    composed with the first generator.  The kept class records of Sym(1..6)
+    and ``enumerate_subgroups``' cache are emptied when it is called, so
+    their walks are cold, and again after the test, so no faulty record
+    outlives it."""
+    real = perm.conjugacy_orbit
+
+    def wrong(els, generators):
+        start = tuple(sorted(els))
+        return {member: g if member == start else compose(g, generators[0])
+                for member, g in real(els, generators).items()}
+
+    def clear():
+        perm._kept_symmetric_records.cache_clear()
+        perm.enumerate_subgroups.cache_clear()
+
+    def inject():
+        clear()
+        monkeypatch.setattr(perm, "conjugacy_orbit", wrong)
+
+    yield inject
+    clear()

@@ -14,7 +14,6 @@ from treeirs.perm import (
     DEFAULT_CAP,
     DegreeTooLarge,
     GeneratedGroup,
-    compose,
     enumerate_subgroups,
     from_cycles,
     group_to_json,
@@ -399,33 +398,17 @@ def test_class_tables_follow_the_class_order():
         next(cli.class_tables(8))
 
 
-def with_wrong_conjugators(monkeypatch):
-    # every conjugator of the class records the sweep reads, but the
-    # identity of each class's first member, composed with an extra
-    # transposition: the class measures built on the records then carry
-    # their first member onto the wrong members; the kept records are
-    # copied, not changed
-    real = cli.symmetric_class_records
-
-    def wrong(degree):
-        return tuple(rec._replace(members=tuple(
-            (H, g if i == 0 else compose(g, rec.ambient.generators[0]))
-            for i, (H, g) in enumerate(rec.members))) for rec in real(degree))
-
-    monkeypatch.setattr(cli, "symmetric_class_records", wrong)
-
-
-def test_counting_rows_refuses_a_wrong_conjugator(monkeypatch):
+def test_counting_rows_refuses_a_wrong_conjugator(wrong_conjugators):
     # each conjugator is checked before a row is read through it, and the
     # sweep raises instead of relabelling
-    with_wrong_conjugators(monkeypatch)
+    wrong_conjugators()
     with pytest.raises(RuntimeError, match="no conjugator carries subgroup"):
         cli.counting_rows(3, DEFAULT_CAP)
 
 
-def test_internal_fault_exits_3(tmp_path, capsys, monkeypatch):
+def test_internal_fault_exits_3(tmp_path, capsys, wrong_conjugators):
     # a failed conjugator check is a fault of the program, not of the input
-    with_wrong_conjugators(monkeypatch)
+    wrong_conjugators()
     out = tmp_path / "verify.csv"
     assert main(["verify-counting", "--degree", "3", "--out", str(out)]) == 3
     captured = capsys.readouterr()

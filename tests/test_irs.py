@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from conftest import listed_by_elements
-from treeirs import cli, irs
+from treeirs import cli, perm
 from treeirs.irs import (
     BadFactorization,
     BadTransporterSet,
@@ -22,7 +22,6 @@ from treeirs.irs import (
     stabilizer_measure,
     transporter,
     transporters,
-    uniform_class_measure,
     uniform_conjugate_measure,
     verify_E1,
     verify_E2,
@@ -574,24 +573,19 @@ def test_verify_e1_rejects_bad_A_with_warm_ambient():
     assert verify_E1(mu, (0,), (1,), [(1,)]).holds
 
 
-def test_verify_e1_refuses_a_wrong_conjugator(monkeypatch):
-    # the stabilizer measure's class is walked by irs.conjugacy_orbit; a walk
-    # that hands back wrong conjugators used to make verify_E1 relabel the
-    # wrong members and answer 1/4 on both sides
+def test_verify_e1_refuses_a_wrong_conjugator(wrong_conjugators):
+    # the stabilizer measure's class is walked by perm.conjugacy_orbit; a
+    # walk that hands back wrong conjugators used to make verify_E1 relabel
+    # the wrong members and answer 1/4 on both sides
     s4 = symmetric_group(4)
     A = transporter(s4, (0,), (2,)).restrictions
     half = Fraction(1, 2)
     assert verify_E1(stabilizer_measure(s4), (0,), (2,), A) == VerifyResult(half, half, True)
-    real = irs.conjugacy_orbit
-
-    def wrong(els, generators):
-        return {member: g if member == els else compose(g, generators[0])
-                for member, g in real(els, generators).items()}
-
-    monkeypatch.setattr(irs, "conjugacy_orbit", wrong)
+    wrong_conjugators()
+    cold = symmetric_group(4)  # s4 keeps the class it walked
     for _ in range(2):
         with pytest.raises(RuntimeError, match="no conjugator carries subgroup 0 of class 0"):
-            verify_E1(stabilizer_measure(s4), (0,), (2,), A)
+            verify_E1(stabilizer_measure(cold), (0,), (2,), A)
 
 
 def test_unequal_weights_in_one_class_are_refused():
@@ -618,7 +612,14 @@ S3 = symmetric_group(3)
     (lambda: ConjInvariantMeasure(S3, ((S3, Fraction(1, 2)),)), ValueError,
      "weights sum to 1/2, not 1"),
     (lambda: point_mass(symmetric_group(4), alternating_group(4)), NotASubgroup,
-     "H is not a subgroup of the ambient group"),
+     "is not a subgroup of the ambient group"),
+    # a support of Sym(4) over Sym(3) used to be accepted and then fail in
+    # classes() with an IndexError; over Alt(4) it was accepted and
+    # verify_E1 answered for it
+    (lambda: ConjInvariantMeasure(S3, ((symmetric_group(4), Fraction(1)),)), NotASubgroup,
+     "subgroup of order 24 generated by .* is not a subgroup of the ambient group"),
+    (lambda: ConjInvariantMeasure(alternating_group(4), ((symmetric_group(4), Fraction(1)),)),
+     NotASubgroup, "order 24 .* is not a subgroup of the ambient group"),
     (lambda: verify_E1(point_mass(S3, S3), (), (1,), []), ValueError,
      "U, V must be disjoint and non-empty"),
     (lambda: verify_E1(point_mass(S3, S3), (0, 1), (1, 2), []), ValueError,
@@ -628,11 +629,28 @@ S3 = symmetric_group(3)
     (lambda: verify_E2(point_mass(alternating_group(3), alternating_group(3)),
                        (0, 1, 2), (), [from_cycles(3, (0, 1))]), ValueError,
      "B must be a subset of the ambient group"),
-], ids=["transporter-overlap", "weights", "point-mass", "E1-empty-U", "E1-overlap",
-        "E2-partition", "E2-B-outside"])
+], ids=["transporter-overlap", "weights", "point-mass", "support-over-S3", "support-over-A4",
+        "E1-empty-U", "E1-overlap", "E2-partition", "E2-B-outside"])
 def test_irs_refusals(refused, error, message):
     with pytest.raises(error, match=message):
         refused()
+
+
+@pytest.mark.parametrize("U, V", [
+    ((5,), (1,)), ((-1,), (1,)), ((0, 0), (1,)), ((0,), (1, 1)), ((0,), (3,)),
+    ((0,), (True,)), ((0.0,), (1,)),
+], ids=["past-degree", "negative", "repeated-U", "repeated-V", "V-past-degree",
+        "bool", "float"])
+def test_verifiers_refuse_points_outside_the_domain(U, V):
+    # verify_E1 used to raise IndexError or KeyError for these or accept a
+    # repeated point, and verify_index read p[-1] and answered
+    s3 = symmetric_group(3)
+    mu = point_mass(s3, s3)
+    message = r"points must be distinct integers in 0\.\.2, not "
+    with pytest.raises(ValueError, match=message):
+        verify_E1(mu, U, V, [])
+    with pytest.raises(ValueError, match=message):
+        verify_index(mu, [], U, V)
 
 
 def test_duplicated_support_is_refused():
@@ -649,20 +667,20 @@ def test_duplicated_support_is_refused():
     assert verify_E1(point_mass(s3, s3), (0,), (1,), A) == VerifyResult(1, 1, True)
 
 
-def test_class_measures_read_their_records():
-    # a measure built from a class record finds its one class without a
-    # conjugacy orbit walk, and its members are new groups with the
-    # record's elements and generators
+def test_measures_over_a_walked_ambient_walk_no_orbit(monkeypatch):
+    # class_records files every class it walks on the ambient, so a measure
+    # over it reads its classes from there, and the class measures' members
+    # are new groups with the records' elements and generators
     product = product_of_symmetric([2, 3])
+    records = class_records(product)
 
     def refused(*args):
         raise AssertionError("conjugacy_orbit called")
 
-    for rec in class_records(product):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(irs, "conjugacy_orbit", refused)
-            mu = uniform_class_measure(rec, product)
-            (R, w, members), = mu.classes()
+    monkeypatch.setattr(perm, "conjugacy_orbit", refused)
+    for rec in records:
+        mu = uniform_conjugate_measure(rec.members[0][0], product)
+        (R, w, members), = mu.classes()
         assert R is mu.support[0][0] and w == Fraction(1, len(rec.members))
         assert [(H, g) for H, g in members] == [(H, g) for (H, _), (_, g)
                                                  in zip(mu.support, rec.members)]
@@ -670,35 +688,30 @@ def test_class_measures_read_their_records():
             assert H is not G
             assert (H.elements, H.generators) == (G.elements, G.generators)
             assert H.element_set == {conjugate(r, g) for r in R.elements}
+    assert len(stabilizer_measure(product).classes()) == 2
 
 
-def test_class_record_walked_in_another_ambient_is_refused():
-    # the record of a class of Sym(2) x Sym(3) is not a class of Sym(5), so
-    # no measure over Sym(5) is built from it; an equal product is accepted
-    product = product_of_symmetric([2, 3])
-    rec = next(rec for rec in class_records(product) if len(rec.members) == 3)
-    with pytest.raises(NotConjInvariant, match="walked in another ambient"):
-        uniform_class_measure(rec, symmetric_group(5))
-    with pytest.raises(NotConjInvariant, match="walked in another ambient"):
-        uniform_class_measure(rec, rigid_stabilizer(product, (2, 3, 4)))
-    mu = uniform_class_measure(rec, product_of_symmetric([2, 3]))
-    assert len(mu.classes()[0][2]) == 3
-
-
-def test_class_record_with_a_wrong_conjugator_is_refused():
+def test_class_record_with_a_wrong_conjugator_is_refused(monkeypatch):
     # each conjugator is checked against R's few walk generators as the
-    # one class is read
+    # one class is read; a cold walk of the six transpositions of Sym(4),
+    # from their least member R, hands member 2 the conjugator of R
     s4 = symmetric_group(4)
-    rec = next(rec for rec in class_records(s4) if len(rec.members) == 6)
-    R = rec.members[0][0]
-    assert len(R.generators) == 1
-    swap = from_cycles(4, (0, 1))
-    bad = rec._replace(members=rec.members[:2] + (
-        (rec.members[2][0], compose(rec.members[2][1], swap)),) + rec.members[3:])
-    assert rec.members[2][0].element_set != {conjugate(r, bad.members[2][1]) for r in R.elements}
+    R = GeneratedGroup(4, [from_cycles(4, (2, 3))])
+    real = perm.conjugacy_orbit
+
+    def wrong(els, generators):
+        orbit = real(els, generators)
+        orbit[sorted(orbit)[2]] = orbit[min(orbit)]
+        return orbit
+
+    monkeypatch.setattr(perm, "conjugacy_orbit", wrong)
+    rec = perm.conjugacy_class(R, s4)
+    assert len(rec.members) == 6 and rec.members[0][0] == R and len(R.generators) == 1
+    H, g = rec.members[2]
+    assert H.element_set != {conjugate(r, g) for r in R.elements}
     for _ in range(2):
         with pytest.raises(RuntimeError, match="onto subgroup 2 of class 0"):
-            uniform_class_measure(bad, s4).classes()
+            uniform_conjugate_measure(R, s4).classes()
 
 
 def W222():
@@ -777,6 +790,27 @@ def test_product_E2_rows_equal_the_per_call_oracle(a, b):
                            res.lhs.numerator, res.lhs.denominator,
                            res.rhs.numerator, res.rhs.denominator, f"B={pts(x)}", res.holds])
     assert cli.product_E2_rows(a, b) == expect
+
+
+def test_verify_E2_with_several_elements_equals_the_oracle():
+    # the stabilizer count of S = pi_1(B) H_1 against the oracle's set of
+    # N_1-conjugates, for B of 0, 2 and 3 elements under every class
+    # measure of Sym(2) x Sym(3), with either factor as side 1; the last B
+    # generates the product, so no member of a smaller class contains it
+    product = product_of_symmetric([2, 3])
+    Bs = [[], [from_cycles(5, (0, 1)), from_cycles(5, (2, 3, 4))],
+          [from_cycles(5, (0, 1), (2, 3)), from_cycles(5, (2, 4)), identity(5)],
+          [from_cycles(5, (0, 1)), from_cycles(5, (2, 3)), from_cycles(5, (2, 3, 4))]]
+    records = class_records(product)
+    uncontained = 0
+    for rec in records:
+        mu = uniform_conjugate_measure(rec.members[0][0], product)
+        for sides in [((0, 1), (2, 3, 4)), ((2, 3, 4), (0, 1))]:
+            for B in Bs:
+                res = verify_E2(mu, *sides, B)
+                assert res == verify_E2_oracle(mu, *sides, B), (rec.members[0][0], sides, B)
+                uncontained += res.lhs == 0 and B == Bs[-1]
+    assert uncontained == 2 * (len(records) - 1)
 
 
 def test_E2_refusals_come_before_the_kept_data(monkeypatch):

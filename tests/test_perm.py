@@ -293,18 +293,18 @@ def test_enumerate_subgroups_degree_too_large():
         enumerate_subgroups(7)
 
 
-def test_subgroup_classes_are_the_enumerated_classes():
+def test_symmetric_class_records_are_the_enumerated_classes():
     for degree in range(1, 7):
         subs, classes = enumerate_subgroups(degree)
         expect = {frozenset((subs[i].elements, subs[i].generators) for i in cls)
                   for cls in classes}
-        got = [frozenset((G.elements, G.generators) for G in cls)
-               for cls in perm.subgroup_classes(degree)]
+        got = [frozenset((G.elements, G.generators) for G, _ in rec.members)
+               for rec in perm.symmetric_class_records(degree)]
         assert len(got) == len(classes) and set(got) == expect
     with pytest.raises(DegreeTooLarge):
-        perm.subgroup_classes(8)
+        perm.symmetric_class_records(8)
     with pytest.raises(ValueError):
-        perm.subgroup_classes(0)
+        perm.symmetric_class_records(0)
 
 
 def test_memoized_invariants_equal_a_cold_group():
@@ -694,7 +694,7 @@ def test_double_coset_reps_vs_sweep_in_the_walk(monkeypatch):
     monkeypatch.setattr(perm, "_double_cosets", checked)
     perm._kept_symmetric_records.cache_clear()  # walk degrees 1-6 afresh
     for degree in range(1, 7):
-        perm.subgroup_classes(degree)
+        perm.symmetric_class_records(degree)
     subgroups_of(symmetric_group(5))
     subgroups_of(product_of_symmetric([2, 3]))
     overgroups_of_cycle(5)
