@@ -16,9 +16,10 @@ from math import factorial
 from .perm import (
     GeneratedGroup,
     Perm,
-    compose,
+    composer,
     conjugacy_class,
     conjugate,
+    conjugator,
     inverse,
     memoized,
     restrict,
@@ -51,14 +52,15 @@ PartialMap = tuple[int, ...]  # images of sorted(U), as raw points
 
 def restriction_map(p: Perm, U: tuple[int, ...]) -> PartialMap:
     """The partial map p|_U, encoded as images along sorted(U)."""
-    return tuple([p[x] for x in U])
+    return composer(U)(p)
 
 
 @dataclass(frozen=True)
 class Transporter:
-    """Elements of H carrying U onto V, with their deduplicated restrictions."""
+    """Elements of a group carrying U onto V, with their deduplicated
+    restrictions.  It keeps no reference to the group, so a group that
+    keeps its transporters on its memo is freed without the cyclic GC."""
 
-    H: GeneratedGroup
     U: tuple[int, ...]
     V: tuple[int, ...]
     elements: tuple[Perm, ...]
@@ -72,8 +74,8 @@ def transporter(H: GeneratedGroup, U, V) -> Transporter:
         raise ValueError("U and V must be disjoint or equal")
     Vset = set(V)
     els = tuple(h for h in H.elements if {h[x] for x in U} == Vset)
-    restrictions = tuple(sorted({restriction_map(h, U) for h in els}))
-    return Transporter(H, U, V, els, restrictions)
+    restrictions = tuple(sorted(set(map(composer(U), els))))
+    return Transporter(U, V, els, restrictions)
 
 
 def transporters(H: GeneratedGroup, U) -> dict[tuple[int, ...], Transporter]:
@@ -84,9 +86,10 @@ def transporters(H: GeneratedGroup, U) -> dict[tuple[int, ...], Transporter]:
     order, so each value equals the one ``transporter`` gives.
     """
     U = tuple(sorted(U))
+    on_U = composer(U)  # restriction_map(h, U)
     buckets: dict[tuple[int, ...], tuple[list, set]] = {}
     for h in H.elements:
-        r = restriction_map(h, U)
+        r = on_U(h)
         V = tuple(sorted(r))
         if V not in buckets:
             buckets[V] = ([], set())
@@ -94,7 +97,7 @@ def transporters(H: GeneratedGroup, U) -> dict[tuple[int, ...], Transporter]:
         els.append(h)
         rs.add(r)
     Uset = set(U)
-    return {V: Transporter(H, U, V, tuple(els), tuple(sorted(rs)))
+    return {V: Transporter(U, V, tuple(els), tuple(sorted(rs)))
             for V, (els, rs) in buckets.items() if V == U or Uset.isdisjoint(V)}
 
 
@@ -169,7 +172,7 @@ class ConjInvariantMeasure:
                 continue
             c = len(out)
             members = []
-            for i, (member, g) in enumerate(conjugacy_class(first, self.ambient).members):
+            for i, (member, g) in enumerate(conjugacy_class(first, self.ambient, c).members):
                 H, v = unplaced.pop(member.element_set, (None, None))
                 if v != w:
                     raise NotConjInvariant(f"support not closed under conjugation "
@@ -248,7 +251,7 @@ def _ambient_E1_data(ambient: GeneratedGroup, U) -> tuple[dict, frozenset]:
     ambient and U and kept on the ambient (at most 2^degree entries)."""
     return ambient.memo(("irs.E1", U), lambda: (
         {V: frozenset(t.restrictions) for V, t in transporters(ambient, U).items()},
-        frozenset(restriction_map(r, U) for r in rigid_stabilizer(ambient, U).elements)))
+        frozenset(map(composer(U), rigid_stabilizer(ambient, U).elements))))
 
 
 def _E1_profile(mu: ConjInvariantMeasure, U) -> dict:
@@ -274,6 +277,8 @@ def _E1_profile(mu: ConjInvariantMeasure, U) -> dict:
                 g_inv = inverse(g)
                 Ug = sorted(g_inv[x] for x in U)
                 at = [Ug.index(g_inv[x]) for x in U]
+                # |U| <= degree / 2, at most 3 in the class sweeps: a getter
+                # per restriction would cost more than this comprehension
                 sets = {tuple(sorted(g[y] for y in Vg)):
                         frozenset([tuple([g[r[i]] for i in at]) for r in t.restrictions])
                         for Vg, t in kept_transporters(R, Ug).items()}
@@ -344,7 +349,7 @@ def verify_index(nu: ConjInvariantMeasure, Q, U, V) -> VerifyResult:
     nu.check_invariance()
     Qset = set(Q)
     lhs = sum((w for H, w in nu.support if not Qset.isdisjoint(H.element_set)), Fraction(0))
-    QU = {restriction_map(q, U) for q in Q}
+    QU = set(map(composer(U), Q))
     mean_order = nu.memo("irs.mean_order", lambda: nu.expectation(lambda H: H.order))
     rhs = mean_order * len(QU) / factorial(len(U))
     return VerifyResult(lhs, rhs, lhs <= rhs)
@@ -363,7 +368,7 @@ def _E2_data(mu: ConjInvariantMeasure, side1, side2) -> list:
         for H, _ in mu.support:
             H1 = frozenset(restrict(h, side1) for h in H.elements
                            if all(h[x] == x for x in side2))
-            N1 = [n for n in L1.elements if frozenset(conjugate(h, n) for h in H1) == H1]
+            N1 = [n for n in L1.elements if frozenset(map(conjugator(n), H1)) == H1]
             data.append((frozenset(restrict(h, side2) for h in H.elements), H1, N1))
         return data
     return mu.memo(("irs.E2", side1, side2), build)
@@ -414,7 +419,7 @@ def verify_E2(mu: ConjInvariantMeasure, side1, side2, B) -> VerifyResult:
             lhs += w
         if not pi2B <= pi2H:
             continue
-        S = {compose(b, h) for b in pi1B for h in H1}
+        S = {bh for b in pi1B for bh in map(composer(b), H1)}
         fixing = sum(1 for n in N1 if all(conjugate(b, n) in S for b in pi1B))
         rhs += w * Fraction(fixing, len(N1))
     return VerifyResult(lhs, rhs, lhs <= rhs)

@@ -5,6 +5,13 @@ Conventions used throughout the package:
 * A permutation of degree ``n`` is a tuple ``p`` of length ``n``; ``p[x]`` is
   the image of the point ``x`` under the *right* action, written ``x . p``.
 * ``compose(p, q)`` applies ``p`` first: ``x . compose(p, q) == (x . p) . q``.
+* The hot loops build their products, conjugates and restrictions with one
+  kernel, ``composer(p)``: the map q -> compose(p, q), which reads q at the
+  points of p in one C call (``operator.itemgetter(*p)``).  Its one guard
+  covers the tuples of length 0 and 1, for which ``itemgetter`` raises or
+  returns a bare entry instead of a tuple.  A loop with a fixed factor
+  builds that factor's getter once, and ``conjugator(g)`` inverts g once.
+  A single ``conjugate`` keeps its own loop, cheaper than inverting g.
 * Every group here is given by generators and materialised by breadth-first
   closure.  Nothing is meant to scale past degree 7; there is deliberately no
   stabilizer-chain machinery.
@@ -18,6 +25,7 @@ from bisect import bisect_left
 from collections import deque
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 from typing import NamedTuple
 
 Perm = tuple[int, ...]
@@ -49,11 +57,20 @@ def is_perm(p) -> bool:
     return sorted(p) == list(range(len(p)))
 
 
+def composer(p: tuple[int, ...]):
+    """The map q -> (q[p[0]], q[p[1]], ...), compose(p, q) with no degree
+    check, for any tuple of points ``p``.  ``itemgetter`` needs at least
+    two points to return a tuple, so shorter ``p`` get a comprehension."""
+    if len(p) > 1:
+        return itemgetter(*p)
+    return lambda q: tuple([q[x] for x in p])
+
+
 def compose(p: Perm, q: Perm) -> Perm:
     """p then q, so the image of x is q[p[x]]."""
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple([q[x] for x in p])
+    return composer(p)(q)
 
 
 def inverse(p: Perm) -> Perm:
@@ -69,6 +86,13 @@ def conjugate(p: Perm, g: Perm) -> Perm:
     for x, y in enumerate(g):
         gp[y] = g[p[x]]
     return tuple(gp)
+
+
+def conjugator(g: Perm):
+    """The map p -> conjugate(p, g), inverting g once: g^-1 p g is
+    compose(g^-1, compose(p, g))."""
+    after = composer(inverse(g))
+    return lambda p: after(composer(p)(g))
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
@@ -130,9 +154,9 @@ def close(generators, cap: int = DEFAULT_CAP, *, degree: int | None = None) -> t
     seen = {e}
     queue = deque([e])
     while queue:
-        x = queue.popleft()
+        times_x = composer(queue.popleft())
         for g in gens:
-            y = tuple([g[i] for i in x])
+            y = times_x(g)
             if y not in seen:
                 if len(out) >= cap:
                     raise ClosureExceedsCap(f"closure exceeds cap={cap}")
@@ -429,8 +453,9 @@ def _double_cosets(H_gens, H_elements, ambient_elements):
         if coset_of[g] is None:
             i = len(firsts)
             firsts.append(g)
-            for h in H_elements:
-                coset_of[tuple([h[x] for x in g])] = i
+            for y in map(composer(g), H_elements):
+                coset_of[y] = i
+    steps = [composer(a) for a in H_gens]
     first_coset = [None] * len(firsts)
     for i, g in enumerate(firsts):
         if first_coset[i] is not None:
@@ -439,8 +464,8 @@ def _double_cosets(H_gens, H_elements, ambient_elements):
         stack = [g]
         while stack:
             x = stack.pop()
-            for a in H_gens:
-                j = coset_of[tuple([x[y] for y in a])]
+            for step in steps:
+                j = coset_of[step(x)]
                 if first_coset[j] is None:
                     first_coset[j] = i
                     stack.append(firsts[j])
@@ -461,21 +486,23 @@ def conjugacy_orbit(els, generators) -> dict[tuple[Perm, ...], Perm]:
 
     Breadth-first over conjugation by the generators alone, which reaches the
     whole orbit because the group is finite: |generators| |orbit| |els|
-    conjugations in all, each through s's precomputed inverse
-    (conjugate(h, s)[y] = s[h[s^-1[y]]]).  Candidates are compared as
-    element sets, and only a new member is sorted.  ``els`` itself maps to
-    the identity, and a member first reached from ``cur`` by s maps to
-    compose(orbit[cur], s).
+    conjugations in all.  Each is conjugate(h, s) = compose(s^-1,
+    compose(h, s)), two C calls through getters built once: one per
+    generator's inverse for the walk, one per element h for its member's
+    pass.  Candidates are compared as element sets, and only a new member
+    is sorted.  ``els`` itself maps to the identity, and a member first
+    reached from ``cur`` by s maps to compose(orbit[cur], s).
     """
     start = tuple(sorted(els))
     orbit = {start: identity(len(start[0]))}
     seen = {frozenset(start)}
-    steps = [(s, inverse(s)) for s in generators]
+    steps = [(s, composer(inverse(s))) for s in generators]
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for s, s_inv in steps:
-            nxt = frozenset([tuple([s[h[x]] for x in s_inv]) for h in cur])
+        times = list(map(composer, cur))  # compose(h, .) for each h in cur
+        for s, after in steps:
+            nxt = frozenset([after(h_s(s)) for h_s in times])
             if nxt not in seen:
                 seen.add(nxt)
                 member = tuple(sorted(nxt))
@@ -532,7 +559,7 @@ def _join_walk(seed_gens, ambient_elements, degree: int, conj_gens=()):
         _, firsts, first_coset = cosets
         reps = [i for i, f in enumerate(first_coset) if f == i]
         if conj_gens:
-            normalizer = _normalizer_gens(gens, eset, firsts, conj_gens, ambient, alt)
+            normalizer = _normalizer_gens(gens, eset, cosets, conj_gens, ambient, alt)
             reps = _normalizer_orbits(normalizer, cosets, reps)
         for i in reps:
             g = firsts[i]
@@ -544,19 +571,24 @@ def _join_walk(seed_gens, ambient_elements, degree: int, conj_gens=()):
     return found
 
 
-def _normalizer_gens(gens, eset, firsts, whole_gens, ambient: frozenset,
+def _normalizer_gens(gens, eset, cosets, whole_gens, ambient: frozenset,
                      alt: frozenset | None):
     """Generators of the normalizer N(H) of H = <gens> (element set
     ``eset``) in the ambient group, modulo H.
 
     N(H) is a union of cosets g H, since g h normalizes H when g does, so
-    one element per coset is tested (``firsts``): g normalizes H iff g
-    conjugates each of H's generators into H.  When every coset passes, H is
+    one element per coset is tested, the first (``cosets`` is
+    ``_double_cosets``' result for H): g normalizes H iff g conjugates each
+    of H's generators a into H, that is, iff compose(a, g) lies in g H,
+    read off the coset labels with one product.  When every coset passes, H is
     normal and ``whole_gens``, the ambient's generators, are returned.
     Otherwise the passing elements are taken greedily, each one not yet in
     the group generated so far, which ``_extend`` grows coset by coset.
     """
-    normalizing = [g for g in firsts if all(conjugate(a, g) in eset for a in gens)]
+    coset_of, firsts, _ = cosets
+    steps = [composer(a) for a in gens]  # compose(a, .)
+    normalizing = [g for i, g in enumerate(firsts)
+                   if all(coset_of[a_times(g)] == i for a_times in steps)]
     if len(normalizing) == len(firsts):
         return tuple(whole_gens)
     span, extra = eset, ()
@@ -587,8 +619,9 @@ def _normalizer_orbits(normalizer, cosets, reps) -> list[int]:
         return i
 
     for n in normalizer:
+        by_n = conjugator(n)
         for i in reps:
-            a, b = find(i), find(first_coset[coset_of[conjugate(firsts[i], n)]])
+            a, b = find(i), find(first_coset[coset_of[by_n(firsts[i])]])
             if a != b:
                 root[max(a, b)] = min(a, b)
     return [i for i in reps if find(i) == i]
@@ -599,13 +632,15 @@ def _extend(H, gens, ambient: frozenset, alt: frozenset | None = None) -> frozen
     the subgroup whose elements are the tuple ``H``, built coset by coset as
     in Dimino's algorithm.
 
-    The result is kept as a union of cosets H r = {compose(h, r) : h in H}.
-    Only the representatives r are multiplied by the generators: when
-    compose(r, s) lies outside the union, its whole coset joins with it as
+    The result is kept as a union of cosets r H = {compose(r, h) : h in H},
+    each built by one ``composer(r)`` mapped over H.  Only the
+    representatives r are multiplied by the generators, on the left: when
+    compose(s, r) lies outside the union, its whole coset joins with it as
     representative.  Once every representative has been tried, the union
-    holds H and is closed under multiplication by every generator (if
-    compose(r, s) = compose(h', r'), then compose(compose(h, r), s) lies in
-    H r'), so it is <gens>.
+    holds H and is closed under left multiplication by every generator (if
+    compose(s, r) = compose(r', h'), then compose(s, compose(r, h)) lies in
+    r' H), so it is <gens>.  Each generator's product is built by one
+    getter, made once per call.
 
     ``ambient`` is the element set of a group containing ``gens``.  Once the
     union holds more than half of it, <gens> is the whole ambient
@@ -619,13 +654,14 @@ def _extend(H, gens, ambient: frozenset, alt: frozenset | None = None) -> frozen
     every generator is even and ``ambient`` otherwise.
     """
     elements = set(H)
+    steps = [composer(s) for s in gens]  # compose(s, .)
     reps = [H[0]]  # any element of H represents H itself
     limit = len(ambient) // 2 if alt is None else 2 * len(alt) // len(H[0])
     for r in reps:
-        for s in gens:
-            t = tuple([s[x] for x in r])
+        for s_times in steps:
+            t = s_times(r)
             if t not in elements:
-                elements.update([tuple([t[x] for x in h]) for h in H])
+                elements.update(map(composer(t), H))
                 if len(elements) > limit:
                     return alt if alt is not None and all(map(is_even, gens)) else ambient
                 reps.append(t)
@@ -647,39 +683,50 @@ class SubgroupClass(NamedTuple):
     members: tuple[tuple[GeneratedGroup, Perm], ...]
 
 
-def _filed_members(ambient: GeneratedGroup, gens, orbit) -> tuple:
+def _filed_members(ambient: GeneratedGroup, gens, orbit, c: int) -> tuple:
     """The members of a class record, from a ``conjugacy_orbit`` walked from
     the subgroup <gens>, filed in the ambient's class table under each
     member's element set.  Each member carries ``gens`` conjugated onto it,
     held as the member's own element objects, and the walk's conjugator
-    re-based onto the least member.  The table holds members, not records,
+    re-based onto the least member.  A conjugate missing from its member is
+    a fault of the walk (``RuntimeError``, naming the class as number
+    ``c``), and nothing is filed.  The table holds members, not records,
     so it makes no reference cycle through the ambient, which is then freed
     as soon as it is dropped."""
     items = sorted(orbit.items())
-    back = inverse(items[0][1])
-    members = tuple(
-        (GeneratedGroup(ambient.degree, [els[bisect_left(els, conjugate(a, g))] for a in gens],
-                        _elements=els), compose(back, g))
-        for els, g in items)
+    rebase = composer(inverse(items[0][1]))
+    members = []
+    for i, (els, g) in enumerate(items):
+        conjugates = []
+        for a in gens:
+            a_g = conjugate(a, g)
+            k = bisect_left(els, a_g)
+            if k == len(els) or els[k] != a_g:
+                raise RuntimeError(f"no conjugator carries subgroup 0 of class {c} "
+                                   f"onto subgroup {i} of class {c}")
+            conjugates.append(els[k])
+        members.append((GeneratedGroup(ambient.degree, conjugates, _elements=els), rebase(g)))
+    members = tuple(members)
     table = ambient.memo("perm.classes", dict)
     for H, _ in members:
         table[H.element_set] = members
     return members
 
 
-def conjugacy_class(H: GeneratedGroup, ambient: GeneratedGroup) -> SubgroupClass:
+def conjugacy_class(H: GeneratedGroup, ambient: GeneratedGroup, c: int = 0) -> SubgroupClass:
     """The record of the conjugacy class of H, a subgroup of ``ambient``.
 
     The ambient keeps one table of class members on its memo, keyed by
     member element set: at most one entry per subgroup, freed with the
     ambient.  Only a miss walks the class, by ``conjugacy_orbit`` over
     ``ambient.generators``, which must generate it; every member then
-    carries H's generators conjugated.  ``class_records`` files every class
-    it walks in the same table."""
+    carries H's generators conjugated, and a faulty walk raises
+    ``RuntimeError`` with the class called class ``c``.  ``class_records``
+    files every class it walks in the same table."""
     members = ambient.memo("perm.classes", dict).get(H.element_set)
     if members is None:
         members = _filed_members(ambient, H.generators,
-                                 conjugacy_orbit(H.elements, ambient.generators))
+                                 conjugacy_orbit(H.elements, ambient.generators), c)
     return SubgroupClass(ambient, members)
 
 
@@ -693,8 +740,8 @@ def class_records(G: GeneratedGroup) -> tuple[SubgroupClass, ...]:
     refused up front."""
     if G.order > DEFAULT_CAP:
         raise ClosureExceedsCap(f"ambient of order {G.order} exceeds cap={DEFAULT_CAP}")
-    return tuple(SubgroupClass(G, _filed_members(G, gens, orbit))
-                 for gens, orbit in _join_walk((), G.elements, G.degree, G.generators))
+    return tuple(SubgroupClass(G, _filed_members(G, gens, orbit, c)) for c, (gens, orbit)
+                 in enumerate(_join_walk((), G.elements, G.degree, G.generators)))
 
 
 def _walk_symmetric(degree: int) -> tuple[SubgroupClass, ...]:

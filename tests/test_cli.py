@@ -417,6 +417,22 @@ def test_internal_fault_exits_3(tmp_path, capsys, wrong_conjugators):
     assert not out.exists() and not (tmp_path / "verify.json").exists()
 
 
+def test_wrong_conjugator_at_degree4_is_refused_as_a_fault(tmp_path, capsys,
+                                                          wrong_conjugators):
+    # at degree 4 the wrong conjugators carry a walk generator outside its
+    # member, which used to read past the member's element list (IndexError)
+    # or pick a wrong element; the record is refused when it is filed
+    wrong_conjugators()
+    with pytest.raises(RuntimeError, match="no conjugator carries subgroup"):
+        cli.counting_rows(4, DEFAULT_CAP)
+    out = tmp_path / "verify.csv"
+    assert main(["verify-counting", "--degree", "4", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: no conjugator carries subgroup")
+    assert not out.exists() and not (tmp_path / "verify.json").exists()
+
+
 def test_cold_counting_rows_walk_each_class_once(monkeypatch):
     # a cold counting_rows(6) walks each conjugacy orbit once: 56 for the
     # classes of Sym(6) and 10 for those of Sym(2) x Sym(3), counted in

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import itertools
+import weakref
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -17,6 +19,7 @@ from treeirs.irs import (
     NotSymmetricAmbient,
     VerifyResult,
     _E1_profile,
+    kept_transporters,
     point_mass,
     restriction_map,
     stabilizer_measure,
@@ -189,6 +192,32 @@ def test_transporters_equal_transporter(ambient):
             got = transporters(H, U)
             assert got == expect
             assert U in got  # the identity carries U onto itself
+
+
+class _Probe:
+    """A weakly referenceable object to keep on a group's memo, freed with it."""
+
+
+def test_groups_keeping_transporters_are_freed_without_the_cyclic_gc():
+    # a Transporter holds no reference to its group, so a group that keeps
+    # its transporters on its memo, and the ambient and members that
+    # verify_E1 reads, are freed by reference counting alone
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        H = symmetric_group(4)
+        kept_transporters(H, (0, 1))
+        probes = [weakref.ref(H.memo("test.probe", _Probe))]
+        s4 = symmetric_group(4)
+        mu = uniform_conjugate_measure(GeneratedGroup(4, [from_cycles(4, (0, 1))]), s4)
+        assert verify_E1(mu, (0,), (1,), [(1,)]).holds
+        probes += [weakref.ref(G.memo("test.probe", _Probe))
+                   for G in [s4] + [R for R, _ in mu.support]]
+        del H, s4, mu
+        assert [probe() for probe in probes] == [None] * 8
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_verify_e1_point_mass_full_group():
@@ -692,9 +721,10 @@ def test_measures_over_a_walked_ambient_walk_no_orbit(monkeypatch):
 
 
 def test_class_record_with_a_wrong_conjugator_is_refused(monkeypatch):
-    # each conjugator is checked against R's few walk generators as the
-    # one class is read; a cold walk of the six transpositions of Sym(4),
-    # from their least member R, hands member 2 the conjugator of R
+    # each walk conjugator is checked against R's few walk generators as the
+    # one class is filed; a cold walk of the six transpositions of Sym(4),
+    # from their least member R, hands member 2 the conjugator of R, so no
+    # record is filed and every read of the class raises
     s4 = symmetric_group(4)
     R = GeneratedGroup(4, [from_cycles(4, (2, 3))])
     real = perm.conjugacy_orbit
@@ -705,13 +735,13 @@ def test_class_record_with_a_wrong_conjugator_is_refused(monkeypatch):
         return orbit
 
     monkeypatch.setattr(perm, "conjugacy_orbit", wrong)
-    rec = perm.conjugacy_class(R, s4)
-    assert len(rec.members) == 6 and rec.members[0][0] == R and len(R.generators) == 1
-    H, g = rec.members[2]
-    assert H.element_set != {conjugate(r, g) for r in R.elements}
-    for _ in range(2):
-        with pytest.raises(RuntimeError, match="onto subgroup 2 of class 0"):
-            uniform_conjugate_measure(R, s4).classes()
+    assert len(R.generators) == 1
+    for read in (lambda: perm.conjugacy_class(R, s4),
+                 lambda: uniform_conjugate_measure(R, s4)):
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="onto subgroup 2 of class 0"):
+                read()
+    assert not s4.memo("perm.classes", dict)
 
 
 def W222():

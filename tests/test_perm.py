@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treeirs import cli, perm
+from treeirs.irs import restriction_map
 from treeirs.perm import (
     DEFAULT_CAP,
     BlockSystem,
@@ -22,8 +23,10 @@ from treeirs.perm import (
     _extend,
     close,
     compose,
+    composer,
     conjugacy_orbit,
     conjugate,
+    conjugator,
     contains_alt_on,
     cycle_type,
     enumerate_subgroups,
@@ -81,6 +84,38 @@ def test_compose_degree_mismatch():
 @given(perms5, perms5)
 def test_conjugate_matches_definition(p, g):
     assert conjugate(p, g) == compose(compose(inverse(g), p), g)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Two permutations of one degree 1-7 and a sorted point tuple of
+    length 0 to the degree."""
+    n = draw(st.integers(1, 7))
+    p, g = (draw(st.permutations(range(n)).map(tuple)) for _ in range(2))
+    U = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return p, g, tuple(sorted(U))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs())
+def test_product_kernel_vs_comprehensions(inputs):
+    # the itemgetter kernel against the loops it replaced, including the
+    # degree-1 and empty tuples that itemgetter alone gets wrong
+    p, g, U = inputs
+    g_inv = tuple(g.index(y) for y in range(len(g)))
+    assert compose(p, g) == composer(p)(g) == tuple([g[x] for x in p])
+    assert conjugate(p, g) == conjugator(g)(p) == tuple([g[p[x]] for x in g_inv])
+    assert restriction_map(p, U) == composer(U)(p) == tuple([p[x] for x in U])
+
+
+def test_product_kernel_short_tuples():
+    # itemgetter() raises and itemgetter(x) returns a bare entry
+    assert composer(())((2, 0, 1)) == () == restriction_map((2, 0, 1), ())
+    assert composer((1,))((2, 0, 1)) == (0,) == restriction_map((2, 0, 1), (1,))
+    assert compose((), ()) == ()
+    assert compose((0,), (0,)) == (0,) == conjugator((0,))((0,)) == conjugate((0,), (0,))
+    with pytest.raises(ValueError, match="degree mismatch: 1 vs 2"):
+        compose((0,), (1, 0))
 
 
 def test_parity():
@@ -782,8 +817,8 @@ def test_normalizer_by_cosets_vs_ambient_scan():
         conj_gens = symmetric_group(degree).generators
         for gens, orbit in perm._join_walk((), ambient, degree, conj_gens):
             eset = frozenset(next(iter(orbit)))
-            _, firsts, _ = perm._double_cosets(gens, tuple(eset), ambient)
-            extra = perm._normalizer_gens(gens, eset, firsts, conj_gens, ambient_set, alt)
+            cosets = perm._double_cosets(gens, tuple(eset), ambient)
+            extra = perm._normalizer_gens(gens, eset, cosets, conj_gens, ambient_set, alt)
             scan = {g for g in ambient if all(conjugate(h, g) in eset for h in eset)}
             assert set(close(gens + extra, degree=degree)) == scan
 
