@@ -13,8 +13,10 @@ Two modes:
   another sends a vertex with parent-edge colour c to one with parent-edge
   colour sigma(c) for its parent's local permutation sigma in F, so forms are
   computed relative to an *image* colour: the form of (vertex, image colour
-  c') minimizes, over sigma in F with sigma(c) = c', the tuple of child forms
-  placed at their image colours in ascending order.
+  c') minimizes, over the local actions ``tree.local_maps(scheme, c, c')``
+  (one per sigma in F with sigma(c) = c'), the tuple of child forms read in
+  ascending order of image colour, each child's form taken at its image
+  colour.
   Cone roots are always canonicalized at the representative colour of their
   orbit, so forms of cones with label-equivalent parent colours are directly
   comparable.  Positions in a tuple are aligned by image colour, which keeps
@@ -67,10 +69,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .perm import ClosureExceedsCap, Perm, _is_json_int
-from .tree import (ColourScheme, ColourSchemeMismatch, check_cone, check_label, child_colours,
-                   cone_colour, cone_leaf_labels, cone_level_colours)
-from .tree import DepthMismatch  # noqa: F401  (callers import it from here too)
+from .perm import ClosureExceedsCap, _is_json_int
+from .tree import (ColourScheme, check_cone, check_label, child_colours, cone_colour,
+                   cone_leaf_labels, cone_level_colours, local_maps)
+from .tree import ColourSchemeMismatch, DepthMismatch  # noqa: F401  (imported from here too)
 
 
 class BudgetExceeded(ValueError):
@@ -138,8 +140,6 @@ def canon_coloured(E, depth: int, scheme: ColourScheme, parent_colour: int) -> s
     d = scheme.d
     parent_colour = cone_colour(d, depth, scheme, parent_colour)
     leaves = _leaf_tuple(E, depth, d)
-    F_els = scheme.F.elements
-    all_colours = range(d + 1)
     memo: dict[tuple[int, int, int], str] = {}
 
     def go(sub: tuple[int, ...], level: int, c_phys: int, c_img: int,
@@ -155,31 +155,14 @@ def canon_coloured(E, depth: int, scheme: ColourScheme, parent_colour: int) -> s
         block = d ** (level - 1)
         parts = _block_split(sub, d, block)
         cs = child_colours(scheme, c_phys, d)
-        slot = {c: j for j, c in enumerate(cs)}
-        img_cols = [c for c in all_colours if c != c_img]
-        best: tuple[str, ...] | None = None
-        for sigma in F_els:
-            if sigma[c_phys] != c_img:
-                continue
-            entry = []
-            for e_img in img_cols:
-                j = slot[_inv_at(sigma, e_img)]
-                entry.append(go(parts[j], level - 1, cs[j], e_img, pos * d + j))
-            entry = tuple(entry)
-            if best is None or entry < best:
-                best = entry
-        if best is None:
-            raise ColourSchemeMismatch(
-                f"no sigma in F carries colour {c_phys} to {c_img}")
+        best = min(tuple([go(parts[j], level - 1, cs[j], e, pos * d + j)
+                          for e, j in sorted(zip(row, range(d)))])
+                   for row in local_maps(scheme, c_phys, c_img))
         form = memo[key] = "(" + ",".join(best) + ")"
         return form
 
     rep = scheme.reps[scheme.orbit_index[parent_colour]]
     return go(leaves, depth, parent_colour, rep, 0)
-
-
-def _inv_at(sigma: Perm, y: int) -> int:
-    return sigma.index(y)
 
 
 def equivalent(E, F2, depth: int, d: int, scheme: ColourScheme | None = None,
@@ -214,11 +197,12 @@ class Matcher:
     on an out-of-range leaf.
 
     In coloured mode a vertex of colour c gets one id, from the least tuple
-    of child ids over the sigma in F with sigma(c) = r, the least colour of
-    c's orbit.  The key may leave the orbit out: whatever sigma, the child at
-    the position of image colour e has a colour in e's orbit, so equal ids
-    are only ever compared within one orbit, where the class of a vertex does
-    not depend on the image colour its form is taken at.
+    of child ids over the local actions ``tree.local_maps(scheme, c, r)``,
+    r the least colour of c's orbit, each tuple read in ascending order of
+    image colour.  The key may leave the orbit out: whatever sigma, the child
+    at the position of image colour e has a colour in e's orbit, so equal
+    ids are only ever compared within one orbit, where the class of a vertex
+    does not depend on the image colour its form is taken at.
     """
 
     depth: int
@@ -228,8 +212,8 @@ class Matcher:
     # (leaf block size, vertex labels or None) for each depth in the profile
     _levels: tuple = field(init=False, repr=False, compare=False)
     # coloured mode: the physical parent-edge colour of every vertex, one
-    # tuple per depth 0..n; then, per colour c, the slot orders of the sigma
-    # in F that carry c to the least colour of its orbit
+    # tuple per depth 0..n; then, per colour c, the child slots of each row of
+    # local_maps(scheme, c, least colour of c's orbit), by image colour
     _colours: tuple | None = field(init=False, repr=False, compare=False)
     _orders: tuple | None = field(init=False, repr=False, compare=False)
 
@@ -245,8 +229,8 @@ class Matcher:
             levels = tuple((d ** (depth - j), tuple(label[c] for c in colours[j]))
                            for j in range(1, depth + 1))
             orders = tuple(
-                tuple(tuple(j for j, _ in pl)
-                      for pl in _placements(scheme, c, scheme.reps[label[c]]))
+                tuple(tuple([j for _, j in sorted(zip(row, range(d)))])
+                      for row in local_maps(scheme, c, scheme.reps[label[c]]))
                 for c in range(d + 1))
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_colours", colours)
@@ -401,15 +385,14 @@ def orbit_census(d: int, depth: int, k: int, scheme: ColourScheme | None = None,
 
 def _placements(scheme: ColourScheme, c: int,
                 c_img: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each sigma in F with sigma(c) = c_img, the (child slot, position of
-    the image colour in its F-orbit, which ``scheme.orbits`` lists ascending)
-    read at each image colour other than c_img, ascending.  A form at c_img
-    is the least of the tuples of child forms these placements read."""
-    slot = {x: j for j, x in enumerate(child_colours(scheme, c, scheme.d))}
-    img_cols = [e for e in range(scheme.d + 1) if e != c_img]
-    pos = {e: scheme.orbits[scheme.orbit_index[e]].index(e) for e in img_cols}
-    return tuple(tuple((slot[_inv_at(sigma, e)], pos[e]) for e in img_cols)
-                 for sigma in scheme.F.elements if sigma[c] == c_img)
+    """For each local action of ``local_maps(scheme, c, c_img)``, the (child
+    slot, position of its image colour in its F-orbit, which ``scheme.orbits``
+    lists ascending) of each child, in ascending order of image colour.  A
+    form at c_img is the least of the tuples of child forms these placements
+    read."""
+    pos = [scheme.orbits[scheme.orbit_index[e]].index(e) for e in range(scheme.d + 1)]
+    return tuple(tuple([(j, pos[e]) for e, j in sorted(zip(row, range(scheme.d)))])
+                 for row in local_maps(scheme, c, c_img))
 
 
 def _combine(child_tables: list[list[dict]], lo: int, hi: int) -> list[tuple]:
@@ -545,46 +528,34 @@ def enumerate_cone_maps(depth: int, d: int, scheme: ColourScheme | None = None,
         cached = memo.get((level, c_from, c_to))
         if cached is not None:
             return cached
-        block = d ** (level - 1)
-        out = []
+        # each option: the target slot of every child, and its maps to choose from
         if scheme is None:
             subs = rec(level - 1, None, None)
-            for tau in itertools.permutations(range(d)):
-                for choice in itertools.product(subs, repeat=d):
-                    m = [0] * (d * block)
-                    for j in range(d):
-                        base_src = j * block
-                        base_dst = tau[j] * block
-                        mj = choice[j]
-                        for i in range(block):
-                            m[base_src + i] = base_dst + mj[i]
-                    out.append(tuple(m))
-                    if len(out) > cap:
-                        raise ClosureExceedsCap(f"more than cap={cap} cone maps")
+            options = ((tau, [subs] * d) for tau in itertools.permutations(range(d)))
         else:
             cs = child_colours(scheme, c_from, d)
-            ct = child_colours(scheme, c_to, d)
-            tslot = {c: j for j, c in enumerate(ct)}
-            for sigma in scheme.F.elements:
-                if sigma[c_from] != c_to:
-                    continue
-                per_child = [rec(level - 1, cs[j], sigma[cs[j]]) for j in range(d)]
-                for choice in itertools.product(*per_child):
-                    m = [0] * (d * block)
-                    for j in range(d):
-                        base_src = j * block
-                        base_dst = tslot[sigma[cs[j]]] * block
-                        mj = choice[j]
-                        for i in range(block):
-                            m[base_src + i] = base_dst + mj[i]
-                    out.append(tuple(m))
-                    if len(out) > cap:
-                        raise ClosureExceedsCap(f"more than cap={cap} cone maps")
+            tslot = {c: j for j, c in enumerate(child_colours(scheme, c_to, d))}
+            options = (([tslot[e] for e in row], [rec(level - 1, c, e) for c, e in zip(cs, row)])
+                       for row in local_maps(scheme, c_from, c_to))
+        block = d ** (level - 1)
+        out = []
+        for targets, per_child in options:
+            for choice in itertools.product(*per_child):
+                m = [0] * (d * block)
+                for j in range(d):
+                    base_src = j * block
+                    base_dst = targets[j] * block
+                    mj = choice[j]
+                    for i in range(block):
+                        m[base_src + i] = base_dst + mj[i]
+                out.append(tuple(m))
+                if len(out) > cap:
+                    raise ClosureExceedsCap(f"more than cap={cap} cone maps")
         memo[(level, c_from, c_to)] = out
         return out
 
     if depth == 0:
-        ok = scheme is None or any(s[colour_from] == colour_to for s in scheme.F.elements)
+        ok = scheme is None or bool(local_maps(scheme, colour_from, colour_to))
         return ((0,),) if ok else ()
     return tuple(rec(depth, colour_from, colour_to))
 

@@ -25,7 +25,7 @@ from .perm import (
     overgroups_of_cycle,
     restrict,
 )
-from .tree import ColourScheme, check_scheme, check_tree, child_colours, level_depth
+from .tree import ColourScheme, check_scheme, check_tree, child_colours, level_depth, local_maps
 
 
 class LabelPartitionViolated(ValueError):
@@ -192,8 +192,9 @@ def _is_constrained_cone_map(m, level: int, scheme: ColourScheme,
     """Is the leaf bijection m the depth-`level` truncation of an F-local map?
 
     Checks that m is tree-structured (children blocks map onto children
-    blocks) and that the induced total colour bijection at every internal
-    vertex, parent edge included, lies in F.
+    blocks) and that at every internal vertex the parent-edge colours of its
+    children's images form one of the local actions ``local_maps`` allows
+    from the vertex's colour to its image's.
     """
     if level == 0:
         return True
@@ -201,19 +202,14 @@ def _is_constrained_cone_map(m, level: int, scheme: ColourScheme,
     block = d ** (level - 1)
     cs = child_colours(scheme, c_from, d)
     ct = child_colours(scheme, c_to, d)
-    sigma = {c_from: c_to}
     targets = []
     for j in range(d):
         img = {m[j * block + i] for i in range(block)}
         jj = min(img) // block
         if img != set(range(jj * block, (jj + 1) * block)):
             return False
-        sigma[cs[j]] = ct[jj]
         targets.append(jj)
-    if len(set(sigma.values())) != d + 1:
-        return False
-    sigma_perm = tuple(sigma[c] for c in range(d + 1))
-    if sigma_perm not in scheme.F:
+    if tuple([ct[jj] for jj in targets]) not in local_maps(scheme, c_from, c_to):
         return False
     for j, jj in enumerate(targets):
         sub = tuple(m[j * block + i] - jj * block for i in range(block))

@@ -18,6 +18,11 @@ the label layer (``child_colours``, ``cone_level_labels``,
 ``cone_leaf_labels`` and ``level_counts_direct``) also takes
 ``policy="value"``, plain ascending colour value, so that label counts per
 level can be checked not to depend on the order.
+
+``local_maps`` is the one local-action rule: which sigma in F may carry a
+vertex of parent-edge colour c onto one of colour c', and which colour each
+child's image then has.  The coloured forms, ``Matcher``, the census, the map
+enumerator and the constrained-map test of ``classify`` all read it.
 """
 
 from __future__ import annotations
@@ -240,9 +245,29 @@ def child_colours(scheme: ColourScheme | None, parent_colour: int | None,
     return tuple(avail[:arity])
 
 
+def local_maps(scheme: ColourScheme, c: int, c_img: int) -> tuple[tuple[int, ...], ...]:
+    """The local actions that may carry a vertex of parent-edge colour ``c``
+    onto one of parent-edge colour ``c_img``: for each sigma in F with
+    sigma(c) = c_img, in F's element order, the tuple (sigma(c_0), ...,
+    sigma(c_{d-1})) over the vertex's child colours ``child_colours(scheme,
+    c, d)``.  Entry j is the parent-edge colour of child j's image.  Empty
+    when c and c_img lie in different F-orbits.  At most (d+1)^2 tables, kept
+    on ``scheme.F.memo`` (the scheme is a function of F)."""
+    def build():
+        check_colour(scheme, c)  # child_colours would take None for the root
+        check_colour(scheme, c_img)
+        kids = child_colours(scheme, c, scheme.d)
+        return tuple(tuple([sigma[x] for x in kids])
+                     for sigma in scheme.F.elements if sigma[c] == c_img)
+
+    return scheme.F.memo(("tree.local_maps", c, c_img), build)
+
+
 def edge_colour_walk(shape: TreeShape, scheme: ColourScheme,
                      addr: Address) -> tuple[int, ...]:
-    """Colour of each edge along the path from the root to addr."""
+    """Colour of each edge along the path from the root to addr; the scheme
+    must be for the shape's d."""
+    check_scheme(scheme, shape.d)
     addr = shape.validate(addr)
     colours = []
     parent: int | None = None
@@ -255,6 +280,7 @@ def edge_colour_walk(shape: TreeShape, scheme: ColourScheme,
 
 def orbit_label(shape: TreeShape, scheme: ColourScheme, v: Address) -> int:
     """The F-orbit index of the colour of v's parent edge."""
+    check_scheme(scheme, shape.d)
     v = shape.validate(v)
     if not v:
         raise RootHasNoLabel("the root has no parent edge")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import pickle
 import random
@@ -24,6 +25,7 @@ from treeirs.canon import (
     form_str,
     orbit_census,
 )
+from treeirs.classify import boundary_quotient_elements
 from treeirs.perm import ClosureExceedsCap, enumerate_subgroups, from_cycles
 from treeirs.tree import ColourScheme, cone_leaf_labels
 
@@ -322,6 +324,32 @@ def test_form_strings_golden():
         got = tuple(form_str(canon_coloured(E, depth, scheme, colour))
                     for depth, E in GOLDEN_COLOURED_SUBSETS)
         assert got == texts, (swap, colour)
+
+
+def _digest(results) -> str:
+    return hashlib.sha256(repr(results).encode()).hexdigest()
+
+
+def test_coloured_census_digest_over_every_scheme():
+    counts = [orbit_census(d, depth, k, scheme, c).counts
+              for d, depth in ((2, 4), (3, 2)) for scheme in all_schemes(d)
+              for c in range(d + 1) for k in range(d ** depth + 1)]
+    assert len(counts) == 1506
+    assert _digest(counts) == "918af75e0686a60eef3d8f72aa9db7d46103692c732561de510dadf5db4927f9"
+
+
+def test_cone_maps_digest_over_every_scheme():
+    # pins the order of the maps, not only their set
+    results = []
+    for d, top in ((2, 3), (3, 1)):
+        for depth in range(top + 1):
+            results.append(enumerate_cone_maps(depth, d))
+            results += [enumerate_cone_maps(depth, d, scheme, a, b) for scheme in all_schemes(d)
+                        for a in range(d + 1) for b in range(d + 1)]
+    results += [boundary_quotient_elements(2, q, n, scheme) for scheme in all_schemes(2)
+                for q in (2, 3) for n in (0, 1, 2)]
+    assert len(results) == 1218
+    assert _digest(results) == "b561aa4d0a39b506153c9e6456c629616c6ccf0f63173c416ea1c1acd24ef460"
 
 
 @pytest.mark.parametrize("build", [Matcher, lambda depth, d: orbit_census(d, depth, 0),

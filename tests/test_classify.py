@@ -5,11 +5,13 @@ from math import factorial
 import pytest
 
 from conftest import listed_by_elements
+from treeirs.canon import enumerate_cone_maps
 from treeirs.classify import (
     CaseReport,
     IncompatibleChain,
     LabelMismatch,
     LabelPartitionViolated,
+    _is_constrained_cone_map,
     boundary_quotient_elements,
     build_alt_wreath_chain,
     children_heredity_check,
@@ -220,6 +222,45 @@ def test_theta_event_vs_bruteforce_depth1():
             expect = any(h in G.element_set for h in movers)
             assert theta_event(G, 0, 1, 2, 2, 1, scheme) == expect, \
                 (F.generators, G.generators)
+
+
+def _constrained_map_mismatches(d, depth, candidates):
+    """(F, a, b, m) for each candidate m on which the constrained-map
+    predicate and the map enumerator disagree, over every F <= Sym(d+1) and
+    every colour pair, and the number of checks made."""
+    bad, checks = [], 0
+    for F in enumerate_subgroups(d + 1)[0]:
+        scheme = ColourScheme(d, F)
+        for a in range(d + 1):
+            for b in range(d + 1):
+                maps = set(enumerate_cone_maps(depth, d, scheme, a, b))
+                for m in candidates(maps):
+                    checks += 1
+                    if _is_constrained_cone_map(m, depth, scheme, a, b) != (m in maps):
+                        bad.append((F.generators, a, b, m))
+    return bad, checks
+
+
+@pytest.mark.parametrize("d,depth,n_checks", [(2, 1, 6 * 9 * 2), (2, 2, 6 * 9 * 24),
+                                              (3, 1, 30 * 16 * 6)])
+def test_constrained_map_predicate_vs_enumerator_every_permutation(d, depth, n_checks):
+    perms = list(itertools.permutations(range(d ** depth)))
+    assert _constrained_map_mismatches(d, depth, lambda maps: perms) == ([], n_checks)
+
+
+def test_constrained_map_predicate_vs_enumerator_depth3():
+    # the 128 rooted automorphisms of the binary depth-3 cone hold every
+    # constrained map and every such map with two sibling leaves swapped;
+    # the seeded permutations are almost never tree-structured
+    rng = random.Random(29)
+    wreath = enumerate_cone_maps(3, 2)
+    assert len(wreath) == 128
+
+    def candidates(maps):
+        assert maps <= set(wreath)
+        return list(wreath) + [tuple(rng.sample(range(8), 8)) for _ in range(100)]
+
+    assert _constrained_map_mismatches(2, 3, candidates) == ([], 6 * 9 * 228)
 
 
 def test_boundary_quotient_size_depth1_full():

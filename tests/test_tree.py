@@ -24,6 +24,7 @@ from treeirs.tree import (
     level_counts,
     level_counts_direct,
     level_depth,
+    local_maps,
     orbit_label,
     parse_address,
 )
@@ -117,6 +118,46 @@ def test_orbit_label_examples():
 
     with pytest.raises(RootHasNoLabel):
         orbit_label(shape, full, ())
+
+
+@pytest.mark.parametrize("walk", [edge_colour_walk, orbit_label])
+@pytest.mark.parametrize("addr", [(1, 0, 1), (1,)])
+def test_walks_refuse_a_scheme_for_another_d(walk, addr):
+    # orbit_label used to read 2 off a ternary colouring of this binary tree
+    for scheme in (ColourScheme.trivial(3), ColourScheme.full(3)):
+        with pytest.raises(ColourSchemeMismatch, match="scheme is for d=3, not 2"):
+            walk(TreeShape(2, 2), scheme, addr)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_local_maps_are_the_local_actions_in_element_order(d):
+    """Each row with c -> c_img put back is the sigma in F it came from: the
+    rows are the sigma in F with sigma(c) = c_img, in F's element order, and
+    none comes from sigma inverse."""
+    for F in enumerate_subgroups(d + 1)[0]:
+        scheme = ColourScheme(d, F)
+        for c in range(d + 1):
+            kids = child_colours(scheme, c, d)
+            for c_img in range(d + 1):
+                rows = local_maps(scheme, c, c_img)
+                sigmas = []
+                for row in rows:
+                    sigma = [None] * (d + 1)
+                    sigma[c] = c_img
+                    for x, y in zip(kids, row):
+                        sigma[x] = y
+                    sigmas.append(tuple(sigma))
+                assert sigmas == [s for s in F.elements if s[c] == c_img]
+                assert (rows != ()) == (scheme.orbit_index[c] == scheme.orbit_index[c_img])
+                assert local_maps(scheme, c, c_img) is rows  # kept on F.memo
+
+
+@pytest.mark.parametrize("c, c_img", [(3, 0), (0, 3), (-1, 0), (0, None), (None, 0), (0, 1.0)])
+def test_local_maps_refuse_colours_outside_the_scheme(c, c_img):
+    scheme = ColourScheme.full(2)
+    for _ in range(2):  # a refusal keeps nothing, so it refuses again
+        with pytest.raises(ColourSchemeMismatch):
+            local_maps(scheme, c, c_img)
 
 
 def test_legal_colouring_distinct_at_each_vertex():
