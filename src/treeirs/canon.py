@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .perm import ClosureExceedsCap, _is_json_int
+from .perm import ClosureExceedsCap, _is_json_int, wreath_join
 from .tree import (ColourScheme, check_cone, check_label, child_colours, cone_colour,
                    cone_leaf_labels, cone_level_colours, local_maps)
 from .tree import ColourSchemeMismatch, DepthMismatch  # noqa: F401  (imported from here too)
@@ -516,7 +516,8 @@ def enumerate_cone_maps(depth: int, d: int, scheme: ColourScheme | None = None,
     Coloured mode: those realizable with every induced local colour
     permutation in F, the source root's parent colour being ``colour_from``
     and the image root's being ``colour_to``.  Each map is a tuple m with
-    m[i] the image leaf index of source leaf i.
+    m[i] the image leaf index of source leaf i, joined by ``wreath_join``
+    from its children's target slots and maps.
     """
     colour_from = cone_colour(d, depth, scheme, colour_from)
     colour_to = cone_colour(d, depth, scheme, colour_from if colour_to is None else colour_to)
@@ -541,14 +542,7 @@ def enumerate_cone_maps(depth: int, d: int, scheme: ColourScheme | None = None,
         out = []
         for targets, per_child in options:
             for choice in itertools.product(*per_child):
-                m = [0] * (d * block)
-                for j in range(d):
-                    base_src = j * block
-                    base_dst = targets[j] * block
-                    mj = choice[j]
-                    for i in range(block):
-                        m[base_src + i] = base_dst + mj[i]
-                out.append(tuple(m))
+                out.append(wreath_join(targets, choice, block))
                 if len(out) > cap:
                     raise ClosureExceedsCap(f"more than cap={cap} cone maps")
         memo[(level, c_from, c_to)] = out

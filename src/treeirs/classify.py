@@ -3,7 +3,10 @@ classes, the Praeger-Saxl audit, theta events, and level-to-level heredity.
 
 Points of a level are indexed cone-major: with q cones of d^n leaves each,
 cone x occupies [x d^n, (x+1) d^n) and the children of level-n point x are
-the level-(n+1) points x d + j.
+the level-(n+1) points x d + j.  So a level permutation is read cone by cone
+with ``perm.wreath_split`` (theta events, the constrained-map test) and
+built from a cone permutation and per-cone maps with ``perm.wreath_join``
+(the boundary quotient, the block lift).
 """
 
 from __future__ import annotations
@@ -17,13 +20,15 @@ from .perm import (
     DegreeTooLarge,
     GeneratedGroup,
     Perm,
+    composer,
     contains_alt_on,
     enumerate_subgroups,
     from_cycles,
     minimal_blocks,
     orbits,
     overgroups_of_cycle,
-    restrict,
+    wreath_join,
+    wreath_split,
 )
 from .tree import ColourScheme, check_scheme, check_tree, child_colours, level_depth, local_maps
 
@@ -198,24 +203,16 @@ def _is_constrained_cone_map(m, level: int, scheme: ColourScheme,
     """
     if level == 0:
         return True
-    d = scheme.d
-    block = d ** (level - 1)
-    cs = child_colours(scheme, c_from, d)
-    ct = child_colours(scheme, c_to, d)
-    targets = []
-    for j in range(d):
-        img = {m[j * block + i] for i in range(block)}
-        jj = min(img) // block
-        if img != set(range(jj * block, (jj + 1) * block)):
-            return False
-        targets.append(jj)
-    if tuple([ct[jj] for jj in targets]) not in local_maps(scheme, c_from, c_to):
+    split = wreath_split(m, scheme.d ** (level - 1))
+    if split is None:
         return False
-    for j, jj in enumerate(targets):
-        sub = tuple(m[j * block + i] - jj * block for i in range(block))
-        if not _is_constrained_cone_map(sub, level - 1, scheme, cs[j], ct[jj]):
-            return False
-    return True
+    targets, subs = split
+    cs = child_colours(scheme, c_from, scheme.d)
+    ct = child_colours(scheme, c_to, scheme.d)
+    if composer(targets)(ct) not in local_maps(scheme, c_from, c_to):
+        return False
+    return all(_is_constrained_cone_map(sub, level - 1, scheme, c, ct[jj])
+               for sub, c, jj in zip(subs, cs, targets))
 
 
 def theta_event(G: GeneratedGroup, u: int, v: int, d: int, q: int, n: int,
@@ -235,27 +232,12 @@ def theta_event(G: GeneratedGroup, u: int, v: int, d: int, q: int, n: int,
     rc = root_colours(check_scheme(scheme, d), q)
     if scheme.orbit_index[rc[u]] != scheme.orbit_index[rc[v]]:
         raise LabelMismatch("cones u and v carry different root labels")
-    block = d ** n
-    for h in G.elements:
-        rho = []
-        ok = True
-        for x in range(q):
-            img = {h[x * block + i] for i in range(block)}
-            y = min(img) // block
-            if img != set(range(y * block, (y + 1) * block)):
-                ok = False
-                break
-            rho.append(y)
-        if not ok or rho[u] != v or len(set(rho)) != q:
-            continue
-        if any(scheme.orbit_index[rc[x]] != scheme.orbit_index[rc[rho[x]]]
-               for x in range(q)):
-            continue
-        if all(_is_constrained_cone_map(
-                tuple(h[x * block + i] - rho[x] * block for i in range(block)),
-                n, scheme, rc[x], rc[rho[x]]) for x in range(q)):
-            return True
-    return False
+    labels = composer(rc)(scheme.orbit_index)
+    splits = filter(None, (wreath_split(h, d ** n) for h in G.elements))
+    return any(rho[u] == v and composer(rho)(labels) == labels
+               and all(_is_constrained_cone_map(m, n, scheme, c, rc[y])
+                       for m, c, y in zip(cones, rc, rho))
+               for rho, cones in splits)
 
 
 def boundary_quotient_elements(d: int, q: int, n: int, scheme: ColourScheme,
@@ -267,20 +249,15 @@ def boundary_quotient_elements(d: int, q: int, n: int, scheme: ColourScheme,
     """
     check_tree(d, q)
     rc = root_colours(check_scheme(scheme, d), q)
-    block = d ** n
+    labels = composer(rc)(scheme.orbit_index)
     out = []
     for rho in itertools.permutations(range(q)):
-        if any(scheme.orbit_index[rc[x]] != scheme.orbit_index[rc[rho[x]]]
-               for x in range(q)):
+        if composer(rho)(labels) != labels:
             continue
-        per_cone = [enumerate_cone_maps(n, d, scheme, rc[x], rc[rho[x]], cap)
-                    for x in range(q)]
+        per_cone = [enumerate_cone_maps(n, d, scheme, c, rc[y], cap)
+                    for c, y in zip(rc, rho)]
         for choice in itertools.product(*per_cone):
-            perm = [0] * (q * block)
-            for x in range(q):
-                for i in range(block):
-                    perm[x * block + i] = rho[x] * block + choice[x][i]
-            out.append(tuple(perm))
+            out.append(wreath_join(rho, choice, d ** n))
             if len(out) > cap:
                 raise ValueError(f"boundary quotient exceeds cap={cap}")
     return tuple(out)
@@ -356,11 +333,7 @@ def _giant(G: GeneratedGroup) -> set[int]:
 
 def _block_lift(g: Perm, d: int) -> Perm:
     """Level-(n+1) image of a level-n permutation: child j follows its parent."""
-    out = [0] * (len(g) * d)
-    for x, y in enumerate(g):
-        for j in range(d):
-            out[x * d + j] = y * d + j
-    return tuple(out)
+    return wreath_join(g, [range(d)] * len(g), d)
 
 
 def _wreath_generators(U, degree_n: int, d: int) -> list[Perm]:

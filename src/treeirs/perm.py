@@ -12,6 +12,9 @@ Conventions used throughout the package:
   returns a bare entry instead of a tuple.  A loop with a fixed factor
   builds that factor's getter once, and ``conjugator(g)`` inverts g once.
   A single ``conjugate`` keeps its own loop, cheaper than inverting g.
+* A tree level is numbered cone-major, so each subtree is a block of
+  consecutive points.  ``wreath_split`` reads a permutation in its wreath
+  coordinates, block by block, and ``wreath_join`` builds one from them.
 * Every group here is given by generators and materialised by breadth-first
   closure.  Nothing is meant to scale past degree 7; there is deliberately no
   stabilizer-chain machinery.
@@ -131,6 +134,26 @@ def restrict(p: Perm, points: tuple[int, ...]) -> Perm:
     """Restriction of p to an invariant point set, reindexed along sorted(points)."""
     pos = {x: i for i, x in enumerate(points)}
     return tuple(pos[p[x]] for x in points)
+
+
+def wreath_split(p: Perm, block: int):
+    """Wreath coordinates ``(top, base)`` of p over blocks of ``block``
+    consecutive points: the point j*block + i goes to top[j]*block +
+    base[j][i].  None when some block is not carried onto a whole block."""
+    top, base = [], []
+    for start in range(0, len(p), block):
+        lo = p[start] - p[start] % block
+        b = tuple([y - lo for y in p[start:start + block]])
+        if not is_perm(b):
+            return None
+        top.append(lo // block)
+        base.append(b)
+    return tuple(top), tuple(base)
+
+
+def wreath_join(top, base, block: int) -> Perm:
+    """The permutation with wreath coordinates ``(top, base)``."""
+    return tuple([t * block + x for t, b in zip(top, base) for x in b])
 
 
 def close(generators, cap: int = DEFAULT_CAP, *, degree: int | None = None) -> tuple[Perm, ...]:

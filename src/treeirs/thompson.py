@@ -13,7 +13,9 @@ diagram of Cannon, Floyd & Parry (Enseign. Math. 42, 1996); it is unique, so
 it is the canonical form used for equality.
 
 Subtrees are stored as their leaf sets: sorted tuples of digit-tuple
-addresses (the root-only tree is ``((),)``).  Every pair is validated when it
+addresses (the root-only tree is ``((),)``); leaves given out of order are
+sorted with sigma carried along.  Only ``perm``'s kernel (``inverse``,
+``composer``) inverts or reorders sigma.  Every pair is validated when it
 is built, by one pass that finds every digit an int and one forward sweep
 over its sorted leaves: each leaf must be the next uncovered boundary vertex
 followed only by zeros, and the sweep must pass the root at the last leaf.
@@ -26,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .perm import _is_json_int
+from . import perm
+from .perm import _is_json_int, composer, is_perm
 from .tree import ColourScheme, TreeShape, check_scheme, check_tree, orbit_label
 
 Address = tuple[int, ...]
@@ -96,8 +99,8 @@ class TreePair:
     """A (domain tree, range tree, leaf bijection) triple; not auto-reduced.
 
     ``sigma[i]`` is the index into ``range_leaves`` of the image of
-    ``domain_leaves[i]``.  Use :func:`reduce_pair` to get the canonical
-    representative.
+    ``domain_leaves[i]``, as given; both are stored sorted.  Use
+    :func:`reduce_pair` to get the canonical representative.
     """
 
     d: int
@@ -108,17 +111,23 @@ class TreePair:
 
     def __post_init__(self):
         check_tree(self.d, self.q, MalformedPair)
-        dom = _check_leafset(self.domain_leaves, self.d, self.q)
-        rng = _check_leafset(self.range_leaves, self.d, self.q)
+        given_dom, given_rng = tuple(self.domain_leaves), tuple(self.range_leaves)
+        dom = _check_leafset(given_dom, self.d, self.q)
+        rng = _check_leafset(given_rng, self.d, self.q)
         sigma = tuple(self.sigma)
-        object.__setattr__(self, "domain_leaves", dom)
-        object.__setattr__(self, "range_leaves", rng)
-        object.__setattr__(self, "sigma", sigma)
         if len(dom) != len(rng):
             raise MalformedPair("domain and range leaf counts differ")
         # the type test comes first: floats and bools sort among the ints
-        if set(map(type, sigma)) != {int} or sorted(sigma) != list(range(len(dom))):
+        if set(map(type, sigma)) != {int} or len(sigma) != len(dom) or not is_perm(sigma):
             raise MalformedPair("sigma is not a bijection of leaf indices (ints)")
+        # sigma indexes the leaves as given: carry it onto the sorted tuples
+        if dom != given_dom:
+            sigma = composer(_sorting(tuple(map(tuple, given_dom))))(sigma)
+        if rng != given_rng:
+            sigma = composer(sigma)(perm.inverse(_sorting(tuple(map(tuple, given_rng)))))
+        object.__setattr__(self, "domain_leaves", dom)
+        object.__setattr__(self, "range_leaves", rng)
+        object.__setattr__(self, "sigma", sigma)
 
     @classmethod
     def identity(cls, d: int, q: int) -> "TreePair":
@@ -136,8 +145,13 @@ class TreePair:
         return self.range_leaves[self.sigma[i]]
 
     def mapping(self) -> dict[Address, Address]:
-        return {a: self.range_leaves[self.sigma[i]]
-                for i, a in enumerate(self.domain_leaves)}
+        return dict(zip(self.domain_leaves, composer(self.sigma)(self.range_leaves)))
+
+
+def _sorting(leaves: tuple[Address, ...]) -> list[int]:
+    """The permutation that sorts distinct addresses: the j-th least is
+    ``leaves[_sorting(leaves)[j]]``."""
+    return sorted(range(len(leaves)), key=leaves.__getitem__)
 
 
 def _collapse(items, d: int, q: int) -> list[tuple[Address, Address]]:
@@ -180,12 +194,8 @@ def _collapse(items, d: int, q: int) -> list[tuple[Address, Address]]:
 def _from_sorted(d: int, q: int, items) -> TreePair:
     """The pair of (domain leaf, image) items sorted by domain leaf."""
     dom, images = zip(*items) if items else ((), ())
-    order = sorted(range(len(images)), key=images.__getitem__)
-    sigma = [0] * len(order)
-    for j, i in enumerate(order):
-        sigma[i] = j
-    return TreePair(d, q, dom, tuple(map(images.__getitem__, order)),
-                    tuple(sigma))
+    order = _sorting(images)
+    return TreePair(d, q, dom, composer(order)(images), perm.inverse(order))
 
 
 def reduce_pair(pair: TreePair) -> TreePair:
@@ -193,8 +203,7 @@ def reduce_pair(pair: TreePair) -> TreePair:
 
     Returns ``pair`` itself when it is already reduced.
     """
-    items = list(zip(pair.domain_leaves,
-                     map(pair.range_leaves.__getitem__, pair.sigma)))
+    items = list(zip(pair.domain_leaves, composer(pair.sigma)(pair.range_leaves)))
     reduced = _collapse(items, pair.d, pair.q)
     if len(reduced) == len(items):
         return pair
@@ -216,10 +225,8 @@ def compose(p1: TreePair, p2: TreePair) -> TreePair:
     if (p1.d, p1.q) != (p2.d, p2.q):
         raise MalformedPair("tree parameters differ")
     rs, ss = p1.range_leaves, p2.domain_leaves
-    pre = [()] * len(rs)
-    for a, j in zip(p1.domain_leaves, p1.sigma):
-        pre[j] = a
-    post = list(map(p2.range_leaves.__getitem__, p2.sigma))
+    pre = composer(perm.inverse(p1.sigma))(p1.domain_leaves)
+    post = composer(p2.sigma)(p2.range_leaves)
     cones = [[] for _ in rs]
     i = k = 0
     n_s = len(ss)
@@ -245,11 +252,8 @@ def compose(p1: TreePair, p2: TreePair) -> TreePair:
 
 
 def inverse(pair: TreePair) -> TreePair:
-    inv = [0] * len(pair.sigma)
-    for i, j in enumerate(pair.sigma):
-        inv[j] = i
     return TreePair(pair.d, pair.q, pair.range_leaves, pair.domain_leaves,
-                    tuple(inv))
+                    perm.inverse(pair.sigma))
 
 
 def act_on_address(pair: TreePair, w, deepen: bool = False):
@@ -260,17 +264,17 @@ def act_on_address(pair: TreePair, w, deepen: bool = False):
     (address, image) pairs instead of raising.
     """
     w = tuple(w)
-    for i, a in enumerate(pair.domain_leaves):
+    mapping = pair.mapping()
+    for a, b in mapping.items():
         if w[:len(a)] == a:
-            return pair.range_leaves[pair.sigma[i]] + w[len(a):]
-    below = [i for i, a in enumerate(pair.domain_leaves) if a[:len(w)] == w]
+            return b + w[len(a):]
+    below = tuple((a, b) for a, b in mapping.items() if a[:len(w)] == w)
     if not below:
         raise MalformedPair(f"address {w} is outside the tree")
     if not deepen:
         raise AddressTooShallow(
             f"address {w} is shallower than the domain frontier")
-    return tuple((pair.domain_leaves[i], pair.range_leaves[pair.sigma[i]])
-                 for i in below)
+    return below
 
 
 def is_label_preserving(pair: TreePair, scheme: ColourScheme) -> bool:
@@ -286,13 +290,9 @@ def is_label_preserving(pair: TreePair, scheme: ColourScheme) -> bool:
     shape = TreeShape(pair.d, pair.q,
                       n_max=max(len(a) for a in
                                 pair.domain_leaves + pair.range_leaves) + 1)
-    for i, a in enumerate(pair.domain_leaves):
-        if not a:
-            continue  # root-only pair: nothing to check
-        b = pair.range_leaves[pair.sigma[i]]
-        if orbit_label(shape, scheme, a) != orbit_label(shape, scheme, b):
-            return False
-    return True
+    # a root-only pair has nothing to check
+    return all(not a or orbit_label(shape, scheme, a) == orbit_label(shape, scheme, b)
+               for a, b in pair.mapping().items())
 
 
 def _check_json_digits(d: int, q: int) -> None:
@@ -313,13 +313,21 @@ def pair_to_json(pair: TreePair) -> dict:
     }
 
 
+_JSON_FIELDS = {"d": "an integer", "q": "an integer", "domain_leaves": "an array",
+                "range_leaves": "an array", "sigma": "an array"}
+
+
 def pair_from_json(data) -> TreePair:
-    """Read :func:`pair_to_json` output; every number must be a JSON integer
-    and every address a string of ASCII digits."""
+    """Read :func:`pair_to_json` output; every number must be a JSON integer,
+    every address a string of ASCII digits, and the leaves and sigma arrays."""
+    if not isinstance(data, dict) or not data.keys() >= _JSON_FIELDS.keys():
+        raise MalformedPair('expected a JSON object with keys "d", "q", '
+                            '"domain_leaves", "range_leaves" and "sigma"')
+    for key, kind in _JSON_FIELDS.items():
+        value = data[key]
+        if not (isinstance(value, list) if kind == "an array" else _is_json_int(value)):
+            raise MalformedPair(f'"{key}" must be {kind}, not {value!r}')
     d, q = data["d"], data["q"]
-    for key, value in (("d", d), ("q", q)):
-        if not _is_json_int(value):
-            raise MalformedPair(f'"{key}" must be an integer, not {value!r}')
     _check_json_digits(d, q)
     # TreePair refuses sigma entries that are not ints
     return TreePair(d, q, _addresses_from_json(data["domain_leaves"]),

@@ -4,7 +4,8 @@ import pytest
 
 from treeirs import perm
 from treeirs.canon import _block_split
-from treeirs.perm import GeneratedGroup, compose
+from treeirs.classify import boundary_quotient_elements, root_colours, theta_event
+from treeirs.perm import GeneratedGroup, compose, from_cycles
 from treeirs.thompson import TreePair, reduce_pair
 from treeirs.tree import ColourScheme, TreeShape, child_colours, orbit_label
 
@@ -109,6 +110,50 @@ def random_coloured_image(rng, E, depth: int, scheme: ColourScheme,
         return tuple(sorted(out))
 
     return go(tuple(sorted(set(E))), depth, parent_colour, parent_colour)
+
+
+# ---------------------------------------------------------------------------
+# level groups and theta events
+# ---------------------------------------------------------------------------
+
+def level_group(d: int, q: int, n: int) -> GeneratedGroup:
+    """W(d,q,n), the action of Aut(T_{d,q}) on the q*d^n level-n points,
+    numbered cone-major: Sym(q) on the root blocks and Sym(d) on the
+    children of the leftmost vertex at each depth 1..n, each by a
+    transposition and a full cycle."""
+    degree = q * d ** n
+
+    def on_front(k, size):  # the front k blocks of `size` points each
+        swap = from_cycles(degree, *[(i, size + i) for i in range(size)])
+        cycle = from_cycles(degree, *[tuple(j * size + i for j in range(k))
+                                      for i in range(size)])
+        return [swap, cycle]
+
+    gens = on_front(q, d ** n)
+    for depth in range(1, n + 1):
+        gens += on_front(d, d ** (n - depth))
+    return GeneratedGroup(degree, gens)
+
+
+def theta_vs_boundary_quotient(subgroups, d: int, q: int, n: int) -> list[bool]:
+    """``theta_event(G, 0, 1, ...)`` for every F <= Sym(d+1) whose root
+    colours 0 and 1 share a label and every G in ``subgroups``, in that
+    order; each is asserted equal to whether G holds an element of the
+    boundary quotient that carries cone 0 onto cone 1."""
+    block = d ** n
+    results = []
+    for F in perm.enumerate_subgroups(d + 1)[0]:
+        scheme = ColourScheme(d, F)
+        rc = root_colours(scheme, q)
+        if scheme.orbit_index[rc[0]] != scheme.orbit_index[rc[1]]:
+            continue
+        movers = [h for h in boundary_quotient_elements(d, q, n, scheme)
+                  if set(h[:block]) == set(range(block, 2 * block))]
+        for G in subgroups:
+            got = theta_event(G, 0, 1, d, q, n, scheme)
+            assert got == any(h in G for h in movers), (F.generators, G.generators)
+            results.append(got)
+    return results
 
 
 def listed_by_elements(G):

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import random
 from math import factorial
 
 import pytest
 
-from conftest import listed_by_elements
+from conftest import level_group, listed_by_elements, theta_vs_boundary_quotient
 from treeirs.canon import enumerate_cone_maps
 from treeirs.classify import (
     CaseReport,
@@ -33,6 +34,7 @@ from treeirs.perm import (
     minimal_blocks,
     orbits,
     product_of_symmetric,
+    subgroups_of,
     symmetric_group,
 )
 from treeirs.tree import ColourScheme, ColourSchemeMismatch
@@ -222,6 +224,29 @@ def test_theta_event_vs_bruteforce_depth1():
             expect = any(h in G.element_set for h in movers)
             assert theta_event(G, 0, 1, 2, 2, 1, scheme) == expect, \
                 (F.generators, G.generators)
+
+
+@pytest.mark.parametrize("d, q, n, order, checks, true, digest", [
+    (2, 3, 1, None, 5_820, 812,
+     "29a67abc0432283dc55c3ab7527f3c6177b7e444beb382b8621be3fc1af12da9"),
+    (2, 2, 2, 128, 2_304, 398,
+     "00cc0629f58608647a94264524c023dfea531cafbd1b75d9f1d82fc3f8c45ced"),
+    (3, 2, 1, 72, 2_688, 546,
+     "e4baaf91666dc0382edb349361d31f586c9658a24ded37cd57244f8411c6db6a"),
+], ids=["Sym(6)", "W(2,2,2)", "W(3,2,1)"])
+def test_theta_event_vs_boundary_quotient_exhaustive(d, q, n, order, checks, true, digest):
+    # every subgroup of Sym(6), or of the level group W(d,q,n), against
+    # every F whose root colours 0 and 1 share a label; the digest pins
+    # each answer in order
+    if order is None:
+        subgroups = enumerate_subgroups(q * d ** n)[0]
+    else:
+        W = level_group(d, q, n)
+        assert W.order == order == factorial(q) * factorial(d) ** (q * (d ** n - 1) // (d - 1))
+        subgroups = subgroups_of(W)
+    results = theta_vs_boundary_quotient(subgroups, d, q, n)
+    assert (len(results), sum(results)) == (checks, true)
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
 
 
 def _constrained_map_mismatches(d, depth, candidates):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treeirs import cli, perm
+from treeirs.classify import _block_lift
 from treeirs.irs import restriction_map
 from treeirs.perm import (
     DEFAULT_CAP,
@@ -46,6 +47,8 @@ from treeirs.perm import (
     rigid_stabilizer,
     subgroups_of,
     symmetric_group,
+    wreath_join,
+    wreath_split,
 )
 
 perms5 = st.permutations(range(5)).map(tuple)
@@ -939,6 +942,94 @@ def test_restricted_is_the_restriction_closed_on_demand(gens, points):
     pts = tuple(sorted(points))
     assert R.element_set == {restrict(p, pts) for p in G.elements}
     assert R.generators == tuple(restrict(g, pts) for g in gens)
+
+
+# ---------------------------------------------------------------------------
+# wreath coordinates against the block loops they replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_split(p, block):
+    """The theta-event loop: each block's image set must be a whole block."""
+    top, base = [], []
+    for x in range(len(p) // block):
+        img = {p[x * block + i] for i in range(block)}
+        y = min(img) // block
+        if img != set(range(y * block, (y + 1) * block)):
+            return None
+        top.append(y)
+        base.append(tuple(p[x * block + i] - y * block for i in range(block)))
+    return tuple(top), tuple(base)
+
+
+def _oracle_join(top, base, block):
+    """The boundary-quotient loop: point x*block + i goes to top[x]*block + base[x][i]."""
+    out = [0] * (len(top) * block)
+    for x in range(len(top)):
+        for i in range(block):
+            out[x * block + i] = top[x] * block + base[x][i]
+    return tuple(out)
+
+
+def _oracle_block_lift(g, d):
+    out = [0] * (len(g) * d)
+    for x, y in enumerate(g):
+        for j in range(d):
+            out[x * d + j] = y * d + j
+    return tuple(out)
+
+
+def _assert_split_agrees(p, block):
+    split = wreath_split(p, block)
+    assert split == _oracle_split(p, block)
+    if split is not None:
+        assert wreath_join(*split, block) == p
+    return split
+
+
+sizes = st.integers(1, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes, sizes, st.data())
+def test_wreath_split_of_any_permutation_matches_its_loop(block, n_blocks, data):
+    # drawn permutations mostly break a block; those are the None cases
+    p = tuple(data.draw(st.permutations(range(block * n_blocks))))
+    _assert_split_agrees(p, block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes, sizes, st.data())
+def test_wreath_coordinates_round_trip(block, n_blocks, data):
+    top = tuple(data.draw(st.permutations(range(n_blocks))))
+    base = tuple(tuple(data.draw(st.permutations(range(block)))) for _ in top)
+    p = wreath_join(top, base, block)
+    assert p == _oracle_join(top, base, block)
+    assert _assert_split_agrees(p, block) == (top, base)
+    # swapping two points of different blocks breaks both blocks when the
+    # blocks have more than one point
+    x, y = data.draw(st.tuples(st.integers(0, len(p) - 1), st.integers(0, len(p) - 1)))
+    q = list(p)
+    q[x], q[y] = q[y], q[x]
+    split = _assert_split_agrees(tuple(q), block)
+    assert (split is None) == (block > 1 and x // block != y // block)
+
+
+def test_wreath_split_refuses_every_broken_block_exhaustively():
+    # every permutation of degree <= 6 over every block size that divides it
+    for degree in range(1, 7):
+        for block in (b for b in range(1, degree + 1) if degree % b == 0):
+            whole = sum(_assert_split_agrees(p, block) is not None
+                        for p in itertools.permutations(range(degree)))
+            k = degree // block
+            assert whole == factorial(k) * factorial(block) ** k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 4), st.data())
+def test_block_lift_matches_its_loop(degree, d, data):
+    g = tuple(data.draw(st.permutations(range(degree))))
+    assert _block_lift(g, d) == _oracle_block_lift(g, d)
+    assert wreath_split(_block_lift(g, d), d) == (g, (tuple(range(d)),) * degree)
 
 
 def test_group_json_roundtrip():

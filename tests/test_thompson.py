@@ -40,6 +40,29 @@ def test_validation_rejects_garbage():
         TreePair(2, 2, ((0,), (1,)), ((0,), (1,)), (0, 0))  # sigma not bijective
     with pytest.raises(MalformedPair):
         TreePair(2, 2, ((0,), (1,), (1, 0)), ((0,), (1,), (1, 0)), (0, 1, 2))
+    for sigma in ((0,), (0, 1, 2)):  # a bijection of too few or too many indices
+        with pytest.raises(MalformedPair, match="bijection"):
+            TreePair(2, 2, ((0,), (1,)), ((0,), (1,)), sigma)
+
+
+def test_unsorted_leaves_keep_their_map():
+    # sigma indexes the leaves as given; sorting them used to leave it
+    # indexing the unsorted tuples, so the swap of the root cones was stored
+    # as the identity
+    swap = TreePair(2, 2, ((0,), (1,)), ((0,), (1,)), (1, 0))
+    assert TreePair(2, 2, ((0,), (1,)), ((1,), (0,)), (0, 1)) == swap
+    assert TreePair(2, 2, ((1,), (0,)), ((0,), (1,)), (0, 1)) == swap
+    assert TreePair(2, 2, ((1,), (0,)), ((1,), (0,)), (1, 0)) == swap
+    assert TreePair(2, 2, [[1], [0]], [[0], [1]], [0, 1]) == swap
+    rng = random.Random(30)
+    for d, q in PARAMS:
+        for _ in range(50):
+            p = random_tree_pair(rng, d, q)
+            dom = rng.sample(p.domain_leaves, len(p.domain_leaves))
+            ran = rng.sample(p.range_leaves, len(p.range_leaves))
+            image = p.mapping()
+            sigma = [ran.index(image[a]) for a in dom]
+            assert TreePair(d, q, tuple(dom), tuple(ran), tuple(sigma)) == p
 
 
 def test_validation_refuses_non_int_parameters_and_sigma():
@@ -289,6 +312,7 @@ def test_json_output_unchanged():
 
 _GOOD_JSON = {"d": 2, "q": 2, "domain_leaves": ["0", "1"],
               "range_leaves": ["0", "1"], "sigma": [1, 0]}
+_DROP = object()  # a key left out of the input
 
 
 @pytest.mark.parametrize("change,match", [
@@ -302,12 +326,31 @@ _GOOD_JSON = {"d": 2, "q": 2, "domain_leaves": ["0", "1"],
     ({"domain_leaves": ["0", "\uff11"]}, "digits 0-9"),
     ({"range_leaves": ["\u0660", "1"]}, "digits 0-9"),
     ({"domain_leaves": [[0], [1]]}, "digits 0-9"),
+    ({"domain_leaves": "01"}, '"domain_leaves" must be an array'),
+    ({"range_leaves": {"0": 0, "1": 1}}, '"range_leaves" must be an array'),
+    ({"sigma": "10"}, '"sigma" must be an array'),
+    ({"sigma": 1}, '"sigma" must be an array'),
+    ({"sigma": [0]}, "bijection"),
+    ({"sigma": _DROP}, "expected a JSON object with keys"),
+    ({"d": _DROP}, "expected a JSON object with keys"),
+    ([_GOOD_JSON], "expected a JSON object with keys"),
+    ("{}", "expected a JSON object with keys"),
+    (None, "expected a JSON object with keys"),
 ])
 def test_json_refuses_non_integers(change, match):
     assert pair_from_json(_GOOD_JSON) == TreePair(2, 2, ((0,), (1,)),
                                                   ((0,), (1,)), (1, 0))
+    if isinstance(change, dict):  # the good input with these keys set or dropped
+        change = {key: value for key, value in {**_GOOD_JSON, **change}.items()
+                  if value is not _DROP}
     with pytest.raises(MalformedPair, match=match):
-        pair_from_json({**_GOOD_JSON, **change})
+        pair_from_json(change)
+
+
+def test_json_unsorted_leaves_keep_their_map():
+    swap = pair_from_json(_GOOD_JSON)
+    assert pair_from_json({**_GOOD_JSON, "range_leaves": ["1", "0"], "sigma": [0, 1]}) == swap
+    assert pair_from_json({**_GOOD_JSON, "domain_leaves": ["1", "0"], "sigma": [0, 1]}) == swap
 
 
 # ---------------------------------------------------------------------------
