@@ -15,13 +15,18 @@ it is the canonical form used for equality.
 Subtrees are stored as their leaf sets: sorted tuples of digit-tuple
 addresses (the root-only tree is ``((),)``); leaves given out of order are
 sorted with sigma carried along.  Only ``perm``'s kernel (``inverse``,
-``composer``) inverts or reorders sigma.  Every pair is validated when it
-is built, by one pass that finds every digit an int and one forward sweep
-over its sorted leaves: each leaf must be the next uncovered boundary vertex
-followed only by zeros, and the sweep must pass the root at the last leaf.
-That one test refuses empty sets, bad digits, duplicates, nested leaves and
-gaps; only a refused set is examined again, to name the reason.  Nothing in
-the calculus recurses per tree level.
+``composer``) inverts or reorders sigma.  Validation happens at the public
+constructors: ``TreePair(...)``, ``TreePair.identity``, ``from_mapping`` and
+``pair_from_json`` each run one pass that finds every digit an int and one
+forward sweep over the sorted leaves: each leaf must be the next uncovered
+boundary vertex followed only by zeros, and the sweep must pass the root at
+the last leaf.  That one test refuses empty sets, bad digits, duplicates,
+nested leaves and gaps; only a refused set is examined again, to name the
+reason.  ``compose``, ``reduce_pair`` and ``inverse`` build their results
+from the leaves and sigma of pairs validated already, so they set the fields
+through :func:`_trusted` and run no check again; a tier-1 test rebuilds
+every result through the public constructor and compares fields and hash.
+Nothing in the calculus recurses per tree level.
 """
 
 from __future__ import annotations
@@ -100,7 +105,10 @@ class TreePair:
 
     ``sigma[i]`` is the index into ``range_leaves`` of the image of
     ``domain_leaves[i]``, as given; both are stored sorted.  Use
-    :func:`reduce_pair` to get the canonical representative.
+    :func:`reduce_pair` to get the canonical representative.  Building one
+    directly, or through :meth:`identity`, :meth:`from_mapping` or
+    :func:`pair_from_json`, validates it; the calculus builds its results
+    through :func:`_trusted`, which does not.
     """
 
     d: int
@@ -138,10 +146,15 @@ class TreePair:
         """Build from {domain address: range address} pairs."""
         items = [(tuple(a), tuple(b)) for a, b in dict(mapping).items()]
         _check_digits(a for item in items for a in item)  # a str digit would not sort
-        return _from_sorted(d, q, sorted(items))
+        dom, images = zip(*sorted(items)) if items else ((), ())
+        # the constructor sorts the images and carries sigma along
+        return cls(d, q, dom, images, tuple(range(len(dom))))
 
     def image_of_leaf(self, a: Address) -> Address:
-        i = self.domain_leaves.index(tuple(a))
+        try:
+            i = self.domain_leaves.index(tuple(a))
+        except (TypeError, ValueError):  # not iterable, or not a leaf
+            raise MalformedPair(f"address {a!r} is not a domain leaf") from None
         return self.range_leaves[self.sigma[i]]
 
     def mapping(self) -> dict[Address, Address]:
@@ -191,11 +204,28 @@ def _collapse(items, d: int, q: int) -> list[tuple[Address, Address]]:
     return stack
 
 
+def _trusted(d: int, q: int, domain_leaves, range_leaves, sigma) -> TreePair:
+    """A pair that is valid by construction, with its fields set as given.
+
+    No check runs: the caller passes sorted leaf tuples of one complete
+    subtree each and a bijection between them, taken from validated pairs.
+    """
+    pair = object.__new__(TreePair)
+    setattr_ = object.__setattr__  # the frozen dataclass refuses setattr
+    setattr_(pair, "d", d)
+    setattr_(pair, "q", q)
+    setattr_(pair, "domain_leaves", domain_leaves)
+    setattr_(pair, "range_leaves", range_leaves)
+    setattr_(pair, "sigma", sigma)
+    return pair
+
+
 def _from_sorted(d: int, q: int, items) -> TreePair:
-    """The pair of (domain leaf, image) items sorted by domain leaf."""
-    dom, images = zip(*items) if items else ((), ())
+    """The pair of the calculus's (domain leaf, image) items, sorted by
+    domain leaf, from validated pairs of the same (d, q)."""
+    dom, images = zip(*items)
     order = _sorting(images)
-    return TreePair(d, q, dom, composer(order)(images), perm.inverse(order))
+    return _trusted(d, q, dom, composer(order)(images), perm.inverse(order))
 
 
 def reduce_pair(pair: TreePair) -> TreePair:
@@ -252,7 +282,7 @@ def compose(p1: TreePair, p2: TreePair) -> TreePair:
 
 
 def inverse(pair: TreePair) -> TreePair:
-    return TreePair(pair.d, pair.q, pair.range_leaves, pair.domain_leaves,
+    return _trusted(pair.d, pair.q, pair.range_leaves, pair.domain_leaves,
                     perm.inverse(pair.sigma))
 
 

@@ -98,6 +98,23 @@ def test_validation_names_the_bad_tree_parameter():
         TreePair.identity(1, 2)
 
 
+def test_image_of_leaf_refuses_a_non_leaf():
+    # used to leak "ValueError: tuple.index(x): x not in tuple"
+    e = TreePair.identity(2, 2)
+    assert e.image_of_leaf(()) == ()
+    p = TreePair.from_mapping(2, 2, {(0,): (1,), (1,): (0,)})
+    assert p.image_of_leaf([0]) == (1,)  # any sequence of digits names a leaf
+    with pytest.raises(MalformedPair, match=r"address \(0,\) is not a domain leaf"):
+        e.image_of_leaf((0,))  # a vertex below the root leaf
+    with pytest.raises(MalformedPair, match=r"address \(\) is not a domain leaf"):
+        p.image_of_leaf(())  # an interior vertex
+    with pytest.raises(MalformedPair, match=r"address \(1, 0, 1\) is not a domain leaf"):
+        p.image_of_leaf((1, 0, 1))  # deeper than the leaf (1,)
+    for a in (5, None, "01"):  # not a tuple of int digits
+        with pytest.raises(MalformedPair, match=f"address {a!r} is not a domain leaf"):
+            p.image_of_leaf(a)
+
+
 def test_identity_pair_and_action():
     e = TreePair.identity(2, 3)
     assert act_on_address(e, (1, 0, 1)) == (1, 0, 1)
@@ -147,6 +164,16 @@ def test_compose_associative_random():
             p2 = random_tree_pair(rng, d, q)
             p3 = random_tree_pair(rng, d, q)
             assert compose(compose(p1, p2), p3) == compose(p1, compose(p2, p3))
+
+
+@pytest.mark.parametrize("shapes", [((2, 2), (2, 3)), ((2, 3), (3, 2))])
+def test_compose_refuses_pairs_of_different_trees(shapes):
+    # the trusted constructor takes (d, q) from p1: this guard is what keeps
+    # a pair of one tree from being built on the leaves of another
+    p1, p2 = (TreePair.identity(d, q) for d, q in shapes)
+    for a, b in ((p1, p2), (p2, p1)):
+        with pytest.raises(MalformedPair, match="tree parameters differ"):
+            compose(a, b)
 
 
 def test_depth1_swaps_compose_to_cone_cycle():
@@ -824,3 +851,61 @@ def test_level_group_embeds_injectively():
                                 from_cycles(8, (0, 2), (1, 3)), from_cycles(8, (0, 1))])
     assert W.order == 128
     assert len({reduce_pair(level_pair(2, 2, 2, g)) for g in W.elements}) == 128
+
+
+# ---------------------------------------------------------------------------
+# compose, reduce_pair and inverse build their results without validating
+# them: every result, rebuilt through the public constructor, must come back
+# with the same fields and hash, and inverse must agree with the public
+# constructor fed the inverted leaf map
+# ---------------------------------------------------------------------------
+
+def _assert_revalidates(got):
+    again = TreePair(got.d, got.q, got.domain_leaves, got.range_leaves, got.sigma)
+    assert _fields(again) == _fields(got) and hash(again) == hash(got)
+    return got
+
+
+def _assert_results_revalidate(p1, p2):
+    for p in (p1, p2):
+        _assert_revalidates(reduce_pair(p))
+        inv = _assert_revalidates(inverse(p))
+        want = TreePair.from_mapping(p.d, p.q, {b: a for a, b in p.mapping().items()})
+        assert _fields(inv) == _fields(want)
+        _assert_revalidates(compose(p, inv))
+    _assert_revalidates(compose(p1, p2))
+
+
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+def test_calculus_results_revalidate_seeded(d, q):
+    rng = random.Random(7000 + 10 * d + q)
+    raw = [random_raw_pair(rng, d, q, 7) for _ in range(150)]
+    reduced = [reduce_pair(p) for p in raw]
+    for pairs in (raw, reduced):
+        for p1, p2 in zip(pairs, pairs[1:] + pairs[:1]):
+            _assert_results_revalidate(p1, p2)
+    for p, r in zip(raw, reduced):
+        _assert_results_revalidate(p, r)
+
+
+def test_calculus_results_revalidate_on_deep_combs():
+    comb = [(1,) * i + (0,) for i in range(1500)] + [(1,) * 1500]
+    mirror = sorted(tuple(1 - x for x in a) for a in comb)
+    n = len(comb)
+    rotate = tuple((i + 1) % n for i in range(n))
+    p = TreePair(2, 2, comb, comb, rotate)
+    m = TreePair(2, 2, mirror, mirror, rotate)
+    across = TreePair(2, 2, comb, mirror, tuple(reversed(range(n))))
+    _assert_results_revalidate(p, m)
+    _assert_results_revalidate(across, inverse(across))
+    e = TreePair.identity(2, 2)
+    _assert_revalidates(compose(e, p))
+    _assert_revalidates(compose(p, e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_tuples(2))
+def test_calculus_results_revalidate_drawn(pairs):
+    p1, p2 = pairs
+    _assert_results_revalidate(p1, p2)
+    _assert_results_revalidate(reduce_pair(p1), reduce_pair(p2))
