@@ -59,6 +59,12 @@ keeps no table of forms, and ``Matcher``'s class ids live only as long as one
 ``same`` call.  The string is reconstruction-independent (children
 are ordered by their canonical strings), so forms compare equal across calls,
 threads and processes, and census keys are exported as they are.
+
+No command reads the per-subset forms.  Acceptance criterion C3 reads
+``canon_full``, ``canon_coloured`` and ``enumerate_cone_maps``, and the tier-1
+tests check the forms and ``Matcher`` against the oracles ``equivalent`` and
+``brute_force_equivalent``.  ``form_str`` is the identity; it stays while the
+benchmark traces it.
 """
 
 from __future__ import annotations

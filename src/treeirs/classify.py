@@ -7,6 +7,11 @@ the level-(n+1) points x d + j.  So a level permutation is read cone by cone
 with ``perm.wreath_split`` (theta events, the constrained-map test) and
 built from a cone permutation and per-cone maps with ``perm.wreath_join``
 (the boundary quotient, the block lift).
+
+No command reads theta events.  ``boundary_quotient_elements`` is the oracle
+that acceptance criterion C8 and the tier-1 and CI sweeps check
+``theta_event`` against.  ``build_alt_wreath_chain`` builds the chains that
+the tests of ``children_heredity_check`` run on.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from operator import itemgetter
 from . import bounds as bnd
 from . import montecarlo as mc
 from .canon import orbit_census
-from .classify import classify_case, in_Pi, profile, root_colours
+from .classify import classify_case, in_Pi, root_colours
 from .irs import (
     kept_transporters,
     uniform_conjugate_measure,

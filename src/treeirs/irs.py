@@ -5,6 +5,9 @@ ambient group stands in for an invariant random subgroup.  All probabilities
 and expectations are exact ``fractions.Fraction`` values: the inequalities
 checked here can be tight, and floating point would manufacture spurious
 failures.
+
+``transporter`` is the one-V form of ``transporters``; acceptance criterion
+C1 reads it to check the counting lemmas against every U -> V transporter.
 """
 
 from __future__ import annotations
@@ -186,10 +189,6 @@ class ConjInvariantMeasure:
         return tuple(out)
 
 
-def point_mass(H: GeneratedGroup, ambient: GeneratedGroup) -> ConjInvariantMeasure:
-    return ConjInvariantMeasure(ambient, ((H, Fraction(1)),))
-
-
 def uniform_conjugate_measure(gamma: GeneratedGroup,
                               ambient: GeneratedGroup) -> ConjInvariantMeasure:
     """Uniform measure over the distinct ambient-conjugates of gamma: the
@@ -208,23 +207,6 @@ def uniform_conjugate_measure(gamma: GeneratedGroup,
     return ConjInvariantMeasure(ambient, tuple(
         (GeneratedGroup(H.degree, H.generators, H.cap, _elements=H.elements), w)
         for H, _ in members))
-
-
-def stabilizer_measure(ambient: GeneratedGroup) -> ConjInvariantMeasure:
-    """Pushforward of the uniform measure on points under x -> St(x)."""
-    counts: dict[frozenset, tuple[GeneratedGroup, int]] = {}
-    for x in range(ambient.degree):
-        els = tuple(sorted(h for h in ambient.elements if h[x] == x))
-        key = frozenset(els)
-        if key in counts:
-            H, c = counts[key]
-            counts[key] = (H, c + 1)
-        else:
-            counts[key] = (GeneratedGroup(ambient.degree, els, ambient.cap,
-                                          _elements=els), 1)
-    items = [counts[k] for k in sorted(counts, key=lambda k: tuple(sorted(k)))]
-    return ConjInvariantMeasure(
-        ambient, tuple((H, Fraction(c, ambient.degree)) for H, c in items))
 
 
 def _sorted_points(degree: int, points) -> tuple[int, ...]:

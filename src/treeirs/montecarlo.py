@@ -20,6 +20,10 @@ at most ``trials``, at least ``trials - count`` decisions are repeats, so
 one entry per trial, each for a new pair, so it never holds more than
 min(count, trials).  Above the count ``same`` is called once per trial.
 Every draw and every decision is the same either way.
+
+Acceptance criterion C4 reads the ``exact_*`` values against the estimates.
+``TrialRng.next64`` and ``randbelow`` are the reference for the draws that
+``sample_seq`` inlines, and the tier-1 tests compare the two.
 """
 
 from __future__ import annotations

@@ -18,6 +18,8 @@ Conventions used throughout the package:
 * Every group here is given by generators and materialised by breadth-first
   closure.  Nothing is meant to scale past degree 7; there is deliberately no
   stabilizer-chain machinery.
+* No command writes a group file: ``group_to_json`` is read by acceptance
+  criterion C11, which writes its ``classify`` input with it.
 """
 
 from __future__ import annotations
@@ -281,13 +283,6 @@ def symmetric_group(n: int, cap: int = DEFAULT_CAP) -> GeneratedGroup:
     return GeneratedGroup(n, gens, cap)
 
 
-def alternating_group(n: int, cap: int = DEFAULT_CAP) -> GeneratedGroup:
-    if n <= 2:
-        return GeneratedGroup(max(n, 1), [], cap, _elements=[identity(max(n, 1))])
-    gens = [from_cycles(n, (i, i + 1, i + 2)) for i in range(n - 2)]
-    return GeneratedGroup(n, gens, cap)
-
-
 def product_of_symmetric(sizes, cap: int = DEFAULT_CAP) -> GeneratedGroup:
     """Sym(n1) x Sym(n2) x ... acting on consecutive point blocks."""
     degree = sum(sizes)
@@ -411,10 +406,6 @@ def _minimal_blocks(G: GeneratedGroup, component) -> BlockSystem | None:
         if best is None or size < best.block_size:
             best = BlockSystem(classes)
     return best
-
-
-def is_primitive(G: GeneratedGroup, component=None) -> bool:
-    return minimal_blocks(G, component) is None
 
 
 def rigid_stabilizer(G: GeneratedGroup, U) -> GeneratedGroup:

@@ -14,10 +14,10 @@ This orbit order makes the sequence of child labels depend only on the orbit
 of the parent colour, which is exactly the compatibility needed for the
 label-preserving tree-pair calculus to be closed under composition, and it is
 the one colouring every walk, form, census and tree-pair check uses.  Only
-the label layer (``child_colours``, ``cone_level_labels``,
-``cone_leaf_labels`` and ``level_counts_direct``) also takes
-``policy="value"``, plain ascending colour value, so that label counts per
-level can be checked not to depend on the order.
+the label layer (``child_colours``, ``cone_level_colours``,
+``cone_level_labels``, ``cone_leaf_labels`` and ``level_counts_direct``) also
+takes ``policy="value"``, plain ascending colour value, so that label counts
+per level can be checked not to depend on the order.
 
 ``local_maps`` is the one local-action rule: which sigma in F may carry a
 vertex of parent-edge colour c onto one of colour c', and which colour each
@@ -77,51 +77,21 @@ def level_depth(degree: int, d: int, q: int) -> int:
 class TreeShape:
     d: int
     q: int
-    n_max: int = 24
 
     def __post_init__(self):
         check_tree(self.d, self.q)
-
-    def level_size(self, n: int) -> int:
-        if n < 0 or n > self.n_max:
-            raise DepthExceeded(f"level {n} out of range")
-        return 1 if n == 0 else self.q * self.d ** (n - 1)
 
     def arity(self, depth: int) -> int:
         return self.q if depth == 0 else self.d
 
     def validate(self, addr: Address) -> Address:
         addr = tuple(addr)
-        if len(addr) > self.n_max:
-            raise DepthExceeded(f"address deeper than n_max={self.n_max}")
         for j, digit in enumerate(addr):
             if type(digit) is not int:  # 0.0 and True would pass the range test
                 raise ValueError(f"bad digit {digit!r} at position {j} in {addr}: not an int")
             if not 0 <= digit < self.arity(j):
                 raise ValueError(f"bad digit {digit} at position {j} in {addr}")
         return addr
-
-
-def parse_address(text: str) -> Address:
-    return tuple(int(ch) for ch in text)
-
-
-def format_address(addr: Address) -> str:
-    return "".join(str(d) for d in addr)
-
-
-def cone(shape: TreeShape, u: Address, n: int) -> tuple[Address, ...]:
-    """All addresses extending u by n digits, in lexicographic order."""
-    u = shape.validate(u)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if len(u) + n > shape.n_max:
-        raise DepthExceeded(f"cone depth {len(u) + n} exceeds n_max={shape.n_max}")
-    out = [u]
-    for level in range(len(u), len(u) + n):
-        arity = shape.arity(level)
-        out = [addr + (j,) for addr in out for j in range(arity)]
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import pytest
 from treeirs import perm
 from treeirs.canon import _block_split
 from treeirs.classify import boundary_quotient_elements, root_colours, theta_event
-from treeirs.perm import GeneratedGroup, compose, from_cycles
+from treeirs.perm import DEFAULT_CAP, GeneratedGroup, compose, from_cycles, identity
 from treeirs.thompson import TreePair, reduce_pair
 from treeirs.tree import ColourScheme, TreeShape, child_colours, orbit_label
 
@@ -42,7 +42,7 @@ def random_label_preserving_pair(rng: random.Random, scheme: ColourScheme,
     """A random reduced label-preserving element (self-pair on one tree,
     with sigma shuffling leaves only within their label classes)."""
     dom = random_frontier(rng, d, q, rng.randrange(max_expansions + 1))
-    shape = TreeShape(d, q, n_max=max(len(a) for a in dom) + 1)
+    shape = TreeShape(d, q)
     by_label: dict[int, list[int]] = {}
     for i, a in enumerate(dom):
         by_label.setdefault(orbit_label(shape, scheme, a), []).append(i)
@@ -154,6 +154,13 @@ def theta_vs_boundary_quotient(subgroups, d: int, q: int, n: int) -> list[bool]:
             assert got == any(h in G for h in movers), (F.generators, G.generators)
             results.append(got)
     return results
+
+
+def alternating_group(n: int, cap: int = DEFAULT_CAP) -> GeneratedGroup:
+    if n <= 2:
+        return GeneratedGroup(max(n, 1), [], cap, _elements=[identity(max(n, 1))])
+    gens = [from_cycles(n, (i, i + 1, i + 2)) for i in range(n - 2)]
+    return GeneratedGroup(n, gens, cap)
 
 
 def listed_by_elements(G):

@@ -8,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from conftest import listed_by_elements
+from conftest import alternating_group, listed_by_elements
 from treeirs import cli, perm
 from treeirs.irs import (
     BadFactorization,
@@ -20,9 +20,7 @@ from treeirs.irs import (
     VerifyResult,
     _E1_profile,
     kept_transporters,
-    point_mass,
     restriction_map,
-    stabilizer_measure,
     transporter,
     transporters,
     uniform_conjugate_measure,
@@ -32,7 +30,6 @@ from treeirs.irs import (
 )
 from treeirs.perm import (
     GeneratedGroup,
-    alternating_group,
     class_records,
     close,
     compose,
@@ -47,6 +44,28 @@ from treeirs.perm import (
     subgroups_of,
     symmetric_group,
 )
+
+
+# measures that only the tests below build
+def point_mass(H: GeneratedGroup, ambient: GeneratedGroup) -> ConjInvariantMeasure:
+    return ConjInvariantMeasure(ambient, ((H, Fraction(1)),))
+
+
+def stabilizer_measure(ambient: GeneratedGroup) -> ConjInvariantMeasure:
+    """Pushforward of the uniform measure on points under x -> St(x)."""
+    counts: dict[frozenset, tuple[GeneratedGroup, int]] = {}
+    for x in range(ambient.degree):
+        els = tuple(sorted(h for h in ambient.elements if h[x] == x))
+        key = frozenset(els)
+        if key in counts:
+            H, c = counts[key]
+            counts[key] = (H, c + 1)
+        else:
+            counts[key] = (GeneratedGroup(ambient.degree, els, ambient.cap,
+                                          _elements=els), 1)
+    items = [counts[k] for k in sorted(counts, key=lambda k: tuple(sorted(k)))]
+    return ConjInvariantMeasure(
+        ambient, tuple((H, Fraction(c, ambient.degree)) for H, c in items))
 
 
 def test_uniform_conjugate_measure_examples():

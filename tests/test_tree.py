@@ -7,7 +7,6 @@ from treeirs.perm import GeneratedGroup, enumerate_subgroups, from_cycles
 from treeirs.tree import (
     ColourScheme,
     ColourSchemeMismatch,
-    DepthExceeded,
     DepthMismatch,
     RootHasNoLabel,
     TreeShape,
@@ -15,26 +14,16 @@ from treeirs.tree import (
     check_cone,
     check_label,
     child_colours,
-    cone,
     cone_leaf_labels,
     cone_level_colours,
     cone_level_labels,
     edge_colour_walk,
-    format_address,
     level_counts,
     level_counts_direct,
     level_depth,
     local_maps,
     orbit_label,
-    parse_address,
 )
-
-
-def test_shape_level_sizes():
-    shape = TreeShape(d=2, q=3)
-    assert [shape.level_size(n) for n in range(4)] == [1, 3, 6, 12]
-    shape2 = TreeShape(d=3, q=2)
-    assert shape2.level_size(2) == 6
 
 
 def test_address_validation():
@@ -50,36 +39,33 @@ def test_address_validation():
     lambda: TreeShape(2, 2).validate((0.5,)),
     lambda: TreeShape(2, 2).validate((0, 1.0)),
     lambda: TreeShape(2, 2).validate(("1",)),
-    lambda: cone(TreeShape(2, 2), (True,), 1),
+    lambda: TreeShape(2, 2).validate((True,)),
     lambda: orbit_label(TreeShape(2, 2), ColourScheme.full(2), (1.0,)),
-], ids=["half", "float-one", "string", "bool-cone", "float-orbit-label"])
+], ids=["half", "float-one", "string", "bool", "float-orbit-label"])
 def test_address_validation_refuses_digits_that_are_not_ints(refused):
-    # each passed the range test by value: 0.5 came back as an address,
-    # (True,) gave the cone ((True, 0), (True, 1)), and 1.0 a TypeError
+    # each passed the range test by value: 0.5 and (True,) came back as
+    # addresses, and 1.0 gave a TypeError
     with pytest.raises(ValueError, match="not an int"):
         refused()
 
 
-def test_address_strings():
-    assert parse_address("201") == (2, 0, 1)
-    assert format_address((2, 0, 1)) == "201"
-
-
-def test_cone_sizes_and_prefixes():
-    shape = TreeShape(d=2, q=2)
-    assert cone(shape, (1,), 0) == ((1,),)
-    c = cone(shape, (1,), 2)
-    assert len(c) == 4
-    assert all(a[:1] == (1,) for a in c)
-    for d, n in ((2, 3), (3, 2)):
-        sh = TreeShape(d=d, q=2)
-        assert len(cone(sh, (0,), n)) == d ** n
-
-
-def test_cone_depth_bound():
-    shape = TreeShape(d=2, q=2, n_max=3)
-    with pytest.raises(DepthExceeded):
-        cone(shape, (0,), 4)
+def test_addresses_deeper_than_24_digits():
+    # addresses deeper than 24 digits used to be refused with DepthExceeded
+    deep = (0,) * 30
+    assert TreeShape(2, 2).validate(deep) == deep
+    shape = TreeShape(d=2, q=3)
+    assert shape.validate((2,) + (1,) * 29) == (2,) + (1,) * 29
+    with pytest.raises(ValueError, match="bad digit 2 at position 29"):
+        shape.validate((0,) * 29 + (2,))
+    # with the trivial scheme a label is the parent-edge colour; below the
+    # root each child edge takes the least colour other than its parent's,
+    # so a walk down the first children alternates colours 0 and 1
+    triv = ColourScheme.trivial(2)
+    assert edge_colour_walk(shape, triv, deep) == (0, 1) * 15
+    assert orbit_label(shape, triv, deep) == 1
+    assert orbit_label(shape, triv, deep[:29]) == 0
+    assert orbit_label(shape, triv, (0,) * 29 + (1,)) == 2
+    assert orbit_label(shape, ColourScheme.full(2), deep) == 0
 
 
 def test_scheme_orbits():
