@@ -1,9 +1,11 @@
-"""Closed-form probability bounds: hypergeometric tails against the entropy
-bound, and the case bounds used in the classification argument.
+"""Closed-form probability bounds: relative entropy, hypergeometric tails,
+Stirling brackets, and the case bounds used in the classification argument.
 
 Acceptance criterion C2 reads ``chernoff_dominates`` and the ``hypergeom_*``
 laws, the ``bounds`` and ``classify`` commands read the case and aggregate
 bounds, and C9 and the ``analytic`` benchmark read ``summability_scan``.
+The float bounds (``rel_entropy``, ``chernoff_tail``, ``sup_bound_ratio``,
+``stirling_bounds`` and ``size1_bound*``) are read by their tier-1 tests only.
 
 Numeric conventions: natural logarithm everywhere; bound values that can
 under/overflow are computed and reported in log-space.  Whenever a claim is
@@ -17,13 +19,42 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, log
+from math import comb, exp, lgamma, log, sqrt
 
 from .tree import check_tree
 
 
 class DomainError(ValueError):
     pass
+
+
+def rel_entropy(a: float, p: float) -> float:
+    """H(a||p) between Bernoulli(a) and Bernoulli(p); 0 log 0 = 0."""
+    if not 0.0 <= a <= 1.0:
+        raise DomainError(f"a={a} outside [0, 1]")
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"p={p} outside (0, 1)")
+    h = 0.0
+    if a > 0.0:
+        h += a * log(a / p)
+    if a < 1.0:
+        h += (1.0 - a) * log((1.0 - a) / (1.0 - p))
+    return h
+
+
+def chernoff_tail(p: float, x: float, k: int, side: str = "upper") -> float:
+    """exp(-H(p +- x || p) k), the entropy bound on a k-draw tail."""
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    if side == "upper":
+        a = p + x
+    elif side == "lower":
+        a = p - x
+    else:
+        raise DomainError(f"side must be 'upper' or 'lower', not {side!r}")
+    if not 0.0 <= a <= 1.0:
+        raise DomainError(f"threshold fraction {a} outside [0, 1]")
+    return exp(-rel_entropy(a, p) * k)
 
 
 def hypergeom_pmf(x: int, u: int, k: int, i: int) -> Fraction:
@@ -63,6 +94,46 @@ def chernoff_dominates(x: int, u: int, k: int, t: int, side: str = "upper") -> b
     if k - t > 0:
         lhs *= Fraction((k - t) * x, k * (x - u)) ** (k - t)
     return lhs <= 1
+
+
+def sup_bound_ratio(x: int, u: int, k: int) -> float:
+    """max over i in [pk/2, 3pk/2] of pmf(i) * sqrt(i (k-i) / k).
+
+    The point-mass bound says pmf(i) <= C sqrt(k / (i (k-i))) on that range,
+    so this ratio calibrates the absolute constant C empirically.
+    """
+    if not (1 <= k <= x // 2 and 1 <= u < x):
+        raise DomainError("need k <= x/2 and 0 < u < x")
+    p = Fraction(u, x)
+    lo = math.ceil(p * k / 2)
+    hi = math.floor(3 * p * k / 2)
+    best = 0.0
+    for i in range(max(lo, 0), min(hi, k) + 1):
+        val = float(hypergeom_pmf(x, u, k, i)) * sqrt(i * (k - i) / k)
+        best = max(best, val)
+    return best
+
+
+def stirling_bounds(n: int) -> tuple[float, float]:
+    """(lower, upper) with lower <= n! <= upper = lower * e / sqrt(2 pi)."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    log_lower = 0.5 * log(2 * math.pi * n) + n * (log(n) - 1.0)
+    lower = exp(log_lower)
+    return lower, lower * math.e / sqrt(2 * math.pi)
+
+
+def size1_bound_log(gamma_order: int, f_order: int, d: int, n: int) -> float:
+    """log of |Gamma| |F|^(d^n) / (d^n)!, the transporter-count bound."""
+    if gamma_order < 1 or f_order < 1 or d < 2 or n < 0:
+        raise DomainError("all parameters must be positive (d >= 2)")
+    m = d ** n
+    return log(gamma_order) + m * log(f_order) - lgamma(m + 1)
+
+
+def size1_bound(gamma_order: int, f_order: int, d: int, n: int) -> float:
+    """Same bound as a plain float; callers cap at 1 when using it as a probability."""
+    return exp(size1_bound_log(gamma_order, f_order, d, n))
 
 
 # ---------------------------------------------------------------------------

@@ -16,23 +16,25 @@ Subtrees are stored as their leaf sets: sorted tuples of digit-tuple
 addresses (the root-only tree is ``((),)``); leaves given out of order are
 sorted with sigma carried along.  Only ``perm``'s kernel (``inverse``,
 ``composer``) inverts or reorders sigma.  Validation happens at the public
-constructors: ``TreePair(...)``, ``TreePair.identity`` and ``from_mapping``
-each run one pass that finds every digit an int and one forward sweep over
-the sorted leaves: each leaf must be the next uncovered boundary vertex
-followed only by zeros, and the sweep must pass the root at the last leaf.
-That one test refuses empty sets, bad digits, duplicates, nested leaves and
-gaps; only a refused set is examined again, to name the reason.  ``compose``,
-``reduce_pair`` and ``inverse`` build their results from the leaves and sigma
-of pairs validated already, so they set the fields through :func:`_trusted`
-and run no check again; a tier-1 test rebuilds every result through the
-public constructor and compares fields and hash.  Nothing in the calculus
-recurses per tree level.
+constructors: ``TreePair(...)``, ``TreePair.identity``, ``from_mapping`` and
+``pair_from_json`` each run one pass that finds every digit an int and one
+forward sweep over the sorted leaves: each leaf must be the next uncovered
+boundary vertex followed only by zeros, and the sweep must pass the root at
+the last leaf.  That one test refuses empty sets, bad digits, duplicates,
+nested leaves and gaps; only a refused set is examined again, to name the
+reason.  ``compose``, ``reduce_pair`` and ``inverse`` build their results
+from the leaves and sigma of pairs validated already, so they set the fields
+through :func:`_trusted` and run no check again; a tier-1 test rebuilds
+every result through the public constructor and compares fields and hash.
+Nothing in the calculus recurses per tree level.
 
 No command reads this module; the ``analytic`` benchmark runs the calculus.
 ``is_label_preserving`` is read by acceptance criterion C10 and
 ``act_on_address`` by the tier-1 calculus oracles, which check composition
 against the action on addresses; ``image_of_leaf`` is the one-leaf form of
-``mapping``.
+``mapping``.  ``pair_to_json`` and ``pair_from_json`` are the tree-pair file
+format; no command reads or writes tree-pair files, and tier-1 tests pin
+the format.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import perm
-from .perm import composer, is_perm
+from .perm import _is_json_int, composer, is_perm
 from .tree import ColourScheme, TreeShape, check_scheme, check_tree, orbit_label
 
 Address = tuple[int, ...]
@@ -112,9 +114,9 @@ class TreePair:
     ``sigma[i]`` is the index into ``range_leaves`` of the image of
     ``domain_leaves[i]``, as given; both are stored sorted.  Use
     :func:`reduce_pair` to get the canonical representative.  Building one
-    directly, or through :meth:`identity` or :meth:`from_mapping`, validates
-    it; the calculus builds its results through :func:`_trusted`, which does
-    not.
+    directly, or through :meth:`identity`, :meth:`from_mapping` or
+    :func:`pair_from_json`, validates it; the calculus builds its results
+    through :func:`_trusted`, which does not.
     """
 
     d: int
@@ -331,3 +333,53 @@ def is_label_preserving(pair: TreePair, scheme: ColourScheme) -> bool:
     # a root-only pair has nothing to check
     return all(not a or orbit_label(shape, scheme, a) == orbit_label(shape, scheme, b)
                for a, b in pair.mapping().items())
+
+
+def _check_json_digits(d: int, q: int) -> None:
+    if max(d, q) > 10:
+        raise MalformedPair(
+            f"JSON writes one character per digit; d={d}, q={q} has digits "
+            "of 10 or more")
+
+
+def pair_to_json(pair: TreePair) -> dict:
+    _check_json_digits(pair.d, pair.q)
+    return {
+        "d": pair.d,
+        "q": pair.q,
+        "domain_leaves": ["".join(map(str, a)) for a in pair.domain_leaves],
+        "range_leaves": ["".join(map(str, a)) for a in pair.range_leaves],
+        "sigma": list(pair.sigma),
+    }
+
+
+_JSON_FIELDS = {"d": "an integer", "q": "an integer", "domain_leaves": "an array",
+                "range_leaves": "an array", "sigma": "an array"}
+
+
+def pair_from_json(data) -> TreePair:
+    """Read :func:`pair_to_json` output; every number must be a JSON integer,
+    every address a string of ASCII digits, and the leaves and sigma arrays."""
+    if not isinstance(data, dict) or not data.keys() >= _JSON_FIELDS.keys():
+        raise MalformedPair('expected a JSON object with keys "d", "q", '
+                            '"domain_leaves", "range_leaves" and "sigma"')
+    for key, kind in _JSON_FIELDS.items():
+        value = data[key]
+        if not (isinstance(value, list) if kind == "an array" else _is_json_int(value)):
+            raise MalformedPair(f'"{key}" must be {kind}, not {value!r}')
+    d, q = data["d"], data["q"]
+    _check_json_digits(d, q)
+    # TreePair refuses sigma entries that are not ints
+    return TreePair(d, q, _addresses_from_json(data["domain_leaves"]),
+                    _addresses_from_json(data["range_leaves"]),
+                    tuple(data["sigma"]))
+
+
+def _addresses_from_json(strings) -> tuple[Address, ...]:
+    out = []
+    for s in strings:
+        # str.isdigit also accepts non-ASCII digits such as "\uff11"
+        if not (isinstance(s, str) and s.isascii() and (s.isdigit() or not s)):
+            raise MalformedPair(f"address must be a string of digits 0-9, not {s!r}")
+        out.append(tuple(map(int, s)))
+    return tuple(out)

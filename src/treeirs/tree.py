@@ -81,6 +81,11 @@ class TreeShape:
     def __post_init__(self):
         check_tree(self.d, self.q)
 
+    def level_size(self, n: int) -> int:
+        if n < 0:
+            raise DepthExceeded(f"level {n} out of range")
+        return 1 if n == 0 else self.q * self.d ** (n - 1)
+
     def arity(self, depth: int) -> int:
         return self.q if depth == 0 else self.d
 
@@ -92,6 +97,14 @@ class TreeShape:
             if not 0 <= digit < self.arity(j):
                 raise ValueError(f"bad digit {digit} at position {j} in {addr}")
         return addr
+
+
+def parse_address(text: str) -> Address:
+    return tuple(int(ch) for ch in text)
+
+
+def format_address(addr: Address) -> str:
+    return "".join(str(d) for d in addr)
 
 
 @dataclass(frozen=True)

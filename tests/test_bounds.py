@@ -12,13 +12,79 @@ from treeirs.bounds import (
     aggregate_bound_log,
     case_bound_log,
     chernoff_dominates,
+    chernoff_tail,
     delta_n,
     hypergeom_pmf,
     hypergeom_tail_ge,
     k_n,
     logaddexp,
+    rel_entropy,
+    size1_bound,
+    size1_bound_log,
+    stirling_bounds,
     summability_scan,
+    sup_bound_ratio,
 )
+
+# 49-decimal directed rational brackets for e and pi, for exact Stirling checks
+E_LO = Fraction(27182818284590452353602874713526624977572470936999, 10 ** 49)
+E_HI = E_LO + Fraction(1, 10 ** 49)
+PI_LO = Fraction(31415926535897932384626433832795028841971693993751, 10 ** 49)
+PI_HI = PI_LO + Fraction(1, 10 ** 49)
+
+
+def ln_rational(r: Fraction, terms: int = 200) -> Fraction:
+    """Series oracle for log: artanh form, ln r = 2 sum y^(2j+1)/(2j+1), y=(r-1)/(r+1)."""
+    y = (r - 1) / (r + 1)
+    acc = Fraction(0)
+    power = y
+    for j in range(terms):
+        acc += power / (2 * j + 1)
+        power *= y * y
+    return 2 * acc
+
+
+def test_rel_entropy_zero_iff_equal():
+    for p in (0.1, 0.25, 0.5, 0.9):
+        assert rel_entropy(p, p) == pytest.approx(0.0, abs=1e-15)
+    grid = [i / 1000 for i in range(0, 1001)]
+    for a in grid[::37]:
+        for p in (0.2, 0.5, 0.8):
+            h = rel_entropy(a, p)
+            assert h >= -1e-15
+            if abs(a - p) > 1e-9:
+                assert h > 0
+
+
+def test_rel_entropy_boundary():
+    for p in (0.2, 0.5, 0.75):
+        assert rel_entropy(1.0, p) == pytest.approx(math.log(1 / p), rel=1e-12)
+        assert rel_entropy(0.0, p) == pytest.approx(math.log(1 / (1 - p)), rel=1e-12)
+
+
+def test_rel_entropy_half_quarter_frozen():
+    # H(1/2 || 1/4) = 1/2 log 2 + 1/2 log(2/3) = 1/2 log(4/3)
+    val = rel_entropy(0.5, 0.25)
+    assert val == pytest.approx(0.14384103622589045, rel=1e-12)
+    series = (ln_rational(Fraction(4, 3))) / 2
+    assert val == pytest.approx(float(series), rel=1e-12)
+
+
+def test_rel_entropy_domain():
+    with pytest.raises(DomainError):
+        rel_entropy(0.5, 0.0)
+    with pytest.raises(DomainError):
+        rel_entropy(0.5, 1.0)
+    with pytest.raises(DomainError):
+        rel_entropy(1.5, 0.5)
+
+
+def test_chernoff_tail_limits():
+    assert chernoff_tail(0.5, 1e-9, 10) == pytest.approx(1.0, abs=1e-6)
+    vals = [chernoff_tail(0.3, 0.2, k) for k in (1, 5, 20, 100)]
+    assert all(a > b for a, b in zip(vals, vals[1:]))
+    with pytest.raises(DomainError):
+        chernoff_tail(0.5, 0.7, 3)
 
 
 def test_hypergeom_pmf_example_vs_permutation_oracle():
@@ -56,6 +122,61 @@ def test_chernoff_dominance_tight_case():
     # k = 1, t = 1: tail = u/x equals the bound exactly; must still pass
     assert hypergeom_tail_ge(6, 2, 1, 1) == Fraction(2, 6)
     assert chernoff_dominates(6, 2, 1, 1, "upper")
+
+
+def test_sup_bound_ratio_basic():
+    # k = 2 edge case: candidate range around pk includes i = 1, no zero division
+    val = sup_bound_ratio(8, 4, 2)
+    assert val > 0
+    # symmetric case u = x/2, k even: the max over the window sits at i = k/2
+    for x, k in ((12, 4), (20, 6), (16, 8)):
+        u = x // 2
+        p = Fraction(u, x)
+        window = range(math.ceil(p * k / 2), math.floor(3 * p * k / 2) + 1)
+        ratios = {i: float(hypergeom_pmf(x, u, k, i)) * math.sqrt(i * (k - i) / k)
+                  for i in window}
+        assert max(ratios, key=ratios.get) == k // 2
+
+
+def test_sup_bound_ratio_regression_constant():
+    # frozen on first run: max over the full grid x <= 50 is 0.55577... at
+    # (x, u, k) = (50, 24, 25); 0.56 is the regression ceiling
+    worst = 0.0
+    for x in range(4, 51):
+        for u in range(1, x):
+            for k in range(2, x // 2 + 1):
+                worst = max(worst, sup_bound_ratio(x, u, k))
+    assert 0.55 < worst <= 0.56, worst
+
+
+def test_stirling_bounds_floats():
+    lo, hi = stirling_bounds(1)
+    assert lo <= 1 <= hi
+    lo, hi = stirling_bounds(10)
+    assert lo <= 3628800 <= hi
+    for n in (1, 2, 5, 17, 60, 170):
+        lo, hi = stirling_bounds(n)
+        assert hi / lo == pytest.approx(math.e / math.sqrt(2 * math.pi), rel=1e-12)
+        assert lo <= math.factorial(n) <= hi
+
+
+def test_stirling_bounds_exact_bigint():
+    # certified with directed rational brackets for e and pi:
+    #   lower: (n!)^2 e_lo^(2n) >= 2 pi_hi n^(2n+1)
+    #   upper: (n!)^2 e_hi^(2n) <= n^(2n+1) e_lo^2
+    for n in range(1, 31):
+        f2 = Fraction(math.factorial(n)) ** 2
+        assert f2 * E_LO ** (2 * n) >= 2 * PI_HI * Fraction(n) ** (2 * n + 1)
+        # upper rearranged with net exponent 2n-2 >= 0 (equality at n = 1)
+        assert f2 * E_HI ** (2 * n - 2) <= Fraction(n) ** (2 * n + 1)
+
+
+def test_size1_bound_example():
+    assert size1_bound(2, 2, 2, 2) == pytest.approx(4 / 3, rel=1e-12)
+    # factorial dominates: log-space value decreasing in n past the crossover
+    logs = [size1_bound_log(1, 2, 2, n) for n in range(2, 21)]
+    assert all(a > b for a, b in zip(logs, logs[1:]))
+    assert size1_bound(1, 1, 2, 12) < 1e-100
 
 
 def test_bound_params_alpha():

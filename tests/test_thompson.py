@@ -24,6 +24,8 @@ from treeirs.thompson import (
     compose,
     inverse,
     is_label_preserving,
+    pair_from_json,
+    pair_to_json,
     reduce_pair,
 )
 from treeirs.tree import ColourScheme, ColourSchemeMismatch, TreeShape, orbit_label
@@ -76,7 +78,8 @@ def test_validation_refuses_non_int_parameters_and_sigma():
 @pytest.mark.parametrize("digit", [0.0, False, "0", 1.0, True])
 @pytest.mark.parametrize("side", ["domain", "range"])
 def test_validation_refuses_non_int_digits(digit, side):
-    # float and bool digits used to be stored as given
+    # float and bool digits used to be stored as given, and pair_to_json then
+    # wrote "0.0" or "True", which pair_from_json refuses
     good = ((0,), (1,))
     bad = ((digit,), (1,)) if digit in (0, "0") else ((0,), (digit,))
     leaves = (bad, good) if side == "domain" else (good, bad)
@@ -332,6 +335,86 @@ def test_deep_comb_pair():
     assert joined == tuple(sorted(
         [(0,) * i + (1,) for i in range(1, 1500)] + [(0,) * 1500]
         + [(1,) * i + (0,) for i in range(1, 1500)] + [(1,) * 1500]))
+
+
+def test_json_roundtrip():
+    rng = random.Random(11)
+    for d, q in PARAMS:
+        for _ in range(20):
+            p = random_tree_pair(rng, d, q)
+            assert pair_from_json(pair_to_json(p)) == p
+
+
+def test_json_refuses_digits_of_ten_or_more():
+    # q = 11: the root leaf (10,) would be written "10" and read back as (1, 0)
+    sigma = (1, 0) + tuple(range(2, 11))
+    p = TreePair(2, 11, tuple((j,) for j in range(11)),
+                 tuple((j,) for j in range(11)), sigma)
+    with pytest.raises(MalformedPair, match="digit"):
+        pair_to_json(p)
+    data = {"d": 2, "q": 11, "domain_leaves": [str(j) for j in range(11)],
+            "range_leaves": [str(j) for j in range(11)], "sigma": list(sigma)}
+    with pytest.raises(MalformedPair, match="digit"):
+        pair_from_json(data)
+    with pytest.raises(MalformedPair, match="digit"):
+        pair_from_json({**data, "d": 11, "q": 2})
+    # the largest digit that fits one character still round-trips
+    p10 = TreePair(2, 10, tuple((j,) for j in range(10)),
+                   tuple((j,) for j in range(10)), (9,) + tuple(range(9)))
+    assert pair_to_json(p10)["range_leaves"][-1] == "9"
+    assert pair_from_json(pair_to_json(p10)) == p10
+
+
+def test_json_output_unchanged():
+    p = TreePair.from_mapping(2, 3, {(0,): (1, 1), (1,): (0,), (2, 0): (2,),
+                                     (2, 1): (1, 0)})
+    assert pair_to_json(p) == {"d": 2, "q": 3,
+                               "domain_leaves": ["0", "1", "20", "21"],
+                               "range_leaves": ["0", "10", "11", "2"],
+                               "sigma": [2, 0, 3, 1]}
+
+
+_GOOD_JSON = {"d": 2, "q": 2, "domain_leaves": ["0", "1"],
+              "range_leaves": ["0", "1"], "sigma": [1, 0]}
+_DROP = object()  # a key left out of the input
+
+
+@pytest.mark.parametrize("change,match", [
+    ({"d": 2.9}, '"d" must be an integer, not 2.9'),
+    ({"d": 2.0}, '"d" must be an integer'),
+    ({"q": "2"}, '"q" must be an integer'),
+    ({"q": True}, '"q" must be an integer'),
+    ({"sigma": [1.7, 0.2]}, "bijection"),
+    ({"sigma": [1.0, 0]}, "bijection"),
+    ({"sigma": [True, False]}, "bijection"),
+    ({"domain_leaves": ["0", "\uff11"]}, "digits 0-9"),
+    ({"range_leaves": ["\u0660", "1"]}, "digits 0-9"),
+    ({"domain_leaves": [[0], [1]]}, "digits 0-9"),
+    ({"domain_leaves": "01"}, '"domain_leaves" must be an array'),
+    ({"range_leaves": {"0": 0, "1": 1}}, '"range_leaves" must be an array'),
+    ({"sigma": "10"}, '"sigma" must be an array'),
+    ({"sigma": 1}, '"sigma" must be an array'),
+    ({"sigma": [0]}, "bijection"),
+    ({"sigma": _DROP}, "expected a JSON object with keys"),
+    ({"d": _DROP}, "expected a JSON object with keys"),
+    ([_GOOD_JSON], "expected a JSON object with keys"),
+    ("{}", "expected a JSON object with keys"),
+    (None, "expected a JSON object with keys"),
+])
+def test_json_refuses_non_integers(change, match):
+    assert pair_from_json(_GOOD_JSON) == TreePair(2, 2, ((0,), (1,)),
+                                                  ((0,), (1,)), (1, 0))
+    if isinstance(change, dict):  # the good input with these keys set or dropped
+        change = {key: value for key, value in {**_GOOD_JSON, **change}.items()
+                  if value is not _DROP}
+    with pytest.raises(MalformedPair, match=match):
+        pair_from_json(change)
+
+
+def test_json_unsorted_leaves_keep_their_map():
+    swap = pair_from_json(_GOOD_JSON)
+    assert pair_from_json({**_GOOD_JSON, "range_leaves": ["1", "0"], "sigma": [0, 1]}) == swap
+    assert pair_from_json({**_GOOD_JSON, "domain_leaves": ["1", "0"], "sigma": [0, 1]}) == swap
 
 
 # ---------------------------------------------------------------------------

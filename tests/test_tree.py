@@ -18,12 +18,21 @@ from treeirs.tree import (
     cone_level_colours,
     cone_level_labels,
     edge_colour_walk,
+    format_address,
     level_counts,
     level_counts_direct,
     level_depth,
     local_maps,
     orbit_label,
+    parse_address,
 )
+
+
+def test_shape_level_sizes():
+    shape = TreeShape(d=2, q=3)
+    assert [shape.level_size(n) for n in range(4)] == [1, 3, 6, 12]
+    shape2 = TreeShape(d=3, q=2)
+    assert shape2.level_size(2) == 6
 
 
 def test_address_validation():
@@ -47,6 +56,11 @@ def test_address_validation_refuses_digits_that_are_not_ints(refused):
     # addresses, and 1.0 gave a TypeError
     with pytest.raises(ValueError, match="not an int"):
         refused()
+
+
+def test_address_strings():
+    assert parse_address("201") == (2, 0, 1)
+    assert format_address((2, 0, 1)) == "201"
 
 
 def test_addresses_deeper_than_24_digits():
