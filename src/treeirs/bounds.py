@@ -1,17 +1,17 @@
-"""Closed-form probability bounds: relative entropy, hypergeometric tails,
-Stirling brackets, and the case bounds used in the classification argument.
+"""Closed-form probability bounds: the exact hypergeometric law, its exact
+entropy-bound check, and the case bounds used in the classification argument.
 
 Acceptance criterion C2 reads ``chernoff_dominates`` and the ``hypergeom_*``
 laws, the ``bounds`` and ``classify`` commands read the case and aggregate
 bounds, and C9 and the ``analytic`` benchmark read ``summability_scan``.
-The float bounds (``rel_entropy``, ``chernoff_tail``, ``sup_bound_ratio``,
-``stirling_bounds`` and ``size1_bound*``) are read by their tier-1 tests only.
 
 Numeric conventions: natural logarithm everywhere; bound values that can
 under/overflow are computed and reported in log-space.  Whenever a claim is
 an inequality between exactly representable quantities (hypergeometric tail
-versus the entropy bound), the comparison is done in exact rational
-arithmetic with integer exponents; no outward rounding is needed.
+versus the entropy bound), it is decided in integers: each exact value is
+an integer count over an integer total, built as one ``Fraction``, and the
+entropy-bound check is one cross-multiplied comparison of integers; no
+outward rounding is needed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, lgamma, log, sqrt
+from math import comb, exp, log
 
 from .tree import check_tree
 
@@ -28,47 +28,33 @@ class DomainError(ValueError):
     pass
 
 
-def rel_entropy(a: float, p: float) -> float:
-    """H(a||p) between Bernoulli(a) and Bernoulli(p); 0 log 0 = 0."""
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"a={a} outside [0, 1]")
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p={p} outside (0, 1)")
-    h = 0.0
-    if a > 0.0:
-        h += a * log(a / p)
-    if a < 1.0:
-        h += (1.0 - a) * log((1.0 - a) / (1.0 - p))
-    return h
-
-
-def chernoff_tail(p: float, x: float, k: int, side: str = "upper") -> float:
-    """exp(-H(p +- x || p) k), the entropy bound on a k-draw tail."""
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if side == "upper":
-        a = p + x
-    elif side == "lower":
-        a = p - x
-    else:
-        raise DomainError(f"side must be 'upper' or 'lower', not {side!r}")
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"threshold fraction {a} outside [0, 1]")
-    return exp(-rel_entropy(a, p) * k)
+def _check_hypergeom(x: int, u: int, k: int) -> None:
+    if k > x or k < 0 or not 0 <= u <= x:
+        raise DomainError(f"bad hypergeometric parameters x={x}, u={u}, k={k}")
 
 
 def hypergeom_pmf(x: int, u: int, k: int, i: int) -> Fraction:
     """P(|K sigma meets U| = i) for uniform sigma: C(u,i) C(x-u,k-i) / C(x,k)."""
-    if k > x or k < 0 or not 0 <= u <= x:
-        raise DomainError(f"bad hypergeometric parameters x={x}, u={u}, k={k}")
+    _check_hypergeom(x, u, k)
     if i < 0 or i > min(u, k) or k - i > x - u:
         return Fraction(0)
     return Fraction(comb(u, i) * comb(x - u, k - i), comb(x, k))
 
 
+def _tail_count(x: int, u: int, k: int, t: int) -> int:
+    """The k-subsets of an x-set that meet a fixed u-subset in t or more
+    points: sum over i >= t of C(u, i) C(x-u, k-i); the parameters are
+    checked by the caller."""
+    return sum(comb(u, i) * comb(x - u, k - i) for i in range(max(t, 0), k + 1))
+
+
 def hypergeom_tail_ge(x: int, u: int, k: int, t: int) -> Fraction:
-    return sum((hypergeom_pmf(x, u, k, i) for i in range(max(t, 0), k + 1)),
-               Fraction(0))
+    """P(|K sigma meets U| >= t): the tail count over C(x, k).  An empty
+    range (t > k) gives 0 before any parameter is checked."""
+    if max(t, 0) > k:
+        return Fraction(0)
+    _check_hypergeom(x, u, k)
+    return Fraction(_tail_count(x, u, k, t), comb(x, k))
 
 
 def chernoff_dominates(x: int, u: int, k: int, t: int, side: str = "upper") -> bool:
@@ -79,61 +65,23 @@ def chernoff_dominates(x: int, u: int, k: int, t: int, side: str = "upper") -> b
     is equivalent, after exponentiating H(a||p) k with its two rational-log
     terms, to the exact rational inequality
         tail * (t x / (k u))^t * ((k-t) x / (k (x-u)))^(k-t) <= 1.
+    With tail = S / C(x, k) for the tail count S, clearing the positive
+    denominators gives one comparison of integers,
+        S (t x)^t ((k-t) x)^(k-t) <= C(x, k) (k u)^t (k (x-u))^(k-t),
+    which holds at once when S = 0 (also t > k, where k-t < 0).
     The lower side reduces to the upper side for the complement set.
     """
     if side == "lower":
         return chernoff_dominates(x, x - u, k, k - t, "upper")
+    if side != "upper":
+        raise DomainError(f"side must be 'upper' or 'lower', not {side!r}")
     if not (1 <= k <= x and 1 <= u < x):
         raise DomainError(f"need 1 <= k <= x and 0 < u < x; got x={x}, u={u}, k={k}")
-    if not Fraction(t, k) >= Fraction(u, x):
+    if t * x < u * k:
         raise DomainError("upper side needs t/k >= u/x")
-    tail = hypergeom_tail_ge(x, u, k, t)
-    lhs = tail
-    if t > 0:
-        lhs *= Fraction(t * x, k * u) ** t
-    if k - t > 0:
-        lhs *= Fraction((k - t) * x, k * (x - u)) ** (k - t)
-    return lhs <= 1
-
-
-def sup_bound_ratio(x: int, u: int, k: int) -> float:
-    """max over i in [pk/2, 3pk/2] of pmf(i) * sqrt(i (k-i) / k).
-
-    The point-mass bound says pmf(i) <= C sqrt(k / (i (k-i))) on that range,
-    so this ratio calibrates the absolute constant C empirically.
-    """
-    if not (1 <= k <= x // 2 and 1 <= u < x):
-        raise DomainError("need k <= x/2 and 0 < u < x")
-    p = Fraction(u, x)
-    lo = math.ceil(p * k / 2)
-    hi = math.floor(3 * p * k / 2)
-    best = 0.0
-    for i in range(max(lo, 0), min(hi, k) + 1):
-        val = float(hypergeom_pmf(x, u, k, i)) * sqrt(i * (k - i) / k)
-        best = max(best, val)
-    return best
-
-
-def stirling_bounds(n: int) -> tuple[float, float]:
-    """(lower, upper) with lower <= n! <= upper = lower * e / sqrt(2 pi)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    log_lower = 0.5 * log(2 * math.pi * n) + n * (log(n) - 1.0)
-    lower = exp(log_lower)
-    return lower, lower * math.e / sqrt(2 * math.pi)
-
-
-def size1_bound_log(gamma_order: int, f_order: int, d: int, n: int) -> float:
-    """log of |Gamma| |F|^(d^n) / (d^n)!, the transporter-count bound."""
-    if gamma_order < 1 or f_order < 1 or d < 2 or n < 0:
-        raise DomainError("all parameters must be positive (d >= 2)")
-    m = d ** n
-    return log(gamma_order) + m * log(f_order) - lgamma(m + 1)
-
-
-def size1_bound(gamma_order: int, f_order: int, d: int, n: int) -> float:
-    """Same bound as a plain float; callers cap at 1 when using it as a probability."""
-    return exp(size1_bound_log(gamma_order, f_order, d, n))
+    s = _tail_count(x, u, k, t)
+    return s == 0 or (s * (t * x) ** t * ((k - t) * x) ** (k - t)
+                      <= comb(x, k) * (k * u) ** t * (k * (x - u)) ** (k - t))
 
 
 # ---------------------------------------------------------------------------

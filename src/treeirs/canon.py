@@ -354,9 +354,12 @@ class Census:
         return sum(c for _, c in self.counts)
 
     def match_probability(self) -> Fraction:
-        """P(two independent uniform k-subsets are equivalent) = sum (c/T)^2."""
+        """P(two independent uniform k-subsets are equivalent) = sum (c/T)^2,
+        built as one Fraction of integer sums; 0 for an empty census."""
+        if not self.counts:
+            return Fraction(0)
         t = self.total
-        return sum((Fraction(c, t) ** 2 for _, c in self.counts), Fraction(0))
+        return Fraction(sum([c * c for _, c in self.counts]), t * t)
 
 
 def orbit_census(d: int, depth: int, k: int, scheme: ColourScheme | None = None,

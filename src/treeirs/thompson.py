@@ -16,25 +16,24 @@ Subtrees are stored as their leaf sets: sorted tuples of digit-tuple
 addresses (the root-only tree is ``((),)``); leaves given out of order are
 sorted with sigma carried along.  Only ``perm``'s kernel (``inverse``,
 ``composer``) inverts or reorders sigma.  Validation happens at the public
-constructors: ``TreePair(...)``, ``TreePair.identity``, ``from_mapping`` and
-``pair_from_json`` each run one pass that finds every digit an int and one
-forward sweep over the sorted leaves: each leaf must be the next uncovered
-boundary vertex followed only by zeros, and the sweep must pass the root at
-the last leaf.  That one test refuses empty sets, bad digits, duplicates,
-nested leaves and gaps; only a refused set is examined again, to name the
-reason.  ``compose``, ``reduce_pair`` and ``inverse`` build their results
-from the leaves and sigma of pairs validated already, so they set the fields
-through :func:`_trusted` and run no check again; a tier-1 test rebuilds
-every result through the public constructor and compares fields and hash.
-Nothing in the calculus recurses per tree level.
+constructors: ``TreePair(...)``, ``TreePair.identity`` and ``from_mapping``
+each run one pass that finds every digit an int and one forward sweep over
+the sorted leaves: each leaf must be the next uncovered boundary vertex
+followed only by zeros, and the sweep must pass the root at the last leaf.
+That one test refuses empty sets, bad digits, duplicates, nested leaves and
+gaps; only a refused set is examined again, to name the reason.
+``compose``, ``reduce_pair`` and ``inverse`` build their results from the
+leaves and sigma of pairs validated already, so they set the fields through
+:func:`_trusted` and run no check again; a tier-1 test rebuilds every result
+through the public constructor and compares fields and hash.  Nothing in
+the calculus recurses per tree level.
 
-No command reads this module; the ``analytic`` benchmark runs the calculus.
-``is_label_preserving`` is read by acceptance criterion C10 and
-``act_on_address`` by the tier-1 calculus oracles, which check composition
-against the action on addresses; ``image_of_leaf`` is the one-leaf form of
-``mapping``.  ``pair_to_json`` and ``pair_from_json`` are the tree-pair file
-format; no command reads or writes tree-pair files, and tier-1 tests pin
-the format.
+No command reads this module, and it has no file format; the ``analytic``
+benchmark runs the calculus.  ``is_label_preserving`` is read by acceptance
+criterion C10; it labels each frontier in one walk down its sorted leaves,
+and ``tree.orbit_label`` is its tier-1 oracle.  ``act_on_address`` is read
+by the tier-1 calculus oracles, which check composition against the action
+on addresses; ``image_of_leaf`` is the one-leaf form of ``mapping``.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import perm
-from .perm import _is_json_int, composer, is_perm
-from .tree import ColourScheme, TreeShape, check_scheme, check_tree, orbit_label
+from .perm import composer, is_perm
+from .tree import ColourScheme, TreeShape, check_scheme, check_tree, child_colours
 
 Address = tuple[int, ...]
 
@@ -114,9 +113,9 @@ class TreePair:
     ``sigma[i]`` is the index into ``range_leaves`` of the image of
     ``domain_leaves[i]``, as given; both are stored sorted.  Use
     :func:`reduce_pair` to get the canonical representative.  Building one
-    directly, or through :meth:`identity`, :meth:`from_mapping` or
-    :func:`pair_from_json`, validates it; the calculus builds its results
-    through :func:`_trusted`, which does not.
+    directly, or through :meth:`identity` or :meth:`from_mapping`, validates
+    it; the calculus builds its results through :func:`_trusted`, which does
+    not.
     """
 
     d: int
@@ -323,63 +322,41 @@ def is_label_preserving(pair: TreePair, scheme: ColourScheme) -> bool:
     """Does the leaf bijection preserve the parent-edge label everywhere?
 
     Order preservation below the leaves is built into the calculus; this
-    checks the labels of matched frontier leaves.  Needs q <= d+1 so the root
-    edges can be coloured.
+    checks the labels of matched frontier leaves, each frontier labelled in
+    one walk by :func:`_leaf_labels`.  Needs q <= d+1 so the root edges can
+    be coloured.
     """
     check_scheme(scheme, pair.d)
     if pair.q > scheme.d + 1:
         raise MalformedPair("root arity exceeds the number of colours")
-    shape = TreeShape(pair.d, pair.q)
-    # a root-only pair has nothing to check
-    return all(not a or orbit_label(shape, scheme, a) == orbit_label(shape, scheme, b)
-               for a, b in pair.mapping().items())
+    if pair.domain_leaves == ((),):  # a root-only pair has nothing to check
+        return True
+    dom = _leaf_labels(pair.domain_leaves, scheme, pair.q)
+    rng = _leaf_labels(pair.range_leaves, scheme, pair.q)
+    return all(label == rng[j] for label, j in zip(dom, pair.sigma))
 
 
-def _check_json_digits(d: int, q: int) -> None:
-    if max(d, q) > 10:
-        raise MalformedPair(
-            f"JSON writes one character per digit; d={d}, q={q} has digits "
-            "of 10 or more")
+def _leaf_labels(leaves: tuple[Address, ...], scheme: ColourScheme,
+                 q: int) -> list[int]:
+    """The label of each leaf of a validated frontier other than the root,
+    in one walk down its sorted leaves, colouring each vertex once.
 
-
-def pair_to_json(pair: TreePair) -> dict:
-    _check_json_digits(pair.d, pair.q)
-    return {
-        "d": pair.d,
-        "q": pair.q,
-        "domain_leaves": ["".join(map(str, a)) for a in pair.domain_leaves],
-        "range_leaves": ["".join(map(str, a)) for a in pair.range_leaves],
-        "sigma": list(pair.sigma),
-    }
-
-
-_JSON_FIELDS = {"d": "an integer", "q": "an integer", "domain_leaves": "an array",
-                "range_leaves": "an array", "sigma": "an array"}
-
-
-def pair_from_json(data) -> TreePair:
-    """Read :func:`pair_to_json` output; every number must be a JSON integer,
-    every address a string of ASCII digits, and the leaves and sigma arrays."""
-    if not isinstance(data, dict) or not data.keys() >= _JSON_FIELDS.keys():
-        raise MalformedPair('expected a JSON object with keys "d", "q", '
-                            '"domain_leaves", "range_leaves" and "sigma"')
-    for key, kind in _JSON_FIELDS.items():
-        value = data[key]
-        if not (isinstance(value, list) if kind == "an array" else _is_json_int(value)):
-            raise MalformedPair(f'"{key}" must be {kind}, not {value!r}')
-    d, q = data["d"], data["q"]
-    _check_json_digits(d, q)
-    # TreePair refuses sigma entries that are not ints
-    return TreePair(d, q, _addresses_from_json(data["domain_leaves"]),
-                    _addresses_from_json(data["range_leaves"]),
-                    tuple(data["sigma"]))
-
-
-def _addresses_from_json(strings) -> tuple[Address, ...]:
+    ``path`` holds the parent-edge colours along the current leaf.  As in
+    :func:`_check_leafset`'s sweep, the next leaf first differs from ``a``
+    at a's last digit that is not its family's last, so the colours above
+    that digit are kept.
+    """
+    d = scheme.d
+    root = child_colours(scheme, None, q)
+    kids = [child_colours(scheme, c, d) for c in range(d + 1)]
+    path: list[int] = []
     out = []
-    for s in strings:
-        # str.isdigit also accepts non-ASCII digits such as "\uff11"
-        if not (isinstance(s, str) and s.isascii() and (s.isdigit() or not s)):
-            raise MalformedPair(f"address must be a string of digits 0-9, not {s!r}")
-        out.append(tuple(map(int, s)))
-    return tuple(out)
+    for a in leaves:
+        for j in range(len(path), len(a)):
+            path.append(kids[path[-1]][a[j]] if j else root[a[0]])
+        out.append(scheme.orbit_index[path[-1]])
+        m = len(a) - 1
+        while m > 0 and a[m] == d - 1:
+            m -= 1
+        del path[m:]
+    return out

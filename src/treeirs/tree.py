@@ -1,8 +1,11 @@
 """Rooted tree T_{d,q}, vertex addressing, colour schemes and label counts.
 
 The tree has a root with ``q`` children; every other vertex has ``d``
-children.  Addresses are digit tuples: the first digit is in {0..q-1}, later
-digits in {0..d-1}.
+children.  Addresses are digit tuples, with no string form: the first digit
+is in {0..q-1}, later digits in {0..d-1}.  ``TreeShape.validate`` refuses
+any other tuple; ``edge_colour_walk`` and ``orbit_label`` walk one address
+from the root, and are the oracles of ``thompson.is_label_preserving``,
+which labels a whole frontier in one walk through ``child_colours``.
 
 Colour schemes fix an edge colouring of the ambient (d+1)-regular tree with
 colours D = {0..d}, legal in the sense that the edges at each vertex carry
@@ -81,11 +84,6 @@ class TreeShape:
     def __post_init__(self):
         check_tree(self.d, self.q)
 
-    def level_size(self, n: int) -> int:
-        if n < 0:
-            raise DepthExceeded(f"level {n} out of range")
-        return 1 if n == 0 else self.q * self.d ** (n - 1)
-
     def arity(self, depth: int) -> int:
         return self.q if depth == 0 else self.d
 
@@ -97,14 +95,6 @@ class TreeShape:
             if not 0 <= digit < self.arity(j):
                 raise ValueError(f"bad digit {digit} at position {j} in {addr}")
         return addr
-
-
-def parse_address(text: str) -> Address:
-    return tuple(int(ch) for ch in text)
-
-
-def format_address(addr: Address) -> str:
-    return "".join(str(d) for d in addr)
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,14 @@ probabilities) were computed from the enumeration oracles or from the first
 seeded runs and are pinned here.
 """
 
+import ast
 import itertools
 import json
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -516,3 +518,51 @@ def test_c11_cli_determinism(tmp_path):
         assert outs[0] == outs[1], argv
     report(f"C11 CLI determinism across worker counts: PASS "
            f"({len(commands)} commands, {time.time() - t0:.1f}s)")
+
+
+# ---------------------------------------------------------------------------
+# tooling: every import in src/ and tests/ is read
+# ---------------------------------------------------------------------------
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names ``path`` imports and never reads, as "file:line: name".
+    An import line marked ``# noqa: F401`` is a deliberate re-export."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text, str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*" and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items()
+            if name not in read]
+
+
+def test_unused_import_scan_flags_only_unread_names(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from __future__ import annotations\n"
+                   "import os.path\n"
+                   "import json as js\n"
+                   "from math import (\n"
+                   "    comb,\n"
+                   "    exp,  # noqa: F401\n"
+                   "    log,\n"
+                   ")\n"
+                   "from fractions import Fraction  # noqa: F401\n"
+                   "from itertools import chain\n"
+                   "print(os.path.sep, log(2), 'chain')\n")
+    assert _unused_imports(mod) == ["mod.py:3: js", "mod.py:5: comb", "mod.py:10: chain"]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src" / "treeirs").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    assert len(files) > 20
+    unused = [entry for path in files for entry in _unused_imports(path)]
+    assert unused == []
+    report(f"tooling: no unused imports in {len(files)} modules: PASS")

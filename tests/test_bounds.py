@@ -12,79 +12,13 @@ from treeirs.bounds import (
     aggregate_bound_log,
     case_bound_log,
     chernoff_dominates,
-    chernoff_tail,
     delta_n,
     hypergeom_pmf,
     hypergeom_tail_ge,
     k_n,
     logaddexp,
-    rel_entropy,
-    size1_bound,
-    size1_bound_log,
-    stirling_bounds,
     summability_scan,
-    sup_bound_ratio,
 )
-
-# 49-decimal directed rational brackets for e and pi, for exact Stirling checks
-E_LO = Fraction(27182818284590452353602874713526624977572470936999, 10 ** 49)
-E_HI = E_LO + Fraction(1, 10 ** 49)
-PI_LO = Fraction(31415926535897932384626433832795028841971693993751, 10 ** 49)
-PI_HI = PI_LO + Fraction(1, 10 ** 49)
-
-
-def ln_rational(r: Fraction, terms: int = 200) -> Fraction:
-    """Series oracle for log: artanh form, ln r = 2 sum y^(2j+1)/(2j+1), y=(r-1)/(r+1)."""
-    y = (r - 1) / (r + 1)
-    acc = Fraction(0)
-    power = y
-    for j in range(terms):
-        acc += power / (2 * j + 1)
-        power *= y * y
-    return 2 * acc
-
-
-def test_rel_entropy_zero_iff_equal():
-    for p in (0.1, 0.25, 0.5, 0.9):
-        assert rel_entropy(p, p) == pytest.approx(0.0, abs=1e-15)
-    grid = [i / 1000 for i in range(0, 1001)]
-    for a in grid[::37]:
-        for p in (0.2, 0.5, 0.8):
-            h = rel_entropy(a, p)
-            assert h >= -1e-15
-            if abs(a - p) > 1e-9:
-                assert h > 0
-
-
-def test_rel_entropy_boundary():
-    for p in (0.2, 0.5, 0.75):
-        assert rel_entropy(1.0, p) == pytest.approx(math.log(1 / p), rel=1e-12)
-        assert rel_entropy(0.0, p) == pytest.approx(math.log(1 / (1 - p)), rel=1e-12)
-
-
-def test_rel_entropy_half_quarter_frozen():
-    # H(1/2 || 1/4) = 1/2 log 2 + 1/2 log(2/3) = 1/2 log(4/3)
-    val = rel_entropy(0.5, 0.25)
-    assert val == pytest.approx(0.14384103622589045, rel=1e-12)
-    series = (ln_rational(Fraction(4, 3))) / 2
-    assert val == pytest.approx(float(series), rel=1e-12)
-
-
-def test_rel_entropy_domain():
-    with pytest.raises(DomainError):
-        rel_entropy(0.5, 0.0)
-    with pytest.raises(DomainError):
-        rel_entropy(0.5, 1.0)
-    with pytest.raises(DomainError):
-        rel_entropy(1.5, 0.5)
-
-
-def test_chernoff_tail_limits():
-    assert chernoff_tail(0.5, 1e-9, 10) == pytest.approx(1.0, abs=1e-6)
-    vals = [chernoff_tail(0.3, 0.2, k) for k in (1, 5, 20, 100)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(DomainError):
-        chernoff_tail(0.5, 0.7, 3)
 
 
 def test_hypergeom_pmf_example_vs_permutation_oracle():
@@ -124,59 +58,88 @@ def test_chernoff_dominance_tight_case():
     assert chernoff_dominates(6, 2, 1, 1, "upper")
 
 
-def test_sup_bound_ratio_basic():
-    # k = 2 edge case: candidate range around pk includes i = 1, no zero division
-    val = sup_bound_ratio(8, 4, 2)
-    assert val > 0
-    # symmetric case u = x/2, k even: the max over the window sits at i = k/2
-    for x, k in ((12, 4), (20, 6), (16, 8)):
-        u = x // 2
-        p = Fraction(u, x)
-        window = range(math.ceil(p * k / 2), math.floor(3 * p * k / 2) + 1)
-        ratios = {i: float(hypergeom_pmf(x, u, k, i)) * math.sqrt(i * (k - i) / k)
-                  for i in window}
-        assert max(ratios, key=ratios.get) == k // 2
+def rational_tail(x, u, k, t):
+    """Oracle: the tail as a sum of the exact pmf's Fractions."""
+    return sum((hypergeom_pmf(x, u, k, i) for i in range(max(t, 0), k + 1)), Fraction(0))
 
 
-def test_sup_bound_ratio_regression_constant():
-    # frozen on first run: max over the full grid x <= 50 is 0.55577... at
-    # (x, u, k) = (50, 24, 25); 0.56 is the regression ceiling
-    worst = 0.0
-    for x in range(4, 51):
-        for u in range(1, x):
-            for k in range(2, x // 2 + 1):
-                worst = max(worst, sup_bound_ratio(x, u, k))
-    assert 0.55 < worst <= 0.56, worst
+def rational_dominates(x, u, k, t, side="upper"):
+    """Oracle: the entropy-bound check as a product of Fraction powers."""
+    if side == "lower":
+        return rational_dominates(x, x - u, k, k - t, "upper")
+    if not (1 <= k <= x and 1 <= u < x):
+        raise DomainError("need 1 <= k <= x and 0 < u < x")
+    if not Fraction(t, k) >= Fraction(u, x):
+        raise DomainError("upper side needs t/k >= u/x")
+    lhs = rational_tail(x, u, k, t)
+    if t > 0:
+        lhs *= Fraction(t * x, k * u) ** t
+    if k - t > 0:
+        lhs *= Fraction((k - t) * x, k * (x - u)) ** (k - t)
+    return lhs <= 1
 
 
-def test_stirling_bounds_floats():
-    lo, hi = stirling_bounds(1)
-    assert lo <= 1 <= hi
-    lo, hi = stirling_bounds(10)
-    assert lo <= 3628800 <= hi
-    for n in (1, 2, 5, 17, 60, 170):
-        lo, hi = stirling_bounds(n)
-        assert hi / lo == pytest.approx(math.e / math.sqrt(2 * math.pi), rel=1e-12)
-        assert lo <= math.factorial(n) <= hi
+def outcome(fn, *args):
+    """The value of fn(*args), or the class of the error it raises."""
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
 
 
-def test_stirling_bounds_exact_bigint():
-    # certified with directed rational brackets for e and pi:
-    #   lower: (n!)^2 e_lo^(2n) >= 2 pi_hi n^(2n+1)
-    #   upper: (n!)^2 e_hi^(2n) <= n^(2n+1) e_lo^2
-    for n in range(1, 31):
-        f2 = Fraction(math.factorial(n)) ** 2
-        assert f2 * E_LO ** (2 * n) >= 2 * PI_HI * Fraction(n) ** (2 * n + 1)
-        # upper rearranged with net exponent 2n-2 >= 0 (equality at n = 1)
-        assert f2 * E_HI ** (2 * n - 2) <= Fraction(n) ** (2 * n + 1)
+def test_hypergeom_tail_ge_equals_rational_sum():
+    # C2's grid x <= 10 with every t from below 0 to past k, and parameters
+    # out of range: the pmf refuses those, except where the range of i is
+    # empty (t > k), which gives 0 unchecked
+    cases = [(x, u, k, t) for x in range(0, 11) for u in range(-1, x + 2)
+             for k in range(-1, x + 2) for t in range(-1, k + 3)]
+    refused = empty = 0
+    for case in cases:
+        got = outcome(hypergeom_tail_ge, *case)
+        assert got == outcome(rational_tail, *case), case
+        refused += got is DomainError
+        empty += case[3] > case[2] and not (0 <= case[1] <= case[0] and 0 <= case[2] <= case[0])
+    assert refused > 100 and empty > 100, (refused, empty)
+    assert hypergeom_tail_ge(3, 5, 2, 4) == 0  # u > x, but no i to sum over
 
 
-def test_size1_bound_example():
-    assert size1_bound(2, 2, 2, 2) == pytest.approx(4 / 3, rel=1e-12)
-    # factorial dominates: log-space value decreasing in n past the crossover
-    logs = [size1_bound_log(1, 2, 2, n) for n in range(2, 21)]
-    assert all(a > b for a, b in zip(logs, logs[1:]))
-    assert size1_bound(1, 1, 2, 12) < 1e-100
+def test_chernoff_dominates_equals_rational_form():
+    # every (x, u, k, t, side) of C2's grid x <= 10, t one past each end
+    checked = refused = 0
+    for x in range(1, 11):
+        for u in range(0, x + 1):
+            for k in range(0, x + 2):
+                for t in range(-1, k + 2):
+                    for side in ("upper", "lower"):
+                        got = outcome(chernoff_dominates, x, u, k, t, side)
+                        assert got == outcome(rational_dominates, x, u, k, t, side), \
+                            (x, u, k, t, side)
+                        checked += got is True
+                        refused += got is DomainError
+    assert checked > 1000 and refused > 1000, (checked, refused)
+
+
+@pytest.mark.parametrize("x, u, k", [(3, 1, 4), (3, 1, -1), (3, -1, 2), (3, 4, 2)],
+                         ids=["k>x", "k<0", "u<0", "u>x"])
+def test_hypergeom_pmf_refuses_bad_parameters(x, u, k):
+    with pytest.raises(DomainError, match="bad hypergeometric parameters"):
+        hypergeom_pmf(x, u, k, 1)
+
+
+@pytest.mark.parametrize("x, u, k, t, side, message", [
+    (6, 2, 0, 0, "upper", "need 1 <= k <= x"),
+    (6, 2, 7, 7, "upper", "need 1 <= k <= x"),
+    (6, 0, 3, 2, "upper", "0 < u < x"),
+    (6, 6, 3, 3, "upper", "0 < u < x"),
+    (6, 3, 4, 1, "upper", "upper side needs t/k >= u/x"),
+    (6, 3, 4, 3, "lower", "upper side needs t/k >= u/x"),
+    (6, 2, 3, 2, "middle", "side must be 'upper' or 'lower'"),
+    (6, 2, 3, 2, "Upper", "side must be 'upper' or 'lower'"),
+], ids=["k=0", "k>x", "u=0", "u=x", "t/k<u/x", "lower-t/k>u/x", "side", "side-case"])
+def test_chernoff_dominates_refuses(x, u, k, t, side, message):
+    # any side but "lower" used to be read as "upper"
+    with pytest.raises(DomainError, match=message):
+        chernoff_dominates(x, u, k, t, side)
 
 
 def test_bound_params_alpha():

@@ -197,6 +197,16 @@ def test_enumerate_cone_maps_cap():
         enumerate_cone_maps(3, 3, cap=1000)
 
 
+@pytest.mark.parametrize("E, F2", [((0, 1), (2,)), ((), (3,)), ((0, 1, 2), (0, 1, 2, 3))],
+                         ids=["2-1", "0-1", "3-4"])
+def test_brute_force_equivalent_on_sets_of_different_sizes(E, F2):
+    # the answer comes before any map is listed: a cap of 1 map would refuse
+    for scheme, colour in ((None, None), (ColourScheme.full(2), 0)):
+        assert not brute_force_equivalent(E, F2, 2, 2, scheme, colour, colour, cap=1)
+        assert not brute_force_equivalent(F2, E, 2, 2, scheme, colour, colour, cap=1)
+        assert not equivalent(E, F2, 2, 2, scheme, colour, colour)
+
+
 def test_census_examples():
     c = orbit_census(2, 2, 2)
     assert sorted(cnt for _, cnt in c.counts) == [2, 4]
@@ -330,10 +340,19 @@ def _digest(results) -> str:
     return hashlib.sha256(repr(results).encode()).hexdigest()
 
 
+def sum_of_squares(census) -> Fraction:
+    """Oracle: the match probability as a sum of squared Fractions."""
+    t = census.total
+    return sum((Fraction(c, t) ** 2 for _, c in census.counts), Fraction(0))
+
+
 def test_coloured_census_digest_over_every_scheme():
-    counts = [orbit_census(d, depth, k, scheme, c).counts
-              for d, depth in ((2, 4), (3, 2)) for scheme in all_schemes(d)
-              for c in range(d + 1) for k in range(d ** depth + 1)]
+    censuses = [orbit_census(d, depth, k, scheme, c)
+                for d, depth in ((2, 4), (3, 2)) for scheme in all_schemes(d)
+                for c in range(d + 1) for k in range(d ** depth + 1)]
+    for c in censuses:
+        assert c.match_probability() == sum_of_squares(c), c
+    counts = [c.counts for c in censuses]
     assert len(counts) == 1506
     assert _digest(counts) == "918af75e0686a60eef3d8f72aa9db7d46103692c732561de510dadf5db4927f9"
 
@@ -606,6 +625,7 @@ def test_census_equals_subset_loop_full_mode(d, depth):
         c = orbit_census(d, depth, k)
         assert (c.d, c.depth, c.k, c.mode) == (d, depth, k, "full")
         assert c.counts == census_by_subsets(d, depth, k), k
+        assert c.match_probability() == sum_of_squares(c), k
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
@@ -617,6 +637,7 @@ def test_census_equals_subset_loop_coloured_mode(depth):
                 assert c.mode == "coloured"
                 assert c.counts == census_by_subsets(2, depth, k, scheme, colour), \
                     (scheme.F.generators, colour, k)
+                assert c.match_probability() == sum_of_squares(c)
 
 
 def test_census_equals_subset_loop_coloured_ternary():
@@ -673,6 +694,7 @@ def test_census_leaf_label_equals_subset_loop():
                         assert c.total == comb(len(ground), k)
                         assert c.counts == census_by_subsets(
                             2, depth, k, scheme, colour, ground=ground)
+                        assert c.match_probability() == sum_of_squares(c)
 
 
 def test_census_edge_cases():
@@ -687,6 +709,7 @@ def test_census_edge_cases():
         assert orbit_census(2, 3, 9, scheme).counts == ()
         assert orbit_census(2, 0, 2, scheme).counts == ()
         assert orbit_census(2, 3, 9, scheme).match_probability() == 0
+        assert Census(2, 3, 9, "full", ()).match_probability() == 0
     with pytest.raises(ValueError):
         orbit_census(2, 2, 1, leaf_label=0)  # labels need a scheme
 

@@ -29,7 +29,6 @@ from treeirs.perm import (
     contains_alt_on,
     enumerate_subgroups,
     from_cycles,
-    identity,
     is_even,
     minimal_blocks,
     orbits,
@@ -140,6 +139,27 @@ def test_in_pi_examples():
 
     with pytest.raises(LabelPartitionViolated):
         in_Pi(GeneratedGroup(6, [from_cycles(6, (2, 3))]), labels, 0)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: in_Pi(product_of_symmetric([3, 3]), (0, 0, 0, 1, 1), 0),
+     "labels must cover every point"),
+    (lambda: in_Pi(product_of_symmetric([3, 3]), (0,) * 7, 0), "labels must cover every point"),
+    (lambda: theta_event(GeneratedGroup(4, []), 1, 1, 2, 2, 1, ColourScheme.full(2)),
+     "u, v must be distinct cone indices"),
+    (lambda: theta_event(GeneratedGroup(4, []), 2, 0, 2, 2, 1, ColourScheme.full(2)),
+     "u, v must be distinct cone indices"),
+    (lambda: theta_event(GeneratedGroup(4, []), 0, -1, 2, 2, 1, ColourScheme.full(2)),
+     "u, v must be distinct cone indices"),
+    (lambda: boundary_quotient_elements(2, 2, 2, ColourScheme.full(2), cap=100),
+     "boundary quotient exceeds cap=100"),
+    (lambda: children_heredity_check(symmetric_group(4), symmetric_group(6), d=2, delta=1),
+     "level sizes must differ by a factor of d"),
+], ids=["in-pi-short", "in-pi-long", "theta-u-is-v", "theta-u-out", "theta-v-out",
+        "quotient-cap", "heredity-levels"])
+def test_classify_refusals(refused, message):
+    with pytest.raises(ValueError, match=message):
+        refused()
 
 
 def test_in_pi_single_class_is_in_xi():

@@ -9,7 +9,7 @@ from math import factorial
 import pytest
 
 from conftest import alternating_group, listed_by_elements
-from treeirs import cli, perm
+from treeirs import cli, irs, perm
 from treeirs.irs import (
     BadFactorization,
     BadTransporterSet,
@@ -31,7 +31,6 @@ from treeirs.irs import (
 from treeirs.perm import (
     GeneratedGroup,
     class_records,
-    close,
     compose,
     conjugacy_orbit,
     conjugate,
@@ -761,6 +760,30 @@ def test_class_record_with_a_wrong_conjugator_is_refused(monkeypatch):
             with pytest.raises(RuntimeError, match="onto subgroup 2 of class 0"):
                 read()
     assert not s4.memo("perm.classes", dict)
+
+
+@pytest.mark.parametrize("member", [1, 5])
+def test_classes_refuses_a_corrupted_conjugator(monkeypatch, member):
+    # the class table checks its conjugators as it files them, so only a
+    # record corrupted after filing reaches the check in classes(): member
+    # i of the six transpositions' class gets the identity as conjugator
+    s4 = symmetric_group(4)
+    R = GeneratedGroup(4, [from_cycles(4, (2, 3))])
+    mu = uniform_conjugate_measure(R, s4)
+    real = irs.conjugacy_class
+
+    def corrupted(H, ambient, c=0):
+        record = real(H, ambient, c)
+        members = list(record.members)
+        members[member] = (members[member][0], identity(4))
+        return record._replace(members=tuple(members))
+
+    monkeypatch.setattr(irs, "conjugacy_class", corrupted)
+    for _ in range(2):  # a refused check keeps nothing on the measure
+        with pytest.raises(RuntimeError, match=f"onto subgroup {member} of class 0"):
+            mu.classes()
+    monkeypatch.undo()
+    assert len(mu.classes()) == 1
 
 
 def W222():

@@ -69,6 +69,16 @@ def test_estimate_fields():
     assert e.stderr == pytest.approx(math.sqrt(e.p_hat * (1 - e.p_hat) / 1000))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Estimate("treematch", (), 0, 0, 3),
+    lambda: estimate_treematch(2, 2, 2, trials=0, seed=3),
+    lambda: estimate_cut1(2, 2, 2, 2, trials=0, seed=3),
+], ids=["fields", "treematch", "cut1"])
+def test_estimate_with_no_trials(build):
+    e = build()
+    assert (e.trials, e.successes, e.p_hat, e.stderr) == (0, 0, 0.0, 0.0)
+
+
 def test_reproducible_across_worker_counts():
     base = estimate_treematch(2, 3, 3, trials=4000, seed=99, workers=1)
     for w in (2, 3, 7):

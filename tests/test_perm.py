@@ -15,7 +15,6 @@ from treeirs.classify import _block_lift
 from treeirs.irs import restriction_map
 from treeirs.perm import (
     DEFAULT_CAP,
-    BlockSystem,
     ClosureExceedsCap,
     DegreeTooLarge,
     GeneratedGroup,
@@ -29,7 +28,6 @@ from treeirs.perm import (
     conjugate,
     conjugator,
     contains_alt_on,
-    cycle_type,
     enumerate_subgroups,
     from_cycles,
     group_from_json,
@@ -37,7 +35,6 @@ from treeirs.perm import (
     identity,
     inverse,
     is_even,
-    is_perm,
     minimal_blocks,
     orbits,
     overgroups_of_cycle,

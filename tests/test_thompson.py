@@ -12,7 +12,7 @@ from conftest import (
     random_raw_pair,
     random_tree_pair,
 )
-from treeirs import perm
+from treeirs import perm, thompson, tree
 from treeirs.classify import _block_lift
 from treeirs.perm import enumerate_subgroups, from_cycles
 from treeirs.thompson import (
@@ -24,11 +24,15 @@ from treeirs.thompson import (
     compose,
     inverse,
     is_label_preserving,
-    pair_from_json,
-    pair_to_json,
     reduce_pair,
 )
-from treeirs.tree import ColourScheme, ColourSchemeMismatch, TreeShape, orbit_label
+from treeirs.tree import (
+    ColourScheme,
+    ColourSchemeMismatch,
+    TreeShape,
+    edge_colour_walk,
+    orbit_label,
+)
 
 PARAMS = [(2, 2), (2, 3), (3, 2)]
 
@@ -43,6 +47,17 @@ def test_validation_rejects_garbage():
     for sigma in ((0,), (0, 1, 2)):  # a bijection of too few or too many indices
         with pytest.raises(MalformedPair, match="bijection"):
             TreePair(2, 2, ((0,), (1,)), ((0,), (1,)), sigma)
+
+
+@pytest.mark.parametrize("d, q, dom, rng", [
+    (2, 2, ((0,), (1,)), ((0, 0), (0, 1), (1,))),
+    (2, 2, ((0, 0), (0, 1), (1,)), ((),)),
+    (3, 2, ((0,), (1, 0), (1, 1), (1, 2)), ((0,), (1,))),
+], ids=["2-3", "3-1", "4-2"])
+def test_validation_refuses_unequal_leaf_counts(d, q, dom, rng):
+    for a, b in ((dom, rng), (rng, dom)):
+        with pytest.raises(MalformedPair, match="domain and range leaf counts differ"):
+            TreePair(d, q, a, b, tuple(range(len(a))))
 
 
 def test_unsorted_leaves_keep_their_map():
@@ -78,8 +93,8 @@ def test_validation_refuses_non_int_parameters_and_sigma():
 @pytest.mark.parametrize("digit", [0.0, False, "0", 1.0, True])
 @pytest.mark.parametrize("side", ["domain", "range"])
 def test_validation_refuses_non_int_digits(digit, side):
-    # float and bool digits used to be stored as given, and pair_to_json then
-    # wrote "0.0" or "True", which pair_from_json refuses
+    # float and bool digits used to be stored as given, so a pair held
+    # addresses such as (0.0,) or (True,) that name no vertex of the tree
     good = ((0,), (1,))
     bad = ((digit,), (1,)) if digit in (0, "0") else ((0,), (digit,))
     leaves = (bad, good) if side == "domain" else (good, bad)
@@ -308,6 +323,98 @@ def test_label_preserving_closed_under_composition():
             assert is_label_preserving(inverse(p1), scheme)
 
 
+def oracle_label_preserving(pair, scheme):
+    """The leaf-by-leaf check: ``orbit_label`` walks from the root for each
+    leaf on both sides."""
+    shape = TreeShape(pair.d, pair.q)
+    return all(not a or orbit_label(shape, scheme, a) == orbit_label(shape, scheme, b)
+               for a, b in pair.mapping().items())
+
+
+@pytest.fixture
+def colour_calls(monkeypatch):
+    """Counts the ``tree.child_colours`` calls made through ``tree`` or
+    ``thompson``."""
+    calls = [0]
+    real = tree.child_colours
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tree, "child_colours", counted)
+    monkeypatch.setattr(thompson, "child_colours", counted, raising=False)
+    return calls
+
+
+def checked_label_preserving(pair, scheme, calls):
+    """``is_label_preserving``, checked to colour each frontier with one
+    ``child_colours`` call per colour and one for the root."""
+    calls[0] = 0
+    verdict = is_label_preserving(pair, scheme)
+    assert calls[0] <= 2 * (scheme.d + 2), calls[0]
+    return verdict
+
+
+@pytest.mark.parametrize("d, q", [(2, 2), (2, 3), (3, 2), (3, 4)])
+def test_label_preserving_equals_orbit_label_oracle(colour_calls, d, q):
+    # seeded label-preserving pairs (self-pairs, their composites on two
+    # trees and inverses) and mostly non-preserving raw and reduced pairs,
+    # under every scheme F <= Sym(d+1)
+    rng = random.Random(33 + 10 * d + q)
+    subs, _ = enumerate_subgroups(d + 1)
+    verdicts = {True: 0, False: 0}
+    for F in subs:
+        scheme = ColourScheme(d, F)
+        for _ in range(40 // d):
+            p1 = random_label_preserving_pair(rng, scheme, d, q)
+            p2 = random_label_preserving_pair(rng, scheme, d, q)
+            for p in (p1, compose(p1, p2), inverse(p2), random_tree_pair(rng, d, q),
+                      random_raw_pair(rng, d, q)):
+                want = oracle_label_preserving(p, scheme)
+                assert checked_label_preserving(p, scheme, colour_calls) == want, p
+                verdicts[want] += 1
+    assert min(verdicts.values()) > 40, verdicts
+
+
+def test_label_preserving_on_deep_combs(colour_calls):
+    # 1,500 levels, where the leaf-by-leaf walk is quadratic in depth.  The
+    # comb's leaves are (1,)*i + (0,) for i < 1500 and (1,)*1500; the
+    # mirror's swap 0 and 1.  Their oracle labels come from one walk down
+    # each spine, checked against orbit_label at a few leaves
+    depth = 1500
+    shape = TreeShape(2, 2)
+    comb = [(1,) * i + (0,) for i in range(depth)] + [(1,) * depth]
+    mirror = [tuple(1 - x for x in a) for a in comb]
+    across = TreePair.from_mapping(2, 2, dict(zip(comb, mirror)))
+    swaps = {}
+    for i, j in ((0, depth), (depth - 1, depth), (1, 2), (2, 4), (700, 1401)):
+        sigma = list(range(depth + 1))
+        sigma[i], sigma[j] = j, i
+        swaps[i, j] = TreePair(2, 2, tuple(comb), tuple(comb), tuple(sigma))
+    for scheme in (ColourScheme.trivial(2), ColourScheme.full(2),
+                   ColourScheme.from_generators(2, [from_cycles(3, (0, 1))])):
+        labels = {}
+        for leaves, spine in ((comb, 1), (mirror, 0)):
+            colours = (None,) + edge_colour_walk(shape, scheme, (spine,) * depth)
+            labels[spine] = [scheme.orbit_index[
+                tree.child_colours(scheme, colours[i], shape.arity(i))[1 - spine]]
+                for i in range(depth)] + [scheme.orbit_index[colours[-1]]]
+            for i in (0, 1, 2, 3, 750, depth - 1, depth):
+                assert labels[spine][i] == orbit_label(shape, scheme, leaves[i])
+        assert checked_label_preserving(across, scheme, colour_calls) == (labels[1] == labels[0])
+        for (i, j), p in swaps.items():
+            assert checked_label_preserving(p, scheme, colour_calls) == \
+                (labels[1][i] == labels[1][j]), (i, j)
+
+
+@pytest.mark.parametrize("d, q", [(2, 4), (3, 5)])
+def test_label_preserving_refuses_more_root_cones_than_colours(d, q):
+    for scheme in (ColourScheme.full(d), ColourScheme.trivial(d)):
+        with pytest.raises(MalformedPair, match="root arity exceeds the number of colours"):
+            is_label_preserving(TreePair.identity(d, q), scheme)
+
+
 def test_join_frontiers():
     l1 = ((0,), (1, 0), (1, 1))
     l2 = ((0, 0), (0, 1), (1,))
@@ -335,86 +442,6 @@ def test_deep_comb_pair():
     assert joined == tuple(sorted(
         [(0,) * i + (1,) for i in range(1, 1500)] + [(0,) * 1500]
         + [(1,) * i + (0,) for i in range(1, 1500)] + [(1,) * 1500]))
-
-
-def test_json_roundtrip():
-    rng = random.Random(11)
-    for d, q in PARAMS:
-        for _ in range(20):
-            p = random_tree_pair(rng, d, q)
-            assert pair_from_json(pair_to_json(p)) == p
-
-
-def test_json_refuses_digits_of_ten_or_more():
-    # q = 11: the root leaf (10,) would be written "10" and read back as (1, 0)
-    sigma = (1, 0) + tuple(range(2, 11))
-    p = TreePair(2, 11, tuple((j,) for j in range(11)),
-                 tuple((j,) for j in range(11)), sigma)
-    with pytest.raises(MalformedPair, match="digit"):
-        pair_to_json(p)
-    data = {"d": 2, "q": 11, "domain_leaves": [str(j) for j in range(11)],
-            "range_leaves": [str(j) for j in range(11)], "sigma": list(sigma)}
-    with pytest.raises(MalformedPair, match="digit"):
-        pair_from_json(data)
-    with pytest.raises(MalformedPair, match="digit"):
-        pair_from_json({**data, "d": 11, "q": 2})
-    # the largest digit that fits one character still round-trips
-    p10 = TreePair(2, 10, tuple((j,) for j in range(10)),
-                   tuple((j,) for j in range(10)), (9,) + tuple(range(9)))
-    assert pair_to_json(p10)["range_leaves"][-1] == "9"
-    assert pair_from_json(pair_to_json(p10)) == p10
-
-
-def test_json_output_unchanged():
-    p = TreePair.from_mapping(2, 3, {(0,): (1, 1), (1,): (0,), (2, 0): (2,),
-                                     (2, 1): (1, 0)})
-    assert pair_to_json(p) == {"d": 2, "q": 3,
-                               "domain_leaves": ["0", "1", "20", "21"],
-                               "range_leaves": ["0", "10", "11", "2"],
-                               "sigma": [2, 0, 3, 1]}
-
-
-_GOOD_JSON = {"d": 2, "q": 2, "domain_leaves": ["0", "1"],
-              "range_leaves": ["0", "1"], "sigma": [1, 0]}
-_DROP = object()  # a key left out of the input
-
-
-@pytest.mark.parametrize("change,match", [
-    ({"d": 2.9}, '"d" must be an integer, not 2.9'),
-    ({"d": 2.0}, '"d" must be an integer'),
-    ({"q": "2"}, '"q" must be an integer'),
-    ({"q": True}, '"q" must be an integer'),
-    ({"sigma": [1.7, 0.2]}, "bijection"),
-    ({"sigma": [1.0, 0]}, "bijection"),
-    ({"sigma": [True, False]}, "bijection"),
-    ({"domain_leaves": ["0", "\uff11"]}, "digits 0-9"),
-    ({"range_leaves": ["\u0660", "1"]}, "digits 0-9"),
-    ({"domain_leaves": [[0], [1]]}, "digits 0-9"),
-    ({"domain_leaves": "01"}, '"domain_leaves" must be an array'),
-    ({"range_leaves": {"0": 0, "1": 1}}, '"range_leaves" must be an array'),
-    ({"sigma": "10"}, '"sigma" must be an array'),
-    ({"sigma": 1}, '"sigma" must be an array'),
-    ({"sigma": [0]}, "bijection"),
-    ({"sigma": _DROP}, "expected a JSON object with keys"),
-    ({"d": _DROP}, "expected a JSON object with keys"),
-    ([_GOOD_JSON], "expected a JSON object with keys"),
-    ("{}", "expected a JSON object with keys"),
-    (None, "expected a JSON object with keys"),
-])
-def test_json_refuses_non_integers(change, match):
-    assert pair_from_json(_GOOD_JSON) == TreePair(2, 2, ((0,), (1,)),
-                                                  ((0,), (1,)), (1, 0))
-    if isinstance(change, dict):  # the good input with these keys set or dropped
-        change = {key: value for key, value in {**_GOOD_JSON, **change}.items()
-                  if value is not _DROP}
-    with pytest.raises(MalformedPair, match=match):
-        pair_from_json(change)
-
-
-def test_json_unsorted_leaves_keep_their_map():
-    swap = pair_from_json(_GOOD_JSON)
-    assert pair_from_json({**_GOOD_JSON, "range_leaves": ["1", "0"], "sigma": [0, 1]}) == swap
-    assert pair_from_json({**_GOOD_JSON, "domain_leaves": ["1", "0"], "sigma": [0, 1]}) == swap
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-import math
 from fractions import Fraction
 
 import pytest
 
-from treeirs.perm import GeneratedGroup, enumerate_subgroups, from_cycles
+from treeirs.perm import enumerate_subgroups, from_cycles, symmetric_group
 from treeirs.tree import (
     ColourScheme,
     ColourSchemeMismatch,
+    DepthExceeded,
     DepthMismatch,
     RootHasNoLabel,
     TreeShape,
@@ -18,21 +18,12 @@ from treeirs.tree import (
     cone_level_colours,
     cone_level_labels,
     edge_colour_walk,
-    format_address,
     level_counts,
     level_counts_direct,
     level_depth,
     local_maps,
     orbit_label,
-    parse_address,
 )
-
-
-def test_shape_level_sizes():
-    shape = TreeShape(d=2, q=3)
-    assert [shape.level_size(n) for n in range(4)] == [1, 3, 6, 12]
-    shape2 = TreeShape(d=3, q=2)
-    assert shape2.level_size(2) == 6
 
 
 def test_address_validation():
@@ -56,11 +47,6 @@ def test_address_validation_refuses_digits_that_are_not_ints(refused):
     # addresses, and 1.0 gave a TypeError
     with pytest.raises(ValueError, match="not an int"):
         refused()
-
-
-def test_address_strings():
-    assert parse_address("201") == (2, 0, 1)
-    assert format_address((2, 0, 1)) == "201"
 
 
 def test_addresses_deeper_than_24_digits():
@@ -322,5 +308,26 @@ def test_cone_leaf_labels_lengths():
 def test_cone_context_refuses_values_that_are_not_ints(refused, error, message):
     # each passed the range test by value: check_cone returned, and
     # check_colour and check_label gave the value back
+    with pytest.raises(error, match=message):
+        refused()
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: ColourScheme(2, symmetric_group(4)), ValueError, "F must act on 3 colours"),
+    (lambda: ColourScheme(3, symmetric_group(3)), ValueError, "F must act on 4 colours"),
+    (lambda: child_colours(None, 0, 2), ValueError, "child_colours needs a colour scheme"),
+    (lambda: child_colours(ColourScheme.full(2), 0, 2, policy="random"), ValueError,
+     "unknown colouring policy: random"),
+    (lambda: child_colours(ColourScheme.full(2), 0, 3), ValueError,
+     "arity 3 exceeds available colours 2"),
+    (lambda: child_colours(ColourScheme.full(2), None, 4), ValueError,
+     "arity 4 exceeds available colours 3"),
+    (lambda: level_counts(ColourScheme.full(2), 0, 0), ValueError, "n must be >= 1"),
+    (lambda: level_counts_direct(ColourScheme.full(2), 0, 0), ValueError, "n must be >= 1"),
+    (lambda: level_counts_direct(ColourScheme.full(2), 17, 0), DepthExceeded,
+     "direct traversal capped at depth 16"),
+], ids=["F-too-big", "F-too-small", "no-scheme", "policy", "arity", "root-arity",
+        "level-counts-n0", "direct-n0", "direct-n17"])
+def test_label_layer_refusals(refused, error, message):
     with pytest.raises(error, match=message):
         refused()
