@@ -49,10 +49,9 @@ def _tail_count(x: int, u: int, k: int, t: int) -> int:
 
 
 def hypergeom_tail_ge(x: int, u: int, k: int, t: int) -> Fraction:
-    """P(|K sigma meets U| >= t): the tail count over C(x, k).  An empty
-    range (t > k) gives 0 before any parameter is checked."""
-    if max(t, 0) > k:
-        return Fraction(0)
+    """P(|K sigma meets U| >= t): the tail count over C(x, k).  The
+    parameters are checked as ``hypergeom_pmf`` checks them, and an empty
+    range (t > k) then gives 0."""
     _check_hypergeom(x, u, k)
     return Fraction(_tail_count(x, u, k, t), comb(x, k))
 
@@ -69,15 +68,18 @@ def chernoff_dominates(x: int, u: int, k: int, t: int, side: str = "upper") -> b
     denominators gives one comparison of integers,
         S (t x)^t ((k-t) x)^(k-t) <= C(x, k) (k u)^t (k (x-u))^(k-t),
     which holds at once when S = 0 (also t > k, where k-t < 0).
-    The lower side reduces to the upper side for the complement set.
+    The lower side, a = t/k <= p, reduces to the upper side for the
+    complement set (x, x-u, k, k-t).
     """
-    if side == "lower":
-        return chernoff_dominates(x, x - u, k, k - t, "upper")
-    if side != "upper":
+    if side not in ("upper", "lower"):
         raise DomainError(f"side must be 'upper' or 'lower', not {side!r}")
     if not (1 <= k <= x and 1 <= u < x):
         raise DomainError(f"need 1 <= k <= x and 0 < u < x; got x={x}, u={u}, k={k}")
-    if t * x < u * k:
+    if side == "lower":
+        if t * x > u * k:
+            raise DomainError("lower side needs t/k <= u/x")
+        u, t = x - u, k - t
+    elif t * x < u * k:
         raise DomainError("upper side needs t/k >= u/x")
     s = _tail_count(x, u, k, t)
     return s == 0 or (s * (t * x) ** t * ((k - t) * x) ** (k - t)

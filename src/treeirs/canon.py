@@ -85,6 +85,9 @@ class BudgetExceeded(ValueError):
     pass
 
 
+DEFAULT_BUDGET = 2_000_000  # subsets (or pairs) an exact count may cover
+
+
 EMPTY_LEAF = "0"
 MARKED_LEAF = "1"
 
@@ -364,7 +367,7 @@ class Census:
 
 def orbit_census(d: int, depth: int, k: int, scheme: ColourScheme | None = None,
                  parent_colour: int | None = None,
-                 budget: int = 2_000_000, leaf_label: int | None = None) -> Census:
+                 budget: int = DEFAULT_BUDGET, leaf_label: int | None = None) -> Census:
     """Count the k-subsets of the cone's leaves by their canonical form.
 
     The counts are those of canonicalizing every k-subset with ``canon_full``

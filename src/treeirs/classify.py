@@ -46,10 +46,6 @@ class LabelMismatch(ValueError):
     pass
 
 
-class IncompatibleChain(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # transitive profiles and the large-alternating classes
 # ---------------------------------------------------------------------------
@@ -91,6 +87,15 @@ def _orbit_union_candidates(orbit_list, min_size: int):
     return out
 
 
+def _xi_witness(G: GeneratedGroup, orbit_list, min_size: int, delta: int) -> XiWitness | None:
+    """The first union U of ``orbit_list``, of size at least ``min_size``,
+    with Alt(U) x {id} <= G, smallest unions first; None if there is none."""
+    for U in _orbit_union_candidates(orbit_list, min_size):
+        if contains_alt_on(G, U):
+            return XiWitness(U, delta)
+    return None
+
+
 def in_Xi(G: GeneratedGroup, delta: int) -> tuple[bool, XiWitness | None]:
     """Is there U with |U| >= degree - delta, Alt(U) x {id} <= G <= Sym(U) x Sym(U^c)?
 
@@ -103,10 +108,8 @@ def in_Xi(G: GeneratedGroup, delta: int) -> tuple[bool, XiWitness | None]:
     need = G.degree - delta
     if need >= 3 and G.order < factorial(need) // 2:
         return False, None
-    for U in _orbit_union_candidates(orbits(G), max(need, 0)):
-        if contains_alt_on(G, U):
-            return True, XiWitness(U, delta)
-    return False, None
+    wit = _xi_witness(G, orbits(G), max(need, 0), delta)
+    return wit is not None, wit
 
 
 def in_Pi(G: GeneratedGroup, labels, delta: int) -> tuple[bool, tuple[XiWitness, ...] | None]:
@@ -125,11 +128,7 @@ def in_Pi(G: GeneratedGroup, labels, delta: int) -> tuple[bool, tuple[XiWitness,
     for i in sorted(set(labels)):
         pts = [x for x in range(G.degree) if labels[x] == i]
         class_orbits = [o for o in orbits(G) if o[0] in set(pts)]
-        found = None
-        for U in _orbit_union_candidates(class_orbits, max(len(pts) - delta, 0)):
-            if contains_alt_on(G, U):
-                found = XiWitness(U, delta)
-                break
+        found = _xi_witness(G, class_orbits, max(len(pts) - delta, 0), delta)
         if found is None:
             return False, None
         witnesses.append(found)
@@ -381,15 +380,13 @@ def build_alt_wreath_chain(degree_n: int, d: int, U,
 
 
 def children_heredity_check(gamma_n: GeneratedGroup, gamma_n1: GeneratedGroup,
-                            d: int, delta: int,
-                            strict: bool = False) -> HeredityReport:
+                            d: int, delta: int) -> HeredityReport:
     """Check both directions of: x is in the giant of level n iff all of its
     children are in the giant of level n+1.
 
     Compatibility preconditions (the Xi membership of the upper group and the
     presence of the giant's even wreath generators below) are evaluated and
-    reported; ``strict=True`` raises IncompatibleChain instead of reporting a
-    broken instance.
+    reported in ``compatible``; a broken instance is reported, not refused.
     """
     if gamma_n1.degree != gamma_n.degree * d:
         raise ValueError("level sizes must differ by a factor of d")
@@ -397,8 +394,6 @@ def children_heredity_check(gamma_n: GeneratedGroup, gamma_n1: GeneratedGroup,
     Yn = _giant(gamma_n)
     wreath_ok = all(g in gamma_n1
                     for g in _wreath_generators(sorted(Yn), gamma_n.degree, d))
-    if strict and not (xi_ok and wreath_ok):
-        raise IncompatibleChain("chain fails the compatibility preconditions")
     Yn1 = _giant(gamma_n1)
     p2c = tuple(x for x in sorted(Yn)
                 if not all(x * d + j in Yn1 for j in range(d)))

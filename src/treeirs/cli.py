@@ -25,7 +25,7 @@ from operator import itemgetter
 
 from . import bounds as bnd
 from . import montecarlo as mc
-from .canon import orbit_census
+from .canon import DEFAULT_BUDGET, orbit_census
 from .classify import classify_case, in_Pi, root_colours
 from .irs import (
     kept_transporters,
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--scheme", help="colour scheme JSON file")
     p.add_argument("--parent-colour", type=int, default=None)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     common(p)
     p.set_defaults(fn=cmd_census)
     return top

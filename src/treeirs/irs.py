@@ -8,6 +8,8 @@ failures.
 
 ``transporter`` is the one-V form of ``transporters``; acceptance criterion
 C1 reads it to check the counting lemmas against every U -> V transporter.
+Both read a restriction p|_U as ``perm.composer(U)(p)``, the images of
+sorted(U).
 """
 
 from __future__ import annotations
@@ -50,12 +52,8 @@ class NotSymmetricAmbient(ValueError):
     """The index bound was asked of a measure whose ambient is not Sym(X)."""
 
 
-PartialMap = tuple[int, ...]  # images of sorted(U), as raw points
-
-
-def restriction_map(p: Perm, U: tuple[int, ...]) -> PartialMap:
-    """The partial map p|_U, encoded as images along sorted(U)."""
-    return composer(U)(p)
+# the partial map p|_U, encoded as images along sorted(U): composer(U)(p)
+PartialMap = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ def transporters(H: GeneratedGroup, U) -> dict[tuple[int, ...], Transporter]:
     order, so each value equals the one ``transporter`` gives.
     """
     U = tuple(sorted(U))
-    on_U = composer(U)  # restriction_map(h, U)
+    on_U = composer(U)  # h -> h|_U
     buckets: dict[tuple[int, ...], tuple[list, set]] = {}
     for h in H.elements:
         r = on_U(h)

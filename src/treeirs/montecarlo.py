@@ -22,6 +22,9 @@ min(count, trials).  Above the count ``same`` is called once per trial.
 Every draw and every decision is the same either way.
 
 Acceptance criterion C4 reads the ``exact_*`` values against the estimates.
+Each is refused (``BudgetExceeded``) when it would count more than
+``canon.DEFAULT_BUDGET`` subsets, or pairs for cut2; colormatch counts the
+subsets of its label slots.
 ``TrialRng.next64`` and ``randbelow`` are the reference for the draws that
 ``sample_seq`` inlines, and the tier-1 tests compare the two.
 """
@@ -35,6 +38,7 @@ from itertools import combinations
 from math import comb, sqrt
 
 from .canon import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     Matcher,
     # unused here since Matcher decides matches; perfbench's tests still read it
@@ -302,39 +306,38 @@ def estimate_colormatch(scheme: ColourScheme, n: int, k: int, orbit_i: int,
 # ---------------------------------------------------------------------------
 
 def exact_treematch(d: int, n: int, k: int, scheme: ColourScheme | None = None,
-                    parent_colour: int | None = None,
-                    budget: int = 2_000_000) -> Fraction:
-    """Census-derived exact match probability: sum of (class/total)^2."""
-    return orbit_census(d, n, k, scheme, parent_colour,
-                        budget=budget).match_probability()
+                    parent_colour: int | None = None) -> Fraction:
+    """Census-derived exact match probability: sum of (class/total)^2.  Like
+    every ``exact_*`` value, refused past ``DEFAULT_BUDGET`` subsets or pairs."""
+    return orbit_census(d, n, k, scheme, parent_colour).match_probability()
 
 
 def exact_colormatch(scheme: ColourScheme, n: int, k: int, orbit_i: int,
-                     root_label: int = 0, budget: int = 2_000_000) -> Fraction:
+                     root_label: int = 0) -> Fraction:
     """Exact colormatch probability from the census of the label-i leaf slots."""
     check_label(scheme, orbit_i, "orbit")
     return orbit_census(scheme.d, n, k, scheme,
                         scheme.reps[check_label(scheme, root_label, "root_label")],
-                        budget=budget, leaf_label=orbit_i).match_probability()
+                        leaf_label=orbit_i).match_probability()
 
 
-def exact_cut1(d: int, q: int, n: int, k: int, budget: int = 2_000_000) -> Fraction:
+def exact_cut1(d: int, q: int, n: int, k: int) -> Fraction:
     """Exact cut1 probability by enumerating all images K sigma."""
     m, cone_size, same = _cut_level(d, q, n, k)
     total = comb(m, k)
-    if total > budget:
-        raise BudgetExceeded(f"{total} subsets exceed budget={budget}")
+    if total > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"{total} subsets exceed budget={DEFAULT_BUDGET}")
     hits = sum(1 for image in combinations(range(m), k)
                if same(*_split_two_cones(image, cone_size)))
     return Fraction(hits, total)
 
 
-def exact_cut2(d: int, q: int, n: int, k: int, budget: int = 2_000_000) -> Fraction:
+def exact_cut2(d: int, q: int, n: int, k: int) -> Fraction:
     """Exact cut2 probability over ordered pairs of disjoint k-subsets."""
     m, cone_size, same = _cut_level(d, q, n, k, draws=2)
     total = comb(m, k) * comb(m - k, k)
-    if total > budget:
-        raise BudgetExceeded(f"{total} pairs exceed budget={budget}")
+    if total > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"{total} pairs exceed budget={DEFAULT_BUDGET}")
     hits = 0
     for img1 in combinations(range(m), k):
         e1 = _split_two_cones(img1, cone_size)[0]

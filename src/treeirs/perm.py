@@ -17,7 +17,12 @@ Conventions used throughout the package:
   coordinates, block by block, and ``wreath_join`` builds one from them.
 * Every group here is given by generators and materialised by breadth-first
   closure.  Nothing is meant to scale past degree 7; there is deliberately no
-  stabilizer-chain machinery.
+  stabilizer-chain machinery.  Closure stops at ``DEFAULT_CAP`` elements;
+  only ``close``, ``GeneratedGroup`` and the group-file loaders take another
+  cap, which ``classify --cap`` reaches.
+* Subgroups are found by one double-coset join walk (``_join_walk``), class
+  by class: ``class_records``, ``enumerate_subgroups``, ``subgroups_of`` and
+  ``overgroups_of_cycle`` all read its classes.
 * No command writes a group file: ``group_to_json`` is read by acceptance
   criterion C11, which writes its ``classify`` input with it.
 """
@@ -274,16 +279,16 @@ class GeneratedGroup:
                               self.cap)
 
 
-def symmetric_group(n: int, cap: int = DEFAULT_CAP) -> GeneratedGroup:
+def symmetric_group(n: int) -> GeneratedGroup:
     if n <= 1:
-        return GeneratedGroup(max(n, 1), [], cap, _elements=[identity(max(n, 1))])
+        return GeneratedGroup(max(n, 1), [], _elements=[identity(max(n, 1))])
     gens = [from_cycles(n, (0, 1))]
     if n >= 3:
         gens.append(from_cycles(n, tuple(range(n))))
-    return GeneratedGroup(n, gens, cap)
+    return GeneratedGroup(n, gens)
 
 
-def product_of_symmetric(sizes, cap: int = DEFAULT_CAP) -> GeneratedGroup:
+def product_of_symmetric(sizes) -> GeneratedGroup:
     """Sym(n1) x Sym(n2) x ... acting on consecutive point blocks."""
     degree = sum(sizes)
     gens = []
@@ -294,7 +299,7 @@ def product_of_symmetric(sizes, cap: int = DEFAULT_CAP) -> GeneratedGroup:
         if n >= 3:
             gens.append(from_cycles(degree, tuple(range(off, off + n))))
         off += n
-    return GeneratedGroup(degree, gens, cap)
+    return GeneratedGroup(degree, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +346,9 @@ class BlockSystem:
         return f"BlockSystem(size={self.block_size}, blocks={self.blocks})"
 
 
-def _min_block_with(G: GeneratedGroup, component, a: int, b: int):
-    """Classes of the minimal G-congruence on component identifying a and b."""
-    parent = {x: x for x in component}
+def _min_block_with(G: GeneratedGroup, a: int, b: int):
+    """Classes of the minimal G-congruence identifying the points a and b."""
+    parent = list(range(G.degree))
 
     def find(x):
         while parent[x] != x:
@@ -371,35 +376,29 @@ def _min_block_with(G: GeneratedGroup, component, a: int, b: int):
             if merged:
                 queue.append(merged)
     classes = {}
-    for x in component:
+    for x in range(G.degree):
         classes.setdefault(find(x), []).append(x)
     return list(classes.values())
 
 
-def minimal_blocks(G: GeneratedGroup, component=None) -> BlockSystem | None:
+def minimal_blocks(G: GeneratedGroup) -> BlockSystem | None:
     """A nontrivial block system of minimal block size, or None if primitive.
 
-    Deterministic: block seeds (component[0], b) are tried with b ascending and
-    the smallest resulting nontrivial block wins.  With no ``component`` the
-    answer for the whole domain is kept on ``G.memo``; ``NotTransitive``
-    keeps nothing.
+    Deterministic: block seeds (0, b) are tried with b ascending and the
+    smallest resulting nontrivial block wins.  The answer is kept on
+    ``G.memo``; ``NotTransitive`` keeps nothing.  For the action on an
+    invariant point set, pass ``G.restricted(points)``.
     """
-    if component is None:
-        return G.memo("perm.minimal_blocks", lambda: _minimal_blocks(G, tuple(range(G.degree))))
-    return _minimal_blocks(G, tuple(sorted(component)))
+    return G.memo("perm.minimal_blocks", lambda: _minimal_blocks(G))
 
 
-def _minimal_blocks(G: GeneratedGroup, component) -> BlockSystem | None:
-    orbs = [o for o in orbits(G) if set(o) & set(component)]
-    if len(orbs) != 1 or set(orbs[0]) != set(component):
-        raise NotTransitive(f"group is not transitive on {component}")
-    n = len(component)
-    if n == 1:
-        return None
-    a = component[0]
+def _minimal_blocks(G: GeneratedGroup) -> BlockSystem | None:
+    n = G.degree
+    if len(orbits(G)) != 1:
+        raise NotTransitive(f"group is not transitive on {tuple(range(n))}")
     best = None
-    for b in component[1:]:
-        classes = _min_block_with(G, component, a, b)
+    for b in range(1, n):
+        classes = _min_block_with(G, 0, b)
         size = len(classes[0]) if all(len(c) == len(classes[0]) for c in classes) else None
         if size is None or size in (1, n):
             continue
@@ -486,13 +485,6 @@ def _double_cosets(H_gens, H_elements, ambient_elements):
     return coset_of, firsts, first_coset
 
 
-def _double_coset_reps(H_gens, H_elements, ambient_elements):
-    """Representatives of H\\G/H, each the first of its double coset in
-    ambient order (``_double_cosets``)."""
-    _, firsts, first_coset = _double_cosets(H_gens, H_elements, ambient_elements)
-    return [g for i, g in enumerate(firsts) if first_coset[i] == i]
-
-
 def conjugacy_orbit(els, generators) -> dict[tuple[Perm, ...], Perm]:
     """The conjugates of the subgroup ``els`` under the group that
     ``generators`` generate, each as a sorted element tuple, mapped to an
@@ -525,8 +517,9 @@ def conjugacy_orbit(els, generators) -> dict[tuple[Perm, ...], Perm]:
     return orbit
 
 
-def _join_walk(seed_gens, ambient_elements, degree: int, conj_gens=()):
-    """Every subgroup of the ambient group that contains <seed_gens>.
+def _join_walk(seed_gens, ambient_elements, degree: int, conj_gens):
+    """One subgroup per conjugacy class of the ambient group's subgroups
+    that contain a conjugate of <seed_gens>, each containing <seed_gens>.
 
     Works up from <seed_gens> by joining each subgroup H found with one
     element per double coset H g H outside H: <H, a g b> == <H, g> for a, b
@@ -538,18 +531,17 @@ def _join_walk(seed_gens, ambient_elements, degree: int, conj_gens=()):
     Returns (generators, orbit) for each subgroup registered, in order of
     discovery; the orbit is its conjugacy orbit under <conj_gens> as
     ``conjugacy_orbit`` gives it, mapping each member, a sorted element
-    tuple, to a conjugator carrying the registered subgroup onto it.  With
-    no ``conj_gens`` the orbit is the subgroup alone and every subgroup is
-    registered; with them one subgroup per conjugacy class is, because a
-    join is skipped once any conjugate of it is known.
+    tuple, to a conjugator carrying the registered subgroup onto it.  A
+    join is skipped once any conjugate of it is known, so one subgroup per
+    conjugacy class is registered.
 
-    ``conj_gens``, when given, must generate the ambient group.  Then only
-    one double coset per orbit of the normalizer N(H) is joined: for n in
-    N(H), conjugation by n carries H g H onto H g^n H and <H, g^n> ==
-    <H, g>^n, a conjugate of a join already made (``_normalizer_orbits``).
-    The joins skipped are exactly those that would find only known
-    subgroups, so the subgroups registered, their order and their
-    generators are the same as with every join.
+    ``conj_gens`` must generate the ambient group.  Only one double coset
+    per orbit of the normalizer N(H) is joined: for n in N(H), conjugation
+    by n carries H g H onto H g^n H and <H, g^n> == <H, g>^n, a conjugate of
+    a join already made (``_normalizer_orbits``).  The joins skipped are
+    exactly those that would find only known subgroups, so the subgroups
+    registered, their order and their generators are the same as with every
+    join.
     """
     found = []
     known = set()
@@ -572,10 +564,8 @@ def _join_walk(seed_gens, ambient_elements, degree: int, conj_gens=()):
         cosets = _double_cosets(gens, H, ambient_elements)
         _, firsts, first_coset = cosets
         reps = [i for i, f in enumerate(first_coset) if f == i]
-        if conj_gens:
-            normalizer = _normalizer_gens(gens, eset, cosets, conj_gens, ambient, alt)
-            reps = _normalizer_orbits(normalizer, cosets, reps)
-        for i in reps:
+        normalizer = _normalizer_gens(gens, eset, cosets, conj_gens, ambient, alt)
+        for i in _normalizer_orbits(normalizer, cosets, reps):
             g = firsts[i]
             if g in eset:
                 continue
@@ -813,8 +803,12 @@ def subgroups_of(G: GeneratedGroup) -> tuple[GeneratedGroup, ...]:
 
 
 def overgroups_of_cycle(degree: int) -> tuple[GeneratedGroup, ...]:
-    """Every subgroup of Sym(degree) containing the standard degree-cycle.
+    """Every subgroup of Sym(degree) containing the standard degree-cycle,
+    by order, then by sorted element list.
 
+    The join walk from the cycle registers one subgroup per conjugacy class
+    over it, and each class's members that contain the cycle are kept, each
+    carrying the registered generators conjugated by its orbit conjugator.
     Every transitive subgroup of prime degree p contains a p-cycle (Cauchy),
     and all p-cycles are conjugate, so for prime degree this interval carries
     a representative of every transitive conjugacy class.  Degrees with
@@ -824,8 +818,16 @@ def overgroups_of_cycle(degree: int) -> tuple[GeneratedGroup, ...]:
         raise ClosureExceedsCap(f"|Sym({degree})| exceeds cap={DEFAULT_CAP}")
     ambient = tuple(sorted(itertools.permutations(range(degree))))
     cycle = from_cycles(degree, tuple(range(degree)))
-    return _by_order(GeneratedGroup(degree, gens, _elements=els)
-                     for gens, orbit in _join_walk((cycle,), ambient, degree) for els in orbit)
+    walk = _join_walk((cycle,), ambient, degree, symmetric_group(degree).generators)
+    return _by_order(GeneratedGroup(degree, [conjugate(a, g) for a in gens], _elements=els)
+                     for gens, orbit in walk for els, g in orbit.items()
+                     if _holds(els, cycle))
+
+
+def _holds(els: tuple[Perm, ...], p: Perm) -> bool:
+    """Does the sorted element tuple ``els`` hold p?"""
+    k = bisect_left(els, p)
+    return k < len(els) and els[k] == p
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ of the parent colour, which is exactly the compatibility needed for the
 label-preserving tree-pair calculus to be closed under composition, and it is
 the one colouring every walk, form, census and tree-pair check uses.  Only
 the label layer (``child_colours``, ``cone_level_colours``,
-``cone_level_labels``, ``cone_leaf_labels`` and ``level_counts_direct``) also
-takes ``policy="value"``, plain ascending colour value, so that label counts
+``cone_leaf_labels`` and ``level_counts_direct``) also takes
+``policy="value"``, plain ascending colour value, so that label counts
 per level can be checked not to depend on the order.
 
 ``local_maps`` is the one local-action rule: which sigma in F may carry a
@@ -271,15 +271,6 @@ def cone_level_colours(scheme: ColourScheme, parent_colour: int | None, n: int,
     for _ in range(n):
         out.append(tuple([x for c in out[-1] for x in kids[c]]))
     return tuple(out)
-
-
-def cone_level_labels(scheme: ColourScheme, parent_colour: int | None, n: int,
-                      policy: str = "orbit") -> tuple[tuple[int, ...], ...]:
-    """Labels of a cone's vertices, one tuple per depth 0..n, in vertex order:
-    the F-orbit indices of ``cone_level_colours``."""
-    label = scheme.orbit_index
-    return tuple(tuple([label[c] for c in level])
-                 for level in cone_level_colours(scheme, parent_colour, n, policy))
 
 
 def cone_leaf_labels(scheme: ColourScheme, parent_colour: int | None, n: int,

@@ -59,7 +59,9 @@ def test_chernoff_dominance_tight_case():
 
 
 def rational_tail(x, u, k, t):
-    """Oracle: the tail as a sum of the exact pmf's Fractions."""
+    """Oracle: the tail as a sum of the exact pmf's Fractions, with the
+    parameters checked by the pmf at i = 0 even when no i is summed over."""
+    hypergeom_pmf(x, u, k, 0)
     return sum((hypergeom_pmf(x, u, k, i) for i in range(max(t, 0), k + 1)), Fraction(0))
 
 
@@ -89,18 +91,21 @@ def outcome(fn, *args):
 
 def test_hypergeom_tail_ge_equals_rational_sum():
     # C2's grid x <= 10 with every t from below 0 to past k, and parameters
-    # out of range: the pmf refuses those, except where the range of i is
-    # empty (t > k), which gives 0 unchecked
+    # out of range: both refuse those as the pmf does, also where the range
+    # of i is empty (t > k); valid parameters with t > k give 0
     cases = [(x, u, k, t) for x in range(0, 11) for u in range(-1, x + 2)
              for k in range(-1, x + 2) for t in range(-1, k + 3)]
-    refused = empty = 0
+    refused = refused_empty = empty = 0
     for case in cases:
         got = outcome(hypergeom_tail_ge, *case)
         assert got == outcome(rational_tail, *case), case
         refused += got is DomainError
-        empty += case[3] > case[2] and not (0 <= case[1] <= case[0] and 0 <= case[2] <= case[0])
-    assert refused > 100 and empty > 100, (refused, empty)
-    assert hypergeom_tail_ge(3, 5, 2, 4) == 0  # u > x, but no i to sum over
+        refused_empty += got is DomainError and case[3] > case[2]
+        empty += got == 0 and case[3] > case[2]
+    assert refused > 100 and refused_empty > 100 and empty > 100, (refused, refused_empty, empty)
+    assert hypergeom_tail_ge(3, 2, 2, 4) == 0  # no i to sum over
+    with pytest.raises(DomainError, match="bad hypergeometric parameters"):
+        hypergeom_tail_ge(3, 5, 2, 4)  # u > x, though no i is summed over
 
 
 def test_chernoff_dominates_equals_rational_form():
@@ -132,7 +137,7 @@ def test_hypergeom_pmf_refuses_bad_parameters(x, u, k):
     (6, 0, 3, 2, "upper", "0 < u < x"),
     (6, 6, 3, 3, "upper", "0 < u < x"),
     (6, 3, 4, 1, "upper", "upper side needs t/k >= u/x"),
-    (6, 3, 4, 3, "lower", "upper side needs t/k >= u/x"),
+    (6, 3, 4, 3, "lower", "lower side needs t/k <= u/x"),
     (6, 2, 3, 2, "middle", "side must be 'upper' or 'lower'"),
     (6, 2, 3, 2, "Upper", "side must be 'upper' or 'lower'"),
 ], ids=["k=0", "k>x", "u=0", "u=x", "t/k<u/x", "lower-t/k>u/x", "side", "side-case"])

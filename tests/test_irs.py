@@ -20,7 +20,6 @@ from treeirs.irs import (
     VerifyResult,
     _E1_profile,
     kept_transporters,
-    restriction_map,
     transporter,
     transporters,
     uniform_conjugate_measure,
@@ -32,6 +31,7 @@ from treeirs.perm import (
     GeneratedGroup,
     class_records,
     compose,
+    composer,
     conjugacy_orbit,
     conjugate,
     enumerate_subgroups,
@@ -405,7 +405,7 @@ def verify_index_oracle(gamma, Q, U, V, ambient):
     nu = uniform_conjugate_measure(gamma, ambient)
     Qset = set(Q)
     lhs = nu.expectation(lambda H: Fraction(1) if Qset & H.element_set else Fraction(0))
-    QU = {restriction_map(q, U) for q in Q}
+    QU = set(map(composer(U), Q))  # the restrictions q|_U
     rhs = Fraction(gamma.order * len(QU), factorial(len(U)))
     return VerifyResult(lhs, rhs, lhs <= rhs)
 
@@ -486,7 +486,7 @@ def E1_profile_oracle(mu, U):
     """``irs._E1_profile`` as it was built member by member: every support
     member's own transporters at U, as (w, restriction set) pairs by V, and
     the weights summed by meet size."""
-    RU = frozenset(restriction_map(r, U) for r in rigid_stabilizer(mu.ambient, U).elements)
+    RU = frozenset(map(composer(U), rigid_stabilizer(mu.ambient, U).elements))
     profile = {}
     for H, w in mu.support:
         ts = transporters(H, U)
@@ -806,7 +806,7 @@ def test_verify_index_refuses_an_ambient_that_is_not_symmetric():
     U, V = (0, 1, 2, 3), (4, 5, 6, 7)
     Q = transporter(gamma, U, V).elements
     assert sum(w for H, w in mu.support if set(Q) & H.element_set) == Fraction(1, 8)
-    assert Fraction(2 * len({restriction_map(q, U) for q in Q}), factorial(4)) == Fraction(1, 12)
+    assert Fraction(2 * len(set(map(composer(U), Q))), factorial(4)) == Fraction(1, 12)
     with pytest.raises(NotSymmetricAmbient, match="order 128"):
         verify_index(mu, Q, U, V)
     assert verify_E1(mu, U, V, transporter(gamma, U, V).restrictions).holds

@@ -540,9 +540,10 @@ def test_exact_colormatch_pinned_value_and_refusals():
     s = ColourScheme.from_generators(2, [from_cycles(3, (0, 1))])
     # the degree-5 value the benchmark pins; 21 label-0 slots, C(21, 4) = 5985
     assert exact_colormatch(s, 5, 4, 0) == Fraction(136009, 35820225)
-    assert exact_colormatch(s, 5, 4, 0, budget=5985) == Fraction(136009, 35820225)
-    with pytest.raises(BudgetExceeded):
-        exact_colormatch(s, 5, 4, 0, budget=5984)
+    # 85 label-0 slots at degree 7, C(85, 4) = 2024785; all C(128, 4)
+    # leaf subsets would be 10668000
+    with pytest.raises(BudgetExceeded, match="2024785 subsets exceed budget=2000000"):
+        exact_colormatch(s, 7, 4, 0)
     assert exact_colormatch(s, 2, 0, 0) == 1
     assert exact_colormatch(s, 2, 4, 0) == 0  # only 3 label-0 slots
 
@@ -550,8 +551,8 @@ def test_exact_colormatch_pinned_value_and_refusals():
 @pytest.mark.parametrize("refused, error, message", [
     (lambda: estimate_treematch(2, 2, 2, trials=-1, seed=1), ValueError,
      "trials must be >= 0"),
-    (lambda: exact_cut1(2, 2, 2, 2, budget=27), BudgetExceeded, "28 subsets exceed budget=27"),
-    (lambda: exact_cut2(2, 2, 2, 2, budget=419), BudgetExceeded, "420 pairs exceed budget=419"),
+    (lambda: exact_cut1(2, 2, 5, 6), BudgetExceeded, "74974368 subsets exceed budget=2000000"),
+    (lambda: exact_cut2(2, 2, 4, 4), BudgetExceeded, "736281000 pairs exceed budget=2000000"),
 ], ids=["negative-trials", "cut1-budget", "cut2-budget"])
 def test_montecarlo_refusals(refused, error, message):
     with pytest.raises(error, match=message):

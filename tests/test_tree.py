@@ -16,7 +16,6 @@ from treeirs.tree import (
     child_colours,
     cone_leaf_labels,
     cone_level_colours,
-    cone_level_labels,
     edge_colour_walk,
     level_counts,
     level_counts_direct,
@@ -222,9 +221,9 @@ def test_cone_level_labels_vs_colour_walk():
             s = ColourScheme(d, F)
             for colour in range(d + 1):
                 for policy in ("value", "orbit"):
-                    levels = cone_level_labels(s, colour, 3, policy)
                     colours = cone_level_colours(s, colour, 3, policy)
-                    assert levels[-1] == cone_leaf_labels(s, colour, 3, policy)
+                    levels = [[s.orbit_index[c] for c in level] for level in colours]
+                    assert tuple(levels[-1]) == cone_leaf_labels(s, colour, 3, policy)
                     for depth, labels in enumerate(levels):
                         assert len(labels) == d ** depth
                         for v, lab in enumerate(labels):
@@ -278,7 +277,7 @@ def test_label_layer_refuses_colours_outside_the_scheme():
         with pytest.raises(ColourSchemeMismatch, match=f"colour {colour} outside 0..2"):
             cone_leaf_labels(s, colour, 2)
         with pytest.raises(ColourSchemeMismatch, match=f"colour {colour} outside 0..2"):
-            cone_level_labels(s, colour, 2)
+            cone_level_colours(s, colour, 2)
         with pytest.raises(ColourSchemeMismatch, match=f"colour {colour} outside 0..2"):
             level_counts_direct(s, 2, colour)
         with pytest.raises(ColourSchemeMismatch, match=f"colour {colour} outside 0..2"):
