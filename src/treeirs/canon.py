@@ -550,11 +550,10 @@ def enumerate_cone_maps(depth: int, d: int, scheme: ColourScheme | None = None,
             tslot = {c: j for j, c in enumerate(child_colours(scheme, c_to, d))}
             options = (([tslot[e] for e in row], [rec(level - 1, c, e) for c, e in zip(cs, row)])
                        for row in local_maps(scheme, c_from, c_to))
-        block = d ** (level - 1)
         out = []
         for targets, per_child in options:
             for choice in itertools.product(*per_child):
-                out.append(wreath_join(targets, choice, block))
+                out.append(wreath_join(targets, choice))
                 if len(out) > cap:
                     raise ClosureExceedsCap(f"more than cap={cap} cone maps")
         memo[(level, c_from, c_to)] = out

@@ -35,7 +35,7 @@ from .perm import (
     wreath_join,
     wreath_split,
 )
-from .tree import ColourScheme, check_scheme, check_tree, child_colours, level_depth, local_maps
+from .tree import ColourScheme, check_tree, child_colours, level_depth, local_maps
 
 
 class LabelPartitionViolated(ValueError):
@@ -196,18 +196,20 @@ def root_colours(scheme: ColourScheme, q: int) -> tuple[int, ...]:
     return child_colours(scheme, None, q)
 
 
-def _is_constrained_cone_map(m, level: int, scheme: ColourScheme,
-                             c_from: int, c_to: int) -> bool:
-    """Is the leaf bijection m the depth-`level` truncation of an F-local map?
+def _is_constrained_cone_map(m, scheme: ColourScheme, c_from: int, c_to: int) -> bool:
+    """Is the bijection m of d^n leaves the depth-n truncation of an F-local
+    map from a cone of parent colour ``c_from`` onto one of colour ``c_to``?
 
-    Checks that m is tree-structured (children blocks map onto children
-    blocks) and that at every internal vertex the parent-edge colours of its
-    children's images form one of the local actions ``local_maps`` allows
-    from the vertex's colour to its image's.
+    A single leaf (n = 0) is one when some local action carries ``c_from``
+    to ``c_to``, as ``enumerate_cone_maps`` answers at depth 0.  Above it, m
+    must be tree-structured (children blocks map onto children blocks), and
+    at every internal vertex the parent-edge colours of its children's
+    images must form one of the local actions ``local_maps`` allows from the
+    vertex's colour to its image's.
     """
-    if level == 0:
-        return True
-    split = wreath_split(m, scheme.d ** (level - 1))
+    if len(m) == 1:
+        return bool(local_maps(scheme, c_from, c_to))
+    split = wreath_split(m, len(m) // scheme.d)
     if split is None:
         return False
     targets, subs = split
@@ -215,44 +217,47 @@ def _is_constrained_cone_map(m, level: int, scheme: ColourScheme,
     ct = child_colours(scheme, c_to, scheme.d)
     if composer(targets)(ct) not in local_maps(scheme, c_from, c_to):
         return False
-    return all(_is_constrained_cone_map(sub, level - 1, scheme, c, ct[jj])
+    return all(_is_constrained_cone_map(sub, scheme, c, ct[jj])
                for sub, c, jj in zip(subs, cs, targets))
 
 
-def theta_event(G: GeneratedGroup, u: int, v: int, d: int, q: int, n: int,
-                scheme: ColourScheme) -> bool:
+def theta_event(G: GeneratedGroup, u: int, v: int, q: int, scheme: ColourScheme) -> bool:
     """Does G contain an F-realizable boundary permutation carrying cone u to cone v?
 
-    An element of the boundary quotient permutes the q cone leaf-sets along
-    some label-preserving cone permutation and restricts, on each cone, to
-    the truncation of a map with all local colour actions in F.  The test
-    scans the elements of G for that structure, requiring cone u to land on
-    cone v.
+    G acts on the level of T_{d,q}, d = ``scheme.d``, whose q*d^n points
+    fix n (``tree.level_depth`` refuses any other degree).  An element of
+    the boundary quotient permutes the q cone leaf-sets along some cone
+    permutation and restricts, on each cone, to the truncation of a map with
+    all local colour actions in F, which exists only between cones whose
+    root labels agree.  The test scans the wreath splits of G's elements
+    for that structure, requiring cone u to land on cone v; the splits are
+    kept on ``G.memo``, one table per block size, freed with G.
     """
     if not 0 <= u < q or not 0 <= v < q or u == v:
         raise ValueError("u, v must be distinct cone indices")
-    if level_depth(G.degree, d, q) != n:
-        raise ValueError(f"degree {G.degree} is not q*d^n for q={q}, d={d}, n={n}")
-    rc = root_colours(check_scheme(scheme, d), q)
+    block = scheme.d ** level_depth(G.degree, scheme.d, q)
+    rc = root_colours(scheme, q)
     if scheme.orbit_index[rc[u]] != scheme.orbit_index[rc[v]]:
         raise LabelMismatch("cones u and v carry different root labels")
-    labels = composer(rc)(scheme.orbit_index)
-    splits = filter(None, (wreath_split(h, d ** n) for h in G.elements))
-    return any(rho[u] == v and composer(rho)(labels) == labels
-               and all(_is_constrained_cone_map(m, n, scheme, c, rc[y])
+    splits = G.memo(("classify.splits", block), lambda: tuple(
+        filter(None, (wreath_split(h, block) for h in G.elements))))
+    return any(rho[u] == v
+               and all(_is_constrained_cone_map(m, scheme, c, rc[y])
                        for m, c, y in zip(cones, rc, rho))
                for rho, cones in splits)
 
 
-def boundary_quotient_elements(d: int, q: int, n: int, scheme: ColourScheme,
+def boundary_quotient_elements(q: int, n: int, scheme: ColourScheme,
                                cap: int = 200_000) -> tuple[Perm, ...]:
-    """Brute-force enumeration of the whole boundary quotient at small depth.
+    """Brute-force enumeration of the whole boundary quotient of level n of
+    T_{d,q}, d = ``scheme.d``, at small depth.
 
     Every label-preserving cone permutation combined with every per-cone
     F-realizable truncation; the test oracle for ``theta_event``.
     """
+    d = scheme.d
     check_tree(d, q)
-    rc = root_colours(check_scheme(scheme, d), q)
+    rc = root_colours(scheme, q)
     labels = composer(rc)(scheme.orbit_index)
     out = []
     for rho in itertools.permutations(range(q)):
@@ -261,7 +266,7 @@ def boundary_quotient_elements(d: int, q: int, n: int, scheme: ColourScheme,
         per_cone = [enumerate_cone_maps(n, d, scheme, c, rc[y], cap)
                     for c, y in zip(rc, rho)]
         for choice in itertools.product(*per_cone):
-            out.append(wreath_join(rho, choice, d ** n))
+            out.append(wreath_join(rho, choice))
             if len(out) > cap:
                 raise ValueError(f"boundary quotient exceeds cap={cap}")
     return tuple(out)
@@ -337,7 +342,7 @@ def _giant(G: GeneratedGroup) -> set[int]:
 
 def _block_lift(g: Perm, d: int) -> Perm:
     """Level-(n+1) image of a level-n permutation: child j follows its parent."""
-    return wreath_join(g, [range(d)] * len(g), d)
+    return wreath_join(g, [range(d)] * len(g))
 
 
 def _wreath_generators(U, degree_n: int, d: int) -> list[Perm]:
@@ -380,15 +385,18 @@ def build_alt_wreath_chain(degree_n: int, d: int, U,
 
 
 def children_heredity_check(gamma_n: GeneratedGroup, gamma_n1: GeneratedGroup,
-                            d: int, delta: int) -> HeredityReport:
+                            delta: int) -> HeredityReport:
     """Check both directions of: x is in the giant of level n iff all of its
     children are in the giant of level n+1.
 
+    Each level-n point has d = gamma_n1.degree / gamma_n.degree children,
+    and level sizes that differ by no integer factor d >= 2 are refused.
     Compatibility preconditions (the Xi membership of the upper group and the
     presence of the giant's even wreath generators below) are evaluated and
     reported in ``compatible``; a broken instance is reported, not refused.
     """
-    if gamma_n1.degree != gamma_n.degree * d:
+    d, rest = divmod(gamma_n1.degree, gamma_n.degree)
+    if rest or d < 2:
         raise ValueError("level sizes must differ by a factor of d")
     xi_ok, _ = in_Xi(gamma_n, delta)
     Yn = _giant(gamma_n)

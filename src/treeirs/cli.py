@@ -94,15 +94,17 @@ def _cells(res, detail: str) -> list:
             res.rhs.numerator, res.rhs.denominator, detail, res.holds]
 
 
-def _class_table(mu, degree: int) -> list:
+def _class_table(mu) -> list:
     """The E1 and index rows of the first member R of ``mu``'s support, less
     their first five columns, as (U, V, E1 cells, index cells) for each pair
-    (U, V) with a non-empty U -> V transporter, in ``_disjoint_pairs``
-    order.  R's transporters are the ones ``mu``'s E1 profile relabels onto
-    the other members (``irs.kept_transporters``)."""
+    (U, V) of points of ``mu``'s ambient with a non-empty U -> V
+    transporter, in ``_disjoint_pairs`` order.  R's transporters are the
+    ones ``mu``'s E1 profile relabels onto the other members
+    (``irs.kept_transporters``)."""
     R = mu.support[0][0]
     table = []
-    for U, Vs in itertools.groupby(_disjoint_pairs(degree), key=lambda pair: pair[0]):
+    pairs = _disjoint_pairs(mu.ambient.degree)
+    for U, Vs in itertools.groupby(pairs, key=lambda pair: pair[0]):
         own = kept_transporters(R, U)
         for _, V in Vs:
             tv = own.get(V)
@@ -134,7 +136,7 @@ def class_tables(degree: int):
     for R in sorted((rec.members[0][0] for rec in records),
                     key=lambda R: (R.order, R.elements)):
         mu = uniform_conjugate_measure(R, ambient)
-        yield mu, _class_table(mu, degree)
+        yield mu, _class_table(mu)
 
 
 def counting_rows(degree: int, cap: int) -> list[list]:
@@ -198,16 +200,21 @@ def product_E2_rows(a: int, b: int) -> list[list]:
     rows = []
     for lid, (lam, mu) in enumerate(members):
         for x in lam.elements:
-            res = verify_E2(mu, side1, side2, [x])
+            res = verify_E2(mu, side1, [x])
             rows.append(["E2", product.degree, lid, _pts(side1), _pts(side2),
                          *_cells(res, f"B={_pts(x)}")])
     return rows
 
 
+def _refused(message: str) -> int:
+    """Report a command line that is refused before anything is written."""
+    print(message, file=sys.stderr)
+    return 2
+
+
 def cmd_verify_counting(args) -> int:
     if args.degree > 6:
-        print("verify-counting supports --degree <= 6", file=sys.stderr)
-        return 2
+        return _refused("verify-counting supports --degree <= 6")
     rows = counting_rows(args.degree, DEFAULT_CAP)
     header = ["lemma", "degree", "gamma_id", "U", "V",
               "lhs_num", "lhs_den", "rhs_num", "rhs_den", "detail", "holds"]
@@ -230,12 +237,20 @@ def _load_scheme(path: str | None, d: int) -> ColourScheme | None:
 
 
 def cmd_simulate(args) -> int:
+    name = args.experiment
+    if (args.cc_C is None) != (args.cc_c is None):  # the bound needs both
+        return _refused("--cc-C and --cc-c are read only together")
+    if name in ("cut1", "cut2") and args.scheme is not None:
+        return _refused(f"{name} reads no --scheme")
+    if name != "colormatch":
+        for flag, value in (("--orbit", args.orbit), ("--root-label", args.root_label)):
+            if value is not None:
+                return _refused(f"{flag} is read only by colormatch")
     scheme = _load_scheme(args.scheme, args.d)
     check_tree(args.d, args.q)  # every experiment writes the q column
     params = None
-    if args.cc_C is not None and args.cc_c is not None:
+    if args.cc_C is not None:
         params = bnd.BoundParams(d=args.d, q=args.q, C=args.cc_C, c=args.cc_c)
-    name = args.experiment
     if name == "treematch":
         est = mc.estimate_treematch(args.d, args.n, args.k, args.trials,
                                     args.seed, scheme=scheme)
@@ -247,11 +262,10 @@ def cmd_simulate(args) -> int:
                                args.seed)
     else:  # colormatch, the last of the parser's choices
         if scheme is None:
-            print("colormatch needs --scheme", file=sys.stderr)
-            return 2
-        est = mc.estimate_colormatch(scheme, args.n, args.k, args.orbit,
+            return _refused("colormatch needs --scheme")
+        est = mc.estimate_colormatch(scheme, args.n, args.k, args.orbit or 0,
                                      args.trials, args.seed,
-                                     root_label=args.root_label)
+                                     root_label=args.root_label or 0)
     bound = None if params is None else params.C * exp(-params.c * args.k ** params.alpha)
     scheme_txt = "" if scheme is None else json.dumps(
         {"d": scheme.d, "generators": [list(g) for g in scheme.F.generators]},
@@ -266,13 +280,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if (args.cc_C is None) != (args.cc_c is None):  # the bound needs both
+        return _refused("--cc-C and --cc-c are read only together")
     G = load_group(args.group_file, cap=args.cap)
     n = level_depth(G.degree, args.d, args.q)
     scheme = _load_scheme(args.scheme, args.d)
     rep = classify_case(G, args.q, args.delta)
     xi_ok, wit = rep.case == "Xi", rep.witness
     bound_log = None
-    if args.cc_C is not None and args.cc_c is not None and rep.case in ("I", "II", "III"):
+    if args.cc_C is not None and rep.case in ("I", "II", "III"):
         params = bnd.BoundParams(d=args.d, q=args.q, C=args.cc_C, c=args.cc_c)
         bound_log = bnd.case_bound_log(rep.case, params, float(G.degree),
                                        t_gamma=float(rep.t_max))
@@ -293,16 +309,14 @@ def cmd_classify(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.n_lo < 1 or args.n_hi < args.n_lo:
-        print(f"bounds needs 1 <= --n-lo <= --n-hi; got --n-lo {args.n_lo}, "
-              f"--n-hi {args.n_hi}", file=sys.stderr)
-        return 2
+        return _refused(f"bounds needs 1 <= --n-lo <= --n-hi; got --n-lo {args.n_lo}, "
+                        f"--n-hi {args.n_hi}")
     params = bnd.BoundParams(d=args.d, q=args.q, C=args.cc_C, c=args.cc_c)
     try:
         float(bnd.k_n(params, args.n_hi))
     except OverflowError:
-        print(f"bounds needs k_n = q*d^n to fit a float; --n-hi {args.n_hi} "
-              f"is too large", file=sys.stderr)
-        return 2
+        return _refused(f"bounds needs k_n = q*d^n to fit a float; --n-hi {args.n_hi} "
+                        f"is too large")
     print(f"alpha = {params.alpha}")
     header = ["n", "k_n", "delta_n", "case", "bound_value_log", "partial_sum_log"]
     rows = []
@@ -366,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--scheme", help="colour scheme JSON file")
-    p.add_argument("--orbit", type=int, default=0)
-    p.add_argument("--root-label", type=int, default=0)
+    # read by colormatch alone, as 0 when absent
+    p.add_argument("--orbit", type=int, default=None)
+    p.add_argument("--root-label", type=int, default=None)
     p.add_argument("--cc-C", type=float, default=None)
     p.add_argument("--cc-c", type=float, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,

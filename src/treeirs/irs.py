@@ -41,7 +41,8 @@ class NotConjInvariant(ValueError):
 
 
 class BadFactorization(ValueError):
-    """The side partition is not invariant under the ambient group."""
+    """Side 1 is no set of points, or the ambient group does not keep it
+    and the points outside it apart."""
 
 
 class BadTransporterSet(ValueError):
@@ -335,14 +336,15 @@ def verify_index(nu: ConjInvariantMeasure, Q, U, V) -> VerifyResult:
     return VerifyResult(lhs, rhs, lhs <= rhs)
 
 
-def _E2_data(mu: ConjInvariantMeasure, side1, side2) -> list:
+def _E2_data(mu: ConjInvariantMeasure, side1) -> list:
     """What ``verify_E2`` needs of each support member, whatever B is: its
     side-2 restriction pi_2(H), the side-1 restriction H_1 of its elements
-    that fix side2 pointwise, and the normalizer N_1 of H_1 in the side-1
-    restriction L_1 of the ambient, in support order.  Computed once per
-    measure and pair of sides and kept on the measure (at most 2^degree
-    entries)."""
+    that fix side 2 (the points outside ``side1``) pointwise, and the
+    normalizer N_1 of H_1 in the side-1 restriction L_1 of the ambient, in
+    support order.  Computed once per measure and side 1 and kept on the
+    measure (at most 2^degree entries)."""
     def build():
+        side2 = tuple(x for x in range(mu.ambient.degree) if x not in side1)
         L1 = mu.ambient.restricted(side1)
         data = []
         for H, _ in mu.support:
@@ -351,34 +353,37 @@ def _E2_data(mu: ConjInvariantMeasure, side1, side2) -> list:
             N1 = [n for n in L1.elements if frozenset(map(conjugator(n), H1)) == H1]
             data.append((frozenset(restrict(h, side2) for h in H.elements), H1, N1))
         return data
-    return mu.memo(("irs.E2", side1, side2), build)
+    return mu.memo(("irs.E2", side1), build)
 
 
-def verify_E2(mu: ConjInvariantMeasure, side1, side2, B) -> VerifyResult:
+def verify_E2(mu: ConjInvariantMeasure, side1, B) -> VerifyResult:
     """Check the conjugacy-class-size inequality in a product of two groups.
 
-    The ambient group of ``mu`` must preserve the partition side1 | side2 and
-    play the role of the full product L1 x L2: the inequality needs measures
-    invariant under conjugation by L1 x {id}, which uniform-on-conjugates
-    measures over the product ambient are.  For each subgroup H in the
-    support, H_1 is the part of H acting trivially on side2, N_1 the
-    normalizer of its side-1 restriction inside the side-1 restriction of the
-    ambient, and the bound counts N_1-conjugates of the coset-like set
-    S = pi_1(B) H_1.  What does not depend on B is kept on the measure
-    (``_E2_data``), and read only once the sides, the invariance and B
-    have passed their checks.
+    Side 2 is the points outside ``side1``.  A side 1 that is not distinct
+    ints in 0..degree-1 is refused (``BadFactorization``).  The ambient
+    group of ``mu`` must preserve the partition side1 | side2
+    (``BadFactorization`` otherwise) and play the role of the full product
+    L1 x L2: the inequality needs measures invariant under conjugation by
+    L1 x {id}, which uniform-on-conjugates measures over the product
+    ambient are.  For each subgroup H in the support, H_1 is the part of H
+    acting trivially on side 2, N_1 the normalizer of its side-1 restriction
+    inside the side-1 restriction of the ambient, and the bound counts
+    N_1-conjugates of the coset-like set S = pi_1(B) H_1.  What does not
+    depend on B is kept on the measure (``_E2_data``), and read only once
+    the sides, the invariance and B have passed their checks.
 
     The count is |N_1| over the stabilizer of S, found with |N_1| |pi_1(B)|
     conjugations: every n in N_1 normalizes H_1, so S^n is the union of the
     cosets b^n H_1, b in pi_1(B).  S is closed under right multiplication
     by H_1, so S^n lies in S, and then equals it, exactly when every b^n does.
     """
-    side1 = tuple(sorted(side1))
-    side2 = tuple(sorted(side2))
     amb = mu.ambient
-    if sorted(side1 + side2) != list(range(amb.degree)):
-        raise BadFactorization("side1, side2 must partition the points")
+    try:
+        side1 = _sorted_points(amb.degree, side1)
+    except ValueError as exc:
+        raise BadFactorization(f"side1: {exc}") from None
     s1set = set(side1)
+    side2 = tuple(x for x in range(amb.degree) if x not in s1set)
     for g in amb.generators:
         if any((g[x] in s1set) != (x in s1set) for x in range(amb.degree)):
             raise BadFactorization("ambient group mixes the two sides")
@@ -394,7 +399,7 @@ def verify_E2(mu: ConjInvariantMeasure, side1, side2, B) -> VerifyResult:
 
     lhs = Fraction(0)
     rhs = Fraction(0)
-    for (H, w), (pi2H, H1, N1) in zip(mu.support, _E2_data(mu, side1, side2)):
+    for (H, w), (pi2H, H1, N1) in zip(mu.support, _E2_data(mu, side1)):
         if Bset <= H.element_set:
             lhs += w
         if not pi2B <= pi2H:

@@ -158,8 +158,10 @@ def wreath_split(p: Perm, block: int):
     return tuple(top), tuple(base)
 
 
-def wreath_join(top, base, block: int) -> Perm:
-    """The permutation with wreath coordinates ``(top, base)``."""
+def wreath_join(top, base) -> Perm:
+    """The permutation with wreath coordinates ``(top, base)``, over blocks
+    of ``len(base[0])`` points (none when ``top`` is empty)."""
+    block = len(base[0]) if base else 0
     return tuple([t * block + x for t, b in zip(top, base) for x in b])
 
 
@@ -631,7 +633,7 @@ def _normalizer_orbits(normalizer, cosets, reps) -> list[int]:
     return [i for i in reps if find(i) == i]
 
 
-def _extend(H, gens, ambient: frozenset, alt: frozenset | None = None) -> frozenset:
+def _extend(H, gens, ambient: frozenset, alt: frozenset | None) -> frozenset:
     """The element set of <gens>, where ``gens`` extends a generating set of
     the subgroup whose elements are the tuple ``H``, built coset by coset as
     in Dimino's algorithm.
@@ -650,8 +652,8 @@ def _extend(H, gens, ambient: frozenset, alt: frozenset | None = None) -> frozen
     union holds more than half of it, <gens> is the whole ambient
     (its order divides |ambient|, by Lagrange), which is returned at once.
 
-    ``alt``, when given, is the element set of Alt(n), and ``ambient`` that
-    of Sym(n), for n >= 5.  Then the cut comes sooner, once the union holds
+    ``alt``, when not None, is the element set of Alt(n), and ``ambient``
+    that of Sym(n), for n >= 5.  Then the cut comes sooner, once the union holds
     more than (n-1)! elements: <gens> has index below n there, and for
     n >= 5 the only such subgroups of Sym(n) are Alt(n) and Sym(n) (Dixon &
     Mortimer, *Permutation Groups*, 1996, ch. 5).  So <gens> is ``alt`` when

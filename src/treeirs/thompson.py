@@ -293,29 +293,23 @@ def inverse(pair: TreePair) -> TreePair:
                     perm.inverse(pair.sigma))
 
 
-def act_on_address(pair: TreePair, w, deepen: bool = False):
+def act_on_address(pair: TreePair, w):
     """Image of an address: replace its domain-leaf prefix with the sigma image.
 
     If ``w`` is a proper prefix of a domain leaf the action is not determined
-    at this depth; with ``deepen=True`` the minimal deepenings are returned as
-    (address, image) pairs instead of raising.  An address that is no vertex
-    of T_{d,q} (a digit that is not an int, a first digit >= q or a later
-    digit >= d) is refused with ``MalformedPair``.
+    at this depth, and ``AddressTooShallow`` is raised.  An address that is
+    no vertex of T_{d,q} (a digit that is not an int, a first digit >= q or a
+    later digit >= d) is refused with ``MalformedPair``.
     """
     try:
         w = TreeShape(pair.d, pair.q).validate(w)
     except ValueError as exc:  # a digit that is no int or names no child
         raise MalformedPair(str(exc)) from None
-    mapping = pair.mapping()
-    for a, b in mapping.items():
+    for a, b in pair.mapping().items():
         if w[:len(a)] == a:
             return b + w[len(a):]
     # a vertex of the tree with no leaf above it lies above some leaf
-    below = tuple((a, b) for a, b in mapping.items() if a[:len(w)] == w)
-    if not deepen:
-        raise AddressTooShallow(
-            f"address {w} is shallower than the domain frontier")
-    return below
+    raise AddressTooShallow(f"address {w} is shallower than the domain frontier")
 
 
 def is_label_preserving(pair: TreePair, scheme: ColourScheme) -> bool:

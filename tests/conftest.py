@@ -136,10 +136,10 @@ def level_group(d: int, q: int, n: int) -> GeneratedGroup:
 
 
 def theta_vs_boundary_quotient(subgroups, d: int, q: int, n: int) -> list[bool]:
-    """``theta_event(G, 0, 1, ...)`` for every F <= Sym(d+1) whose root
-    colours 0 and 1 share a label and every G in ``subgroups``, in that
-    order; each is asserted equal to whether G holds an element of the
-    boundary quotient that carries cone 0 onto cone 1."""
+    """``theta_event(G, 0, 1, q, ColourScheme(d, F))`` for every F <=
+    Sym(d+1) whose root colours 0 and 1 share a label and every G in
+    ``subgroups``, in that order; each is asserted equal to whether G holds
+    an element of the boundary quotient that carries cone 0 onto cone 1."""
     block = d ** n
     results = []
     for F in perm.enumerate_subgroups(d + 1)[0]:
@@ -147,10 +147,10 @@ def theta_vs_boundary_quotient(subgroups, d: int, q: int, n: int) -> list[bool]:
         rc = root_colours(scheme, q)
         if scheme.orbit_index[rc[0]] != scheme.orbit_index[rc[1]]:
             continue
-        movers = [h for h in boundary_quotient_elements(d, q, n, scheme)
+        movers = [h for h in boundary_quotient_elements(q, n, scheme)
                   if set(h[:block]) == set(range(block, 2 * block))]
         for G in subgroups:
-            got = theta_event(G, 0, 1, d, q, n, scheme)
+            got = theta_event(G, 0, 1, q, scheme)
             assert got == any(h in G for h in movers), (F.generators, G.generators)
             results.append(got)
     return results

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -87,11 +88,10 @@ def test_c1_counting_lemma_exhaustiveness():
                 assert r2.holds, ("index", degree, gamma.generators, U, V, r2)
                 checked += 2
     product = product_of_symmetric([2, 3])
-    side1, side2 = (0, 1), (2, 3, 4)
     for lam in subgroups_of(product):
         mu = uniform_conjugate_measure(lam, product)
         for b in lam.elements:
-            res = verify_E2(mu, side1, side2, [b])
+            res = verify_E2(mu, (0, 1), [b])
             assert res.holds, ("E2", lam.generators, b, res)
             checked += 1
     elapsed = time.time() - t0
@@ -383,11 +383,11 @@ def test_c8_classifier_soundness():
         if scheme.orbit_index[rc[0]] != scheme.orbit_index[rc[1]]:
             continue
         block = 2
-        movers = [h for h in boundary_quotient_elements(2, 2, 1, scheme)
+        movers = [h for h in boundary_quotient_elements(2, 1, scheme)
                   if {h[i] for i in range(block)} == set(range(block, 2 * block))]
         for G in subs4:
             expect = any(h in G.element_set for h in movers)
-            assert theta_event(G, 0, 1, 2, 2, 1, scheme) == expect
+            assert theta_event(G, 0, 1, 2, scheme) == expect
             n_theta += 1
 
     # depth 2: seeded sample of subgroups of Sym(8), plus structured cases
@@ -399,7 +399,7 @@ def test_c8_classifier_soundness():
               GeneratedGroup(8, [])]
     for F in subs3:
         scheme = ColourScheme(2, F)
-        pool = boundary_quotient_elements(2, 2, 2, scheme)
+        pool = boundary_quotient_elements(2, 2, scheme)
         for _ in range(10):
             gens = [pool[rng.randrange(len(pool))]]
             if rng.random() < 0.5:
@@ -415,11 +415,11 @@ def test_c8_classifier_soundness():
         rc = root_colours(scheme, 2)
         if scheme.orbit_index[rc[0]] != scheme.orbit_index[rc[1]]:
             continue
-        movers = [h for h in boundary_quotient_elements(2, 2, 2, scheme)
+        movers = [h for h in boundary_quotient_elements(2, 2, scheme)
                   if {h[i] for i in range(block)} == set(range(block, 2 * block))]
         for G in groups:
             expect = any(h in G.element_set for h in movers)
-            assert theta_event(G, 0, 1, 2, 2, 2, scheme) == expect
+            assert theta_event(G, 0, 1, 2, scheme) == expect
             n_theta += 1
     elapsed = time.time() - t0
     report(f"C8 classifier soundness: PASS ({n_xi} Xi checks over Sym(6), "
@@ -566,3 +566,53 @@ def test_no_unused_imports():
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert unused == []
     report(f"tooling: no unused imports in {len(files)} modules: PASS")
+
+
+def _dead_helpers(modules, searched) -> list[str]:
+    """The private module-level functions and classes of ``modules`` named
+    nowhere in the ``searched`` files but inside their own definitions, as
+    "file:line: name"."""
+    texts = {path: path.read_text() for path in searched}
+    dead = []
+    for path in modules:
+        text = path.read_text()
+        lines = text.splitlines(keepends=True)
+        for node in ast.parse(text, str(path)).body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                continue
+            first = min([node.lineno] + [dec.lineno for dec in node.decorator_list])
+            own = "".join(lines[first - 1:node.end_lineno])
+            word = re.compile(rf"\b{node.name}\b")
+            uses = sum(len(word.findall(t)) for t in texts.values())
+            if uses == len(word.findall(own)):
+                dead.append(f"{path.name}:{node.lineno}: {node.name}")
+    return dead
+
+
+def test_dead_helper_scan_flags_only_orphans(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def _orphan(n):\n"
+                   "    return _orphan(n - 1) if n else 0\n\n\n"
+                   "class _Used:\n"
+                   "    pass\n\n\n"
+                   "def _named_in_a_test():\n"
+                   "    pass\n\n\n"
+                   "def public():\n"
+                   "    return _Used()\n")
+    test = tmp_path / "test_mod.py"
+    test.write_text("from mod import _named_in_a_test\n")
+    assert _dead_helpers([mod], [mod, test]) == ["mod.py:1: _orphan"]
+
+
+def test_no_dead_private_helpers():
+    # a private helper that a change leaves without any caller, test or
+    # mention fails here; the benchmark and CI steps count as callers
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted((root / "src" / "treeirs").glob("*.py"))
+    searched = (modules + sorted((root / "tests").glob("*.py"))
+                + sorted((root / "perfbench").rglob("*.py"))
+                + [root / ".github" / "workflows" / "tier1.yml"])
+    assert len(modules) > 8
+    assert _dead_helpers(modules, searched) == []
+    report(f"tooling: no orphaned private helper in {len(modules)} modules: PASS")

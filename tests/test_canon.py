@@ -365,7 +365,7 @@ def test_cone_maps_digest_over_every_scheme():
             results.append(enumerate_cone_maps(depth, d))
             results += [enumerate_cone_maps(depth, d, scheme, a, b) for scheme in all_schemes(d)
                         for a in range(d + 1) for b in range(d + 1)]
-    results += [boundary_quotient_elements(2, q, n, scheme) for scheme in all_schemes(2)
+    results += [boundary_quotient_elements(q, n, scheme) for scheme in all_schemes(2)
                 for q in (2, 3) for n in (0, 1, 2)]
     assert len(results) == 1218
     assert _digest(results) == "b561aa4d0a39b506153c9e6456c629616c6ccf0f63173c416ea1c1acd24ef460"

@@ -35,7 +35,7 @@ from treeirs.perm import (
     subgroups_of,
     symmetric_group,
 )
-from treeirs.tree import ColourScheme, ColourSchemeMismatch
+from treeirs.tree import ColourScheme
 
 
 def test_profile_examples():
@@ -145,18 +145,23 @@ def test_in_pi_examples():
     (lambda: in_Pi(product_of_symmetric([3, 3]), (0, 0, 0, 1, 1), 0),
      "labels must cover every point"),
     (lambda: in_Pi(product_of_symmetric([3, 3]), (0,) * 7, 0), "labels must cover every point"),
-    (lambda: theta_event(GeneratedGroup(4, []), 1, 1, 2, 2, 1, ColourScheme.full(2)),
+    (lambda: theta_event(GeneratedGroup(4, []), 1, 1, 2, ColourScheme.full(2)),
      "u, v must be distinct cone indices"),
-    (lambda: theta_event(GeneratedGroup(4, []), 2, 0, 2, 2, 1, ColourScheme.full(2)),
+    (lambda: theta_event(GeneratedGroup(4, []), 2, 0, 2, ColourScheme.full(2)),
      "u, v must be distinct cone indices"),
-    (lambda: theta_event(GeneratedGroup(4, []), 0, -1, 2, 2, 1, ColourScheme.full(2)),
+    (lambda: theta_event(GeneratedGroup(4, []), 0, -1, 2, ColourScheme.full(2)),
      "u, v must be distinct cone indices"),
-    (lambda: boundary_quotient_elements(2, 2, 2, ColourScheme.full(2), cap=100),
+    # d is the scheme's, and T_{3,2} has no level of 4 points
+    (lambda: theta_event(GeneratedGroup(4, []), 0, 1, 2, ColourScheme.full(3)),
+     r"degree 4 is not q\*d\^n for q=2, d=3"),
+    (lambda: boundary_quotient_elements(2, 2, ColourScheme.full(2), cap=100),
      "boundary quotient exceeds cap=100"),
-    (lambda: children_heredity_check(symmetric_group(4), symmetric_group(6), d=2, delta=1),
+    (lambda: children_heredity_check(symmetric_group(4), symmetric_group(6), delta=1),
+     "level sizes must differ by a factor of d"),
+    (lambda: children_heredity_check(symmetric_group(4), symmetric_group(4), delta=1),
      "level sizes must differ by a factor of d"),
 ], ids=["in-pi-short", "in-pi-long", "theta-u-is-v", "theta-u-out", "theta-v-out",
-        "quotient-cap", "heredity-levels"])
+        "theta-scheme-off-level", "quotient-cap", "heredity-levels", "heredity-same-level"])
 def test_classify_refusals(refused, message):
     with pytest.raises(ValueError, match=message):
         refused()
@@ -191,41 +196,28 @@ def test_theta_event_examples():
     full = ColourScheme.full(2)
     # q = 2, d = 2, n = 1: cones {0,1} and {2,3}
     swap = GeneratedGroup(4, [from_cycles(4, (0, 2), (1, 3))])
-    assert theta_event(swap, 0, 1, 2, 2, 1, full)
+    assert theta_event(swap, 0, 1, 2, full)
 
     half = GeneratedGroup(4, [from_cycles(4, (0, 2))])
-    assert not theta_event(half, 0, 1, 2, 2, 1, full)
+    assert not theta_event(half, 0, 1, 2, full)
 
-    assert not theta_event(GeneratedGroup(4, []), 0, 1, 2, 2, 1, full)
+    assert not theta_event(GeneratedGroup(4, []), 0, 1, 2, full)
 
 
-@pytest.mark.parametrize("degree,n,message", [
-    (5, 1, r"degree 5 is not q\*d\^n for q=2, d=2"),
-    (6, 1, r"degree 6 is not q\*d\^n for q=2, d=2"),
-    (4, 2, r"degree 4 is not q\*d\^n for q=2, d=2, n=2"),
-    (8, 1, r"degree 8 is not q\*d\^n for q=2, d=2, n=1"),
-], ids=["degree-5", "degree-6", "level-1-as-n-2", "level-2-as-n-1"])
-def test_theta_event_refuses_a_degree_off_the_level(degree, n, message):
+@pytest.mark.parametrize("degree,message", [
+    (5, r"degree 5 is not q\*d\^n for q=2, d=2"),
+    (6, r"degree 6 is not q\*d\^n for q=2, d=2"),
+], ids=["degree-5", "degree-6"])
+def test_theta_event_refuses_a_degree_off_the_level(degree, message):
     with pytest.raises(ValueError, match=message):
-        theta_event(GeneratedGroup(degree, []), 0, 1, 2, 2, n, ColourScheme.full(2))
+        theta_event(GeneratedGroup(degree, []), 0, 1, 2, ColourScheme.full(2))
 
 
 def test_theta_event_label_mismatch():
     triv = ColourScheme.trivial(2)
     swap = GeneratedGroup(4, [from_cycles(4, (0, 2), (1, 3))])
     with pytest.raises(LabelMismatch):
-        theta_event(swap, 0, 1, 2, 2, 1, triv)
-
-
-def test_theta_event_refuses_scheme_of_other_d():
-    # a d = 3 scheme on a binary tree used to raise IndexError here and
-    # KeyError in the brute-force oracle
-    swap = GeneratedGroup(4, [from_cycles(4, (0, 2), (1, 3))])
-    for scheme in (ColourScheme.full(3), ColourScheme.trivial(3)):
-        with pytest.raises(ColourSchemeMismatch, match="scheme is for d=3, not 2"):
-            theta_event(swap, 0, 1, 2, 2, 1, scheme)
-        with pytest.raises(ColourSchemeMismatch, match="scheme is for d=3, not 2"):
-            boundary_quotient_elements(2, 2, 1, scheme)
+        theta_event(swap, 0, 1, 2, triv)
 
 
 def test_theta_event_vs_bruteforce_depth1():
@@ -237,27 +229,30 @@ def test_theta_event_vs_bruteforce_depth1():
         rc = root_colours(scheme, 2)
         if scheme.orbit_index[rc[0]] != scheme.orbit_index[rc[1]]:
             continue
-        bqe = boundary_quotient_elements(2, 2, 1, scheme)
+        bqe = boundary_quotient_elements(2, 1, scheme)
         movers = [h for h in bqe
                   if {h[i] for i in range(block)} == set(range(block, 2 * block))]
         for G in subs:
             expect = any(h in G.element_set for h in movers)
-            assert theta_event(G, 0, 1, 2, 2, 1, scheme) == expect, \
+            assert theta_event(G, 0, 1, 2, scheme) == expect, \
                 (F.generators, G.generators)
 
 
 @pytest.mark.parametrize("d, q, n, order, checks, true, digest", [
+    (2, 3, 0, None, 24, 10,
+     "40f45eb59f7ecb8a9d5e8f6dfe43bf894253906cc9e8f4569849121c411c8f70"),
     (2, 3, 1, None, 5_820, 812,
      "29a67abc0432283dc55c3ab7527f3c6177b7e444beb382b8621be3fc1af12da9"),
     (2, 2, 2, 128, 2_304, 398,
      "00cc0629f58608647a94264524c023dfea531cafbd1b75d9f1d82fc3f8c45ced"),
     (3, 2, 1, 72, 2_688, 546,
      "e4baaf91666dc0382edb349361d31f586c9658a24ded37cd57244f8411c6db6a"),
-], ids=["Sym(6)", "W(2,2,2)", "W(3,2,1)"])
+], ids=["Sym(3)-level-0", "Sym(6)", "W(2,2,2)", "W(3,2,1)"])
 def test_theta_event_vs_boundary_quotient_exhaustive(d, q, n, order, checks, true, digest):
-    # every subgroup of Sym(6), or of the level group W(d,q,n), against
-    # every F whose root colours 0 and 1 share a label; the digest pins
-    # each answer in order
+    # every subgroup of Sym(3) or Sym(6), or of the level group W(d,q,n),
+    # against every F whose root colours 0 and 1 share a label; the digest
+    # pins each answer in order.  At level 0 each cone is one leaf, and only
+    # the root labels decide
     if order is None:
         subgroups = enumerate_subgroups(q * d ** n)[0]
     else:
@@ -281,12 +276,13 @@ def _constrained_map_mismatches(d, depth, candidates):
                 maps = set(enumerate_cone_maps(depth, d, scheme, a, b))
                 for m in candidates(maps):
                     checks += 1
-                    if _is_constrained_cone_map(m, depth, scheme, a, b) != (m in maps):
+                    if _is_constrained_cone_map(m, scheme, a, b) != (m in maps):
                         bad.append((F.generators, a, b, m))
     return bad, checks
 
 
-@pytest.mark.parametrize("d,depth,n_checks", [(2, 1, 6 * 9 * 2), (2, 2, 6 * 9 * 24),
+@pytest.mark.parametrize("d,depth,n_checks", [(2, 0, 6 * 9), (3, 0, 30 * 16),
+                                              (2, 1, 6 * 9 * 2), (2, 2, 6 * 9 * 24),
                                               (3, 1, 30 * 16 * 6)])
 def test_constrained_map_predicate_vs_enumerator_every_permutation(d, depth, n_checks):
     perms = list(itertools.permutations(range(d ** depth)))
@@ -311,7 +307,7 @@ def test_constrained_map_predicate_vs_enumerator_depth3():
 def test_boundary_quotient_size_depth1_full():
     # q = 2, d = 2, n = 1, F = Sym(3): 2 cone permutations x 2 x 2 local swaps
     full = ColourScheme.full(2)
-    els = boundary_quotient_elements(2, 2, 1, full)
+    els = boundary_quotient_elements(2, 1, full)
     assert len(set(els)) == len(els) == 8
     for h in els:
         assert sorted(h) == list(range(4))
@@ -322,7 +318,7 @@ def test_boundary_quotient_refuses_fewer_than_two_root_cones(q):
     # q = 1 used to give the 2 permutations of one cone, and q = 0 one
     # permutation of no points
     with pytest.raises(ValueError, match=f"need q >= 2, not {q}"):
-        boundary_quotient_elements(2, q, 1, ColourScheme.full(2))
+        boundary_quotient_elements(q, 1, ColourScheme.full(2))
 
 
 def test_classify_case_refuses_q_below_one():
@@ -388,19 +384,19 @@ def test_classify_case_vs_fresh_restriction_oracle():
 
 def test_heredity_good_chain():
     gamma_n, gamma_n1 = build_alt_wreath_chain(6, 2, (0, 1, 2, 3, 4))
-    rep = children_heredity_check(gamma_n, gamma_n1, d=2, delta=1)
+    rep = children_heredity_check(gamma_n, gamma_n1, delta=1)
     assert rep.compatible and rep.holds
 
 
 def test_heredity_full_alt_chain():
     gamma_n, gamma_n1 = build_alt_wreath_chain(4, 2, (0, 1, 2, 3))
-    rep = children_heredity_check(gamma_n, gamma_n1, d=2, delta=0)
+    rep = children_heredity_check(gamma_n, gamma_n1, delta=0)
     assert rep.compatible and rep.holds
 
 
 def test_heredity_broken_chain_reported():
     gamma_n, gamma_n1 = build_alt_wreath_chain(4, 2, (0, 1, 2), drop_child=5)
-    rep = children_heredity_check(gamma_n, gamma_n1, d=2, delta=1)
+    rep = children_heredity_check(gamma_n, gamma_n1, delta=1)
     assert not rep.wreath_ok          # dropping a child breaks compatibility
     assert not rep.holds
     assert 2 in rep.parent_to_children_failures  # parent of the dropped child
@@ -409,5 +405,5 @@ def test_heredity_broken_chain_reported():
 
 def test_heredity_d3_chain():
     gamma_n, gamma_n1 = build_alt_wreath_chain(4, 3, (0, 1, 2))
-    rep = children_heredity_check(gamma_n, gamma_n1, d=3, delta=1)
+    rep = children_heredity_check(gamma_n, gamma_n1, delta=1)
     assert rep.compatible and rep.holds

@@ -656,6 +656,47 @@ def test_unread_flags_are_refused(tmp_path, capsys, argv):
 
 SIMULATE = ["simulate", "--trials", "10", "--experiment"]
 
+CLASSIFY = ["classify", "--delta", "1", "--q", "2"]
+
+# flags a command parses but would not read on this command line: each
+# used to exit 0, the scheme written into a cut row's scheme column and a
+# lone bound constant leaving the bound column empty
+IGNORED_FLAGS = {
+    "cut1-scheme": (SIMULATE + ["cut1", "--n", "2", "--k", "1", "--scheme"],
+                    "cut1 reads no --scheme"),
+    "cut2-scheme": (SIMULATE + ["cut2", "--n", "2", "--k", "1", "--scheme"],
+                    "cut2 reads no --scheme"),
+    "treematch-orbit": (SIMULATE + ["treematch", "--n", "2", "--k", "1", "--orbit", "0"],
+                        "--orbit is read only by colormatch"),
+    "cut1-orbit": (SIMULATE + ["cut1", "--n", "2", "--k", "1", "--orbit", "1"],
+                   "--orbit is read only by colormatch"),
+    "treematch-root-label": (SIMULATE + ["treematch", "--n", "2", "--k", "1",
+                                         "--root-label", "0"],
+                             "--root-label is read only by colormatch"),
+    "cut2-root-label": (SIMULATE + ["cut2", "--n", "2", "--k", "1", "--root-label", "1"],
+                        "--root-label is read only by colormatch"),
+    "simulate-cc-C-alone": (SIMULATE + ["treematch", "--n", "2", "--k", "1", "--cc-C", "1"],
+                            "--cc-C and --cc-c are read only together"),
+    "simulate-cc-c-alone": (SIMULATE + ["colormatch", "--n", "2", "--k", "1", "--cc-c", "1",
+                                        "--scheme"],
+                            "--cc-C and --cc-c are read only together"),
+    "classify-cc-C-alone": (CLASSIFY + ["--cc-C", "1"],
+                            "--cc-C and --cc-c are read only together"),
+    "classify-cc-c-alone": (CLASSIFY + ["--cc-c", "1"],
+                            "--cc-C and --cc-c are read only together"),
+}
+
+
+@pytest.mark.parametrize("argv,message", IGNORED_FLAGS.values(), ids=IGNORED_FLAGS)
+def test_ignored_flags_are_refused(tmp_path, capsys, argv, message):
+    if argv[-1] == "--scheme":
+        argv = argv + [write_scheme(tmp_path, [[1, 0, 2]])]
+    if argv[0] == "classify":
+        gfile = tmp_path / "g.json"
+        gfile.write_text(json.dumps(group_to_json(symmetric_group(4))))
+        argv = argv + ["--group-file", str(gfile)]
+    assert_refused_as_bad_input(tmp_path, capsys, argv, message)
+
 # command lines on a tree with too few children or root cones, a negative
 # depth or size, or a missing root or leaf orbit: each used to crash or print
 # an estimate

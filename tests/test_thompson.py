@@ -204,13 +204,11 @@ def test_act_on_address_prefix_replacement():
     assert act_on_address(p, (1, 0)) == (0, 0)
 
 
-def test_act_on_address_too_shallow_and_deepen():
+def test_act_on_address_too_shallow():
     p = TreePair.from_mapping(2, 2, {(0, 0): (1,), (0, 1): (0, 0),
                                      (1,): (0, 1)})
-    with pytest.raises(AddressTooShallow):
+    with pytest.raises(AddressTooShallow, match=r"address \(0,\) is shallower"):
         act_on_address(p, (0,))
-    deepened = act_on_address(p, (0,), deepen=True)
-    assert deepened == (((0, 0), (1,)), ((0, 1), (0, 0)))
 
 
 @pytest.mark.parametrize("d, q, w", [
@@ -223,9 +221,8 @@ def test_act_on_address_refuses_an_address_off_the_tree(d, q, w):
     # given, and the swap of the root cones took (0, 9) to (1, 9)
     swap = TreePair.from_mapping(d, q, {(j,): ((j + 1) % q,) for j in range(q)})
     for p in (TreePair.identity(d, q), swap):
-        for deepen in (False, True):
-            with pytest.raises(MalformedPair, match="bad digit"):
-                act_on_address(p, w, deepen=deepen)
+        with pytest.raises(MalformedPair, match="bad digit"):
+            act_on_address(p, w)
     assert act_on_address(swap, (q - 1,) + (d - 1,) * 3) == (0,) + (d - 1,) * 3
 
 
